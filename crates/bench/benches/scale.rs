@@ -32,7 +32,7 @@
 //! without committing a small-torus baseline.
 
 use commloc_bench::{render_scale_json, ScalePoint};
-use commloc_sim::{set_job_budget, Mapping, ShardedMachine, SimConfig};
+use commloc_sim::{set_job_budget, Machine, Mapping, SimConfig};
 use std::path::PathBuf;
 
 const DEFAULT_RADIX: usize = 256;
@@ -56,7 +56,7 @@ fn run_point(
     cycles: u64,
     workers: usize,
 ) -> (f64, u64, u64) {
-    let mut machine = ShardedMachine::new(config, mapping, SHARDS);
+    let mut machine = Machine::with_shards(config, mapping, SHARDS);
     machine.set_jobs(workers);
     let start = std::time::Instant::now();
     machine

@@ -302,8 +302,9 @@ pub struct Fabric<P> {
     /// Flits buffered across all owned routers — the incrementally
     /// maintained sum of `occupancy`, kept for O(1) quiescence checks.
     buffered: u64,
-    /// Messages ever injected here (monolithic fabrics: equals `next_id`;
-    /// shard fabrics count only their own nodes' injections).
+    /// Messages ever injected here (equals `next_id` when every message
+    /// came through [`Fabric::inject`]; shard fabrics count only their
+    /// own nodes' injections).
     injected_total: u64,
     /// Flits and credits that crossed out of this shard this cycle,
     /// drained by the shard driver. Always empty for a whole-torus
@@ -319,6 +320,10 @@ pub struct Fabric<P> {
     /// the second still needs. Each entry dies with the tail flit at
     /// its own crossing.
     remap: HashMap<(u64, u32, u16, u16), u32>,
+    /// Local nodes of the flits ingested from other shards since the
+    /// last step. A whole-torus fabric still holds those flits on its
+    /// links between cycles, so the buffer diagnostics leave them out.
+    inbound: Vec<u32>,
 }
 
 impl<P> Fabric<P> {
@@ -465,6 +470,7 @@ impl<P> Fabric<P> {
             injected_total: 0,
             boundary_out: Vec::new(),
             remap: HashMap::new(),
+            inbound: Vec::new(),
         }
     }
 
@@ -681,15 +687,21 @@ impl<P> Fabric<P> {
     }
 
     /// Total flits currently buffered across all routers (diagnostic).
+    /// Flits still crossing a shard boundary count as on their link, as
+    /// in the whole-torus fabric.
     pub fn buffered_flits(&self) -> usize {
-        self.buffered as usize
+        self.buffered as usize - self.inbound.len()
     }
 
     /// Flits currently buffered in each router, indexed by node
     /// (diagnostic; feeds watchdog stall dumps). Served from the engine's
     /// incrementally maintained counters — O(nodes), no per-VC scan.
     pub fn router_occupancy(&self) -> Vec<usize> {
-        self.occupancy.iter().map(|&c| c as usize).collect()
+        let mut occupancy: Vec<usize> = self.occupancy.iter().map(|&c| c as usize).collect();
+        for &node in &self.inbound {
+            occupancy[node as usize] -= 1;
+        }
+        occupancy
     }
 
     /// Monotone count of flit movements since construction. A fabric
@@ -716,6 +728,7 @@ impl<P> Fabric<P> {
     /// inconsistent (a flit referencing an unknown message, or an
     /// arbitration selecting an empty buffer).
     pub fn step(&mut self) -> Result<(), FabricError> {
+        self.inbound.clear();
         self.cycle += 1;
         self.stats.cycles += 1;
         if let Some(plan) = self.fault.as_mut() {
@@ -1597,6 +1610,7 @@ impl<P> Fabric<P> {
                 self.occupancy[node] += 1;
                 self.buffered += 1;
                 self.active_routers.insert(node);
+                self.inbound.push(node as u32);
             }
             BoundaryPayload::Credit { node, port, vc } => {
                 let local = node as usize - self.base;

@@ -27,8 +27,7 @@ use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
     default_jobs, mapping_suite, model_profile, parallel_map, run_cached_sweep, run_experiment,
     run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, ServeOptions,
-    ShardedMachine, SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER,
-    MEASUREMENTS_CSV_HEADER,
+    SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -60,9 +59,9 @@ COMMANDS:
             --mapping M --seed S --contexts P --warmup W --window C
             [--trace FILE] [--csv] [--shards K --jobs J]
             [--topology T] [--traffic W | --trace-in FILE]
-            (--shards runs the shard-parallel engine, bit-exact with the
-            monolithic one; --jobs sets its worker threads and requires
-            --shards; tracing requires the monolithic engine)
+            (--shards splits the machine into K shards, bit-exact with
+            one shard; --jobs sets its worker threads and requires
+            --shards; tracing requires one shard)
     suite   run the full validation mapping suite
             --contexts P --seed S --jobs J [--shards K] [--csv]
             [--topology T] [--traffic W | --trace-in FILE]
@@ -532,36 +531,18 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     let warmup = get_u64(options, "warmup", 20_000)?;
     let window = get_u64(options, "window", 60_000)?;
     let c = MachineConfig::alewife().critical_path_messages();
-    let (m, b, lb, mut machine) = if shards > 1 {
-        let mut sharded = ShardedMachine::new(&config, &mapping, shards);
-        sharded.set_jobs(jobs);
-        sharded
-            .run_network_cycles(warmup)
-            .map_err(|e| e.to_string())?;
-        sharded.reset_measurements();
-        sharded
-            .run_network_cycles(window)
-            .map_err(|e| e.to_string())?;
-        (
-            sharded.measure(),
-            sharded.breakdown(c),
-            sharded.latency_breakdown(),
-            None,
-        )
-    } else {
-        let mut machine = Machine::new(&config, &mapping);
-        machine
-            .run_network_cycles(warmup)
-            .map_err(|e| e.to_string())?;
-        machine.reset_measurements();
-        machine
-            .run_network_cycles(window)
-            .map_err(|e| e.to_string())?;
-        let m = machine.measure();
-        let b = machine.breakdown(c);
-        let lb = machine.latency_breakdown().clone();
-        (m, b, lb, Some(machine))
-    };
+    let mut machine = Machine::with_shards(&config, &mapping, shards);
+    machine.set_jobs(jobs);
+    machine
+        .run_network_cycles(warmup)
+        .map_err(|e| e.to_string())?;
+    machine.reset_measurements();
+    machine
+        .run_network_cycles(window)
+        .map_err(|e| e.to_string())?;
+    let m = machine.measure();
+    let b = machine.breakdown(c);
+    let lb = machine.latency_breakdown();
 
     // The model's prediction at the measured distance and context count,
     // on the simulated interconnect's profile.
@@ -660,7 +641,7 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
         );
     }
 
-    if let (Some(path), Some(machine)) = (trace_path, machine.as_mut()) {
+    if let Some(path) = trace_path {
         let file = std::fs::File::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
         let mut lines = 0u64;

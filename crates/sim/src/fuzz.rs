@@ -20,7 +20,6 @@
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
 use crate::resilience::MigrationSpec;
-use crate::shard::ShardedMachine;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
 use commloc_net::fuzz::{shrink_with, Divergence, FaultSpec};
@@ -111,10 +110,11 @@ pub struct MachineScenario {
     /// for each engine from the same spec — the resilience layer's
     /// park/adopt/abandon machinery must stay bit-exact across engines.
     pub migration: Option<MigrationSpec>,
-    /// Shard count for a third, shard-parallel engine checked against
-    /// the active one (`1` = no sharded engine). Forced to 1 when a
-    /// migration policy is drawn — sharded machines do not support
-    /// migration, and the checker skips the third engine in that case.
+    /// Shard count for a third machine ([`Machine::with_shards`])
+    /// checked against the active one (`1` = no third machine). Forced
+    /// to 1 when a migration policy is drawn: the migration layer moves
+    /// threads between nodes outside the shard step, so policies run on
+    /// one-shard machines only and the checker skips the third machine.
     pub shards: usize,
     /// Explicit non-cube topology (`None` = the cube from `dims`/`radix`).
     /// Scheduled `(dim, direction)`-addressed faults and migration
@@ -281,9 +281,10 @@ impl MachineScenario {
         } else {
             None
         };
-        // The shard-parallel engine rides along on half the
-        // migration-free seeds: the scenario then runs a three-way
-        // lockstep, active vs reference vs sharded.
+        // A multi-shard machine rides along on half the migration-free
+        // seeds: the scenario then runs a three-way lockstep, active vs
+        // reference vs sharded. Migration stays one-shard-only (see
+        // `MachineScenario::shards`).
         let shards = if migration.is_some() {
             1
         } else {
@@ -388,6 +389,9 @@ pub struct MachineFuzzReport {
     pub net_cycles: u64,
     /// Whether the run ended in a (bit-identical) watchdog stall.
     pub stalled: bool,
+    /// Network cycles the active engine skipped by fast-forward (a
+    /// sharded participant is checked to skip the same).
+    pub fast_forwarded: u64,
 }
 
 macro_rules! check_eq {
@@ -458,12 +462,12 @@ pub fn run_scenario_mutated(
         Some(spec) => Machine::new_reference_with_policy(&ref_config, &mapping, spec.build()),
         None => Machine::new_reference(&ref_config, &mapping),
     };
-    // The shard-parallel engine joins as a third lockstep participant on
+    // A multi-shard machine joins as a third lockstep participant on
     // sharded draws (untraced config — sharded machines reject tracing;
-    // serial driver — worker counts never change results and the sweep
-    // itself already fans out across seeds).
+    // serial driver — worker counts never change results, and only the
+    // serial driver fast-forwards, which this participant must match).
     let mut sharded = if scenario.shards > 1 && scenario.migration.is_none() {
-        Some(ShardedMachine::new(
+        Some(Machine::with_shards(
             &scenario.sim_config(false),
             &mapping,
             scenario.shards,
@@ -491,6 +495,12 @@ pub fn run_scenario_mutated(
                 let rs = shard.run_network_cycles(chunk);
                 check_shard!(now, ra, rs, format!("{name} step result"));
                 check_shard!(now, active.net_cycle(), shard.net_cycle(), "network clock");
+                check_shard!(
+                    now,
+                    active.fast_forwarded_cycles(),
+                    shard.fast_forwarded_cycles(),
+                    "fast-forwarded cycles"
+                );
             }
             if ra.is_err() {
                 // All engines stalled with the identical report: the run
@@ -526,7 +536,7 @@ pub fn run_scenario_mutated(
                 );
                 check_shard!(
                     now,
-                    active.completions_per_node().to_vec(),
+                    active.completions_per_node(),
                     shard.completions_per_node(),
                     "per-node completions"
                 );
@@ -573,15 +583,10 @@ pub fn run_scenario_mutated(
         check_shard!(
             end,
             active.latency_breakdown(),
-            &shard.latency_breakdown(),
+            shard.latency_breakdown(),
             "latency breakdown"
         );
-        check_shard!(
-            end,
-            active.fault_log().cloned(),
-            shard.fault_log(),
-            "fault log"
-        );
+        check_shard!(end, active.fault_log(), shard.fault_log(), "fault log");
         check_shard!(
             end,
             active.total_iterations(),
@@ -593,6 +598,7 @@ pub fn run_scenario_mutated(
         completions: active.completions(),
         net_cycles: active.net_cycle(),
         stalled,
+        fast_forwarded: active.fast_forwarded_cycles(),
     })
 }
 
@@ -918,15 +924,16 @@ mod tests {
     #[test]
     fn sharded_scenarios_appear_and_run_clean() {
         // The scenario space must actually contain sharded draws across
-        // several shard counts, and a few such seeds must hold the
-        // three-way lockstep.
-        let drawn: Vec<(u64, usize)> = (0..60u64)
+        // several shard counts, a few such seeds must hold the three-way
+        // lockstep, and at least one must fast-forward (so the sharded
+        // machine's jumps are compared, not just its per-cycle steps).
+        let drawn: Vec<(u64, usize)> = (0..140u64)
             .map(|s| (s, MachineScenario::from_seed(s).shards))
             .filter(|&(_, k)| k > 1)
             .collect();
         assert!(
             drawn.len() >= 5,
-            "expected sharded draws in 60 seeds: {drawn:?}"
+            "expected sharded draws in 140 seeds: {drawn:?}"
         );
         assert!(
             drawn
@@ -937,11 +944,20 @@ mod tests {
                 >= 2,
             "expected multiple shard counts: {drawn:?}"
         );
-        for &(seed, _) in drawn.iter().take(4) {
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed}: {d}");
+        let mut fast_forwarded = 0;
+        for (i, &(seed, _)) in drawn.iter().enumerate() {
+            if i >= 4 && fast_forwarded > 0 {
+                break;
+            }
+            match run_seed(seed) {
+                Ok(report) => fast_forwarded += report.fast_forwarded,
+                Err(d) => panic!("seed {seed}: {d}"),
             }
         }
+        assert!(
+            fast_forwarded > 0,
+            "no sharded draw fast-forwarded: {drawn:?}"
+        );
     }
 
     #[test]
@@ -1001,6 +1017,46 @@ mod tests {
             workload: WorkloadKind::Neighbor,
         };
         run_scenario(&scenario).expect("active and sharded machines must agree");
+    }
+
+    #[test]
+    fn machine_fuzz_repro_seed_337() {
+        // Shrunk from sweep seed 337: a 3-node ring under two shards
+        // wedges after a drop, and the watchdog trips while a flit is
+        // crossing the shard boundary. The one-shard fabric holds that
+        // flit on its link between cycles, so the sharded stall report
+        // must not count it as buffered.
+        let scenario = MachineScenario {
+            seed: 337,
+            dims: 1,
+            radix: 3,
+            contexts: 1,
+            clock_ratio: 1,
+            switch_cycles: 0,
+            work: 2,
+            timeout_cycles: 0,
+            max_retries: 8,
+            watchdog_cycles: 2261,
+            mapping: MappingKind::Identity,
+            trace_capacity: 0,
+            warmup: 639,
+            window: 1900,
+            fault: Some(FaultSpec {
+                drop_rate: 0.007975625539519917,
+                corrupt_rate: 0.0,
+                stall_rate: 0.0,
+                stall_window: 51,
+                kills: vec![],
+                link_stalls: vec![],
+                router_stalls: vec![],
+            }),
+            migration: None,
+            shards: 2,
+            topology: None,
+            workload: WorkloadKind::Neighbor,
+        };
+        let report = run_scenario(&scenario).expect("active and sharded machines must agree");
+        assert!(report.stalled, "the scenario must end in a watchdog trip");
     }
 
     #[test]

@@ -51,11 +51,13 @@ pub use csv::MEASUREMENTS_CSV_HEADER;
 pub use disturbance::{run_disturbance, DisturbanceConfig, DisturbanceCurve};
 pub use error::{SimError, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
-pub use machine::{run_experiment, Machine, MachineSnapshot, Measurements, SimConfig};
+pub use machine::{
+    run_experiment, run_sharded_experiment, Machine, MachineSnapshot, Measurements, SimConfig,
+};
 pub use mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
 pub use parallel::{default_jobs, parallel_map, run_sweep, set_job_budget, SweepPoint};
 pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, ServeOptions};
-pub use shard::{run_sharded_experiment, ShardedMachine};
+pub use shard::ShardedMachine;
 
 pub use resilience::{
     run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, IdleWave, MigrationPolicy,

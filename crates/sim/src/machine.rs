@@ -13,14 +13,26 @@
 //! latency `T_h`, channel utilization, communication distance `d`, and
 //! the per-transaction message statistics `g` and `B`.
 //!
+//! # One driver over 1..K shards
+//!
+//! The machine's nodes are partitioned into `K` contiguous shards
+//! (DESIGN.md §4.11); [`Machine::new`] is the one-shard case of
+//! [`Machine::with_shards`]. Each shard owns a fabric slice and the
+//! processors, controllers, worklist, timers, and window counters of its
+//! nodes. The driver owns everything global — the clock, the measurement
+//! window start, the progress watchdog, the protocol-message id counter,
+//! and the worker count — and runs one step over all shards: fabric step,
+//! boundary exchange, node boundary, id-ordered injection, watchdog. A
+//! sharded run is therefore bit-exact with the one-shard machine.
+//!
 //! # The active-node engine
 //!
 //! Stepping is built around an **active-node worklist with cross-layer
 //! next-event horizons** (DESIGN.md §4.9). Each processor boundary visits
 //! only the nodes that can possibly act — a node is enqueued when the
 //! fabric delivers to it, when it has processor or controller work of its
-//! own, or when a retry timer fires — and when the worklist is empty and
-//! the fabric is drained, [`Machine::run_network_cycles`] fast-forwards
+//! own, or when a retry timer fires — and when every worklist is empty and
+//! every fabric is drained, [`Machine::run_network_cycles`] fast-forwards
 //! the whole machine to the earliest next event (`min` of the run target,
 //! the first retry deadline, and the watchdog trip cycle). Each layer
 //! contributes its horizon: `Processor::next_wake`,
@@ -34,13 +46,15 @@ use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
 use crate::error::{SimError, StallKind, StallReport};
 use crate::mapping::Mapping;
 use crate::resilience::{MigrationPolicy, MigrationRecord, MigrationView};
+use crate::shard::shard_ranges;
 use crate::workload::{workload_home_map, Workload};
-use commloc_mem::{Controller, MemConfig, MemOp, ProtocolMsg, TxnId};
+use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
     ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
     LatencyBreakdown, Message, MessageId, NodeId, Topology, Torus, TraceBuffer,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -136,18 +150,16 @@ struct StolenThread {
 }
 
 /// Measurement-window counters for transaction-level statistics.
-/// Crate-visible so the sharded driver can sum per-shard windows before
-/// building merged [`Measurements`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Window {
-    pub(crate) misses: u64,
-    pub(crate) sum_txn_latency: u64,
-    pub(crate) hits: u64,
+struct Window {
+    misses: u64,
+    sum_txn_latency: u64,
+    hits: u64,
 }
 
 impl Window {
     /// Component-wise sum, for merging shard windows.
-    pub(crate) fn absorb(&mut self, other: &Window) {
+    fn absorb(&mut self, other: &Window) {
         self.misses += other.misses;
         self.sum_txn_latency += other.sum_txn_latency;
         self.hits += other.hits;
@@ -196,42 +208,70 @@ pub struct Measurements {
     pub hit_fraction: f64,
 }
 
-/// A complete simulated multiprocessor running the torus-neighbour
-/// workload.
-///
-/// # Examples
-///
-/// ```no_run
-/// use commloc_sim::{Machine, Mapping, SimConfig};
-///
-/// let config = SimConfig::default();
-/// let mapping = Mapping::identity(64);
-/// let mut machine = Machine::new(&config, &mapping);
-/// machine.run_network_cycles(20_000).unwrap(); // warmup
-/// machine.reset_measurements();
-/// machine.run_network_cycles(50_000).unwrap();
-/// let m = machine.measure();
-/// assert!(m.distance > 0.9 && m.distance < 1.1);
-/// ```
+/// The progress watchdog: the `(fabric activity, completions)` marker
+/// at the last cycle that showed progress, and that cycle.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Watchdog {
+    marker: (u64, u64),
+    progress_cycle: u64,
+}
+
+impl Watchdog {
+    /// Records the machine-wide progress `marker` at `cycle` and returns
+    /// how long the machine has been stalled once that reaches `window`
+    /// (`0` disables tripping). Two trip conditions:
+    ///
+    /// * **Global stall** — the fabric's activity counter stopped
+    ///   advancing (no flit moved) and no transaction retired for a full
+    ///   window: total deadlock.
+    /// * **Stuck transaction** — the `oldest` outstanding transaction was
+    ///   issued more than a full window ago. A healthy transaction
+    ///   completes in tens-to-hundreds of network cycles even under
+    ///   congestion, so an aged one is wedged (e.g. behind a killed link)
+    ///   even while the rest of the machine retires normally.
+    pub(crate) fn check(
+        &mut self,
+        cycle: u64,
+        marker: (u64, u64),
+        oldest: Option<u64>,
+        window: u64,
+    ) -> Option<u64> {
+        if marker != self.marker {
+            self.marker = marker;
+            self.progress_cycle = cycle;
+        }
+        if window == 0 {
+            return None;
+        }
+        let oldest_age = oldest.map_or(0, |issued| cycle - issued);
+        let stalled_for = (cycle - self.progress_cycle).max(oldest_age);
+        (stalled_for >= window).then_some(stalled_for)
+    }
+
+    /// The cycle at which [`Watchdog::check`] trips if nothing
+    /// progresses: `max(cycle - progress_cycle, oldest age)` reaches the
+    /// window at exactly `min(progress_cycle, oldest issue) + window`.
+    fn trip_cycle(&self, oldest: Option<u64>, window: u64) -> u64 {
+        oldest.map_or(self.progress_cycle, |issued| {
+            issued.min(self.progress_cycle)
+        }) + window
+    }
+}
+
+/// One contiguous range of global nodes `[base, base + owned)`: its
+/// fabric slice plus the processors, controllers, and bookkeeping of its
+/// compute nodes. Per-node vectors are local-indexed; node-facing APIs
+/// and fabric calls use global ids (`base + local`).
 #[derive(Debug, Clone)]
-pub struct Machine {
-    config: SimConfig,
-    fabric: Fabric<ProtocolMsg>,
-    /// First global node this machine owns (0 for a whole-torus machine;
-    /// a shard of a [`crate::ShardedMachine`] owns `[base, base+len)`).
-    /// Per-node vectors are local-indexed; node-facing APIs and fabric
-    /// calls use global ids (`base + local`).
-    base: usize,
-    /// Shard mode: protocol messages issued at a processor boundary are
-    /// staged here instead of injected directly, so the sharded driver
-    /// can assign globally sequential message ids in shard order —
-    /// reproducing the exact id sequence the monolithic machine's
-    /// ascending node visits would have produced (fault rolls hash over
-    /// message ids, so ids must match bit-for-bit). `None` = monolithic.
-    staged: Option<Vec<Message<ProtocolMsg>>>,
+pub(crate) struct Shard {
+    pub(crate) fabric: Fabric<ProtocolMsg>,
+    pub(crate) base: usize,
     nodes: Vec<NodeSim>,
-    net_cycle: u64,
-    window_start: u64,
+    /// Protocol messages issued at the current processor boundary. The
+    /// driver injects them afterwards with globally sequential ids in
+    /// shard order — the ascending-node order the ids follow at every
+    /// shard count (fault rolls hash over message ids).
+    pub(crate) staged: Vec<Message<ProtocolMsg>>,
     window: Window,
     txn_issue_cycle: HashMap<u64, u64>,
     /// Outstanding transaction ids in issue order. Issue cycles are
@@ -240,12 +280,8 @@ pub struct Machine {
     /// amortized instead of scanning the whole map every cycle.
     txn_issue_order: VecDeque<u64>,
     /// Total transaction completions ever (never reset — watchdog input).
-    completed: u64,
+    pub(crate) completed: u64,
     completed_per_node: Vec<u64>,
-    /// Progress marker `(fabric activity, completions)` at the last cycle
-    /// that showed progress, and that cycle.
-    progress_marker: (u64, u64),
-    progress_cycle: u64,
     /// Transaction-level span ring, present iff tracing is enabled
     /// (`config.fabric.trace_capacity > 0`).
     spans: Option<SpanLog>,
@@ -267,6 +303,393 @@ pub struct Machine {
     node_scratch: Vec<u32>,
     /// Scratch: drained fabric delivery events.
     event_scratch: Vec<u32>,
+    /// Raw ids of abandoned transactions whose (already unreachable)
+    /// completions must be swallowed rather than reported as
+    /// [`SimError::UnknownCompletion`].
+    abandoned: HashSet<u64>,
+}
+
+impl Shard {
+    /// Builds the shard owning global nodes `[base, base + owned)`: a
+    /// fabric slice with the fault plan restricted to those nodes (so
+    /// merged logs reconstruct the one-shard record exactly) and a node
+    /// sim per owned compute node.
+    fn new(
+        config: &SimConfig,
+        topology: &Topology,
+        fault_plan: Option<&FaultPlan>,
+        thread_at: &[usize],
+        home: &Arc<HomeMap>,
+        (base, owned): (usize, usize),
+    ) -> Self {
+        // Only fabric routers that host compute get a node sim; fat-tree
+        // switches (ids >= compute) relay traffic but run no threads and
+        // home no data. Compute nodes always occupy the id prefix, so an
+        // owned range's compute portion stays contiguous at its front.
+        let compute = topology.compute_nodes();
+        let owned_compute = (base + owned)
+            .min(compute)
+            .saturating_sub(base.min(compute));
+        let nodes: Vec<NodeSim> = (base..base + owned_compute)
+            .map(|n| {
+                let programs: Vec<Box<dyn ThreadProgram>> = (0..config.contexts)
+                    .map(|instance| {
+                        config
+                            .workload
+                            .program(topology, instance, thread_at[n], config.work)
+                    })
+                    .collect();
+                NodeSim {
+                    cpu: Processor::new(programs, config.switch_cycles),
+                    ctrl: Controller::new(NodeId(n), Arc::clone(home), config.mem),
+                    ctx_txn: vec![None; config.contexts],
+                    next_txn: 0,
+                }
+            })
+            .collect();
+        let fabric = match fault_plan {
+            Some(plan) => {
+                let plan = if owned == topology.nodes() {
+                    plan.clone()
+                } else {
+                    plan.restrict(base, owned)
+                };
+                Fabric::with_fault_plan_shard(topology.clone(), config.fabric, base, owned, plan)
+            }
+            None => Fabric::new_shard(topology.clone(), config.fabric, base, owned),
+        };
+        // Every node starts with runnable processor work, so the active
+        // set begins full.
+        let mut active = ActiveSet::new(owned_compute);
+        for n in 0..owned_compute {
+            active.insert(n);
+        }
+        Self {
+            fabric,
+            base,
+            nodes,
+            staged: Vec::new(),
+            window: Window::default(),
+            txn_issue_cycle: HashMap::new(),
+            txn_issue_order: VecDeque::new(),
+            completed: 0,
+            completed_per_node: vec![0; owned_compute],
+            spans: (config.fabric.trace_capacity > 0)
+                .then(|| SpanLog::new(config.fabric.trace_capacity)),
+            active,
+            last_stepped: vec![0; owned_compute],
+            timer_wakes: BTreeMap::new(),
+            node_scratch: Vec::new(),
+            event_scratch: Vec::new(),
+            abandoned: HashSet::new(),
+        }
+    }
+
+    /// Issue cycle of the oldest still-outstanding transaction, dropping
+    /// completed transactions from the front of the issue-order queue
+    /// along the way (issue cycles are monotone, so the first survivor is
+    /// the oldest — O(1) amortized).
+    pub(crate) fn oldest_outstanding_issue(&mut self) -> Option<u64> {
+        while let Some(front) = self.txn_issue_order.front() {
+            if self.txn_issue_cycle.contains_key(front) {
+                break;
+            }
+            self.txn_issue_order.pop_front();
+        }
+        self.txn_issue_order
+            .front()
+            .and_then(|txn| self.txn_issue_cycle.get(txn))
+            .copied()
+    }
+
+    /// Nodes with outstanding controller transactions, by global id —
+    /// the stall report's dump.
+    fn outstanding_transactions(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| node.ctrl.outstanding_transactions() > 0)
+            .map(|(n, node)| (NodeId(self.base + n), node.ctrl.outstanding_transactions()))
+    }
+
+    /// Injects the staged messages with sequential ids starting at `id`
+    /// and returns the next unused id.
+    pub(crate) fn flush_staged(&mut self, mut id: u64) -> u64 {
+        for message in self.staged.drain(..) {
+            self.fabric.inject_with_id(MessageId(id), message);
+            id += 1;
+        }
+        id
+    }
+
+    /// Folds the fabric's pending delivery events into the worklist.
+    fn fold_delivery_events(&mut self) {
+        self.fabric.take_delivery_events(&mut self.event_scratch);
+        for i in 0..self.event_scratch.len() {
+            // Delivery events carry global node ids; the worklist is
+            // local-indexed.
+            self.active
+                .insert(self.event_scratch[i] as usize - self.base);
+        }
+    }
+
+    /// Settles node `n`'s idle debt up to processor boundary `boundary`:
+    /// advances its processor and controller clocks exactly as the
+    /// skipped boundaries would have (each is a pure `{cycles+1,
+    /// idle+1}` / `{cycle+1}` tick for a dormant node). Active engine
+    /// only — the reference engine never maintains `last_stepped`.
+    fn settle_debt(&mut self, n: usize, boundary: u64) {
+        let debt = boundary - self.last_stepped[n];
+        if debt > 0 {
+            self.nodes[n].cpu.advance_idle(debt);
+            self.nodes[n].ctrl.advance_idle(debt);
+            self.last_stepped[n] = boundary;
+        }
+    }
+
+    /// Resets the shard's statistics windows (fabric, controllers,
+    /// processors, and transaction counters).
+    fn reset_stats(&mut self) {
+        self.fabric.reset_stats();
+        for node in &mut self.nodes {
+            node.ctrl.reset_stats();
+            node.cpu.reset_stats();
+        }
+        self.window = Window::default();
+    }
+
+    /// The retained exhaustive stepping loop: every node, every boundary,
+    /// in ascending order. The active-node engine must be bit-identical
+    /// to this (asserted by the golden-equivalence tests and the
+    /// `--machine` differential fuzzer).
+    fn step_nodes_reference(&mut self, config: &SimConfig, now: u64) -> Result<(), SimError> {
+        for n in 0..self.nodes.len() {
+            self.visit_node(config, n, now)?;
+        }
+        Ok(())
+    }
+
+    /// The active-node engine's boundary: folds fabric delivery events
+    /// and due retry timers into the worklist, visits only the listed
+    /// nodes (ascending, like the exhaustive loop), settles each node's
+    /// lazy idle debt before its real step, and updates residency — a
+    /// node leaves the worklist when its processor is fully blocked and
+    /// its controller dormant, re-entering on a delivery or timer.
+    pub(crate) fn step_nodes_active(
+        &mut self,
+        config: &SimConfig,
+        now: u64,
+    ) -> Result<(), SimError> {
+        let boundary = now / u64::from(config.clock_ratio);
+        self.fold_delivery_events();
+        while let Some((&wake, _)) = self.timer_wakes.first_key_value() {
+            if wake > boundary {
+                break;
+            }
+            let (_, woken) = self.timer_wakes.pop_first().expect("peeked entry");
+            for n in woken {
+                self.active.insert(n as usize);
+            }
+        }
+        // Dense boundary: when nearly every node is active (steady-state
+        // dense scenarios like fig3/fig5), materializing the worklist
+        // costs more than it saves. Visit all nodes ascending — the same
+        // interleaving the worklist path and the exhaustive reference
+        // produce — and skip only the snapshot.
+        let count = self.nodes.len();
+        if self.active.len() * 10 >= count * 9 {
+            return self.step_nodes_dense(config, boundary, now);
+        }
+        let mut worklist = std::mem::take(&mut self.node_scratch);
+        self.active.collect_into(&mut worklist);
+        let mut result = Ok(());
+        for &n in &worklist {
+            let n = n as usize;
+            if let Err(e) = self.visit_active_node(config, n, boundary, now) {
+                result = Err(e);
+                break;
+            }
+            self.update_residency(n);
+        }
+        self.node_scratch = worklist;
+        result
+    }
+
+    /// The worklist path's dense-occupancy bypass: every node is visited
+    /// in ascending order without collecting the active set first. A
+    /// visit to a dormant node is exactly the idle tick its lazy debt
+    /// would have applied, so the extra visits are behaviorally
+    /// invisible; residency updates are guarded on actual membership so
+    /// dormant non-members don't enqueue duplicate timer wakes.
+    fn step_nodes_dense(
+        &mut self,
+        config: &SimConfig,
+        boundary: u64,
+        now: u64,
+    ) -> Result<(), SimError> {
+        for n in 0..self.nodes.len() {
+            self.visit_active_node(config, n, boundary, now)?;
+            if self.active.contains(n) {
+                self.update_residency(n);
+            }
+        }
+        Ok(())
+    }
+
+    /// Visits node `n` at processor boundary `boundary`, first applying
+    /// in bulk the pure idle ticks of the boundaries it skipped.
+    fn visit_active_node(
+        &mut self,
+        config: &SimConfig,
+        n: usize,
+        boundary: u64,
+        now: u64,
+    ) -> Result<(), SimError> {
+        self.settle_debt(n, boundary - 1);
+        self.last_stepped[n] = boundary;
+        self.visit_node(config, n, now)
+    }
+
+    /// Drops a just-visited node from the worklist when its processor is
+    /// fully blocked and its controller dormant, arming a timer wake at
+    /// its next retry deadline.
+    fn update_residency(&mut self, n: usize) {
+        let node = &self.nodes[n];
+        if node.cpu.next_wake().is_none() && !node.ctrl.has_pending_work() {
+            self.active.remove(n);
+            // Controller local cycles coincide with boundary indices,
+            // so a deadline is directly the boundary to wake at.
+            if let Some(deadline) = node.ctrl.next_deadline() {
+                self.timer_wakes.entry(deadline).or_default().push(n as u32);
+            }
+        }
+    }
+
+    /// One node's processor boundary: the five phases of the stepping
+    /// contract, shared verbatim by both engines.
+    fn visit_node(&mut self, config: &SimConfig, n: usize, now: u64) -> Result<(), SimError> {
+        // `n` is the local index; everything node-facing (deliveries,
+        // span events, transaction ids, message sources) uses the global
+        // node id so every shard count replays the same decisions.
+        let g = self.base + n;
+        // 1. Network deliveries reach the controller.
+        while let Some(delivery) = self.fabric.poll_delivery(NodeId(g)) {
+            if let Some(spans) = self.spans.as_mut() {
+                spans.push(SpanEvent::MsgIn {
+                    cycle: now,
+                    node: NodeId(g),
+                    kind: delivery.message.payload.kind_name(),
+                });
+            }
+            self.nodes[n].ctrl.deliver(delivery.message.payload);
+        }
+        let node = &mut self.nodes[n];
+        // 2. The controller works.
+        node.ctrl.step();
+        // 3. Completions unblock contexts.
+        while let Some(done) = node.ctrl.poll_completion() {
+            let Some(ctx) = node.ctx_txn.iter().position(|t| *t == Some(done.txn)) else {
+                // A completion raced a migration: the thread is gone
+                // and the value will be re-fetched from its new node.
+                if self.abandoned.remove(&done.txn.0) {
+                    continue;
+                }
+                return Err(SimError::UnknownCompletion {
+                    node: NodeId(g),
+                    txn: done.txn.0,
+                });
+            };
+            node.ctx_txn[ctx] = None;
+            node.cpu.complete(ctx, done.value);
+            self.completed += 1;
+            self.completed_per_node[n] += 1;
+            let issued = self.txn_issue_cycle.remove(&done.txn.0);
+            if done.miss {
+                self.window.misses += 1;
+                if let Some(issued) = issued {
+                    self.window.sum_txn_latency += now - issued;
+                }
+            } else {
+                self.window.hits += 1;
+            }
+            if let Some(spans) = self.spans.as_mut() {
+                spans.push(SpanEvent::Complete {
+                    cycle: now,
+                    node: NodeId(g),
+                    txn: done.txn.0,
+                    miss: done.miss,
+                    latency: issued.map_or(0, |issued| now - issued),
+                });
+            }
+        }
+        // 4. The processor runs; issues go to the controller.
+        if let Some(req) = node.cpu.step() {
+            let txn = TxnId(((g as u64) << 32) | node.next_txn);
+            node.next_txn += 1;
+            node.ctx_txn[req.context] = Some(txn);
+            self.txn_issue_cycle.insert(txn.0, now);
+            self.txn_issue_order.push_back(txn.0);
+            if let Some(spans) = self.spans.as_mut() {
+                spans.push(SpanEvent::Issue {
+                    cycle: now,
+                    node: NodeId(g),
+                    txn: txn.0,
+                });
+            }
+            node.ctrl.request(txn, req.op);
+        }
+        // 5. Outgoing protocol messages are staged for the driver's
+        // id-ordered injection.
+        while let Some((dst, msg)) = node.ctrl.take_outgoing() {
+            let flits = msg.flits(&config.mem);
+            if let Some(spans) = self.spans.as_mut() {
+                spans.push(SpanEvent::MsgOut {
+                    cycle: now,
+                    node: NodeId(g),
+                    dst,
+                    kind: msg.kind_name(),
+                });
+            }
+            self.staged.push(Message::new(NodeId(g), dst, flits, msg));
+        }
+        Ok(())
+    }
+}
+
+/// A complete simulated multiprocessor running the torus-neighbour
+/// workload.
+///
+/// # Examples
+///
+/// ```no_run
+/// use commloc_sim::{Machine, Mapping, SimConfig};
+///
+/// let config = SimConfig::default();
+/// let mapping = Mapping::identity(64);
+/// let mut machine = Machine::new(&config, &mapping);
+/// machine.run_network_cycles(20_000).unwrap(); // warmup
+/// machine.reset_measurements();
+/// machine.run_network_cycles(50_000).unwrap();
+/// let m = machine.measure();
+/// assert!(m.distance > 0.9 && m.distance < 1.1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Machine {
+    config: SimConfig,
+    /// Contiguous node ranges in ascending node order (one for
+    /// [`Machine::new`]).
+    shards: Vec<Shard>,
+    net_cycle: u64,
+    window_start: u64,
+    /// Next global protocol-message id, assigned in shard (= ascending
+    /// node) order at every processor boundary.
+    next_msg_id: u64,
+    watchdog: Watchdog,
+    /// Scratch: boundary items in transit between shards.
+    boundary_scratch: Vec<BoundaryItem<ProtocolMsg>>,
+    /// Worker threads used by [`Machine::run_network_cycles`] (1 =
+    /// serial in the calling thread).
+    jobs: usize,
     /// Network cycles skipped by machine-level fast-forward jumps
     /// (diagnostic: lets tests and benches assert the quiescent path
     /// actually fired, since its whole point is being unobservable).
@@ -276,16 +699,12 @@ pub struct Machine {
     reference: bool,
     /// Dynamic re-mapping policy, consulted at every processor boundary
     /// (`None` = the static machine; [`crate::NullPolicy`] is bit-exact
-    /// with `None`).
+    /// with `None`). One-shard machines only.
     policy: Option<Box<dyn MigrationPolicy>>,
     /// Migrating threads keyed by the network cycle their steal latency
     /// elapses; each is adopted at the first processor boundary at or
     /// after that cycle.
     arrivals: BTreeMap<u64, Vec<StolenThread>>,
-    /// Raw ids of abandoned transactions whose (already unreachable)
-    /// completions must be swallowed rather than reported as
-    /// [`SimError::UnknownCompletion`].
-    abandoned: HashSet<u64>,
     /// Every migration performed, in decision order.
     migrations: Vec<MigrationRecord>,
     /// Nodes a thread has ever migrated away from (sticky; feeds the
@@ -305,7 +724,21 @@ impl Machine {
     ///
     /// Panics if the mapping size does not match the torus.
     pub fn new(config: &SimConfig, mapping: &Mapping) -> Self {
-        Self::new_with_engine(config, mapping, false, None)
+        Self::with_shards(config, mapping, 1)
+    }
+
+    /// Builds the machine partitioned into `shards` contiguous node
+    /// ranges (DESIGN.md §4.11), bit-exact with [`Machine::new`] at every
+    /// shard count; [`Machine::set_jobs`] then steps the shards on worker
+    /// threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is 0 or exceeds the node count, if tracing is
+    /// enabled (`fabric.trace_capacity > 0`) with more than one shard, or
+    /// if the mapping does not cover the torus.
+    pub fn with_shards(config: &SimConfig, mapping: &Mapping, shards: usize) -> Self {
+        Self::build(config, mapping, shards, false, None)
     }
 
     /// Builds the machine with a dynamic re-mapping policy installed
@@ -322,7 +755,7 @@ impl Machine {
         mapping: &Mapping,
         policy: Box<dyn MigrationPolicy>,
     ) -> Self {
-        Self::new_with_engine(config, mapping, false, Some(policy))
+        Self::build(config, mapping, 1, false, Some(policy))
     }
 
     /// Builds a machine that steps with the retained exhaustive
@@ -332,7 +765,7 @@ impl Machine {
     /// `commloc fuzz --machine`.
     #[cfg(any(test, feature = "reference-engine"))]
     pub fn new_reference(config: &SimConfig, mapping: &Mapping) -> Self {
-        Self::new_with_engine(config, mapping, true, None)
+        Self::build(config, mapping, 1, true, None)
     }
 
     /// Reference-engine counterpart of [`Machine::with_policy`]
@@ -343,48 +776,29 @@ impl Machine {
         mapping: &Mapping,
         policy: Box<dyn MigrationPolicy>,
     ) -> Self {
-        Self::new_with_engine(config, mapping, true, Some(policy))
+        Self::build(config, mapping, 1, true, Some(policy))
     }
 
-    fn new_with_engine(
+    fn build(
         config: &SimConfig,
         mapping: &Mapping,
+        shards: usize,
         reference: bool,
         policy: Option<Box<dyn MigrationPolicy>>,
-    ) -> Self {
-        let nodes = config.resolved_topology().nodes();
-        Self::new_full(config, mapping, reference, policy, 0, nodes)
-    }
-
-    /// Builds the shard owning global nodes `[base, base+owned)` of a
-    /// [`crate::ShardedMachine`]: a fabric shard plus processors and
-    /// controllers for the owned nodes only, with outgoing protocol
-    /// messages staged for driver-ordered injection. The driver is
-    /// responsible for zeroing `watchdog_cycles` (stall detection is
-    /// centralized) and rejecting tracing and migration policies.
-    pub(crate) fn new_shard(
-        config: &SimConfig,
-        mapping: &Mapping,
-        base: usize,
-        owned: usize,
-    ) -> Self {
-        let mut machine = Self::new_full(config, mapping, false, None, base, owned);
-        machine.staged = Some(Vec::new());
-        machine
-    }
-
-    fn new_full(
-        config: &SimConfig,
-        mapping: &Mapping,
-        reference: bool,
-        policy: Option<Box<dyn MigrationPolicy>>,
-        base: usize,
-        owned: usize,
     ) -> Self {
         let mut config = config.clone();
         let topology = config.resolved_topology();
         let fault_plan = config.fault_plan.take();
+        let nodes = topology.nodes();
         let compute = topology.compute_nodes();
+        assert!(
+            shards >= 1 && shards <= nodes,
+            "shard count {shards} not in 1..={nodes}"
+        );
+        assert!(
+            shards == 1 || config.fabric.trace_capacity == 0,
+            "sharded machines do not support flit tracing; run with one shard"
+        );
         assert_eq!(
             mapping.threads(),
             compute,
@@ -402,87 +816,44 @@ impl Machine {
         }
         // One home map shared by every controller through an `Arc`.
         let home = Arc::new(workload_home_map(&topology, mapping, config.contexts));
-        // Only fabric routers that host compute get a node sim; fat-tree
-        // switches (ids >= compute) relay traffic but run no threads and
-        // home no data. Compute nodes always occupy the id prefix, so an
-        // owned range's compute portion stays contiguous at its front.
-        let owned_compute = (base + owned)
-            .min(compute)
-            .saturating_sub(base.min(compute));
-        let nodes: Vec<NodeSim> = (base..base + owned_compute)
-            .map(|n| {
-                let programs: Vec<Box<dyn ThreadProgram>> = (0..config.contexts)
-                    .map(|instance| {
-                        config
-                            .workload
-                            .program(&topology, instance, thread_at[n], config.work)
-                    })
-                    .collect();
-                NodeSim {
-                    cpu: Processor::new(programs, config.switch_cycles),
-                    ctrl: Controller::new(NodeId(n), Arc::clone(&home), config.mem),
-                    ctx_txn: vec![None; config.contexts],
-                    next_txn: 0,
-                }
+        let shards = shard_ranges(nodes, shards)
+            .into_iter()
+            .map(|range| {
+                Shard::new(
+                    &config,
+                    &topology,
+                    fault_plan.as_ref(),
+                    &thread_at,
+                    &home,
+                    range,
+                )
             })
             .collect();
-        let node_count = owned_compute;
-        // The fabric takes ownership of the topology; everything else
-        // reaches it through `Fabric::topology`. Shards get the fault plan
-        // restricted to their own nodes, so merged logs reconstruct the
-        // monolithic record exactly.
-        let fabric = match fault_plan {
-            Some(plan) if owned == topology.nodes() => {
-                Fabric::with_fault_plan(topology, config.fabric, plan)
-            }
-            Some(plan) => Fabric::with_fault_plan_shard(
-                topology.clone(),
-                config.fabric,
-                base,
-                owned,
-                plan.restrict(base, owned),
-            ),
-            None if owned == topology.nodes() => Fabric::new(topology, config.fabric),
-            None => Fabric::new_shard(topology, config.fabric, base, owned),
-        };
-        // Every node starts with runnable processor work, so the active
-        // set begins full.
-        let mut active = ActiveSet::new(node_count);
-        for n in 0..node_count {
-            active.insert(n);
-        }
         let contexts = config.contexts;
         Self {
-            fabric,
-            base,
-            staged: None,
-            nodes,
+            config,
+            shards,
             net_cycle: 0,
             window_start: 0,
-            window: Window::default(),
-            txn_issue_cycle: HashMap::new(),
-            txn_issue_order: VecDeque::new(),
-            completed: 0,
-            completed_per_node: vec![0; node_count],
-            progress_marker: (0, 0),
-            progress_cycle: 0,
-            spans: (config.fabric.trace_capacity > 0)
-                .then(|| SpanLog::new(config.fabric.trace_capacity)),
-            config,
-            active,
-            last_stepped: vec![0; node_count],
-            timer_wakes: BTreeMap::new(),
-            node_scratch: Vec::new(),
-            event_scratch: Vec::new(),
+            next_msg_id: 0,
+            watchdog: Watchdog::default(),
+            boundary_scratch: Vec::new(),
+            jobs: 1,
             fast_forwarded: 0,
             reference,
             policy,
             arrivals: BTreeMap::new(),
-            abandoned: HashSet::new(),
             migrations: Vec::new(),
-            migrated_from: vec![false; node_count],
-            live_threads: vec![contexts; node_count],
+            migrated_from: vec![false; compute],
+            live_threads: vec![contexts; compute],
         }
+    }
+
+    /// Sets the worker-thread count for subsequent runs (clamped to
+    /// `1..=shards`). The result is identical for every job count; jobs
+    /// only change wall-clock time.
+    pub fn set_jobs(&mut self, jobs: usize) {
+        self.jobs = jobs.clamp(1, self.shards.len());
     }
 
     /// The simulation configuration.
@@ -497,12 +868,12 @@ impl Machine {
     /// Panics when the configured topology is not a cube; use
     /// [`Machine::topology`] for topology-agnostic code.
     pub fn torus(&self) -> &Torus {
-        self.fabric.torus()
+        self.shards[0].fabric.torus()
     }
 
     /// The machine's fabric topology.
     pub fn topology(&self) -> &Topology {
-        self.fabric.topology()
+        self.shards[0].fabric.topology()
     }
 
     /// Elapsed network cycles.
@@ -520,16 +891,30 @@ impl Machine {
     /// transaction no context was waiting on, and [`SimError::Stalled`]
     /// when the progress watchdog fires (see [`SimConfig::watchdog_cycles`]).
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.fabric.step()?;
+        for shard in &mut self.shards {
+            shard.fabric.step()?;
+        }
         self.net_cycle += 1;
+        if self.shards.len() > 1 {
+            self.exchange_boundary();
+        }
         if self
             .net_cycle
             .is_multiple_of(u64::from(self.config.clock_ratio))
         {
-            if self.reference {
-                self.step_nodes_reference()?;
-            } else {
-                self.step_nodes_active()?;
+            // A shard's injections cannot reach a later shard's node step
+            // in this cycle, so each shard flushes right after its own
+            // boundary; shard order is ascending-node id order.
+            let now = self.net_cycle;
+            for shard in &mut self.shards {
+                if self.reference {
+                    shard.step_nodes_reference(&self.config, now)?;
+                } else {
+                    shard.step_nodes_active(&self.config, now)?;
+                }
+                if !shard.staged.is_empty() {
+                    self.next_msg_id = shard.flush_staged(self.next_msg_id);
+                }
             }
             if self.policy.is_some() {
                 self.process_migrations();
@@ -538,20 +923,62 @@ impl Machine {
         self.check_watchdog()
     }
 
-    /// Advances `cycles` network cycles.
+    /// Delivers the flits and credits that crossed shard boundaries in
+    /// the last fabric step to their owning shards, collected in shard
+    /// order so the ingest order is deterministic. Every link has a
+    /// one-cycle latency, so each item lands exactly where the one-shard
+    /// fabric's next delivery phase would have placed it.
+    fn exchange_boundary(&mut self) {
+        let mut items = std::mem::take(&mut self.boundary_scratch);
+        for shard in &mut self.shards {
+            shard.fabric.take_boundary(&mut items);
+        }
+        for item in items.drain(..) {
+            let node = item.dst_node();
+            let owner = self.shards.partition_point(|s| s.base <= node) - 1;
+            self.shards[owner].fabric.ingest_boundary(item);
+        }
+        self.boundary_scratch = items;
+    }
+
+    /// Advances `cycles` network cycles, on the worker threads set by
+    /// [`Machine::set_jobs`] when the process job budget grants them
+    /// (bit-identical either way).
     ///
-    /// With the active-node engine, fully quiescent stretches — no
-    /// messages in flight, every node dormant — are fast-forwarded to the
-    /// earliest next-event horizon in O(active components) instead of
-    /// being stepped cycle by cycle; the observable behavior (stats,
-    /// fault log, watchdog trips, measurements) is bit-identical to
-    /// per-cycle stepping.
+    /// With the active-node engine on the calling thread, fully
+    /// quiescent stretches — no messages in flight, every node dormant,
+    /// in every shard — are fast-forwarded to the earliest next-event
+    /// horizon in O(active components) instead of being stepped cycle by
+    /// cycle; the observable behavior (stats, fault log, watchdog trips,
+    /// measurements) is bit-identical to per-cycle stepping.
     ///
     /// # Errors
     ///
     /// Propagates the first error from [`Machine::step`].
     pub fn run_network_cycles(&mut self, cycles: u64) -> Result<(), SimError> {
         let target = self.net_cycle + cycles;
+        if self.jobs > 1 {
+            // Extra worker threads come out of the process-wide job
+            // budget shared with sweep-level `parallel_map`, so a sweep
+            // of sharded simulations never oversubscribes the configured
+            // job count. The grant only changes wall-clock time.
+            let claim = crate::parallel::claim_extra_workers(self.jobs - 1);
+            if claim.granted() > 0 {
+                let stalled = crate::shard::run_parallel(
+                    &mut self.shards,
+                    &self.config,
+                    &mut self.net_cycle,
+                    &mut self.next_msg_id,
+                    &mut self.watchdog,
+                    target,
+                    1 + claim.granted(),
+                )?;
+                return match stalled {
+                    Some(stalled_for) => Err(self.stall_report(stalled_for)),
+                    None => Ok(()),
+                };
+            }
+        }
         while self.net_cycle < target {
             if !self.reference {
                 self.try_fast_forward(target);
@@ -566,46 +993,46 @@ impl Machine {
     /// that follows then lands exactly on the horizon cycle and performs
     /// full boundary and watchdog processing there.
     ///
-    /// Quiescence means: the fabric is drained (no queued, streaming, or
-    /// in-network message — scheduled faults inside the gap are still
-    /// fired at their exact cycles by [`Fabric::fast_forward`]) and every
-    /// node is dormant. The skipped cycles are provably no-ops: a dormant
-    /// boundary touches nothing observable, and the watchdog's progress
-    /// marker cannot change while nothing moves, so intermediate checks
-    /// only re-derive `stalled_for` values below the trip threshold.
+    /// Quiescence means: every fabric is drained (no queued, streaming,
+    /// in-network, or boundary-crossing message — scheduled faults
+    /// inside the gap are still fired at their exact cycles by
+    /// [`Fabric::fast_forward`]) and every node is dormant. The skipped
+    /// cycles are provably no-ops: a dormant boundary touches nothing
+    /// observable, and the watchdog's progress marker cannot change while
+    /// nothing moves, so intermediate checks only re-derive
+    /// `stalled_for` values below the trip threshold.
     ///
     /// The horizon is `min` of the run target, the first retry-timer wake
-    /// (from [`Controller::next_deadline`]), and the watchdog trip cycle.
+    /// in any shard (from [`Controller::next_deadline`]), and the
+    /// watchdog trip cycle.
     fn try_fast_forward(&mut self, target: u64) {
-        if self.fabric.in_flight() != 0 {
+        if !self.shards.iter().all(|s| s.fabric.is_quiescent()) {
             return;
         }
         // Deliveries pushed but not yet polled mean node work at the next
-        // boundary: fold the pending events into the worklist first.
-        self.fabric.take_delivery_events(&mut self.event_scratch);
-        for i in 0..self.event_scratch.len() {
-            // Delivery events carry global node ids; the worklist is
-            // local-indexed.
-            self.active
-                .insert(self.event_scratch[i] as usize - self.base);
-        }
-        if !self.active.is_empty() {
-            return;
+        // boundary: fold the pending events into the worklists first.
+        for shard in &mut self.shards {
+            shard.fold_delivery_events();
+            if !shard.active.is_empty() {
+                return;
+            }
         }
         let ratio = u64::from(self.config.clock_ratio);
         let mut horizon = target;
-        if let Some((&wake, _)) = self.timer_wakes.first_key_value() {
+        if let Some(wake) = self
+            .shards
+            .iter()
+            .filter_map(|s| s.timer_wakes.first_key_value().map(|(&wake, _)| wake))
+            .min()
+        {
             horizon = horizon.min(wake.saturating_mul(ratio));
         }
-        let oldest = self.oldest_outstanding_issue();
+        let (_, oldest) = self.progress();
         if self.config.watchdog_cycles > 0 {
-            // The watchdog trips when `max(net_cycle - progress_cycle,
-            // oldest transaction age)` reaches the window — i.e. at
-            // exactly `min(progress_cycle, oldest issue) + window`.
-            let base = oldest.map_or(self.progress_cycle, |issued| {
-                issued.min(self.progress_cycle)
-            });
-            horizon = horizon.min(base + self.config.watchdog_cycles);
+            horizon = horizon.min(
+                self.watchdog
+                    .trip_cycle(oldest, self.config.watchdog_cycles),
+            );
         }
         if let Some(policy) = self.policy.as_ref() {
             // Migration events happen at processor boundaries: the first
@@ -626,151 +1053,108 @@ impl Machine {
         if horizon.saturating_sub(1) <= self.net_cycle {
             return;
         }
-        let jumped = self.fabric.fast_forward_to(horizon - 1);
+        let mut jumped = 0;
+        for shard in &mut self.shards {
+            jumped = shard.fabric.fast_forward_to(horizon - 1);
+        }
         self.net_cycle += jumped;
         self.fast_forwarded += jumped;
     }
 
-    /// Total network cycles skipped by quiescent fast-forward jumps —
-    /// always 0 for the reference engine. Diagnostic only: the jumps are
-    /// behaviorally invisible by construction.
+    /// Total network cycles skipped by quiescent fast-forward jumps of
+    /// the serial driver — always 0 for the reference engine and for runs
+    /// on worker threads ([`Machine::set_jobs`]), which step every cycle.
+    /// Diagnostic only: the jumps are behaviorally invisible by
+    /// construction.
     pub fn fast_forwarded_cycles(&self) -> u64 {
         self.fast_forwarded
     }
 
-    /// The progress watchdog. Two trip conditions:
-    ///
-    /// * **Global stall** — the fabric's activity counter stopped
-    ///   advancing (no flit moved) and no transaction retired for a full
-    ///   window: total deadlock.
-    /// * **Stuck transaction** — some transaction has been outstanding
-    ///   for longer than a full window. A healthy transaction completes
-    ///   in tens-to-hundreds of network cycles even under congestion, so
-    ///   an aged one is wedged (e.g. behind a killed link) even while the
-    ///   rest of the machine retires normally.
+    /// Feeds the watchdog the machine-wide progress marker and returns
+    /// the stall report if it trips.
     fn check_watchdog(&mut self) -> Result<(), SimError> {
-        let window = self.config.watchdog_cycles;
-        let marker = (self.fabric.activity(), self.completed);
-        if marker != self.progress_marker {
-            self.progress_marker = marker;
-            self.progress_cycle = self.net_cycle;
+        let (marker, oldest) = self.progress();
+        match self
+            .watchdog
+            .check(self.net_cycle, marker, oldest, self.config.watchdog_cycles)
+        {
+            Some(stalled_for) => Err(self.stall_report(stalled_for)),
+            None => Ok(()),
         }
-        if window == 0 {
-            return Ok(());
+    }
+
+    /// The watchdog's inputs summed over shards in one pass: the
+    /// `(fabric activity, completions)` progress marker and the issue
+    /// cycle of the oldest outstanding transaction.
+    fn progress(&mut self) -> ((u64, u64), Option<u64>) {
+        let mut marker = (0, 0);
+        let mut oldest: Option<u64> = None;
+        for shard in &mut self.shards {
+            marker.0 += shard.fabric.activity();
+            marker.1 += shard.completed;
+            if let Some(issued) = shard.oldest_outstanding_issue() {
+                oldest = Some(oldest.map_or(issued, |o| o.min(issued)));
+            }
         }
-        let oldest_txn_age = self
-            .oldest_outstanding_issue()
-            .map_or(0, |issued| self.net_cycle - issued);
-        let stalled_for = (self.net_cycle - self.progress_cycle).max(oldest_txn_age);
-        if stalled_for < window {
-            return Ok(());
-        }
+        (marker, oldest)
+    }
+
+    /// The watchdog's diagnostic dump at the current cycle, merged across
+    /// shards in shard (= global node) order.
+    fn stall_report(&self, stalled_for: u64) -> SimError {
+        let cycle = self.net_cycle;
         // A transient fault still in force (or scheduled) explains the
         // quiet period as backpressure; without one, this is a deadlock
         // the machine cannot leave by waiting.
-        let kind = match self.fabric.fault_plan() {
-            Some(plan) if plan.transient_stall_active(self.net_cycle) => StallKind::Backpressure,
-            _ => StallKind::Deadlock,
-        };
-        let outstanding = self.outstanding_transactions();
-        Err(SimError::Stalled(Box::new(StallReport {
-            cycle: self.net_cycle,
+        let backpressure = self.shards.iter().any(|s| {
+            matches!(s.fabric.fault_plan(),
+                     Some(plan) if plan.transient_stall_active(cycle))
+        });
+        SimError::Stalled(Box::new(StallReport {
+            cycle,
             stalled_for,
-            kind,
-            in_flight: self.fabric.in_flight(),
-            buffered_flits: self.fabric.buffered_flits(),
-            router_occupancy: self.fabric.router_occupancy(),
-            outstanding,
+            kind: if backpressure {
+                StallKind::Backpressure
+            } else {
+                StallKind::Deadlock
+            },
+            in_flight: self.shards.iter().map(|s| s.fabric.in_flight()).sum(),
+            buffered_flits: self.shards.iter().map(|s| s.fabric.buffered_flits()).sum(),
+            router_occupancy: self
+                .shards
+                .iter()
+                .flat_map(|s| s.fabric.router_occupancy())
+                .collect(),
+            outstanding: self
+                .shards
+                .iter()
+                .flat_map(Shard::outstanding_transactions)
+                .collect(),
             fault_log_tail: self
-                .fabric
                 .fault_log()
                 .map(|log| log.tail(16).to_vec())
                 .unwrap_or_default(),
             migrated_from: self.migrated_from_nodes(),
-        })))
-    }
-
-    /// Nodes with outstanding controller transactions, by global id —
-    /// the stall report's dump (shard reports concatenate in shard
-    /// order, which is global node order).
-    fn outstanding_transactions(&self) -> Vec<(NodeId, usize)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, node)| node.ctrl.outstanding_transactions() > 0)
-            .map(|(n, node)| (NodeId(self.base + n), node.ctrl.outstanding_transactions()))
-            .collect()
-    }
-
-    /// Issue cycle of the oldest still-outstanding transaction, dropping
-    /// completed transactions from the front of the issue-order queue
-    /// along the way (issue cycles are monotone, so the first survivor is
-    /// the oldest — O(1) amortized).
-    fn oldest_outstanding_issue(&mut self) -> Option<u64> {
-        while let Some(front) = self.txn_issue_order.front() {
-            if self.txn_issue_cycle.contains_key(front) {
-                break;
-            }
-            self.txn_issue_order.pop_front();
-        }
-        self.txn_issue_order
-            .front()
-            .and_then(|txn| self.txn_issue_cycle.get(txn))
-            .copied()
+        }))
     }
 
     /// Resets every statistics window (fabric, controllers, processors,
     /// and transaction counters) — call after warmup.
     pub fn reset_measurements(&mut self) {
-        // Settle dormant nodes' lazy idle debt first, so the per-node
-        // cycle counters the new window starts from match exhaustive
-        // stepping exactly.
-        self.settle_idle_debts();
-        self.fabric.reset_stats();
-        for node in &mut self.nodes {
-            node.ctrl.reset_stats();
-            node.cpu.reset_stats();
-        }
-        self.window = Window::default();
-        self.window_start = self.net_cycle;
-    }
-
-    /// Applies every dormant node's outstanding idle debt: advances its
-    /// processor and controller clocks to the latest processor boundary,
-    /// exactly as the skipped boundaries would have (each is a pure
-    /// `{cycles+1, idle+1}` / `{cycle+1}` tick for a dormant node).
-    fn settle_idle_debts(&mut self) {
-        // The reference engine steps every node at every boundary, so no
-        // debt ever accrues (and `last_stepped` is not maintained there).
-        if self.reference {
-            return;
-        }
         let boundary = self.net_cycle / u64::from(self.config.clock_ratio);
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            let debt = boundary - self.last_stepped[n];
-            if debt > 0 {
-                node.cpu.advance_idle(debt);
-                node.ctrl.advance_idle(debt);
-                self.last_stepped[n] = boundary;
+        for shard in &mut self.shards {
+            // Settle dormant nodes' lazy idle debt first, so the per-node
+            // cycle counters the new window starts from match exhaustive
+            // stepping exactly. The reference engine steps every node at
+            // every boundary, so no debt ever accrues there.
+            if !self.reference {
+                for n in 0..shard.nodes.len() {
+                    shard.settle_debt(n, boundary);
+                }
             }
+            shard.reset_stats();
         }
-    }
-
-    /// Settles one node's outstanding idle debt (active engine only):
-    /// the migration layer mutates processors and controllers outside
-    /// `visit_node`, so the node's clocks must first reach the current
-    /// boundary exactly as exhaustive stepping would have them.
-    fn settle_node_debt(&mut self, n: usize) {
-        if self.reference {
-            return;
-        }
-        let boundary = self.net_cycle / u64::from(self.config.clock_ratio);
-        let debt = boundary - self.last_stepped[n];
-        if debt > 0 {
-            self.nodes[n].cpu.advance_idle(debt);
-            self.nodes[n].ctrl.advance_idle(debt);
-            self.last_stepped[n] = boundary;
-        }
+        self.window_start = self.net_cycle;
     }
 
     /// The migration layer's boundary work (runs right after the node
@@ -782,20 +1166,26 @@ impl Machine {
     /// [`ReissueProgram`] wrapper, so no work is lost or duplicated.
     fn process_migrations(&mut self) {
         let now = self.net_cycle;
-        // 1. Adopt threads whose steal latency has elapsed.
+        let boundary = now / u64::from(self.config.clock_ratio);
+        let reference = self.reference;
+        // 1. Adopt threads whose steal latency has elapsed. The migration
+        // layer mutates processors and controllers outside the node
+        // visits, so each node's clocks first reach the current boundary
+        // exactly as exhaustive stepping would have them.
         while let Some((&due, _)) = self.arrivals.first_key_value() {
             if due > now {
                 break;
             }
             let (_, batch) = self.arrivals.pop_first().expect("peeked entry");
+            let shard = &mut self.shards[0];
             for stolen in batch {
-                self.settle_node_debt(stolen.to);
-                let node = &mut self.nodes[stolen.to];
+                if !reference {
+                    shard.settle_debt(stolen.to, boundary);
+                    shard.active.insert(stolen.to);
+                }
+                let node = &mut shard.nodes[stolen.to];
                 node.cpu.adopt(stolen.program);
                 node.ctx_txn.push(None);
-                if !self.reference {
-                    self.active.insert(stolen.to);
-                }
             }
         }
         // 2. Wedge scan, gated on a cheap oldest-transaction age check
@@ -809,15 +1199,16 @@ impl Machine {
         if threshold == u64::MAX {
             return;
         }
-        match self.oldest_outstanding_issue() {
+        match self.progress().1 {
             Some(issued) if now - issued >= threshold => {}
             _ => return,
         }
+        let shard = &mut self.shards[0];
         let mut victims: Vec<(usize, usize, TxnId, u64)> = Vec::new();
-        for (n, node) in self.nodes.iter().enumerate() {
+        for (n, node) in shard.nodes.iter().enumerate() {
             for (ctx, slot) in node.ctx_txn.iter().enumerate() {
                 let Some(txn) = *slot else { continue };
-                let Some(&issued) = self.txn_issue_cycle.get(&txn.0) else {
+                let Some(&issued) = shard.txn_issue_cycle.get(&txn.0) else {
                     continue;
                 };
                 if now - issued >= threshold {
@@ -828,19 +1219,19 @@ impl Machine {
         if victims.is_empty() {
             return;
         }
-        let mut wedged = vec![false; self.nodes.len()];
+        let mut wedged = vec![false; shard.nodes.len()];
         for &(n, ..) in &victims {
             wedged[n] = true;
         }
-        let mut killed = vec![false; self.nodes.len()];
-        if let Some(log) = self.fabric.fault_log() {
+        let mut killed = vec![false; shard.nodes.len()];
+        if let Some(log) = shard.fabric.fault_log() {
             for event in log.events() {
                 if let FaultEvent::LinkKilled { node, .. } = event {
                     killed[node.0] = true;
                 }
             }
         }
-        let torus = self.fabric.torus().clone();
+        let torus = shard.fabric.torus().clone();
         let mut policy = self.policy.take().expect("caller checked a policy exists");
         for (victim, ctx, txn, age) in victims {
             let view = MigrationView {
@@ -860,14 +1251,17 @@ impl Machine {
             if dst.0 == victim {
                 continue;
             }
-            self.settle_node_debt(victim);
-            let Some(op) = self.nodes[victim].ctrl.abandon(txn) else {
+            let shard = &mut self.shards[0];
+            if !reference {
+                shard.settle_debt(victim, boundary);
+            }
+            let Some(op) = shard.nodes[victim].ctrl.abandon(txn) else {
                 continue;
             };
-            let program = self.nodes[victim].cpu.park(ctx);
-            self.nodes[victim].ctx_txn[ctx] = None;
-            self.txn_issue_cycle.remove(&txn.0);
-            self.abandoned.insert(txn.0);
+            let program = shard.nodes[victim].cpu.park(ctx);
+            shard.nodes[victim].ctx_txn[ctx] = None;
+            shard.txn_issue_cycle.remove(&txn.0);
+            shard.abandoned.insert(txn.0);
             self.migrated_from[victim] = true;
             self.live_threads[victim] -= 1;
             self.live_threads[dst.0] += 1;
@@ -910,12 +1304,27 @@ impl Machine {
 
     /// Produces the measurement record for the current window.
     pub fn measure(&self) -> Measurements {
-        let total_busy: u64 = self.nodes.iter().map(|n| n.cpu.stats().busy_cycles).sum();
+        let mut window = Window::default();
+        let mut total_busy = 0u64;
+        let mut nodes = 0;
+        for shard in &self.shards {
+            window.absorb(&shard.window);
+            total_busy += shard
+                .nodes
+                .iter()
+                .map(|n| n.cpu.stats().busy_cycles)
+                .sum::<u64>();
+            nodes += shard.nodes.len();
+        }
+        let fs = match self.shards.as_slice() {
+            [shard] => Cow::Borrowed(shard.fabric.stats()),
+            shards => Cow::Owned(FabricStats::merged(shards.iter().map(|s| s.fabric.stats()))),
+        };
         build_measurements(
             self.net_cycle - self.window_start,
-            self.nodes.len(),
-            self.fabric.stats(),
-            &self.window,
+            nodes,
+            &fs,
+            &window,
             total_busy,
             self.config.clock_ratio,
         )
@@ -927,8 +1336,9 @@ impl Machine {
         // Iterations are not directly exposed through the trait object;
         // approximate from per-node write transactions: one write per
         // iteration per thread.
-        self.nodes
+        self.shards
             .iter()
+            .flat_map(|s| &s.nodes)
             .map(|n| {
                 let s = n.ctrl.stats();
                 s.write_misses + s.write_hits
@@ -936,214 +1346,14 @@ impl Machine {
             .sum()
     }
 
-    /// The retained exhaustive stepping loop: every node, every boundary,
-    /// in ascending order. The active-node engine must be bit-identical
-    /// to this (asserted by the golden-equivalence tests and the
-    /// `--machine` differential fuzzer).
-    fn step_nodes_reference(&mut self) -> Result<(), SimError> {
-        let now = self.net_cycle;
-        for n in 0..self.nodes.len() {
-            self.visit_node(n, now)?;
-        }
-        Ok(())
-    }
-
-    /// The active-node engine's boundary: folds fabric delivery events
-    /// and due retry timers into the worklist, visits only the listed
-    /// nodes (ascending, like the exhaustive loop), settles each node's
-    /// lazy idle debt before its real step, and updates residency — a
-    /// node leaves the worklist when its processor is fully blocked and
-    /// its controller dormant, re-entering on a delivery or timer.
-    fn step_nodes_active(&mut self) -> Result<(), SimError> {
-        let now = self.net_cycle;
-        let boundary = now / u64::from(self.config.clock_ratio);
-        self.fabric.take_delivery_events(&mut self.event_scratch);
-        for i in 0..self.event_scratch.len() {
-            // Delivery events carry global node ids; the worklist is
-            // local-indexed.
-            self.active
-                .insert(self.event_scratch[i] as usize - self.base);
-        }
-        while let Some((&wake, _)) = self.timer_wakes.first_key_value() {
-            if wake > boundary {
-                break;
-            }
-            let (_, woken) = self.timer_wakes.pop_first().expect("peeked entry");
-            for n in woken {
-                self.active.insert(n as usize);
-            }
-        }
-        // Dense boundary: when nearly every node is active (steady-state
-        // dense scenarios like fig3/fig5), materializing the worklist
-        // costs more than it saves. Visit all nodes ascending — the same
-        // interleaving the worklist path and the exhaustive reference
-        // produce — and skip only the snapshot.
-        let count = self.nodes.len();
-        if self.active.len() * 10 >= count * 9 {
-            return self.step_nodes_dense(boundary, now);
-        }
-        let mut worklist = std::mem::take(&mut self.node_scratch);
-        self.active.collect_into(&mut worklist);
-        let mut result = Ok(());
-        for &n in &worklist {
-            let n = n as usize;
-            // Skipped boundaries were pure idle ticks for both layers;
-            // apply them in bulk before the real step.
-            let debt = boundary - self.last_stepped[n] - 1;
-            if debt > 0 {
-                self.nodes[n].cpu.advance_idle(debt);
-                self.nodes[n].ctrl.advance_idle(debt);
-            }
-            self.last_stepped[n] = boundary;
-            if let Err(e) = self.visit_node(n, now) {
-                result = Err(e);
-                break;
-            }
-            let node = &self.nodes[n];
-            if node.cpu.next_wake().is_none() && !node.ctrl.has_pending_work() {
-                self.active.remove(n);
-                // Controller local cycles coincide with boundary indices,
-                // so a deadline is directly the boundary to wake at.
-                if let Some(deadline) = node.ctrl.next_deadline() {
-                    self.timer_wakes.entry(deadline).or_default().push(n as u32);
-                }
-            }
-        }
-        self.node_scratch = worklist;
-        result
-    }
-
-    /// The worklist path's dense-occupancy bypass: every node is visited
-    /// in ascending order without collecting the active set first. A
-    /// visit to a dormant node is exactly the idle tick its lazy debt
-    /// would have applied, so the extra visits are behaviorally
-    /// invisible; residency updates are guarded on actual membership so
-    /// dormant non-members don't enqueue duplicate timer wakes.
-    fn step_nodes_dense(&mut self, boundary: u64, now: u64) -> Result<(), SimError> {
-        for n in 0..self.nodes.len() {
-            let debt = boundary - self.last_stepped[n] - 1;
-            if debt > 0 {
-                self.nodes[n].cpu.advance_idle(debt);
-                self.nodes[n].ctrl.advance_idle(debt);
-            }
-            self.last_stepped[n] = boundary;
-            self.visit_node(n, now)?;
-            let node = &self.nodes[n];
-            if self.active.contains(n)
-                && node.cpu.next_wake().is_none()
-                && !node.ctrl.has_pending_work()
-            {
-                self.active.remove(n);
-                if let Some(deadline) = node.ctrl.next_deadline() {
-                    self.timer_wakes.entry(deadline).or_default().push(n as u32);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One node's processor boundary: the five phases of the stepping
-    /// contract, shared verbatim by both engines.
-    fn visit_node(&mut self, n: usize, now: u64) -> Result<(), SimError> {
-        // `n` is the local index; everything node-facing (deliveries,
-        // span events, transaction ids, message sources) uses the global
-        // node id so shard machines replay monolithic decisions exactly.
-        let g = self.base + n;
-        {
-            // 1. Network deliveries reach the controller.
-            while let Some(delivery) = self.fabric.poll_delivery(NodeId(g)) {
-                if let Some(spans) = self.spans.as_mut() {
-                    spans.push(SpanEvent::MsgIn {
-                        cycle: now,
-                        node: NodeId(g),
-                        kind: delivery.message.payload.kind_name(),
-                    });
-                }
-                self.nodes[n].ctrl.deliver(delivery.message.payload);
-            }
-            let node = &mut self.nodes[n];
-            // 2. The controller works.
-            node.ctrl.step();
-            // 3. Completions unblock contexts.
-            while let Some(done) = node.ctrl.poll_completion() {
-                let Some(ctx) = node.ctx_txn.iter().position(|t| *t == Some(done.txn)) else {
-                    // A completion raced a migration: the thread is gone
-                    // and the value will be re-fetched from its new node.
-                    if self.abandoned.remove(&done.txn.0) {
-                        continue;
-                    }
-                    return Err(SimError::UnknownCompletion {
-                        node: NodeId(g),
-                        txn: done.txn.0,
-                    });
-                };
-                node.ctx_txn[ctx] = None;
-                node.cpu.complete(ctx, done.value);
-                self.completed += 1;
-                self.completed_per_node[n] += 1;
-                let issued = self.txn_issue_cycle.remove(&done.txn.0);
-                if done.miss {
-                    self.window.misses += 1;
-                    if let Some(issued) = issued {
-                        self.window.sum_txn_latency += now - issued;
-                    }
-                } else {
-                    self.window.hits += 1;
-                }
-                if let Some(spans) = self.spans.as_mut() {
-                    spans.push(SpanEvent::Complete {
-                        cycle: now,
-                        node: NodeId(g),
-                        txn: done.txn.0,
-                        miss: done.miss,
-                        latency: issued.map_or(0, |issued| now - issued),
-                    });
-                }
-            }
-            // 4. The processor runs; issues go to the controller.
-            if let Some(req) = node.cpu.step() {
-                let txn = TxnId(((g as u64) << 32) | node.next_txn);
-                node.next_txn += 1;
-                node.ctx_txn[req.context] = Some(txn);
-                self.txn_issue_cycle.insert(txn.0, now);
-                self.txn_issue_order.push_back(txn.0);
-                if let Some(spans) = self.spans.as_mut() {
-                    spans.push(SpanEvent::Issue {
-                        cycle: now,
-                        node: NodeId(g),
-                        txn: txn.0,
-                    });
-                }
-                node.ctrl.request(txn, req.op);
-            }
-            // 5. Outgoing protocol messages enter the network — staged in
-            // shard mode so the driver can assign globally ordered ids.
-            while let Some((dst, msg)) = node.ctrl.take_outgoing() {
-                let flits = msg.flits(&self.config.mem);
-                if let Some(spans) = self.spans.as_mut() {
-                    spans.push(SpanEvent::MsgOut {
-                        cycle: now,
-                        node: NodeId(g),
-                        dst,
-                        kind: msg.kind_name(),
-                    });
-                }
-                let message = Message::new(NodeId(g), dst, flits, msg);
-                match self.staged.as_mut() {
-                    Some(staged) => staged.push(message),
-                    None => {
-                        self.fabric.inject(message);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The fabric's per-message latency component sums and histograms for
-    /// the current measurement window.
-    pub fn latency_breakdown(&self) -> &LatencyBreakdown {
-        self.fabric.breakdown()
+    /// the current measurement window, merged across shards.
+    pub fn latency_breakdown(&self) -> LatencyBreakdown {
+        let mut merged = self.shards[0].fabric.breakdown().clone();
+        for shard in &self.shards[1..] {
+            merged.absorb(shard.fabric.breakdown());
+        }
+        merged
     }
 
     /// Captures the machine's complete state. Restoring the snapshot
@@ -1159,14 +1369,15 @@ impl Machine {
     }
 
     /// The fabric's flit-level trace ring (`None` when
-    /// [`FabricConfig::trace_capacity`](commloc_net::FabricConfig) is 0).
+    /// [`FabricConfig::trace_capacity`](commloc_net::FabricConfig) is 0,
+    /// which every multi-shard machine has).
     pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.fabric.trace()
+        self.shards[0].fabric.trace()
     }
 
     /// The transaction-level span log (`None` when tracing is off).
     pub fn spans(&self) -> Option<&SpanLog> {
-        self.spans.as_ref()
+        self.shards[0].spans.as_ref()
     }
 
     /// Maps the current window's measurements onto the paper's
@@ -1179,116 +1390,43 @@ impl Machine {
     pub fn breakdown(&self, critical_path_messages: f64) -> TransactionBreakdown {
         build_breakdown(
             &self.measure(),
-            self.fabric.breakdown(),
+            &self.latency_breakdown(),
             critical_path_messages,
         )
     }
 
-    /// The fault log of the installed fault plan, if any.
-    pub fn fault_log(&self) -> Option<&FaultLog> {
-        self.fabric.fault_log()
+    /// The fault log of the installed fault plan, if any, merged across
+    /// shards into the one-shard event order.
+    pub fn fault_log(&self) -> Option<FaultLog> {
+        match self.shards.as_slice() {
+            [shard] => shard.fabric.fault_log().cloned(),
+            shards => {
+                let logs: Vec<&FaultLog> =
+                    shards.iter().filter_map(|s| s.fabric.fault_log()).collect();
+                (!logs.is_empty()).then(|| FaultLog::merge(logs))
+            }
+        }
     }
 
     /// Total transaction completions since construction (never reset).
     pub fn completions(&self) -> u64 {
-        self.completed
+        self.shards.iter().map(|s| s.completed).sum()
     }
 
     /// Per-node transaction completions since construction (never reset)
-    /// — the disturbance experiments difference these against a baseline
-    /// run to localize a fault's impact.
-    pub fn completions_per_node(&self) -> &[u64] {
-        &self.completed_per_node
-    }
-
-    // ---- Shard-driver interface (crate-private) -------------------------
-    //
-    // A `ShardedMachine` steps its shard machines in lockstep: fabrics
-    // first, then a boundary-item exchange, then (on clock-ratio
-    // boundaries) the node boundaries, then driver-ordered injection of
-    // the staged messages. The watchdog is centralized in the driver.
-
-    /// Advances this shard's fabric one network cycle.
-    pub(crate) fn shard_step_fabric(&mut self) -> Result<(), SimError> {
-        self.fabric.step()?;
-        self.net_cycle += 1;
-        Ok(())
-    }
-
-    /// Runs this shard's processor boundary (the driver calls it only on
-    /// clock-ratio boundaries). Outgoing messages land in the staging
-    /// buffer.
-    pub(crate) fn shard_step_nodes(&mut self) -> Result<(), SimError> {
-        self.step_nodes_active()
-    }
-
-    /// Drains cross-shard flits and credits produced by the last fabric
-    /// step, appending them to `out` in deterministic engine order.
-    pub(crate) fn shard_take_boundary(&mut self, out: &mut Vec<BoundaryItem<ProtocolMsg>>) {
-        self.fabric.take_boundary(out);
-    }
-
-    /// Accepts one boundary item owned by this shard.
-    pub(crate) fn shard_ingest_boundary(&mut self, item: BoundaryItem<ProtocolMsg>) {
-        self.fabric.ingest_boundary(item);
-    }
-
-    /// Number of staged outgoing messages awaiting injection.
-    pub(crate) fn shard_staged_count(&self) -> usize {
-        self.staged.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Injects the staged messages with sequential ids starting at
-    /// `start_id` (the driver computes each shard's start as the running
-    /// global count, reproducing monolithic ascending-node id order).
-    /// Returns how many messages were injected.
-    pub(crate) fn shard_flush_staged(&mut self, start_id: u64) -> u64 {
-        let mut staged = self.staged.take().expect("flush on a non-shard machine");
-        let mut id = start_id;
-        for message in staged.drain(..) {
-            self.fabric.inject_with_id(MessageId(id), message);
-            id += 1;
-        }
-        self.staged = Some(staged);
-        id - start_id
-    }
-
-    /// The centralized watchdog's per-shard inputs: fabric activity
-    /// counter, total completions, and the oldest outstanding issue
-    /// cycle.
-    pub(crate) fn shard_watchdog_inputs(&mut self) -> (u64, u64, Option<u64>) {
-        let oldest = self.oldest_outstanding_issue();
-        (self.fabric.activity(), self.completed, oldest)
-    }
-
-    /// Read access to the shard's fabric, for merged diagnostics.
-    pub(crate) fn shard_fabric(&self) -> &Fabric<ProtocolMsg> {
-        &self.fabric
-    }
-
-    /// Nodes (global ids) with outstanding transactions, for merged
-    /// stall reports.
-    pub(crate) fn shard_outstanding(&self) -> Vec<(NodeId, usize)> {
-        self.outstanding_transactions()
-    }
-
-    /// This shard's measurement-window counters.
-    pub(crate) fn shard_window(&self) -> Window {
-        self.window
-    }
-
-    /// Total processor busy cycles across this shard's nodes for the
-    /// current window.
-    pub(crate) fn shard_busy_cycles(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cpu.stats().busy_cycles).sum()
+    /// in global node order — the disturbance experiments difference
+    /// these against a baseline run to localize a fault's impact.
+    pub fn completions_per_node(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.completed_per_node.iter().copied())
+            .collect()
     }
 }
 
-/// Builds the paper's measurement record from merged (or single-machine)
-/// inputs. Shared by [`Machine::measure`] and the sharded driver so both
-/// paths compute the identical floating-point quantities from identical
-/// integer sums.
-pub(crate) fn build_measurements(
+/// Builds the paper's measurement record from the machine's summed
+/// counters.
+fn build_measurements(
     net_cycles: u64,
     nodes: usize,
     fs: &FabricStats,
@@ -1330,9 +1468,8 @@ pub(crate) fn build_measurements(
 }
 
 /// Maps measurements onto the paper's `T_t = c * T_m + T_f`
-/// decomposition. Shared by [`Machine::breakdown`] and the sharded
-/// driver.
-pub(crate) fn build_breakdown(
+/// decomposition.
+fn build_breakdown(
     m: &Measurements,
     lb: &LatencyBreakdown,
     critical_path_messages: f64,
@@ -1385,7 +1522,26 @@ pub fn run_experiment(
     warmup: u64,
     window: u64,
 ) -> Result<Measurements, SimError> {
-    let mut machine = Machine::new(config, mapping);
+    run_sharded_experiment(config, mapping, 1, 1, warmup, window)
+}
+
+/// [`run_experiment`] on a `shards`-way [`Machine::with_shards`] stepped
+/// by up to `jobs` worker threads — bit-exact with it for every shard and
+/// job count.
+///
+/// # Errors
+///
+/// As [`run_experiment`].
+pub fn run_sharded_experiment(
+    config: &SimConfig,
+    mapping: &Mapping,
+    shards: usize,
+    jobs: usize,
+    warmup: u64,
+    window: u64,
+) -> Result<Measurements, SimError> {
+    let mut machine = Machine::with_shards(config, mapping, shards);
+    machine.set_jobs(jobs);
     machine.run_network_cycles(warmup)?;
     machine.reset_measurements();
     machine.run_network_cycles(window)?;
@@ -1648,7 +1804,7 @@ mod tests {
             machine
                 .run_network_cycles(30_000)
                 .expect("run survives light faults");
-            (machine.fault_log().cloned().unwrap(), machine.measure())
+            (machine.fault_log().unwrap(), machine.measure())
         };
         let (log_a, m_a) = run();
         let (log_b, m_b) = run();

@@ -20,10 +20,11 @@ pub fn default_jobs() -> usize {
 
 /// A budget of worker threads shared by every parallel layer in the
 /// process: sweep-level [`parallel_map`] fan-out and the intra-simulation
-/// shard workers of [`crate::ShardedMachine`] draw extra-thread slots
-/// from the same pool, so a sweep of sharded simulations never
-/// oversubscribes the configured job count (`COMMLOC_JOBS=N` caps live
-/// worker threads at `N` across both layers combined).
+/// shard workers of a sharded [`crate::Machine`] (see
+/// [`crate::Machine::set_jobs`]) draw extra-thread slots from the same
+/// pool, so a sweep of sharded simulations never oversubscribes the
+/// configured job count (`COMMLOC_JOBS=N` caps live worker threads at
+/// `N` across both layers combined).
 ///
 /// The calling thread always counts as one worker; the budget tracks the
 /// *extra* threads that may be spawned beyond it. Claims are best-effort:

@@ -382,8 +382,8 @@ pub fn run_idle_wave(config: &DisturbanceConfig, mapping: &Mapping) -> Result<Id
             let dist_inc = (dist[n] - prev_dist[n]) as i64;
             bucket_deficit[ring_of[n]] += base_inc - dist_inc;
         }
-        prev_base.copy_from_slice(base);
-        prev_dist.copy_from_slice(dist);
+        prev_base = base;
+        prev_dist = dist;
         for (ring, deficit) in bucket_deficit.into_iter().enumerate() {
             rings[ring].push(deficit);
         }

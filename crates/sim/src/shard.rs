@@ -1,47 +1,38 @@
-//! Shard-parallel scale-out engine: one large torus partitioned into
-//! contiguous sub-tori stepped concurrently under a conservative
-//! time-window scheme (DESIGN.md §4.11).
+//! Shard partitioning and the parallel worker loop: one large torus split
+//! into contiguous sub-tori stepped under a conservative time-window
+//! scheme (DESIGN.md §4.11).
 //!
-//! A [`ShardedMachine`] splits the node range `[0, N)` into `k`
+//! [`Machine::with_shards`] splits the node range `[0, N)` into `k`
 //! contiguous shards, each owning its processors, controllers, and a
 //! [`commloc_net::Fabric`] shard. Because every link in the fabric has a
 //! one-cycle latency, the conservative safe horizon is exactly one
 //! network cycle: all shards step cycle `t` independently, then exchange
 //! the flits and credits that crossed shard boundaries during `t`
 //! (each lands in its destination's input buffers exactly as the
-//! monolithic delivery phase of `t+1` would have placed it). Boundary
+//! one-shard delivery phase of `t+1` would have placed it). Boundary
 //! ingestion is commutative within a cycle — every item targets a
 //! distinct FIFO slot, credit counter, or slab entry — and the driver
 //! still routes items in deterministic `(shard, engine)` order, so a
-//! sharded run is **bit-exact** with the monolithic [`Machine`]: same
-//! statistics, same per-node completions, same fault log, same watchdog
-//! trip cycle and diagnostics.
+//! sharded run is **bit-exact** with the one-shard [`Machine`]: same
+//! statistics, same per-node completions, same fault log, same
+//! fast-forward jumps, same watchdog trip cycle and diagnostics.
 //!
-//! Protocol-message ids are the one piece of global state: fault rolls
-//! hash over them, so the driver assigns ids centrally in shard order —
-//! which is global node order for contiguous shards — reproducing the
-//! monolithic machine's ascending-node issue sequence. The progress
-//! watchdog is likewise centralized: shards run with their own watchdog
-//! disabled, and the driver sums activity and completions and takes the
-//! min of the oldest outstanding issues, which equal the monolithic
-//! quantities exactly.
-//!
-//! With `jobs > 1`, shards are distributed over persistent
+//! The machine's serial step is the one driver for every shard count.
+//! This module adds the worker loop that [`Machine::run_network_cycles`]
+//! takes with `jobs > 1`: shards are distributed over persistent
 //! `std::thread::scope` workers synchronized by three barriers per
 //! network cycle (step + export, exchange + inject, driver bookkeeping).
-//! The parallel path produces identical state to the serial path: the
-//! only scheduling freedom is the arrival order of boundary items in a
-//! destination inbox, and those are sorted by source shard before
-//! ingestion (and commute regardless).
+//! It produces identical state to the serial step: the only scheduling
+//! freedom is the arrival order of boundary items in a destination
+//! inbox, and those are sorted by source shard before ingestion (and
+//! commute regardless). It steps every cycle — it never fast-forwards.
 
-use crate::breakdown::TransactionBreakdown;
-use crate::error::{SimError, StallKind, StallReport};
-use crate::machine::{
-    build_breakdown, build_measurements, Machine, Measurements, SimConfig, Window,
-};
+use crate::error::SimError;
+use crate::machine::{Machine, Shard, SimConfig, Watchdog};
 use crate::mapping::Mapping;
 use commloc_mem::ProtocolMsg;
-use commloc_net::{BoundaryItem, FabricStats, FaultLog, LatencyBreakdown, NodeId};
+use commloc_net::BoundaryItem;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -59,551 +50,237 @@ pub(crate) fn shard_ranges(nodes: usize, k: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Index of the shard owning global `node` in contiguous `ranges`.
-fn owner_of(ranges: &[(usize, usize)], node: usize) -> usize {
-    ranges.partition_point(|&(base, _)| base <= node) - 1
+/// Index of the shard owning global `node`, given the shards' ascending
+/// first nodes.
+fn owner_of(bases: &[usize], node: usize) -> usize {
+    bases.partition_point(|&base| base <= node) - 1
 }
 
-/// The sentinel `shard_watchdog_inputs` oldest-issue encoding used on the
-/// atomic publication path (`u64::MAX` = no outstanding transaction).
+/// The oldest-issue encoding on the workers' atomic publication path
+/// (`u64::MAX` = no outstanding transaction).
 const NO_ISSUE: u64 = u64::MAX;
 
-/// A multi-shard machine, bit-exact with the monolithic [`Machine`] over
-/// the same configuration and mapping.
+/// A [`Machine`] built with [`Machine::with_shards`].
 ///
-/// Restrictions versus the monolithic machine: tracing
-/// (`fabric.trace_capacity > 0`) and migration policies are not
-/// supported — the differential fuzzer forces one shard for those
-/// scenarios.
+/// The type exists for the benchmark package, which names it; everything
+/// else uses [`Machine`] directly. It dereferences to the machine.
 #[derive(Debug)]
-pub struct ShardedMachine {
-    shards: Vec<Machine>,
-    ranges: Vec<(usize, usize)>,
-    config: SimConfig,
-    net_cycle: u64,
-    window_start: u64,
-    /// Next global protocol-message id (the monolithic fabric's internal
-    /// counter, owned here so ids stay globally sequential in node
-    /// order).
-    next_msg_id: u64,
-    /// `(sum of fabric activity, sum of completions)` at the last cycle
-    /// that showed progress, and that cycle — the centralized watchdog's
-    /// state, mirroring [`Machine`]'s.
-    progress_marker: (u64, u64),
-    progress_cycle: u64,
-    /// Worker threads used by [`ShardedMachine::run_network_cycles`]
-    /// (1 = serial in the calling thread).
-    jobs: usize,
-    scratch: Vec<BoundaryItem<ProtocolMsg>>,
-}
+pub struct ShardedMachine(Machine);
 
 impl ShardedMachine {
-    /// Builds `shards` contiguous shard machines over the configured
-    /// torus.
+    /// Builds `shards` contiguous shards over the configured torus (see
+    /// [`Machine::with_shards`]).
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is 0 or exceeds the node count, if tracing is
-    /// enabled (`fabric.trace_capacity > 0`), or if the mapping does not
-    /// cover the torus.
+    /// As [`Machine::with_shards`].
     pub fn new(config: &SimConfig, mapping: &Mapping, shards: usize) -> Self {
-        let nodes = config.resolved_topology().nodes();
-        assert!(
-            shards >= 1 && shards <= nodes,
-            "shard count {shards} not in 1..={nodes}"
-        );
-        assert_eq!(
-            config.fabric.trace_capacity, 0,
-            "sharded machines do not support flit tracing; run with one shard"
-        );
-        // Stall detection is centralized in the driver; the per-shard
-        // watchdogs must not trip on locally quiet shards.
-        let mut shard_config = config.clone();
-        shard_config.watchdog_cycles = 0;
-        let ranges = shard_ranges(nodes, shards);
-        let shards: Vec<Machine> = ranges
-            .iter()
-            .map(|&(base, owned)| Machine::new_shard(&shard_config, mapping, base, owned))
-            .collect();
-        Self {
-            shards,
-            ranges,
-            config: config.clone(),
-            net_cycle: 0,
-            window_start: 0,
-            next_msg_id: 0,
-            progress_marker: (0, 0),
-            progress_cycle: 0,
-            jobs: 1,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Sets the worker-thread count for subsequent runs (clamped to
-    /// `1..=shards`). The result is identical for every job count; jobs
-    /// only change wall-clock time.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1).min(self.shards.len());
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Elapsed network cycles.
-    pub fn net_cycle(&self) -> u64 {
-        self.net_cycle
-    }
-
-    /// Total nodes across all shards.
-    pub fn nodes(&self) -> usize {
-        self.ranges.last().map_or(0, |&(base, owned)| base + owned)
-    }
-
-    /// Advances `cycles` network cycles across all shards, serially or on
-    /// `jobs` worker threads (bit-identical either way).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard error in shard order, or the
-    /// centralized watchdog's [`SimError::Stalled`].
-    pub fn run_network_cycles(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.net_cycle + cycles;
-        // Extra worker threads come out of the process-wide job budget
-        // shared with sweep-level `parallel_map`, so a sweep of sharded
-        // simulations never oversubscribes the configured job count. The
-        // grant only changes wall-clock time, never results.
-        let desired = self.jobs.min(self.shards.len());
-        let claim = crate::parallel::claim_extra_workers(desired.saturating_sub(1));
-        let workers = 1 + claim.granted();
-        if workers <= 1 || self.shards.len() == 1 {
-            while self.net_cycle < target {
-                self.step_serial()?;
-            }
-            return Ok(());
-        }
-        self.run_parallel(target, workers)
-    }
-
-    /// One conservative window (= one network cycle, the minimum
-    /// cross-shard link latency) stepped serially.
-    fn step_serial(&mut self) -> Result<(), SimError> {
-        for shard in &mut self.shards {
-            shard.shard_step_fabric()?;
-        }
-        self.net_cycle += 1;
-        // Exchange: collect boundary items in shard order (deterministic)
-        // and deliver each to its owner.
-        let mut items = std::mem::take(&mut self.scratch);
-        for shard in &mut self.shards {
-            shard.shard_take_boundary(&mut items);
-        }
-        for item in items.drain(..) {
-            let owner = owner_of(&self.ranges, item.dst_node());
-            self.shards[owner].shard_ingest_boundary(item);
-        }
-        self.scratch = items;
-        if self
-            .net_cycle
-            .is_multiple_of(u64::from(self.config.clock_ratio))
-        {
-            for shard in &mut self.shards {
-                shard.shard_step_nodes()?;
-            }
-            // Ids in shard order = ascending global node order = the
-            // monolithic machine's issue order.
-            let mut id = self.next_msg_id;
-            for shard in &mut self.shards {
-                id += shard.shard_flush_staged(id);
-            }
-            self.next_msg_id = id;
-        }
-        self.check_watchdog()
-    }
-
-    /// The parallel driver: shards distributed contiguously over worker
-    /// threads, three barriers per network cycle.
-    fn run_parallel(&mut self, target: u64, workers: usize) -> Result<(), SimError> {
-        let workers = workers.min(self.shards.len());
-        let nshards = self.shards.len();
-        let ranges = self.ranges.clone();
-        let ratio = u64::from(self.config.clock_ratio);
-        let start_cycle = self.net_cycle;
-
-        // Shared coordination state. Boundary items are pushed into the
-        // destination shard's inbox tagged with the source shard, then
-        // sorted by source before ingestion for a deterministic order.
-        type Inbox = Mutex<Vec<(u32, BoundaryItem<ProtocolMsg>)>>;
-        let inboxes: Vec<Inbox> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let staged_counts: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        let activity_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        let completed_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        let oldest_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(NO_ISSUE)).collect();
-        let id_base = AtomicU64::new(self.next_msg_id);
-        let stop = AtomicBool::new(false);
-        let error: Mutex<Option<(usize, SimError)>> = Mutex::new(None);
-        let barrier = Barrier::new(workers + 1);
-
-        let record_error = |shard: usize, e: SimError| {
-            let mut slot = error.lock().expect("error slot");
-            match slot.as_ref() {
-                Some(&(existing, _)) if existing <= shard => {}
-                _ => *slot = Some((shard, e)),
-            }
-        };
-
-        // Contiguous shard-to-worker assignment: exactly `workers` non-empty
-        // chunks (workers <= nshards), sized within one shard of each other.
-        // The barrier above counts `workers + 1` parties, so the chunk count
-        // must match the worker count exactly.
-        let base_per = nshards / workers;
-        let extra = nshards % workers;
-        let mut chunks: Vec<(usize, &mut [Machine])> = Vec::with_capacity(workers);
-        let mut rest: &mut [Machine] = &mut self.shards;
-        let mut first = 0;
-        for w in 0..workers {
-            let take = base_per + usize::from(w < extra);
-            let (head, tail) = rest.split_at_mut(take);
-            chunks.push((first, head));
-            first += take;
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-
-        // Driver-local watchdog state, written back after the scope.
-        let mut cycle = start_cycle;
-        let mut progress_marker = self.progress_marker;
-        let mut progress_cycle = self.progress_cycle;
-        let watchdog_window = self.config.watchdog_cycles;
-        let mut trip: Option<(u64, u64, Option<u64>)> = None; // (cycle, stalled_for, oldest)
-
-        std::thread::scope(|scope| {
-            for (first_shard, chunk) in chunks {
-                let barrier = &barrier;
-                let stop = &stop;
-                let inboxes = &inboxes;
-                let staged_counts = &staged_counts;
-                let activity_slots = &activity_slots;
-                let completed_slots = &completed_slots;
-                let oldest_slots = &oldest_slots;
-                let id_base = &id_base;
-                let ranges = &ranges;
-                let record_error = &record_error;
-                scope.spawn(move || {
-                    let mut out: Vec<BoundaryItem<ProtocolMsg>> = Vec::new();
-                    let mut cycle = start_cycle;
-                    loop {
-                        barrier.wait(); // cycle start: driver has decided
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        cycle += 1;
-                        let boundary = cycle.is_multiple_of(ratio);
-                        // Phase 1: step fabrics, export boundary traffic,
-                        // run processor boundaries (staging injections).
-                        for (j, shard) in chunk.iter_mut().enumerate() {
-                            let si = first_shard + j;
-                            if let Err(e) = shard.shard_step_fabric() {
-                                record_error(si, e);
-                                continue;
-                            }
-                            out.clear();
-                            shard.shard_take_boundary(&mut out);
-                            for item in out.drain(..) {
-                                let owner = owner_of(ranges, item.dst_node());
-                                inboxes[owner]
-                                    .lock()
-                                    .expect("inbox")
-                                    .push((si as u32, item));
-                            }
-                            if boundary {
-                                if let Err(e) = shard.shard_step_nodes() {
-                                    record_error(si, e);
-                                }
-                                staged_counts[si]
-                                    .store(shard.shard_staged_count() as u64, Ordering::Release);
-                            }
-                        }
-                        barrier.wait(); // phase 1 complete everywhere
-                                        // Phase 2: ingest our inboxes (sorted by source
-                                        // shard), inject staged messages at the global id
-                                        // offsets, publish watchdog inputs.
-                        let base = id_base.load(Ordering::Acquire);
-                        for (j, shard) in chunk.iter_mut().enumerate() {
-                            let si = first_shard + j;
-                            {
-                                let mut inbox = inboxes[si].lock().expect("inbox");
-                                inbox.sort_by_key(|&(src, _)| src);
-                                for (_, item) in inbox.drain(..) {
-                                    shard.shard_ingest_boundary(item);
-                                }
-                            }
-                            if boundary {
-                                let start: u64 = (0..si)
-                                    .map(|k| staged_counts[k].load(Ordering::Acquire))
-                                    .sum::<u64>()
-                                    + base;
-                                shard.shard_flush_staged(start);
-                            }
-                            let (activity, completed, oldest) = shard.shard_watchdog_inputs();
-                            activity_slots[si].store(activity, Ordering::Release);
-                            completed_slots[si].store(completed, Ordering::Release);
-                            oldest_slots[si].store(oldest.unwrap_or(NO_ISSUE), Ordering::Release);
-                        }
-                        barrier.wait(); // phase 2 complete; driver books
-                    }
-                });
-            }
-
-            // Driver loop.
-            loop {
-                let finished = cycle >= target
-                    || trip.is_some()
-                    || error.lock().expect("error slot").is_some();
-                stop.store(finished, Ordering::Release);
-                barrier.wait(); // release workers into the cycle
-                if finished {
-                    break;
-                }
-                cycle += 1;
-                let boundary = cycle.is_multiple_of(ratio);
-                barrier.wait(); // phase 1 runs
-                barrier.wait(); // phase 2 runs
-                if boundary {
-                    let total: u64 = staged_counts
-                        .iter()
-                        .map(|c| c.load(Ordering::Acquire))
-                        .sum();
-                    id_base.fetch_add(total, Ordering::AcqRel);
-                }
-                // Centralized watchdog, mirroring `Machine::check_watchdog`.
-                let activity: u64 = activity_slots
-                    .iter()
-                    .map(|s| s.load(Ordering::Acquire))
-                    .sum();
-                let completed: u64 = completed_slots
-                    .iter()
-                    .map(|s| s.load(Ordering::Acquire))
-                    .sum();
-                let oldest = oldest_slots
-                    .iter()
-                    .map(|s| s.load(Ordering::Acquire))
-                    .min()
-                    .filter(|&v| v != NO_ISSUE);
-                let marker = (activity, completed);
-                if marker != progress_marker {
-                    progress_marker = marker;
-                    progress_cycle = cycle;
-                }
-                if watchdog_window > 0 {
-                    let oldest_age = oldest.map_or(0, |issued| cycle - issued);
-                    let stalled_for = (cycle - progress_cycle).max(oldest_age);
-                    if stalled_for >= watchdog_window {
-                        trip = Some((cycle, stalled_for, oldest));
-                    }
-                }
-            }
-        });
-
-        self.net_cycle = cycle;
-        self.next_msg_id = id_base.load(Ordering::Acquire);
-        self.progress_marker = progress_marker;
-        self.progress_cycle = progress_cycle;
-        if let Some((_, e)) = error.into_inner().expect("error slot") {
-            return Err(e);
-        }
-        if let Some((cycle, stalled_for, _)) = trip {
-            return Err(self.stall_report(cycle, stalled_for));
-        }
-        Ok(())
-    }
-
-    /// Centralized watchdog for the serial path, bit-exact with
-    /// [`Machine::check_watchdog`]: same marker, same trip formula, same
-    /// diagnostics (merged across shards in shard = node order).
-    fn check_watchdog(&mut self) -> Result<(), SimError> {
-        let mut activity = 0u64;
-        let mut completed = 0u64;
-        let mut oldest: Option<u64> = None;
-        for shard in &mut self.shards {
-            let (a, c, o) = shard.shard_watchdog_inputs();
-            activity += a;
-            completed += c;
-            oldest = match (oldest, o) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            };
-        }
-        let marker = (activity, completed);
-        if marker != self.progress_marker {
-            self.progress_marker = marker;
-            self.progress_cycle = self.net_cycle;
-        }
-        let window = self.config.watchdog_cycles;
-        if window == 0 {
-            return Ok(());
-        }
-        let oldest_age = oldest.map_or(0, |issued| self.net_cycle - issued);
-        let stalled_for = (self.net_cycle - self.progress_cycle).max(oldest_age);
-        if stalled_for < window {
-            return Ok(());
-        }
-        Err(self.stall_report(self.net_cycle, stalled_for))
-    }
-
-    /// Builds the merged stall report (shard order = global node order
-    /// for every concatenated field).
-    fn stall_report(&self, cycle: u64, stalled_for: u64) -> SimError {
-        let kind = if self.shards.iter().any(|s| {
-            matches!(s.shard_fabric().fault_plan(),
-                     Some(plan) if plan.transient_stall_active(cycle))
-        }) {
-            StallKind::Backpressure
-        } else {
-            StallKind::Deadlock
-        };
-        let mut outstanding = Vec::new();
-        let mut router_occupancy = Vec::new();
-        let mut in_flight = 0usize;
-        let mut buffered = 0usize;
-        for shard in &self.shards {
-            outstanding.extend(shard.shard_outstanding());
-            router_occupancy.extend(shard.shard_fabric().router_occupancy());
-            in_flight += shard.shard_fabric().in_flight();
-            buffered += shard.shard_fabric().buffered_flits();
-        }
-        SimError::Stalled(Box::new(StallReport {
-            cycle,
-            stalled_for,
-            kind,
-            in_flight,
-            buffered_flits: buffered,
-            router_occupancy,
-            outstanding,
-            fault_log_tail: self
-                .fault_log()
-                .map(|log| log.tail(16).to_vec())
-                .unwrap_or_default(),
-            migrated_from: Vec::new(),
-        }))
-    }
-
-    /// Resets every shard's statistics windows — call after warmup.
-    pub fn reset_measurements(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_measurements();
-        }
-        self.window_start = self.net_cycle;
-    }
-
-    /// Merged measurement record for the current window, bit-exact with
-    /// the monolithic [`Machine::measure`].
-    pub fn measure(&self) -> Measurements {
-        let stats: Vec<&FabricStats> = self
-            .shards
-            .iter()
-            .map(|s| s.shard_fabric().stats())
-            .collect();
-        let fs = FabricStats::merged(stats);
-        let mut window = Window::default();
-        let mut total_busy = 0u64;
-        for shard in &self.shards {
-            window.absorb(&shard.shard_window());
-            total_busy += shard.shard_busy_cycles();
-        }
-        build_measurements(
-            self.net_cycle - self.window_start,
-            self.config.resolved_topology().compute_nodes(),
-            &fs,
-            &window,
-            total_busy,
-            self.config.clock_ratio,
-        )
-    }
-
-    /// Merged per-message latency breakdown for the current window.
-    pub fn latency_breakdown(&self) -> LatencyBreakdown {
-        let mut merged = LatencyBreakdown::default();
-        for shard in &self.shards {
-            merged.absorb(shard.latency_breakdown());
-        }
-        merged
-    }
-
-    /// The paper's `T_t = c * T_m + T_f` decomposition from merged
-    /// measurements (see [`Machine::breakdown`]).
-    pub fn breakdown(&self, critical_path_messages: f64) -> TransactionBreakdown {
-        build_breakdown(
-            &self.measure(),
-            &self.latency_breakdown(),
-            critical_path_messages,
-        )
-    }
-
-    /// Merged fault log across shards (`None` when no plan is
-    /// installed), reconstructing the monolithic event order.
-    pub fn fault_log(&self) -> Option<FaultLog> {
-        let logs: Vec<&FaultLog> = self.shards.iter().filter_map(Machine::fault_log).collect();
-        if logs.is_empty() {
-            return None;
-        }
-        Some(FaultLog::merge(logs))
-    }
-
-    /// Total transaction completions since construction.
-    pub fn completions(&self) -> u64 {
-        self.shards.iter().map(Machine::completions).sum()
-    }
-
-    /// Per-node completions since construction, concatenated in global
-    /// node order.
-    pub fn completions_per_node(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.nodes());
-        for shard in &self.shards {
-            out.extend_from_slice(shard.completions_per_node());
-        }
-        out
-    }
-
-    /// Total workload iterations across all shards (diagnostic).
-    pub fn total_iterations(&self) -> u64 {
-        self.shards.iter().map(Machine::total_iterations).sum()
-    }
-
-    /// Nodes with outstanding transactions, in global node order.
-    pub fn outstanding_nodes(&self) -> Vec<(NodeId, usize)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.shard_outstanding());
-        }
-        out
+        Self(Machine::with_shards(config, mapping, shards))
     }
 }
 
-/// Runs one warmup-then-measure experiment on a `shards`-way
-/// [`ShardedMachine`] with up to `jobs` worker threads, the sharded
-/// counterpart of [`crate::run_experiment`] — bit-exact with it for every
-/// shard and job count.
-///
-/// # Errors
-///
-/// Propagates shard errors and centralized-watchdog stalls, exactly as
-/// the monolithic run would.
-pub fn run_sharded_experiment(
+impl Deref for ShardedMachine {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardedMachine {
+    fn deref_mut(&mut self) -> &mut Machine {
+        &mut self.0
+    }
+}
+
+/// The parallel worker loop behind [`Machine::run_network_cycles`]:
+/// steps `shards` from network cycle `clock` to `target` on `workers`
+/// threads (contiguous shard chunks, three barriers per cycle),
+/// assigning message ids from `next_msg_id` and feeding `watchdog` the
+/// same trip rule as the serial step. Bit-identical to the serial step.
+/// Advances `clock` to the last cycle stepped and returns the stall
+/// length if the watchdog tripped there.
+pub(crate) fn run_parallel(
+    shards: &mut [Shard],
     config: &SimConfig,
-    mapping: &Mapping,
-    shards: usize,
-    jobs: usize,
-    warmup: u64,
-    window: u64,
-) -> Result<Measurements, SimError> {
-    let mut machine = ShardedMachine::new(config, mapping, shards);
-    machine.set_jobs(jobs);
-    machine.run_network_cycles(warmup)?;
-    machine.reset_measurements();
-    machine.run_network_cycles(window)?;
-    Ok(machine.measure())
+    clock: &mut u64,
+    next_msg_id: &mut u64,
+    watchdog: &mut Watchdog,
+    target: u64,
+    workers: usize,
+) -> Result<Option<u64>, SimError> {
+    let nshards = shards.len();
+    let workers = workers.min(nshards);
+    let bases: Vec<usize> = shards.iter().map(|s| s.base).collect();
+    let ratio = u64::from(config.clock_ratio);
+    let start_cycle = *clock;
+
+    // Shared coordination state. Boundary items are pushed into the
+    // destination shard's inbox tagged with the source shard, then
+    // sorted by source before ingestion for a deterministic order.
+    type Inbox = Mutex<Vec<(u32, BoundaryItem<ProtocolMsg>)>>;
+    let inboxes: Vec<Inbox> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
+    let staged_counts: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+    let activity_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+    let completed_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+    let oldest_slots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(NO_ISSUE)).collect();
+    let id_base = AtomicU64::new(*next_msg_id);
+    let stop = AtomicBool::new(false);
+    let error: Mutex<Option<(usize, SimError)>> = Mutex::new(None);
+    let barrier = Barrier::new(workers + 1);
+
+    let record_error = |shard: usize, e: SimError| {
+        let mut slot = error.lock().expect("error slot");
+        match slot.as_ref() {
+            Some(&(existing, _)) if existing <= shard => {}
+            _ => *slot = Some((shard, e)),
+        }
+    };
+
+    // Contiguous shard-to-worker assignment: exactly `workers` non-empty
+    // chunks (workers <= nshards), sized within one shard of each other.
+    // The barrier above counts `workers + 1` parties, so the chunk count
+    // must match the worker count exactly.
+    let base_per = nshards / workers;
+    let extra = nshards % workers;
+    let mut chunks: Vec<(usize, &mut [Shard])> = Vec::with_capacity(workers);
+    let mut rest: &mut [Shard] = shards;
+    let mut first = 0;
+    for w in 0..workers {
+        let take = base_per + usize::from(w < extra);
+        let (head, tail) = rest.split_at_mut(take);
+        chunks.push((first, head));
+        first += take;
+        rest = tail;
+    }
+    debug_assert!(rest.is_empty());
+
+    let mut cycle = start_cycle;
+    let mut stalled = None;
+
+    std::thread::scope(|scope| {
+        for (first_shard, chunk) in chunks {
+            let barrier = &barrier;
+            let stop = &stop;
+            let inboxes = &inboxes;
+            let staged_counts = &staged_counts;
+            let activity_slots = &activity_slots;
+            let completed_slots = &completed_slots;
+            let oldest_slots = &oldest_slots;
+            let id_base = &id_base;
+            let bases = &bases;
+            let record_error = &record_error;
+            scope.spawn(move || {
+                let mut out: Vec<BoundaryItem<ProtocolMsg>> = Vec::new();
+                let mut cycle = start_cycle;
+                loop {
+                    barrier.wait(); // cycle start: driver has decided
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    cycle += 1;
+                    let boundary = cycle.is_multiple_of(ratio);
+                    // Phase 1: step fabrics, export boundary traffic,
+                    // run processor boundaries (staging injections).
+                    for (j, shard) in chunk.iter_mut().enumerate() {
+                        let si = first_shard + j;
+                        if let Err(e) = shard.fabric.step() {
+                            record_error(si, e.into());
+                            continue;
+                        }
+                        out.clear();
+                        shard.fabric.take_boundary(&mut out);
+                        for item in out.drain(..) {
+                            let owner = owner_of(bases, item.dst_node());
+                            inboxes[owner]
+                                .lock()
+                                .expect("inbox")
+                                .push((si as u32, item));
+                        }
+                        if boundary {
+                            if let Err(e) = shard.step_nodes_active(config, cycle) {
+                                record_error(si, e);
+                            }
+                            staged_counts[si].store(shard.staged.len() as u64, Ordering::Release);
+                        }
+                    }
+                    barrier.wait(); // phase 1 complete everywhere
+
+                    // Phase 2: ingest our inboxes (sorted by source
+                    // shard), inject staged messages at the global id
+                    // offsets, publish watchdog inputs.
+                    let base = id_base.load(Ordering::Acquire);
+                    for (j, shard) in chunk.iter_mut().enumerate() {
+                        let si = first_shard + j;
+                        {
+                            let mut inbox = inboxes[si].lock().expect("inbox");
+                            inbox.sort_by_key(|&(src, _)| src);
+                            for (_, item) in inbox.drain(..) {
+                                shard.fabric.ingest_boundary(item);
+                            }
+                        }
+                        if boundary {
+                            let start: u64 = (0..si)
+                                .map(|k| staged_counts[k].load(Ordering::Acquire))
+                                .sum::<u64>()
+                                + base;
+                            shard.flush_staged(start);
+                        }
+                        activity_slots[si].store(shard.fabric.activity(), Ordering::Release);
+                        completed_slots[si].store(shard.completed, Ordering::Release);
+                        oldest_slots[si].store(
+                            shard.oldest_outstanding_issue().unwrap_or(NO_ISSUE),
+                            Ordering::Release,
+                        );
+                    }
+                    barrier.wait(); // phase 2 complete; driver books
+                }
+            });
+        }
+
+        // Driver loop.
+        loop {
+            let finished =
+                cycle >= target || stalled.is_some() || error.lock().expect("error slot").is_some();
+            stop.store(finished, Ordering::Release);
+            barrier.wait(); // release workers into the cycle
+            if finished {
+                break;
+            }
+            cycle += 1;
+            let boundary = cycle.is_multiple_of(ratio);
+            barrier.wait(); // phase 1 runs
+            barrier.wait(); // phase 2 runs
+            if boundary {
+                let total: u64 = staged_counts
+                    .iter()
+                    .map(|c| c.load(Ordering::Acquire))
+                    .sum();
+                id_base.fetch_add(total, Ordering::AcqRel);
+            }
+            let sum = |slots: &[AtomicU64]| -> u64 {
+                slots.iter().map(|s| s.load(Ordering::Acquire)).sum()
+            };
+            let oldest = oldest_slots
+                .iter()
+                .map(|s| s.load(Ordering::Acquire))
+                .min()
+                .filter(|&v| v != NO_ISSUE);
+            stalled = watchdog.check(
+                cycle,
+                (sum(&activity_slots), sum(&completed_slots)),
+                oldest,
+                config.watchdog_cycles,
+            );
+        }
+    });
+
+    *clock = cycle;
+    *next_msg_id = id_base.into_inner();
+    match error.into_inner().expect("error slot") {
+        Some((_, e)) => Err(e),
+        None => Ok(stalled),
+    }
 }
 
 #[cfg(test)]
@@ -620,10 +297,12 @@ mod tests {
         }
     }
 
-    /// Runs warmup + measurement window through a monolithic machine and
-    /// a `shards`-way sharded machine on `jobs` workers, asserting every
+    /// Runs warmup + measurement window through a one-shard machine and
+    /// a `shards`-way machine on `jobs` workers, asserting every
     /// observable is bit-exact: outcomes (including stall reports),
-    /// clocks, measurements, completions, breakdowns, and fault logs.
+    /// clocks, measurements, completions, breakdowns, fault logs, and —
+    /// on the serial driver — fast-forward jumps. Returns the sharded
+    /// machine.
     fn compare(
         config: &SimConfig,
         mapping: &Mapping,
@@ -631,9 +310,9 @@ mod tests {
         jobs: usize,
         warmup: u64,
         window: u64,
-    ) {
+    ) -> Machine {
         let mut mono = Machine::new(config, mapping);
-        let mut sharded = ShardedMachine::new(config, mapping, shards);
+        let mut sharded = Machine::with_shards(config, mapping, shards);
         // Raise the process job budget so the parallel path actually runs
         // on single-core test hosts instead of falling back to serial.
         crate::parallel::set_job_budget(jobs);
@@ -652,21 +331,26 @@ mod tests {
         assert_eq!(mono.measure(), sharded.measure(), "measurements diverged");
         assert_eq!(mono.completions(), sharded.completions());
         assert_eq!(
-            mono.completions_per_node().to_vec(),
+            mono.completions_per_node(),
             sharded.completions_per_node(),
             "per-node completions diverged"
         );
         assert_eq!(
             mono.latency_breakdown(),
-            &sharded.latency_breakdown(),
+            sharded.latency_breakdown(),
             "latency breakdowns diverged"
         );
         assert_eq!(mono.breakdown(2.0), sharded.breakdown(2.0));
-        assert_eq!(
-            mono.fault_log().cloned(),
-            sharded.fault_log(),
-            "fault logs diverged"
-        );
+        assert_eq!(mono.fault_log(), sharded.fault_log(), "fault logs diverged");
+        // Worker threads step every cycle; only the serial driver jumps.
+        if jobs == 1 {
+            assert_eq!(
+                mono.fast_forwarded_cycles(),
+                sharded.fast_forwarded_cycles(),
+                "fast-forward jumps diverged"
+            );
+        }
+        sharded
     }
 
     #[test]
@@ -709,6 +393,34 @@ mod tests {
         };
         for shards in [2, 4] {
             compare(&config, &Mapping::identity(16), shards, 1, 6_000, 14_000);
+        }
+    }
+
+    #[test]
+    fn sharded_fast_forward_through_retry_gaps_matches_one_shard() {
+        // The machine bench's retry-gap scenario: 5% drops and 8k-cycle
+        // retry timeouts leave every node blocked on a retry deadline
+        // with the fabric drained. The serial driver must jump those
+        // gaps at every shard count, bit-exact with one shard.
+        let config = SimConfig {
+            mem: MemConfig {
+                timeout_cycles: 8_000,
+                max_retries: 30,
+                ..MemConfig::default()
+            },
+            watchdog_cycles: 60_000,
+            fault_plan: Some(FaultPlan::new(23).with_config(FaultConfig {
+                drop_rate: 0.05,
+                ..FaultConfig::default()
+            })),
+            ..small(2, 4)
+        };
+        for shards in [2, 4] {
+            let sharded = compare(&config, &Mapping::identity(16), shards, 1, 20_000, 100_000);
+            assert!(
+                sharded.fast_forwarded_cycles() > 0,
+                "{shards} shards: no quiescent gap was jumped"
+            );
         }
     }
 
@@ -779,8 +491,9 @@ mod tests {
                 next += owned;
             }
             assert_eq!(next, nodes);
+            let bases: Vec<usize> = ranges.iter().map(|&(base, _)| base).collect();
             for node in 0..nodes {
-                let owner = owner_of(&ranges, node);
+                let owner = owner_of(&bases, node);
                 let (base, owned) = ranges[owner];
                 assert!(node >= base && node < base + owned);
             }
