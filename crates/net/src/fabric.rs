@@ -52,9 +52,8 @@ use crate::active::ActiveSet;
 use crate::fault::{FaultLog, FaultPlan};
 use crate::message::{Delivery, Flit, FlitKind, Message, MessageId};
 use crate::router::{InputRef, OutputRef, INFINITE_CREDITS};
-use crate::routing::{VcIndex, DATELINE_VCS};
 use crate::stats::{FabricStats, LatencyBreakdown};
-use crate::topology::{Direction, NodeId, PortStep, Topology, Torus};
+use crate::topology::{NodeId, PortStep, Topology, VcIndex, DATELINE_VCS};
 use crate::trace::{TraceBuffer, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -327,8 +326,8 @@ pub struct Fabric<P> {
 }
 
 impl<P> Fabric<P> {
-    /// Builds a fabric over the given topology (a bare [`Torus`] converts
-    /// into [`Topology::Cube`]).
+    /// Builds a fabric over the given topology (a bare
+    /// [`Torus`](crate::Torus) converts into [`Topology::Cube`]).
     ///
     /// # Panics
     ///
@@ -527,16 +526,6 @@ impl<P> Fabric<P> {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The underlying torus (cube topologies only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric was built over a non-cube topology; callers
-    /// needing cube geometry must gate on [`Topology::family`].
-    pub fn torus(&self) -> &Torus {
-        self.topology.as_torus()
     }
 
     /// The buffering configuration.
@@ -1677,25 +1666,10 @@ const NO_LINK: u32 = u32::MAX;
 /// Sentinel in the port tables for an absent link.
 const NO_LINK_PORT: u16 = u16::MAX;
 
-/// Maps a torus/mesh link port index to its (dimension, direction).
-pub(crate) fn port_to_link(port: usize) -> (u32, Direction) {
-    let dim = (port / 2) as u32;
-    let dir = if port.is_multiple_of(2) {
-        Direction::Plus
-    } else {
-        Direction::Minus
-    };
-    (dim, dir)
-}
-
-/// Maps a (dimension, direction) to its torus/mesh link port index.
-pub(crate) fn link_to_port(dim: u32, direction: Direction) -> usize {
-    dim as usize * 2 + direction.index()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{link_to_port, port_to_link, Direction, Torus};
 
     fn fabric() -> Fabric<u32> {
         Fabric::new(Torus::new(2, 8), FabricConfig::default())
@@ -1724,7 +1698,7 @@ mod tests {
     fn single_message_unloaded_latency() {
         let mut f = fabric();
         let src = NodeId(0);
-        let dst = f.torus().node_at(&[3, 2]); // 5 hops
+        let dst = f.topology().as_torus().node_at(&[3, 2]); // 5 hops
         f.inject(Message::new(src, dst, 12, 7u32));
         assert!(f.run_until_idle(1000).unwrap());
         let d = f.poll_delivery(dst).expect("delivered");
@@ -1770,7 +1744,7 @@ mod tests {
         let mut f = fabric();
         let dst = NodeId(27);
         let mut sent = 0;
-        for node in f.torus().node_ids().collect::<Vec<_>>() {
+        for node in f.topology().as_torus().node_ids().collect::<Vec<_>>() {
             if node != dst {
                 f.inject(Message::new(node, dst, 12, node.0 as u32));
                 sent += 1;
@@ -1788,7 +1762,7 @@ mod tests {
     fn wraparound_messages_deliver() {
         // Routes that cross the dateline exercise VC class 1.
         let mut f = fabric();
-        let t = f.torus().clone();
+        let t = f.topology().as_torus().clone();
         let src = t.node_at(&[6, 6]);
         let dst = t.node_at(&[1, 1]); // wraps in both dimensions
         f.inject(Message::new(src, dst, 12, 0u32));
@@ -1839,7 +1813,7 @@ mod tests {
     #[test]
     fn flit_conservation() {
         let mut f = fabric();
-        let t = f.torus().clone();
+        let t = f.topology().as_torus().clone();
         for (i, node) in t.node_ids().enumerate() {
             let dst = NodeId((node.0 * 7 + 3) % t.nodes());
             f.inject(Message::new(node, dst, 4 + (i as u32 % 9), 0u32));
@@ -1947,6 +1921,7 @@ mod tests {
 #[cfg(test)]
 mod multi_vc_tests {
     use super::*;
+    use crate::topology::Torus;
 
     #[test]
     #[should_panic(expected = "split evenly")]
@@ -1969,7 +1944,7 @@ mod multi_vc_tests {
                 ..FabricConfig::default()
             },
         );
-        let t = f.torus().clone();
+        let t = f.topology().as_torus().clone();
         for round in 0..20u32 {
             for node in t.node_ids().collect::<Vec<_>>() {
                 let dst = NodeId((node.0 + 27) % t.nodes());
@@ -2010,6 +1985,7 @@ mod multi_vc_tests {
 #[cfg(test)]
 mod shard_tests {
     use super::*;
+    use crate::topology::Torus;
 
     /// Contiguous near-equal split of `nodes` into `k` ranges.
     fn split(nodes: usize, k: usize) -> Vec<(usize, usize)> {
@@ -2244,10 +2220,11 @@ mod shard_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::topology::{Direction, Torus};
 
     /// Injects one message per node to a scattered destination.
     fn load(f: &mut Fabric<u32>) {
-        let t = f.torus().clone();
+        let t = f.topology().as_torus().clone();
         for node in t.node_ids() {
             let dst = NodeId((node.0 * 13 + 5) % t.nodes());
             if dst != node {
@@ -2259,7 +2236,7 @@ mod fault_tests {
     fn drain(f: &mut Fabric<u32>) -> u64 {
         assert!(f.run_until_idle(200_000).unwrap(), "faulted fabric wedged");
         let mut delivered = 0;
-        for node in f.torus().node_ids().collect::<Vec<_>>() {
+        for node in f.topology().as_torus().node_ids().collect::<Vec<_>>() {
             while f.poll_delivery(node).is_some() {
                 delivered += 1;
             }
@@ -2305,7 +2282,7 @@ mod fault_tests {
         load(&mut f);
         assert!(f.run_until_idle(100_000).unwrap());
         let mut corrupt = 0;
-        for node in f.torus().node_ids().collect::<Vec<_>>() {
+        for node in f.topology().as_torus().node_ids().collect::<Vec<_>>() {
             while let Some(d) = f.poll_delivery(node) {
                 if d.is_corrupt() {
                     corrupt += 1;

@@ -27,7 +27,7 @@
 //! *message conservation*: no message disappears without a logged cause.
 
 use crate::rng::DetRng;
-use crate::topology::{Direction, NodeId};
+use crate::topology::{link_to_port, port_to_link, Direction, NodeId};
 use crate::MessageId;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -384,7 +384,7 @@ impl FaultPlan {
     /// Schedules the permanent death of the link leaving `node` in
     /// dimension `dim`, direction `dir`, at `cycle`.
     pub fn kill_link_at(mut self, cycle: u64, node: usize, dim: u32, dir: Direction) -> Self {
-        let port = link_port(dim, dir);
+        let port = link_to_port(dim, dir);
         self.schedule
             .push((cycle, ScheduledFault::KillLink { node, port }));
         self
@@ -401,7 +401,7 @@ impl FaultPlan {
         dir: Direction,
         window: u64,
     ) -> Self {
-        let port = link_port(dim, dir);
+        let port = link_to_port(dim, dir);
         self.schedule
             .push((cycle, ScheduledFault::StallLink { node, port, window }));
         self
@@ -747,24 +747,13 @@ fn scheduled_key(fault: &ScheduledFault) -> (usize, usize, u8) {
     }
 }
 
-/// Maps a (dimension, direction) to the fabric's link port index —
-/// mirrors `fabric::link_to_port`, duplicated here to keep the modules
-/// decoupled.
-fn link_port(dim: u32, dir: Direction) -> usize {
-    dim as usize * 2 + dir.index()
-}
-
 /// Human-readable description of a scheduled fault for error listings.
 fn describe(fault: ScheduledFault) -> String {
     let link = |port: usize| {
+        let (dim, dir) = port_to_link(port);
         format!(
-            "dim {} {}",
-            port / 2,
-            if port % 2 == Direction::Plus.index() {
-                '+'
-            } else {
-                '-'
-            }
+            "dim {dim} {}",
+            if dir == Direction::Plus { '+' } else { '-' }
         )
     };
     match fault {

@@ -699,8 +699,9 @@ impl ShrinkOutcome {
 }
 
 /// Renders a topology as the constructor expression that recreates it,
-/// for ready-to-paste repro tests.
-fn topology_expr(t: &Topology) -> String {
+/// for ready-to-paste repro tests (the machine fuzzer's repros use it
+/// too).
+pub fn topology_expr(t: &Topology) -> String {
     match t {
         Topology::Cube(c) => format!("Topology::cube({}, {})", c.dims(), c.radix()),
         Topology::Mesh(m) => {

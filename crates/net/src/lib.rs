@@ -11,8 +11,10 @@
 //!
 //! # Structure
 //!
-//! * [`Torus`] — geometry: coordinates, neighbors, minimal distances.
-//! * [`routing`] — e-cube dimension-order routing and dateline VC classes.
+//! * [`Topology`] — the fabric shapes (the paper's [`Torus`], plus a
+//!   mesh, a fat tree and a dragonfly): geometry, link tables, distances,
+//!   and [`Topology::route_hop`], the one routing function per fabric
+//!   (e-cube with dateline virtual channels on the torus).
 //! * [`Fabric`] — routers, links, and network interfaces; advance it one
 //!   network cycle at a time with [`Fabric::step`].
 //! * [`FabricStats`] — measured `T_m`, `T_h`, `r_m`, and channel
@@ -55,7 +57,10 @@ mod rng;
 // just the `InputRef`/`OutputRef`/credit-sentinel vocabulary.
 #[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
 mod router;
-pub mod routing;
+// Tests of the torus's e-cube routing and dateline classes; the routing
+// itself is `Topology::route_hop`.
+#[cfg(test)]
+mod routing;
 mod stats;
 mod topology;
 pub mod trace;
@@ -69,5 +74,7 @@ pub use message::{Delivery, Flit, FlitKind, Message, MessageBreakdown, MessageId
 pub use reference::ReferenceFabric;
 pub use rng::DetRng;
 pub use stats::{FabricStats, Histogram, LatencyBreakdown, HISTOGRAM_BUCKETS};
-pub use topology::{Direction, Dragonfly, FatTree, Mesh2D, NodeId, PortStep, Topology, Torus};
+pub use topology::{
+    Direction, Dragonfly, FatTree, Mesh2D, NodeId, PortStep, Topology, Torus, VcIndex, DATELINE_VCS,
+};
 pub use trace::{TraceBuffer, TraceEvent};

@@ -22,9 +22,8 @@
 use crate::fault::{FaultLog, FaultPlan};
 use crate::message::{Delivery, Flit, Message, MessageId};
 use crate::router::{InputRef, OutputRef, Router, INFINITE_CREDITS};
-use crate::routing::{VcIndex, DATELINE_VCS};
 use crate::stats::FabricStats;
-use crate::topology::{NodeId, PortStep, Topology, Torus};
+use crate::topology::{NodeId, PortStep, Topology, VcIndex, DATELINE_VCS};
 use crate::{FabricConfig, FabricError};
 use std::collections::{HashMap, VecDeque};
 
@@ -133,16 +132,6 @@ impl<P> ReferenceFabric<P> {
     #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The underlying torus (cube topologies only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric was built over a non-cube topology.
-    #[allow(dead_code)] // for `reference-engine` feature consumers
-    pub fn torus(&self) -> &Torus {
-        self.topology.as_torus()
     }
 
     /// The current network cycle.

@@ -2,7 +2,7 @@
 //! channel allocation state.
 //!
 //! Routers are input-buffered wormhole switches. Each physical input link
-//! carries [`DATELINE_VCS`](crate::routing::DATELINE_VCS) virtual channels
+//! carries [`DATELINE_VCS`](crate::DATELINE_VCS) virtual channels
 //! with private flit buffers; an additional single-VC input port receives
 //! flits from the local node's injection channel. Output physical channels
 //! are time-multiplexed among their virtual channels flit by flit; a
@@ -14,7 +14,7 @@
 //! [`crate::fabric`], which owns all routers and the links between them.
 
 use crate::message::Flit;
-use crate::routing::VcIndex;
+use crate::topology::VcIndex;
 use std::collections::VecDeque;
 
 /// Reference to an input virtual channel within one router.

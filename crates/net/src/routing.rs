@@ -1,129 +1,59 @@
-//! Dimension-order (e-cube) routing with dateline virtual-channel
-//! assignment.
+//! Tests of the torus's e-cube routing and dateline virtual-channel
+//! classes.
 //!
-//! Messages correct one dimension at a time, in increasing dimension
-//! order, travelling the minimal way around each ring (ties broken toward
-//! [`Direction::Plus`]). Within each unidirectional ring, deadlock freedom
-//! follows the classic Dally–Seitz construction: packets travel on
-//! virtual channel 0 until they cross the ring's wraparound edge (the
-//! *dateline*), and on virtual channel 1 afterwards, breaking the cyclic
-//! channel dependency.
-
-use crate::topology::{Direction, NodeId, Torus};
-
-/// Index of a virtual channel on a physical link.
-pub type VcIndex = usize;
-
-/// The output a head flit requests at a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouteStep {
-    /// Continue through the network: leave on `dim`/`direction`, using
-    /// virtual channel class `vc`.
-    Forward {
-        /// Dimension to travel in.
-        dim: u32,
-        /// Direction along the ring.
-        direction: Direction,
-        /// Dateline virtual-channel class for the hop.
-        vc: VcIndex,
-    },
-    /// The message has arrived; eject to the local node.
-    Eject,
-}
-
-/// Computes the e-cube route step for a message at `current`, travelling
-/// from `src` to `dst`.
-///
-/// The virtual-channel class is derived from the dateline rule using the
-/// message's *entry* coordinate in the active dimension, which under
-/// e-cube routing is simply the source coordinate — the message never
-/// moves in a dimension before correcting it.
-pub fn route_step(torus: &Torus, src: NodeId, dst: NodeId, current: NodeId) -> RouteStep {
-    for dim in 0..torus.dims() {
-        let cur = torus.coordinate(current, dim);
-        let to = torus.coordinate(dst, dim);
-        if cur == to {
-            continue;
-        }
-        let from = torus.coordinate(src, dim);
-        let (_, direction) = torus.ring_step(from, to);
-        let vc = dateline_vc(torus.radix(), from, to, cur, direction);
-        return RouteStep::Forward { dim, direction, vc };
-    }
-    RouteStep::Eject
-}
-
-/// The dateline virtual-channel class for a hop departing coordinate
-/// `current` in a ring of the given radix, for a message that entered the
-/// ring at `entry` and exits at `exit`, travelling `direction`.
-///
-/// Class 1 means the message has already crossed the ring's wraparound
-/// edge (`k-1 -> 0` for [`Direction::Plus`], `0 -> k-1` for
-/// [`Direction::Minus`]); class 0 means it has not.
-pub fn dateline_vc(
-    radix: usize,
-    entry: usize,
-    exit: usize,
-    current: usize,
-    direction: Direction,
-) -> VcIndex {
-    debug_assert!(entry < radix && exit < radix && current < radix);
-    match direction {
-        Direction::Plus => {
-            // Path entry -> exit in increasing coordinates. It wraps only
-            // if exit < entry; positions at or below the exit have crossed.
-            if exit < entry && current <= exit {
-                1
-            } else {
-                0
-            }
-        }
-        Direction::Minus => {
-            // Path entry -> exit in decreasing coordinates. It wraps only
-            // if exit > entry; positions at or above the exit have crossed.
-            if exit > entry && current >= exit {
-                1
-            } else {
-                0
-            }
-        }
-    }
-}
-
-/// The full hop-by-hop path an e-cube-routed message takes (excluding the
-/// source, including the destination). Useful for tests and analysis; the
-/// router itself computes steps incrementally.
-pub fn route_path(torus: &Torus, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-    let mut path = Vec::new();
-    let mut current = src;
-    loop {
-        match route_step(torus, src, dst, current) {
-            RouteStep::Eject => break,
-            RouteStep::Forward { dim, direction, .. } => {
-                current = torus.neighbor(current, dim, direction);
-                path.push(current);
-            }
-        }
-    }
-    path
-}
-
-/// Number of virtual-channel classes the dateline scheme requires.
-pub const DATELINE_VCS: usize = 2;
+//! The routing itself is the `Cube` arm of
+//! [`Topology::route_hop`](crate::Topology::route_hop); this module is
+//! compiled only for tests and holds no routing code of its own.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::topology::{dateline_vc, port_to_link};
+    use crate::{Direction, NodeId, PortStep, Topology, VcIndex};
 
-    fn torus() -> Torus {
-        Torus::new(2, 8)
+    /// The paper's 8x8 torus.
+    fn torus() -> Topology {
+        Topology::cube(2, 8)
+    }
+
+    /// One hop of a route.
+    struct Hop {
+        /// Dimension travelled.
+        dim: u32,
+        /// Direction along the ring.
+        direction: Direction,
+        /// Dateline virtual-channel class of the hop.
+        vc: VcIndex,
+        /// The node the hop reaches.
+        to: NodeId,
+    }
+
+    /// Follows `route_hop` hop by hop from `src` until it ejects, which
+    /// must be at `dst`.
+    fn route_path(t: &Topology, src: NodeId, dst: NodeId) -> Vec<Hop> {
+        let mut path = Vec::new();
+        let mut current = src;
+        while let PortStep::Forward { port, vc } = t.route_hop(src, dst, current) {
+            let (dim, direction) = port_to_link(port);
+            current = t
+                .link_dest(current, port)
+                .expect("every cube port is linked");
+            path.push(Hop {
+                dim,
+                direction,
+                vc,
+                to: current,
+            });
+            assert!(path.len() <= t.nodes(), "route {src}->{dst} loops");
+        }
+        assert_eq!(current, dst, "route {src}->{dst} ejected early");
+        path
     }
 
     #[test]
     fn path_length_equals_torus_distance() {
         let t = torus();
-        for a in t.node_ids() {
-            for b in t.node_ids() {
+        for a in t.as_torus().node_ids() {
+            for b in t.as_torus().node_ids() {
                 let path = route_path(&t, a, b);
                 assert_eq!(
                     path.len(),
@@ -131,7 +61,7 @@ mod tests {
                     "path from {a} to {b} not minimal"
                 );
                 if a != b {
-                    assert_eq!(*path.last().unwrap(), b);
+                    assert_eq!(path.last().unwrap().to, b);
                 }
             }
         }
@@ -140,50 +70,64 @@ mod tests {
     #[test]
     fn dimension_order_is_respected() {
         let t = torus();
-        let src = t.node_at(&[1, 1]);
-        let dst = t.node_at(&[4, 5]);
+        let torus = t.as_torus();
+        let src = torus.node_at(&[1, 1]);
+        let dst = torus.node_at(&[4, 5]);
         let path = route_path(&t, src, dst);
-        // First corrects dim 0 (3 hops), then dim 1 (4 hops).
+        // First corrects dim 0 (3 hops), then dim 1 (4 hops, the tie
+        // going Plus).
         assert_eq!(path.len(), 7);
-        for node in &path[..3] {
-            assert_eq!(t.coordinate(*node, 1), 1, "dim 1 moved early");
+        assert!(path.iter().all(|hop| hop.direction == Direction::Plus));
+        for hop in &path[..3] {
+            assert_eq!(hop.dim, 0);
+            assert_eq!(torus.coordinate(hop.to, 1), 1, "dim 1 moved early");
         }
-        for node in &path[3..] {
-            assert_eq!(t.coordinate(*node, 0), 4, "dim 0 moved late");
+        for hop in &path[3..] {
+            assert_eq!(hop.dim, 1);
+            assert_eq!(torus.coordinate(hop.to, 0), 4, "dim 0 moved late");
+        }
+        for a in torus.node_ids() {
+            for b in torus.node_ids() {
+                let dims: Vec<u32> = route_path(&t, a, b).iter().map(|hop| hop.dim).collect();
+                assert!(dims.is_sorted(), "{a}->{b} left dimension order: {dims:?}");
+            }
         }
     }
 
     #[test]
     fn arrival_ejects() {
         let t = torus();
-        let n = t.node_at(&[3, 3]);
-        assert_eq!(route_step(&t, n, n, n), RouteStep::Eject);
+        let n = t.as_torus().node_at(&[3, 3]);
+        assert_eq!(t.route_hop(n, n, n), PortStep::Eject);
+        let src = t.as_torus().node_at(&[6, 0]);
+        assert_eq!(t.route_hop(src, n, n), PortStep::Eject);
     }
 
     #[test]
     fn dateline_plus_no_wrap() {
         // 1 -> 5 travelling Plus never wraps: always class 0.
         for cur in 1..=5 {
-            assert_eq!(dateline_vc(8, 1, 5, cur, Direction::Plus), 0);
+            assert_eq!(dateline_vc(1, 5, cur, Direction::Plus), 0);
         }
     }
 
     #[test]
     fn dateline_plus_with_wrap() {
         // 6 -> 2 travelling Plus: 6, 7 are pre-wrap; 0, 1, 2 post-wrap.
-        assert_eq!(dateline_vc(8, 6, 2, 6, Direction::Plus), 0);
-        assert_eq!(dateline_vc(8, 6, 2, 7, Direction::Plus), 0);
-        assert_eq!(dateline_vc(8, 6, 2, 0, Direction::Plus), 1);
-        assert_eq!(dateline_vc(8, 6, 2, 2, Direction::Plus), 1);
+        assert_eq!(dateline_vc(6, 2, 6, Direction::Plus), 0);
+        assert_eq!(dateline_vc(6, 2, 7, Direction::Plus), 0);
+        assert_eq!(dateline_vc(6, 2, 0, Direction::Plus), 1);
+        assert_eq!(dateline_vc(6, 2, 1, Direction::Plus), 1);
+        assert_eq!(dateline_vc(6, 2, 2, Direction::Plus), 1);
     }
 
     #[test]
     fn dateline_minus_with_wrap() {
         // 1 -> 6 travelling Minus: 1, 0 pre-wrap; 7, 6 post-wrap.
-        assert_eq!(dateline_vc(8, 1, 6, 1, Direction::Minus), 0);
-        assert_eq!(dateline_vc(8, 1, 6, 0, Direction::Minus), 0);
-        assert_eq!(dateline_vc(8, 1, 6, 7, Direction::Minus), 1);
-        assert_eq!(dateline_vc(8, 1, 6, 6, Direction::Minus), 1);
+        assert_eq!(dateline_vc(1, 6, 1, Direction::Minus), 0);
+        assert_eq!(dateline_vc(1, 6, 0, Direction::Minus), 0);
+        assert_eq!(dateline_vc(1, 6, 7, Direction::Minus), 1);
+        assert_eq!(dateline_vc(1, 6, 6, Direction::Minus), 1);
     }
 
     #[test]
@@ -192,29 +136,20 @@ mod tests {
         // dimension it stays there until the dimension is done — the
         // acyclicity invariant behind deadlock freedom.
         let t = torus();
-        for a in t.node_ids() {
-            for b in t.node_ids() {
-                if a == b {
-                    continue;
-                }
-                let mut current = a;
+        for a in t.as_torus().node_ids() {
+            for b in t.as_torus().node_ids() {
                 let mut last: Option<(u32, VcIndex)> = None;
-                loop {
-                    match route_step(&t, a, b, current) {
-                        RouteStep::Eject => break,
-                        RouteStep::Forward { dim, direction, vc } => {
-                            if let Some((last_dim, last_vc)) = last {
-                                if last_dim == dim {
-                                    assert!(
-                                        vc >= last_vc,
-                                        "vc decreased within dim {dim} on {a}->{b}"
-                                    );
-                                }
-                            }
-                            last = Some((dim, vc));
-                            current = t.neighbor(current, dim, direction);
+                for hop in route_path(&t, a, b) {
+                    if let Some((last_dim, last_vc)) = last {
+                        if last_dim == hop.dim {
+                            assert!(
+                                hop.vc >= last_vc,
+                                "vc decreased within dim {} on {a}->{b}",
+                                hop.dim
+                            );
                         }
                     }
+                    last = Some((hop.dim, hop.vc));
                 }
             }
         }
@@ -225,13 +160,14 @@ mod tests {
         // The first hop in every dimension leaves from the entry
         // coordinate, which by definition has not crossed the dateline.
         let t = torus();
-        for a in t.node_ids().step_by(5) {
-            for b in t.node_ids().step_by(3) {
-                if a == b {
-                    continue;
-                }
-                if let RouteStep::Forward { vc, .. } = route_step(&t, a, b, a) {
-                    assert_eq!(vc, 0, "first hop of {a}->{b} not on vc0");
+        for a in t.as_torus().node_ids() {
+            for b in t.as_torus().node_ids() {
+                let mut last_dim = None;
+                for hop in route_path(&t, a, b) {
+                    if last_dim != Some(hop.dim) {
+                        assert_eq!(hop.vc, 0, "dim {} of {a}->{b} not entered on vc0", hop.dim);
+                    }
+                    last_dim = Some(hop.dim);
                 }
             }
         }

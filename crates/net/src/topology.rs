@@ -1,10 +1,11 @@
-//! k-ary n-dimensional torus topology: coordinates, distances, and
-//! neighbor relations.
+//! Interconnect topologies: coordinates, distances, neighbor relations,
+//! and the one deterministic routing function per fabric.
 //!
-//! The simulated interconnect matches the paper's Section 3 architecture:
-//! a torus with separate unidirectional channels in both directions of
-//! every dimension. This module is purely geometric; routing policy lives
-//! in [`crate::routing`].
+//! The paper's Section 3 machine is a [`Torus`] with separate
+//! unidirectional channels in both directions of every dimension, routed
+//! dimension by dimension (e-cube) with dateline virtual channels.
+//! [`Topology`] puts that cube beside a mesh, a fat tree and a dragonfly;
+//! [`Topology::route_hop`] is the only place a route is computed.
 
 use std::fmt;
 
@@ -39,6 +40,58 @@ impl Direction {
             Direction::Minus => 1,
         }
     }
+}
+
+/// Index of a virtual channel on a physical link.
+pub type VcIndex = usize;
+
+/// Number of virtual-channel classes the deterministic routes use: the
+/// dateline classes on the cube, up/down on the fat tree, and
+/// pre-global/post-global on the dragonfly.
+pub const DATELINE_VCS: usize = 2;
+
+/// The cube/mesh output port for travel along `dim` in `direction`:
+/// ports are numbered `2 * dim + direction.index()`.
+pub(crate) fn link_to_port(dim: u32, direction: Direction) -> usize {
+    dim as usize * 2 + direction.index()
+}
+
+/// The `(dimension, direction)` a cube/mesh output port travels along
+/// (the inverse of `link_to_port`).
+pub(crate) fn port_to_link(port: usize) -> (u32, Direction) {
+    let dim = (port / 2) as u32;
+    let dir = if port.is_multiple_of(2) {
+        Direction::Plus
+    } else {
+        Direction::Minus
+    };
+    (dim, dir)
+}
+
+/// The dateline virtual-channel class for a hop departing coordinate
+/// `current` of a ring, for a message that entered the ring at `entry`
+/// and leaves it at `exit`, travelling `direction`.
+///
+/// Class 1 means the message has already crossed the ring's wraparound
+/// edge (`k-1 -> 0` for [`Direction::Plus`], `0 -> k-1` for
+/// [`Direction::Minus`]); class 0 means it has not. Switching class at
+/// the dateline breaks each ring's cyclic channel dependency (the
+/// Dally–Seitz construction).
+pub(crate) fn dateline_vc(
+    entry: usize,
+    exit: usize,
+    current: usize,
+    direction: Direction,
+) -> VcIndex {
+    let crossed = match direction {
+        // Increasing coordinates wrap only if exit < entry; positions at
+        // or below the exit have crossed.
+        Direction::Plus => exit < entry && current <= exit,
+        // Decreasing coordinates wrap only if exit > entry; positions at
+        // or above the exit have crossed.
+        Direction::Minus => exit > entry && current >= exit,
+    };
+    usize::from(crossed)
 }
 
 /// A k-ary n-dimensional torus.
@@ -194,12 +247,8 @@ impl Torus {
 }
 
 /// One routing decision at a router, in port form: which output port and
-/// which virtual-channel *class* the head flit requests next.
-///
-/// This is the topology-neutral counterpart of
-/// [`crate::routing::RouteStep`]: a port index instead of a
-/// `(dim, direction)` pair, so routers need not know what the port
-/// physically means.
+/// which virtual-channel *class* the head flit requests next. Routers
+/// need not know what a port physically means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortStep {
     /// Leave on output port `port` using virtual-channel class `vc`.
@@ -207,7 +256,7 @@ pub enum PortStep {
         /// Output port index, `< Topology::ports()`.
         port: usize,
         /// Virtual-channel class for the hop (`< DATELINE_VCS`).
-        vc: crate::routing::VcIndex,
+        vc: VcIndex,
     },
     /// The message has arrived; eject to the local node.
     Eject,
@@ -420,6 +469,24 @@ impl Topology {
         Topology::Cube(Torus::new(dims, radix))
     }
 
+    /// [`Topology::cube`] for user-supplied shapes: an error naming the
+    /// offending field instead of a panic when the torus would be empty
+    /// or its node count `radix^dims` overflows.
+    pub fn try_cube(dims: u32, radix: usize) -> Result<Self, String> {
+        if dims == 0 {
+            return Err("dims: a cube needs at least one dimension".into());
+        }
+        if radix == 0 {
+            return Err("radix: a cube needs at least one node per ring".into());
+        }
+        if radix.checked_pow(dims).is_none() {
+            return Err(format!(
+                "dims: {radix}^{dims} nodes overflows the node count"
+            ));
+        }
+        Ok(Topology::cube(dims, radix))
+    }
+
     /// An `x` by `y` non-wrapping mesh.
     pub fn mesh(x: usize, y: usize) -> Self {
         Topology::Mesh(Mesh2D::new(x, y))
@@ -494,7 +561,7 @@ impl Topology {
     pub fn link_dest(&self, node: NodeId, port: usize) -> Option<NodeId> {
         match self {
             Topology::Cube(t) => {
-                let (dim, dir) = crate::fabric::port_to_link(port);
+                let (dim, dir) = port_to_link(port);
                 Some(t.neighbor(node, dim, dir))
             }
             Topology::Mesh(m) => {
@@ -571,7 +638,7 @@ impl Topology {
     pub fn upstream(&self, node: NodeId, in_port: usize) -> Option<(NodeId, usize)> {
         match self {
             Topology::Cube(t) => {
-                let (dim, dir) = crate::fabric::port_to_link(in_port ^ 1);
+                let (dim, dir) = port_to_link(in_port ^ 1);
                 Some((t.neighbor(node, dim, dir), in_port))
             }
             Topology::Mesh(_) => self.link_dest(node, in_port ^ 1).map(|up| (up, in_port)),
@@ -608,15 +675,31 @@ impl Topology {
     /// dateline classes on the cube, class 0 only on the mesh, up/down
     /// classes on the fat tree, and pre-global/post-global classes on the
     /// dragonfly.
+    ///
+    /// The cube routes e-cube: it corrects one dimension at a time, in
+    /// increasing dimension order, the minimal way around each ring (ties
+    /// go [`Direction::Plus`]).
     pub fn route_hop(&self, src: NodeId, dst: NodeId, current: NodeId) -> PortStep {
         match self {
-            Topology::Cube(t) => match crate::routing::route_step(t, src, dst, current) {
-                crate::routing::RouteStep::Eject => PortStep::Eject,
-                crate::routing::RouteStep::Forward { dim, direction, vc } => PortStep::Forward {
-                    port: crate::fabric::link_to_port(dim, direction),
-                    vc,
-                },
-            },
+            Topology::Cube(t) => {
+                for dim in 0..t.dims() {
+                    let at = t.coordinate(current, dim);
+                    let exit = t.coordinate(dst, dim);
+                    if at == exit {
+                        continue;
+                    }
+                    // A message never moves in a dimension before
+                    // correcting it, so it entered this ring at the
+                    // source's coordinate.
+                    let entry = t.coordinate(src, dim);
+                    let (_, direction) = t.ring_step(entry, exit);
+                    return PortStep::Forward {
+                        port: link_to_port(dim, direction),
+                        vc: dateline_vc(entry, exit, at, direction),
+                    };
+                }
+                PortStep::Eject
+            }
             Topology::Mesh(m) => {
                 let (cx, cy) = m.coords(current);
                 let (dx, dy) = m.coords(dst);
@@ -813,27 +896,6 @@ impl Topology {
         }
     }
 
-    /// Mean route distance over every application-graph edge under the
-    /// identity mapping — the "ideal" locality this topology's workload
-    /// can achieve, the per-topology counterpart of the model's unit
-    /// ideal distance on the torus.
-    pub fn mean_app_distance(&self) -> f64 {
-        let n = self.compute_nodes();
-        let mut total = 0usize;
-        let mut edges = 0usize;
-        for node in 0..n {
-            for peer in self.app_neighbors(node) {
-                total += self.distance(NodeId(node), NodeId(peer));
-                edges += 1;
-            }
-        }
-        if edges == 0 {
-            0.0
-        } else {
-            total as f64 / edges as f64
-        }
-    }
-
     /// The underlying torus for [`Topology::Cube`].
     ///
     /// # Panics
@@ -868,8 +930,10 @@ impl Topology {
 
     /// Parses a `--topology` argument: `cube`, `mesh`,
     /// `fattree[:ARITY,LEVELS]`, or `dragonfly[:ROUTERS,GLOBALS]`.
-    /// `cube` and `mesh` take their shape from `dims`/`radix` (mesh
-    /// requires `dims == 2` and is `radix` by `radix`).
+    /// `cube` and `mesh` take their shape from `dims`/`radix` (the cube
+    /// as [`Topology::try_cube`] checks it; the mesh requires `dims == 2`
+    /// and is `radix` by `radix`, `radix >= 2`, so that every node has a
+    /// neighbour).
     pub fn parse(spec: &str, dims: u32, radix: usize) -> Result<Topology, String> {
         let (family, params) = match spec.split_once(':') {
             Some((f, p)) => (f, Some(p)),
@@ -897,7 +961,7 @@ impl Topology {
                 if params.is_some() {
                     return Err("cube takes its shape from --dims/--radix".into());
                 }
-                Ok(Topology::cube(dims, radix))
+                Topology::try_cube(dims, radix)
             }
             "mesh" => {
                 if params.is_some() {
@@ -905,6 +969,11 @@ impl Topology {
                 }
                 if dims != 2 {
                     return Err(format!("mesh topology requires dims=2, got {dims}"));
+                }
+                if radix < 2 {
+                    return Err(format!(
+                        "radix: a mesh needs at least 2 nodes per side, got {radix}"
+                    ));
                 }
                 Ok(Topology::mesh(radix, radix))
             }
@@ -1060,10 +1129,13 @@ mod tests {
         ]
     }
 
+    /// A `(node, out-port, vc-class)` channel a route occupies.
+    type Channel = (usize, usize, usize);
+
     /// Walks the deterministic route from `src` to `dst`, validating
     /// every hop against the link tables, and returns the sequence of
-    /// `(node, port, vc)` channels used.
-    fn walk_route(t: &Topology, src: NodeId, dst: NodeId) -> Vec<(usize, usize, usize)> {
+    /// channels used.
+    fn walk_route(t: &Topology, src: NodeId, dst: NodeId) -> Vec<Channel> {
         let mut current = src;
         let mut hops = Vec::new();
         loop {
@@ -1074,7 +1146,7 @@ mod tests {
                 }
                 PortStep::Forward { port, vc } => {
                     assert!(port < t.ports(), "{}: port out of range", t.canonical());
-                    assert!(vc < crate::routing::DATELINE_VCS);
+                    assert!(vc < DATELINE_VCS);
                     let down = t.link_dest(current, port).unwrap_or_else(|| {
                         panic!(
                             "{}: route {src}->{dst} used absent link {current} port {port}",
@@ -1148,35 +1220,13 @@ mod tests {
         let torus = t.as_torus().clone();
         for node in 0..t.nodes() {
             for port in 0..t.ports() {
-                let (dim, dir) = crate::fabric::port_to_link(port);
+                let (dim, dir) = port_to_link(port);
                 let expect = torus.neighbor(NodeId(node), dim, dir);
                 assert_eq!(t.link_dest(NodeId(node), port), Some(expect));
                 assert_eq!(t.link_in_port(NodeId(node), port), Some(port));
-                let (up_dim, up_dir) = crate::fabric::port_to_link(port ^ 1);
+                let (up_dim, up_dir) = port_to_link(port ^ 1);
                 let up = torus.neighbor(NodeId(node), up_dim, up_dir);
                 assert_eq!(t.upstream(NodeId(node), port), Some((up, port)));
-            }
-        }
-    }
-
-    #[test]
-    fn cube_route_hop_matches_legacy_route_step() {
-        let t = Topology::cube(2, 4);
-        let torus = t.as_torus().clone();
-        for a in torus.node_ids() {
-            for b in torus.node_ids() {
-                for c in torus.node_ids() {
-                    let legacy = match crate::routing::route_step(&torus, a, b, c) {
-                        crate::routing::RouteStep::Eject => PortStep::Eject,
-                        crate::routing::RouteStep::Forward { dim, direction, vc } => {
-                            PortStep::Forward {
-                                port: crate::fabric::link_to_port(dim, direction),
-                                vc,
-                            }
-                        }
-                    };
-                    assert_eq!(t.route_hop(a, b, c), legacy);
-                }
             }
         }
     }
@@ -1264,8 +1314,8 @@ mod tests {
         // wormhole deadlock freedom with per-class buffers.
         for t in all_small() {
             let mut edges: std::collections::BTreeMap<
-                (usize, usize, usize),
-                std::collections::BTreeSet<(usize, usize, usize)>,
+                Channel,
+                std::collections::BTreeSet<Channel>,
             > = std::collections::BTreeMap::new();
             for a in 0..t.compute_nodes() {
                 for b in 0..t.compute_nodes() {
@@ -1276,7 +1326,7 @@ mod tests {
                 }
             }
             // Iterative three-color DFS cycle detection.
-            let mut color: std::collections::BTreeMap<(usize, usize, usize), u8> =
+            let mut color: std::collections::BTreeMap<Channel, u8> =
                 std::collections::BTreeMap::new();
             let nodes: Vec<_> = edges.keys().copied().collect();
             for start in nodes {
@@ -1316,19 +1366,22 @@ mod tests {
     #[test]
     fn app_neighbors_are_valid_compute_nodes() {
         for t in all_small() {
+            let (mut total, mut edges) = (0, 0);
             for node in 0..t.compute_nodes() {
                 let peers = t.app_neighbors(node);
                 assert!(!peers.is_empty(), "{}: isolated node {node}", t.canonical());
                 for p in &peers {
                     assert!(*p < t.compute_nodes(), "{}", t.canonical());
                     assert_ne!(*p, node, "{}: self-loop", t.canonical());
+                    total += t.distance(NodeId(node), NodeId(*p));
+                    edges += 1;
                 }
                 let uniq: std::collections::BTreeSet<_> = peers.iter().collect();
                 assert_eq!(uniq.len(), peers.len(), "{}: duplicate peer", t.canonical());
             }
             // Identity mapping must be at least as local as random.
             assert!(
-                t.mean_app_distance() <= t.mean_pairwise_distance() + 1e-12,
+                total as f64 / edges as f64 <= t.mean_pairwise_distance() + 1e-12,
                 "{}: app graph less local than random",
                 t.canonical()
             );
@@ -1379,6 +1432,18 @@ mod tests {
         );
         assert!(Topology::parse("mesh", 3, 8).is_err());
         assert!(Topology::parse("hypercube", 2, 8).is_err());
+        // Shapes that would panic (or wrap to zero nodes) are named errors.
+        for (spec, dims, radix, field) in [
+            ("cube", 0, 8, "dims"),
+            ("cube", 2, 0, "radix"),
+            ("cube", 64, 2, "dims"),
+            ("mesh", 2, 1, "radix"),
+            ("mesh", 2, 0, "radix"),
+        ] {
+            let err = Topology::parse(spec, dims, radix).unwrap_err();
+            assert!(err.starts_with(field), "{spec} {dims}x{radix}: {err}");
+        }
+        assert_eq!(Topology::try_cube(2, 8), Ok(Topology::cube(2, 8)));
         for t in all_small() {
             // Canonical names are unique per shape.
             assert!(t.canonical().contains(t.family()));

@@ -121,16 +121,18 @@ impl TraceEvent {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s: pushing beyond capacity
-/// evicts the oldest event, so memory stays fixed however long the run.
+/// A bounded ring buffer of events — the fabric's [`TraceEvent`]s by
+/// default; the simulator keeps its transaction spans in one too.
+/// Pushing beyond capacity evicts the oldest event, so memory stays fixed
+/// however long the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceBuffer {
+pub struct TraceBuffer<E = TraceEvent> {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<E>,
     recorded: u64,
 }
 
-impl TraceBuffer {
+impl<E> TraceBuffer<E> {
     /// An empty ring holding at most `capacity` events.
     ///
     /// # Panics
@@ -167,7 +169,7 @@ impl TraceBuffer {
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, event: TraceEvent) {
+    pub fn push(&mut self, event: E) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
@@ -176,7 +178,7 @@ impl TraceBuffer {
     }
 
     /// The retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
         self.events.iter()
     }
 }
@@ -212,7 +214,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_rejected() {
-        let _ = TraceBuffer::new(0);
+        let _: TraceBuffer = TraceBuffer::new(0);
     }
 
     #[test]

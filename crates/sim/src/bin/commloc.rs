@@ -25,7 +25,7 @@ use commloc_sim::conformance::figures::{
 };
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
-    default_jobs, mapping_suite, model_profile, parallel_map, run_cached_sweep, run_experiment,
+    default_jobs, model_profile, parallel_map, run_cached_sweep, run_experiment,
     run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, ServeOptions,
     SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
 };
@@ -399,12 +399,7 @@ fn mapping_from(options: &HashMap<String, String>, topology: &Topology) -> Resul
     match name {
         "identity" => Ok(Mapping::identity(n)),
         "random" => Ok(Mapping::random(n, seed)),
-        "worst" => Ok(match topology {
-            // The torus keeps its coordinate-aware adversary; the other
-            // fabrics hill-climb on application-graph distance.
-            Topology::Cube(torus) => Mapping::maximize_distance(torus, seed, 4000),
-            other => Mapping::maximize_app_distance(other, seed, 4000),
-        }),
+        "worst" => Ok(Mapping::maximize_app_distance(topology, seed, 4000)),
         other => {
             if let Some(k) = other.strip_prefix("swaps-") {
                 let k: usize = k
@@ -450,6 +445,7 @@ fn sim_config(options: &HashMap<String, String>) -> Result<SimConfig, String> {
         );
     }
     config.workload = workload_from(options)?;
+    config.check().map_err(|e| format!("--{e}"))?;
     Ok(config)
 }
 
@@ -680,12 +676,7 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
             "mapping", "d", "r_t", "T_m", "T_h", "rho"
         );
     }
-    // The torus keeps the paper's coordinate-aware suite; the other
-    // fabrics run the topology-generic one.
-    let suite = match &topology {
-        Topology::Cube(torus) => mapping_suite(torus, seed),
-        other => topology_mapping_suite(other, seed),
-    };
+    let suite = topology_mapping_suite(&topology, seed);
     let points = if shards > 1 {
         // Sweep of sharded simulations: the sweep fan-out and each
         // machine's shard workers draw from the same job budget, so live
@@ -1312,6 +1303,15 @@ mod tests {
         let o = opts(&["--mapping", "worst", "--seed", "7"]);
         let m = mapping_from(&o, &fattree).unwrap();
         assert_eq!(m.threads(), fattree.compute_nodes());
+    }
+
+    #[test]
+    fn zero_contexts_is_rejected_before_any_run() {
+        let o = opts(&["--contexts", "0", "--warmup", "10", "--window", "10"]);
+        for cmd in [cmd_sim, cmd_report, cmd_suite] {
+            let e = cmd(&o).unwrap_err();
+            assert!(e.starts_with("--contexts:"), "{e}");
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! events stamped with network cycles, enabled by the same
 //! `trace_capacity` knob and absent (zero overhead) when tracing is off.
 
-use commloc_net::NodeId;
-use std::collections::VecDeque;
+use commloc_net::{NodeId, TraceBuffer};
 
 /// Average transaction latency mapped onto the paper's
 /// `T_t = c * T_m + T_f` decomposition, with the measured message latency
@@ -198,66 +197,10 @@ impl SpanEvent {
     }
 }
 
-/// A bounded ring buffer of [`SpanEvent`]s, mirroring the fabric's
-/// [`commloc_net::TraceBuffer`]: pushing beyond capacity evicts the
-/// oldest event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanLog {
-    capacity: usize,
-    events: VecDeque<SpanEvent>,
-    recorded: u64,
-}
-
-impl SpanLog {
-    /// An empty ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (tracing off is expressed by not
-    /// constructing a log at all).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "span capacity must be nonzero");
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-            recorded: 0,
-        }
-    }
-
-    /// The fixed capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently retained (at most `capacity`).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Appends an event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, event: SpanEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-        self.recorded += 1;
-    }
-
-    /// The retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events.iter()
-    }
-}
+/// A bounded ring buffer of [`SpanEvent`]s: the fabric's
+/// [`commloc_net::TraceBuffer`] over spans. Pushing beyond capacity
+/// evicts the oldest event.
+pub type SpanLog = TraceBuffer<SpanEvent>;
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@ use crate::mapping::Mapping;
 use crate::resilience::MigrationSpec;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
-use commloc_net::fuzz::{shrink_with, Divergence, FaultSpec};
+use commloc_net::fuzz::{shrink_with, topology_expr, Divergence, FaultSpec};
 use commloc_net::{DetRng, Direction, FabricConfig, Topology};
 
 /// Domain-separation constant so machine-scenario generation never shares
@@ -361,7 +361,6 @@ impl MachineScenario {
                 vc_buffer_capacity: 8,
                 injection_buffer_capacity: 8,
                 trace_capacity: if traced { self.trace_capacity } else { 0 },
-                ..FabricConfig::default()
             },
             watchdog_cycles: self.watchdog_cycles,
             fault_plan: self.fault.as_ref().map(|spec| spec.build(self.seed)),
@@ -682,24 +681,6 @@ impl MachineShrinkOutcome {
             topology = topology,
             workload = s.workload,
         )
-    }
-}
-
-/// Renders a topology as the constructor expression that recreates it,
-/// for ready-to-paste repro tests.
-fn topology_expr(t: &Topology) -> String {
-    match t {
-        Topology::Cube(c) => format!("Topology::cube({}, {})", c.dims(), c.radix()),
-        Topology::Mesh(m) => {
-            let (x, y) = m.shape();
-            format!("Topology::mesh({x}, {y})")
-        }
-        Topology::FatTree(f) => format!("Topology::fat_tree({}, {})", f.arity(), f.levels()),
-        Topology::Dragonfly(d) => format!(
-            "Topology::dragonfly({}, {})",
-            d.routers_per_group(),
-            d.globals_per_router()
-        ),
     }
 }
 

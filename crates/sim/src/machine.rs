@@ -51,7 +51,7 @@ use crate::workload::{workload_home_map, Workload};
 use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
     ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
-    LatencyBreakdown, Message, MessageId, NodeId, Topology, Torus, TraceBuffer,
+    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::borrow::Cow;
@@ -104,6 +104,33 @@ impl SimConfig {
         self.topology
             .clone()
             .unwrap_or_else(|| Topology::cube(self.dims, self.radix))
+    }
+
+    /// Checks the fields a front end takes from its user (the CLI and the
+    /// serve daemon both call this) and names the first one out of range,
+    /// where building a machine would panic: zero contexts, clock ratio
+    /// or work grain, or — with no explicit topology — a `dims`/`radix`
+    /// torus that [`Topology::try_cube`] rejects.
+    ///
+    /// # Errors
+    ///
+    /// A message starting with the offending field's name.
+    pub fn check(&self) -> Result<(), String> {
+        if self.contexts == 0 {
+            return Err("contexts: a processor needs at least one hardware context".into());
+        }
+        if self.clock_ratio == 0 {
+            return Err(
+                "clock_ratio: the network needs at least one cycle per processor cycle".into(),
+            );
+        }
+        if self.work == 0 {
+            return Err("work: the computation grain must be at least one cycle".into());
+        }
+        if self.topology.is_none() {
+            Topology::try_cube(self.dims, self.radix)?;
+        }
+        Ok(())
     }
 }
 
@@ -861,16 +888,6 @@ impl Machine {
         &self.config
     }
 
-    /// The machine's torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured topology is not a cube; use
-    /// [`Machine::topology`] for topology-agnostic code.
-    pub fn torus(&self) -> &Torus {
-        self.shards[0].fabric.torus()
-    }
-
     /// The machine's fabric topology.
     pub fn topology(&self) -> &Topology {
         self.shards[0].fabric.topology()
@@ -1231,7 +1248,7 @@ impl Machine {
                 }
             }
         }
-        let torus = shard.fabric.torus().clone();
+        let topology = shard.fabric.topology().clone();
         let mut policy = self.policy.take().expect("caller checked a policy exists");
         for (victim, ctx, txn, age) in victims {
             let view = MigrationView {
@@ -1239,7 +1256,7 @@ impl Machine {
                 context: ctx,
                 age,
                 cycle: now,
-                torus: &torus,
+                topology: &topology,
                 wedged: &wedged,
                 load: &self.live_threads,
                 migrated_from: &self.migrated_from,
@@ -1552,6 +1569,7 @@ pub fn run_sharded_experiment(
 mod tests {
     use super::*;
     use crate::mapping::Mapping;
+    use commloc_net::Torus;
 
     fn quick(config: &SimConfig, mapping: &Mapping) -> Measurements {
         run_experiment(config, mapping, 10_000, 30_000).expect("experiment ran")

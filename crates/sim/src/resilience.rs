@@ -6,7 +6,7 @@
 //! * **Idle-wave analysis** — [`run_idle_wave`] injects a one-off router
 //!   stall and measures, beyond the raw per-ring completion deficits of
 //!   [`DisturbanceCurve`], *how the disturbance travels*: its propagation
-//!   speed across torus rings, the distance at which it decays below a
+//!   speed across distance rings, the distance at which it decays below a
 //!   threshold, the ring-to-ring damping factor, and — via the fabric's
 //!   per-message latency breakdown — which latency component (source
 //!   queueing, injection, contention, ejection, drain) absorbed the
@@ -32,7 +32,7 @@ use crate::error::SimError;
 use crate::fit::fit_line;
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
-use commloc_net::{DetRng, Direction, FaultPlan, NodeId, Torus};
+use commloc_net::{DetRng, Direction, FaultPlan, NodeId, Topology, Torus};
 use std::fmt;
 
 /// One completed thread migration (diagnostic record).
@@ -62,8 +62,8 @@ pub struct MigrationView<'a> {
     pub age: u64,
     /// Current network cycle.
     pub cycle: u64,
-    /// The machine's torus (for distance-aware placement).
-    pub torus: &'a Torus,
+    /// The machine's fabric (for distance-aware placement).
+    pub topology: &'a Topology,
     /// Nodes that currently hold at least one wedged transaction.
     pub wedged: &'a [bool],
     /// Threads currently assigned to each node (in-flight migrations
@@ -137,7 +137,7 @@ impl MigrationPolicy for NullPolicy {
 }
 
 /// Work-stealing-style migration: a wedged thread moves to the
-/// least-loaded healthy node (ties broken by torus distance from the
+/// least-loaded healthy node (ties broken by fabric distance from the
 /// victim, then node id), paying `steal_latency` cycles in flight.
 ///
 /// Nodes currently wedged or owning a killed output link are excluded
@@ -183,7 +183,7 @@ impl MigrationPolicy for WorkStealingPolicy {
         let victim = NodeId(view.victim);
         let best = (0..view.load.len())
             .filter(|&n| n != view.victim && !view.wedged[n] && !view.killed[n])
-            .min_by_key(|&n| (view.load[n], view.torus.distance(victim, NodeId(n)), n))?;
+            .min_by_key(|&n| (view.load[n], view.topology.distance(victim, NodeId(n)), n))?;
         self.remaining -= 1;
         Some(NodeId(best))
     }
@@ -353,11 +353,12 @@ pub fn run_idle_wave(config: &DisturbanceConfig, mapping: &Mapping) -> Result<Id
     };
     let mut baseline = Machine::new(&baseline_cfg, mapping);
     let mut disturbed = Machine::new(&disturbed_cfg, mapping);
-    let torus = baseline.torus().clone();
-    assert!(config.victim < torus.nodes(), "victim out of range");
+    let topology = baseline.topology().clone();
+    let nodes = topology.compute_nodes();
+    assert!(config.victim < nodes, "victim out of range");
     let victim = NodeId(config.victim);
-    let ring_of: Vec<usize> = (0..torus.nodes())
-        .map(|n| torus.distance(victim, NodeId(n)))
+    let ring_of: Vec<usize> = (0..nodes)
+        .map(|n| topology.distance(victim, NodeId(n)))
         .collect();
     let max_ring = ring_of.iter().copied().max().unwrap_or(0);
     let mut ring_sizes = vec![0usize; max_ring + 1];
@@ -366,8 +367,8 @@ pub fn run_idle_wave(config: &DisturbanceConfig, mapping: &Mapping) -> Result<Id
     }
 
     let mut rings: Vec<Vec<i64>> = vec![Vec::new(); max_ring + 1];
-    let mut prev_base: Vec<u64> = vec![0; torus.nodes()];
-    let mut prev_dist: Vec<u64> = vec![0; torus.nodes()];
+    let mut prev_base: Vec<u64> = vec![0; nodes];
+    let mut prev_dist: Vec<u64> = vec![0; nodes];
     let mut elapsed = 0;
     while elapsed < config.horizon {
         let chunk = config.bucket.min(config.horizon - elapsed);
@@ -377,7 +378,7 @@ pub fn run_idle_wave(config: &DisturbanceConfig, mapping: &Mapping) -> Result<Id
         let base = baseline.completions_per_node();
         let dist = disturbed.completions_per_node();
         let mut bucket_deficit = vec![0i64; max_ring + 1];
-        for n in 0..torus.nodes() {
+        for n in 0..nodes {
             let base_inc = (base[n] - prev_base[n]) as i64;
             let dist_inc = (dist[n] - prev_dist[n]) as i64;
             bucket_deficit[ring_of[n]] += base_inc - dist_inc;
@@ -559,7 +560,7 @@ mod tests {
 
     #[test]
     fn stealing_picks_the_least_loaded_healthy_node() {
-        let torus = Torus::new(2, 4);
+        let topology = Topology::cube(2, 4);
         let mut policy = WorkStealingPolicy::new(100, 500, 2);
         let wedged = {
             let mut w = vec![false; 16];
@@ -582,7 +583,7 @@ mod tests {
             context: 0,
             age: 900,
             cycle: 5_000,
-            torus: &torus,
+            topology: &topology,
             wedged: &wedged,
             load: &load,
             migrated_from: &migrated_from,

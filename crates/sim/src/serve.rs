@@ -39,9 +39,9 @@ use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW, SUITE_SEED};
 use crate::error::SimError;
 use crate::json::{json_string, Json};
 use crate::machine::{Machine, MachineSnapshot, Measurements, SimConfig};
-use crate::mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
+use crate::mapping::{topology_mapping_suite, Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
-use crate::workload::Workload;
+use crate::workload::{fnv1a, Workload};
 use commloc_net::{FaultPlan, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -79,16 +79,6 @@ impl Default for ServeOptions {
             jobs: default_jobs(),
         }
     }
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The canonical identity of one scenario: everything that determines its
@@ -669,6 +659,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
         plan = plan.with_stall_rate(stall_rate, stall_window);
         config.fault_plan = Some(plan);
     }
+    config.check()?;
     let mut mappings = Vec::new();
     if let Some(v) = get("mapping") {
         mappings.push(v.as_string().map_err(|e| format!("mapping: {e}"))?);
@@ -690,18 +681,14 @@ fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// Resolves request mapping names against the suite for this config's
-/// topology (the torus-specific suite on cubes, the topology-generic one
-/// otherwise). Empty `specs` means the whole suite.
+/// topology ([`topology_mapping_suite`]). Empty `specs` means the whole
+/// suite.
 fn resolve_mappings(
     config: &SimConfig,
     seed: u64,
     specs: &[String],
 ) -> Result<Vec<NamedMapping>, String> {
-    let topology = config.resolved_topology();
-    let suite = match &topology {
-        Topology::Cube(torus) => mapping_suite(torus, seed),
-        _ => topology_mapping_suite(&topology, seed),
-    };
+    let suite = topology_mapping_suite(&config.resolved_topology(), seed);
     if specs.is_empty() {
         return Ok(suite);
     }
@@ -962,6 +949,7 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::machine::run_experiment;
+    use crate::mapping::mapping_suite;
     use commloc_net::Torus;
 
     fn small_key(window: u64) -> ScenarioKey {
@@ -993,23 +981,29 @@ mod tests {
         let random = ScenarioKey::new(&config, &Mapping::random(64, 7), 1_000, 4_000);
         assert_ne!(identity.canonical(), random.canonical());
 
-        let mut faulted = SimConfig::default();
-        faulted.fault_plan = Some(FaultPlan::new(9).with_drop_rate(0.01));
+        let faulted = SimConfig {
+            fault_plan: Some(FaultPlan::new(9).with_drop_rate(0.01)),
+            ..SimConfig::default()
+        };
         let with_fault = ScenarioKey::new(&faulted, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(identity.canonical(), with_fault.canonical());
 
         // Fault plans differing only in seed, or only in one scheduled
         // event, never alias.
-        let mut reseeded = SimConfig::default();
-        reseeded.fault_plan = Some(FaultPlan::new(10).with_drop_rate(0.01));
+        let reseeded = SimConfig {
+            fault_plan: Some(FaultPlan::new(10).with_drop_rate(0.01)),
+            ..SimConfig::default()
+        };
         let with_reseed = ScenarioKey::new(&reseeded, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(with_fault.canonical(), with_reseed.canonical());
-        let mut scheduled = SimConfig::default();
-        scheduled.fault_plan = Some(
-            FaultPlan::new(9)
-                .with_drop_rate(0.01)
-                .stall_router_at(500, 12, 300),
-        );
+        let scheduled = SimConfig {
+            fault_plan: Some(
+                FaultPlan::new(9)
+                    .with_drop_rate(0.01)
+                    .stall_router_at(500, 12, 300),
+            ),
+            ..SimConfig::default()
+        };
         let with_schedule = ScenarioKey::new(&scheduled, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(with_fault.canonical(), with_schedule.canonical());
     }
@@ -1223,21 +1217,39 @@ mod tests {
             "{\"op\":\"run\",\"mapping\":\"no-such-mapping\",\"warmup\":100,\"window\":100}\n",
             "not json at all\n",
             "{\"op\":\"frobnicate\"}\n",
+            // Out-of-range scenario fields, each of which once panicked.
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"radix\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"dims\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"contexts\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"clock_ratio\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"work\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"dims\":64,\"radix\":2}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"topology\":\"mesh\",\"radix\":1}\n",
             "{\"op\":\"stats\"}\n",
         );
         let mut output = Vec::new();
         let eof = handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap();
         assert!(eof, "EOF (not shutdown) ends the stream");
         let text = String::from_utf8(output).unwrap();
-        assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"event\":\"error\""))
-                .count(),
-            3,
-            "each bad request gets its own error event: {text}"
-        );
+        let events: Vec<&str> = text.lines().collect();
+        assert_eq!(events.len(), 11, "one event per request: {text}");
+        for (line, field) in events[..10].iter().zip([
+            "",
+            "",
+            "",
+            "radix",
+            "dims",
+            "contexts",
+            "clock_ratio",
+            "work",
+            "dims",
+            "radix",
+        ]) {
+            assert!(line.contains("\"event\":\"error\""), "{line}");
+            assert!(line.contains(field), "error must name `{field}`: {line}");
+        }
         assert!(
-            text.contains("\"event\":\"stats\""),
+            events[10].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
     }

@@ -293,7 +293,8 @@ fn field_u64(obj: &Json, name: &str) -> Result<Option<u64>, String> {
         .transpose()
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over `bytes` (trace content hashes and scenario keys).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);

@@ -7,7 +7,7 @@
 //! model and simulator agree" is decided.
 
 use commloc::model::{expected_gain, limiting_per_hop_latency, EndpointContention, MachineConfig};
-use commloc::net::Torus;
+use commloc::net::Topology;
 use commloc::sim::conformance::tolerances::{
     EQ16_BOUND_FLOOR, EQ16_BOUND_MARGIN, GAIN_1K_RANGE, GAIN_1M_RANGE, LIMITING_LATENCY,
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_GAIN, PROTOCOL_B_ABS, PROTOCOL_G_ABS,
@@ -49,7 +49,7 @@ fn message_curve_slopes_scale_with_contexts() {
         Mapping::identity(64),
         Mapping::random_swaps(64, 20, 9),
         Mapping::random(64, 9),
-        Mapping::maximize_distance(&Torus::new(2, 8), 9, 1500),
+        Mapping::maximize_app_distance(&Topology::cube(2, 8), 9, 1500),
     ];
     let mut slopes = Vec::new();
     for contexts in [1usize, 2] {
