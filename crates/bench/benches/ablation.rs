@@ -8,17 +8,18 @@
 //! all four on/off combinations, plus the network-dimension study of
 //! Section 4.2's closing remark.
 
-use commloc_bench::{fit_message_curve, pct_err, time_it, validation_runs, ValidationRun};
+use commloc_bench::{fit_message_curve, pct_err, time_it, validation_runs};
 use commloc_model::{
     dimension_study, ApplicationModel, CombinedModel, EndpointContention, MachineConfig,
     NetworkModel, NodeModel, TorusGeometry, TransactionModel,
 };
+use commloc_sim::ScenarioResult;
 use std::hint::black_box;
 
 /// Builds the calibrated model with explicit feature switches.
 fn model_variant(
     contexts: usize,
-    runs: &[ValidationRun],
+    runs: &[ScenarioResult],
     endpoint: EndpointContention,
     residual_correction: bool,
 ) -> CombinedModel {
@@ -55,7 +56,7 @@ fn model_variant(
     CombinedModel::new(NodeModel::new(app, txn), network)
 }
 
-fn mean_abs_rate_error(model: &CombinedModel, runs: &[ValidationRun]) -> f64 {
+fn mean_abs_rate_error(model: &CombinedModel, runs: &[ScenarioResult]) -> f64 {
     let mut total = 0.0;
     for run in runs {
         let predicted = model

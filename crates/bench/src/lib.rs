@@ -14,7 +14,7 @@
 
 pub use commloc_sim::conformance::{
     calibrated_model, fit_message_curve, pct_err, suite_jobs as bench_jobs, validation_runs,
-    ValidationRun, SUITE_SEED, WARMUP, WINDOW,
+    SUITE_SEED, WARMUP, WINDOW,
 };
 
 /// Times `f` with a warmup pass and a fixed iteration loop, printing a
@@ -114,7 +114,7 @@ pub fn render_scale_json(
 mod tests {
     use super::*;
     use commloc_net::Torus;
-    use commloc_sim::{mapping_suite, run_experiment, SimConfig};
+    use commloc_sim::{mapping_suite, run_cached_sweep, SimConfig};
 
     fn scale_points() -> Vec<ScalePoint> {
         vec![
@@ -182,16 +182,9 @@ mod tests {
         // produce operating points for every suite distance.
         let config = SimConfig::default();
         let torus = Torus::new(config.dims, config.radix);
-        let runs: Vec<ValidationRun> = mapping_suite(&torus, 3)
-            .into_iter()
-            .take(4)
-            .map(|m| ValidationRun {
-                name: m.name,
-                distance: m.distance,
-                measured: run_experiment(&config, &m.mapping, 4_000, 10_000)
-                    .expect("fault-free smoke run"),
-            })
-            .collect();
+        let suite: Vec<_> = mapping_suite(&torus, 3).into_iter().take(4).collect();
+        let runs =
+            run_cached_sweep(&config, &suite, 4_000, 10_000, 1).expect("fault-free smoke run");
         let model = calibrated_model(1, &runs);
         for run in &runs {
             let op = model.solve(run.measured.distance).expect("solvable");

@@ -27,10 +27,8 @@
 //! [`ShrinkOutcome::repro_test`] prints a ready-to-paste `#[test]`
 //! function that replays the minimal scenario.
 //!
-//! The module is compiled for in-crate tests and exported under the
-//! `reference-engine` feature (the same gate as [`ReferenceFabric`]), so
-//! `commloc-sim` can drive bounded fuzz campaigns from the `commloc fuzz`
-//! CLI subcommand and CI.
+//! `commloc-sim` drives bounded fuzz campaigns through this module from
+//! the `commloc fuzz` CLI subcommand and CI.
 
 use crate::fault::FaultPlan;
 use crate::message::Message;
@@ -656,7 +654,7 @@ pub struct ShrinkOutcome {
 impl ShrinkOutcome {
     /// Renders a ready-to-paste `#[test]` function that replays the
     /// minimal failing scenario (paste into any crate that depends on
-    /// `commloc-net` with the `reference-engine` feature).
+    /// `commloc-net`).
     pub fn repro_test(&self) -> String {
         let s = &self.scenario;
         let fault = match &s.fault {

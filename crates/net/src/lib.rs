@@ -46,16 +46,13 @@
 mod active;
 mod fabric;
 pub mod fault;
-#[cfg(any(test, feature = "reference-engine"))]
 pub mod fuzz;
 mod message;
-#[cfg(any(test, feature = "reference-engine"))]
 mod reference;
 mod rng;
 // Only the retained reference engine instantiates whole `Router`s; the
 // optimized fabric keeps router state in struct-of-arrays form and uses
 // just the `InputRef`/`OutputRef`/credit-sentinel vocabulary.
-#[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
 mod router;
 // Tests of the torus's e-cube routing and dateline classes; the routing
 // itself is `Topology::route_hop`.
@@ -70,7 +67,6 @@ pub use active::ActiveSet;
 pub use fabric::{BoundaryItem, Fabric, FabricConfig, FabricError};
 pub use fault::{FaultConfig, FaultEvent, FaultLog, FaultPlan, FaultPlanError};
 pub use message::{Delivery, Flit, FlitKind, Message, MessageBreakdown, MessageId};
-#[cfg(feature = "reference-engine")]
 pub use reference::ReferenceFabric;
 pub use rng::DetRng;
 pub use stats::{FabricStats, Histogram, LatencyBreakdown, HISTOGRAM_BUCKETS};

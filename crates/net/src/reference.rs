@@ -11,10 +11,9 @@
 //! seeds, topologies (2D and 3D tori), and fault plans with stalls and
 //! kills.
 //!
-//! This module is compiled only for tests, or when the `reference-engine`
-//! feature is enabled (which additionally exports [`ReferenceFabric`] for
-//! out-of-crate benchmarking, e.g. the perf harness's speedup-vs-reference
-//! measurement).
+//! [`ReferenceFabric`] is exported so the differential fuzzers and the
+//! perf harness's speedup-vs-reference measurement can drive it from
+//! outside the crate.
 //!
 //! Intentionally unoptimized — do not "fix" the full scans here; their
 //! slowness is the point of comparison.
@@ -129,7 +128,6 @@ impl<P> ReferenceFabric<P> {
     }
 
     /// The underlying topology.
-    #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -214,7 +212,6 @@ impl<P> ReferenceFabric<P> {
     /// # Errors
     ///
     /// Propagates any [`FabricError`] raised by [`ReferenceFabric::step`].
-    #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Result<bool, FabricError> {
         for _ in 0..max_cycles {
             if self.pending.is_empty() {

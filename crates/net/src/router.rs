@@ -120,7 +120,6 @@ impl Router {
     /// Total flits currently buffered in this router. The optimized
     /// engine tracks occupancy incrementally; this per-VC scan remains
     /// for the reference engine and tests.
-    #[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
     pub(crate) fn buffered_flits(&self) -> usize {
         self.inputs
             .iter()

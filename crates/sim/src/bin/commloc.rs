@@ -26,8 +26,8 @@ use commloc_sim::conformance::figures::{
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
     default_jobs, model_profile, parallel_map, run_cached_sweep, run_experiment,
-    run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, ServeOptions,
-    SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
+    run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, Measurements,
+    ServeOptions, SimConfig, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -677,21 +677,16 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     let suite = topology_mapping_suite(&topology, seed);
-    let points = if shards > 1 {
+    let points: Vec<(String, Measurements)> = if shards > 1 {
         // Sweep of sharded simulations: the sweep fan-out and each
         // machine's shard workers draw from the same job budget, so live
         // threads never exceed `jobs` combined.
         parallel_map(&suite, jobs, |named| {
-            run_sharded_experiment(&config, &named.mapping, shards, jobs, warmup, window).map(
-                |measured| SweepPoint {
-                    name: named.name.clone(),
-                    distance: named.distance,
-                    measured,
-                },
-            )
+            run_sharded_experiment(&config, &named.mapping, shards, jobs, warmup, window)
+                .map(|measured| (named.name.clone(), measured))
         })
         .into_iter()
-        .collect::<Result<Vec<_>, _>>()
+        .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?
     } else {
         // Monolithic sweeps route through the process-wide scenario
@@ -700,21 +695,16 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
         run_cached_sweep(&config, &suite, warmup, window, jobs)
             .map_err(|e| e.to_string())?
             .into_iter()
-            .map(|r| SweepPoint {
-                name: r.name,
-                distance: r.distance,
-                measured: r.measured,
-            })
+            .map(|r| (r.name, r.measured))
             .collect()
     };
-    for point in points {
-        let m = point.measured;
+    for (name, m) in points {
         if csv {
-            println!("{},{}", point.name, m.to_csv_row());
+            println!("{name},{}", m.to_csv_row());
         } else {
             println!(
                 "{:<16} {:>6.2} {:>9.5} {:>9.1} {:>8.2} {:>7.3}",
-                point.name,
+                name,
                 m.distance,
                 m.transaction_rate,
                 m.message_latency,
@@ -1043,7 +1033,6 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
 /// bit-exact checks on completions, measurements, latency breakdowns,
 /// fault logs, and watchdog trips. Failing seeds shrink to a minimal
 /// scenario and print a ready-to-paste repro test.
-#[cfg(feature = "reference-engine")]
 fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     use commloc_sim::fuzz as machine_fuzz;
     let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
@@ -1084,18 +1073,6 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
         net_cycles
     );
     Ok(())
-}
-
-/// Without the `reference-engine` feature the reference stepping mode is
-/// compiled out, so machine lockstep cannot run.
-#[cfg(not(feature = "reference-engine"))]
-fn run_machine_fuzz(_seeds: u64, _start: u64, _jobs: usize) -> Result<(), String> {
-    Err(
-        "--machine requires the `reference-engine` feature; rebuild with \
-         `cargo build --release --features commloc-sim/reference-engine` \
-         (full workspace builds enable it through commloc-bench)"
-            .into(),
-    )
 }
 
 fn err(e: commloc_model::ModelError) -> String {

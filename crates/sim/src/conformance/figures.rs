@@ -16,13 +16,14 @@ use super::tolerances::{
     self, FIG8_FIXED_SHARE_RANGE, GAIN_1K_RANGE, GAIN_1M_RANGE, LIMITING_LATENCY,
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_LATENCY_GAP, MODEL_VS_SIM_RATE, SLOPE_RATIO_P2_OVER_P1,
 };
-use super::{calibrated_model, fit_message_curve, reduced_runs, ValidationRun, SUITE_SEED};
+use super::{calibrated_model, fit_message_curve, reduced_runs, SUITE_SEED};
 use crate::disturbance::DisturbanceConfig;
 use crate::machine::{run_experiment, SimConfig};
 use crate::mapping::Mapping;
 use crate::resilience::{
     run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, IdleWave, MigrationSpec,
 };
+use crate::serve::ScenarioResult;
 use commloc_model::{
     expected_gain, fig6_rows, fig7_rows, fig8_rows, fig9_rows, log_spaced_sizes,
     EndpointContention, FigureRow, MachineConfig,
@@ -58,7 +59,7 @@ const SIM_CONTEXTS: [usize; 2] = [1, 2];
 #[derive(Debug)]
 pub struct ConformanceRun {
     jobs: usize,
-    sweeps: HashMap<usize, Vec<ValidationRun>>,
+    sweeps: HashMap<usize, Vec<ScenarioResult>>,
 }
 
 impl ConformanceRun {
@@ -72,13 +73,13 @@ impl ConformanceRun {
 
     /// The cached reduced sweeps computed so far, keyed by context
     /// count — exposed so the CLI can dump the raw measurements as CSV.
-    pub fn sweeps(&self) -> impl Iterator<Item = (usize, &Vec<ValidationRun>)> {
+    pub fn sweeps(&self) -> impl Iterator<Item = (usize, &Vec<ScenarioResult>)> {
         let mut keys: Vec<_> = self.sweeps.iter().collect();
         keys.sort_by_key(|(contexts, _)| **contexts);
         keys.into_iter().map(|(c, runs)| (*c, runs))
     }
 
-    fn runs(&mut self, contexts: usize) -> &[ValidationRun] {
+    fn runs(&mut self, contexts: usize) -> &[ScenarioResult] {
         let jobs = self.jobs;
         self.sweeps
             .entry(contexts)

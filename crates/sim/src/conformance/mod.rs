@@ -29,9 +29,9 @@ pub mod tolerances;
 
 pub use golden::{rel_err, GoldenRow, GoldenTable, Violation};
 
-use crate::NamedMapping;
 use crate::{
-    fit_line, mapping_suite, run_cached_sweep, FitError, LineFit, Measurements, SimConfig,
+    fit_line, mapping_suite, run_cached_sweep, FitError, LineFit, NamedMapping, ScenarioResult,
+    SimConfig,
 };
 use commloc_model::{
     ApplicationModel, CombinedModel, EndpointContention, NetworkModel, NodeModel, TorusGeometry,
@@ -55,17 +55,6 @@ pub const SUITE_SEED: u64 = 1992;
 pub const REDUCED_WARMUP: u64 = 6_000;
 /// Measurement window for the reduced conformance scenarios.
 pub const REDUCED_WINDOW: u64 = 18_000;
-
-/// One validation run: a named mapping and what the simulator measured.
-#[derive(Debug, Clone)]
-pub struct ValidationRun {
-    /// The mapping's name.
-    pub name: String,
-    /// Analytic average neighbour distance of the mapping.
-    pub distance: f64,
-    /// Simulator measurements.
-    pub measured: Measurements,
-}
 
 /// Worker-thread count for validation sweeps: `COMMLOC_JOBS` if set,
 /// otherwise the machine's available parallelism.
@@ -99,7 +88,7 @@ pub fn suite_jobs() -> Result<usize, String> {
 /// [`suite_jobs`] threads. Routes through the process-wide scenario
 /// cache ([`crate::run_cached_sweep`]), so repeated calls in one process
 /// are served bit-identically without re-simulating.
-pub fn validation_runs(contexts: usize) -> Vec<ValidationRun> {
+pub fn validation_runs(contexts: usize) -> Vec<ScenarioResult> {
     let config = SimConfig {
         contexts,
         ..SimConfig::default()
@@ -107,15 +96,7 @@ pub fn validation_runs(contexts: usize) -> Vec<ValidationRun> {
     let torus = Torus::new(config.dims, config.radix);
     let suite = mapping_suite(&torus, SUITE_SEED);
     let jobs = suite_jobs().expect("invalid COMMLOC_JOBS");
-    run_cached_sweep(&config, &suite, WARMUP, WINDOW, jobs)
-        .expect("fault-free validation run")
-        .into_iter()
-        .map(|p| ValidationRun {
-            name: p.name,
-            distance: p.distance,
-            measured: p.measured,
-        })
-        .collect()
+    run_cached_sweep(&config, &suite, WARMUP, WINDOW, jobs).expect("fault-free validation run")
 }
 
 /// The four-mapping subset of the validation suite used by the reduced
@@ -132,7 +113,7 @@ pub fn reduced_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
 
 /// Runs the reduced conformance sweep at one context count across `jobs`
 /// threads. Deterministic: same seed, mappings, and windows every call.
-pub fn reduced_runs(contexts: usize, jobs: usize) -> Vec<ValidationRun> {
+pub fn reduced_runs(contexts: usize, jobs: usize) -> Vec<ScenarioResult> {
     let config = SimConfig {
         contexts,
         ..SimConfig::default()
@@ -141,13 +122,6 @@ pub fn reduced_runs(contexts: usize, jobs: usize) -> Vec<ValidationRun> {
     let suite = reduced_suite(&torus, SUITE_SEED);
     run_cached_sweep(&config, &suite, REDUCED_WARMUP, REDUCED_WINDOW, jobs)
         .expect("fault-free conformance run")
-        .into_iter()
-        .map(|p| ValidationRun {
-            name: p.name,
-            distance: p.distance,
-            measured: p.measured,
-        })
-        .collect()
 }
 
 /// Fits the application message curve (Figure 3's analysis) from a
@@ -157,7 +131,7 @@ pub fn reduced_runs(contexts: usize, jobs: usize) -> Vec<ValidationRun> {
 ///
 /// Returns a [`FitError`] for a degenerate suite (fewer than two runs,
 /// or every mapping yielding the same message interval).
-pub fn fit_message_curve(runs: &[ValidationRun]) -> Result<LineFit, FitError> {
+pub fn fit_message_curve(runs: &[ScenarioResult]) -> Result<LineFit, FitError> {
     let points: Vec<(f64, f64)> = runs
         .iter()
         .map(|r| (r.measured.message_interval, r.measured.message_latency))
@@ -171,7 +145,7 @@ pub fn fit_message_curve(runs: &[ValidationRun]) -> Result<LineFit, FitError> {
 /// growth of `c` with context count that the paper reports), `g` and `B`
 /// are the measured averages, and the network model is the analytical
 /// Section 2.4 model for the simulated torus.
-pub fn calibrated_model(contexts: usize, runs: &[ValidationRun]) -> CombinedModel {
+pub fn calibrated_model(contexts: usize, runs: &[ScenarioResult]) -> CombinedModel {
     let n = runs.len() as f64;
     let g: f64 = runs
         .iter()

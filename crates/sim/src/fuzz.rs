@@ -463,8 +463,7 @@ pub fn run_scenario_mutated(
     };
     // A multi-shard machine joins as a third lockstep participant on
     // sharded draws (untraced config — sharded machines reject tracing;
-    // serial driver — worker counts never change results, and only the
-    // serial driver fast-forwards, which this participant must match).
+    // one worker — worker counts never change results).
     let mut sharded = if scenario.shards > 1 && scenario.migration.is_none() {
         Some(Machine::with_shards(
             &scenario.sim_config(false),
@@ -614,8 +613,7 @@ pub struct MachineShrinkOutcome {
 
 impl MachineShrinkOutcome {
     /// Renders a ready-to-paste `#[test]` that replays the minimal
-    /// failing scenario (paste into a crate depending on `commloc-sim`
-    /// with the `reference-engine` feature).
+    /// failing scenario (paste into a crate depending on `commloc-sim`).
     pub fn repro_test(&self) -> String {
         let s = &self.scenario;
         let fault = match &s.fault {

@@ -35,7 +35,6 @@ mod csv;
 mod disturbance;
 mod error;
 mod fit;
-#[cfg(any(test, feature = "reference-engine"))]
 pub mod fuzz;
 pub mod json;
 mod machine;
@@ -55,7 +54,7 @@ pub use machine::{
     run_experiment, run_sharded_experiment, Machine, MachineSnapshot, Measurements, SimConfig,
 };
 pub use mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
-pub use parallel::{default_jobs, parallel_map, run_sweep, set_job_budget, SweepPoint};
+pub use parallel::{default_jobs, parallel_map, set_job_budget};
 pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, ServeOptions};
 pub use shard::ShardedMachine;
 

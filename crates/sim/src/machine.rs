@@ -13,7 +13,7 @@
 //! latency `T_h`, channel utilization, communication distance `d`, and
 //! the per-transaction message statistics `g` and `B`.
 //!
-//! # One driver over 1..K shards
+//! # One step over 1..K shards and any worker count
 //!
 //! The machine's nodes are partitioned into `K` contiguous shards
 //! (DESIGN.md §4.11); [`Machine::new`] is the one-shard case of
@@ -21,9 +21,13 @@
 //! processors, controllers, worklist, timers, and window counters of its
 //! nodes. The driver owns everything global — the clock, the measurement
 //! window start, the progress watchdog, the protocol-message id counter,
-//! and the worker count — and runs one step over all shards: fabric step,
-//! boundary exchange, node boundary, id-ordered injection, watchdog. A
-//! sharded run is therefore bit-exact with the one-shard machine.
+//! and the worker count. Every network cycle runs one step body: each
+//! shard steps its fabric and, on a processor-clock boundary, its nodes —
+//! inline with one worker, on scoped threads over contiguous shard chunks
+//! with more ([`Machine::set_jobs`]) — and then the calling thread
+//! exchanges boundary traffic, injects staged messages in id order, runs
+//! migrations, and feeds the watchdog. A sharded run is therefore
+//! bit-exact with the one-shard machine at every worker count.
 //!
 //! # The active-node engine
 //!
@@ -38,13 +42,14 @@
 //! contributes its horizon: `Processor::next_wake`,
 //! `Controller::next_deadline`, and `Fabric::fast_forward`. The previous
 //! exhaustive every-node-every-cycle loop is retained as a reference
-//! stepping mode ([`Machine::new_reference`], `reference-engine` feature)
-//! and the differential fuzzer asserts bit-identical behavior between the
-//! two across random scenarios.
+//! stepping mode ([`Machine::new_reference`]) and the differential fuzzer
+//! asserts bit-identical behavior between the two across random
+//! scenarios.
 
 use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
 use crate::error::{SimError, StallKind, StallReport};
 use crate::mapping::Mapping;
+use crate::parallel::{claim_extra_workers, try_for_each_chunk, WorkerClaim};
 use crate::resilience::{MigrationPolicy, MigrationRecord, MigrationView};
 use crate::shard::shard_ranges;
 use crate::workload::{workload_home_map, Workload};
@@ -238,7 +243,7 @@ pub struct Measurements {
 /// The progress watchdog: the `(fabric activity, completions)` marker
 /// at the last cycle that showed progress, and that cycle.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Watchdog {
+struct Watchdog {
     marker: (u64, u64),
     progress_cycle: u64,
 }
@@ -256,7 +261,7 @@ impl Watchdog {
     ///   completes in tens-to-hundreds of network cycles even under
     ///   congestion, so an aged one is wedged (e.g. behind a killed link)
     ///   even while the rest of the machine retires normally.
-    pub(crate) fn check(
+    fn check(
         &mut self,
         cycle: u64,
         marker: (u64, u64),
@@ -290,15 +295,15 @@ impl Watchdog {
 /// compute nodes. Per-node vectors are local-indexed; node-facing APIs
 /// and fabric calls use global ids (`base + local`).
 #[derive(Debug, Clone)]
-pub(crate) struct Shard {
-    pub(crate) fabric: Fabric<ProtocolMsg>,
-    pub(crate) base: usize,
+struct Shard {
+    fabric: Fabric<ProtocolMsg>,
+    base: usize,
     nodes: Vec<NodeSim>,
     /// Protocol messages issued at the current processor boundary. The
     /// driver injects them afterwards with globally sequential ids in
     /// shard order — the ascending-node order the ids follow at every
     /// shard count (fault rolls hash over message ids).
-    pub(crate) staged: Vec<Message<ProtocolMsg>>,
+    staged: Vec<Message<ProtocolMsg>>,
     window: Window,
     txn_issue_cycle: HashMap<u64, u64>,
     /// Outstanding transaction ids in issue order. Issue cycles are
@@ -307,7 +312,7 @@ pub(crate) struct Shard {
     /// amortized instead of scanning the whole map every cycle.
     txn_issue_order: VecDeque<u64>,
     /// Total transaction completions ever (never reset — watchdog input).
-    pub(crate) completed: u64,
+    completed: u64,
     completed_per_node: Vec<u64>,
     /// Transaction-level span ring, present iff tracing is enabled
     /// (`config.fabric.trace_capacity > 0`).
@@ -416,7 +421,7 @@ impl Shard {
     /// completed transactions from the front of the issue-order queue
     /// along the way (issue cycles are monotone, so the first survivor is
     /// the oldest — O(1) amortized).
-    pub(crate) fn oldest_outstanding_issue(&mut self) -> Option<u64> {
+    fn oldest_outstanding_issue(&mut self) -> Option<u64> {
         while let Some(front) = self.txn_issue_order.front() {
             if self.txn_issue_cycle.contains_key(front) {
                 break;
@@ -441,7 +446,7 @@ impl Shard {
 
     /// Injects the staged messages with sequential ids starting at `id`
     /// and returns the next unused id.
-    pub(crate) fn flush_staged(&mut self, mut id: u64) -> u64 {
+    fn flush_staged(&mut self, mut id: u64) -> u64 {
         for message in self.staged.drain(..) {
             self.fabric.inject_with_id(MessageId(id), message);
             id += 1;
@@ -502,11 +507,7 @@ impl Shard {
     /// lazy idle debt before its real step, and updates residency — a
     /// node leaves the worklist when its processor is fully blocked and
     /// its controller dormant, re-entering on a delivery or timer.
-    pub(crate) fn step_nodes_active(
-        &mut self,
-        config: &SimConfig,
-        now: u64,
-    ) -> Result<(), SimError> {
+    fn step_nodes_active(&mut self, config: &SimConfig, now: u64) -> Result<(), SimError> {
         let boundary = now / u64::from(config.clock_ratio);
         self.fold_delivery_events();
         while let Some((&wake, _)) = self.timer_wakes.first_key_value() {
@@ -790,14 +791,12 @@ impl Machine {
     /// Differential-testing surface only: the two engines are asserted
     /// bit-identical by the golden-equivalence tests and
     /// `commloc fuzz --machine`.
-    #[cfg(any(test, feature = "reference-engine"))]
     pub fn new_reference(config: &SimConfig, mapping: &Mapping) -> Self {
         Self::build(config, mapping, 1, true, None)
     }
 
     /// Reference-engine counterpart of [`Machine::with_policy`]
     /// (differential testing of the migration layer).
-    #[cfg(any(test, feature = "reference-engine"))]
     pub fn new_reference_with_policy(
         config: &SimConfig,
         mapping: &Mapping,
@@ -899,7 +898,7 @@ impl Machine {
     }
 
     /// Advances one network cycle (and, on the clock-ratio boundary, one
-    /// processor/controller cycle for every node).
+    /// processor/controller cycle for every node) on the calling thread.
     ///
     /// # Errors
     ///
@@ -908,30 +907,35 @@ impl Machine {
     /// transaction no context was waiting on, and [`SimError::Stalled`]
     /// when the progress watchdog fires (see [`SimConfig::watchdog_cycles`]).
     pub fn step(&mut self) -> Result<(), SimError> {
-        for shard in &mut self.shards {
-            shard.fabric.step()?;
-        }
+        self.step_on(1)
+    }
+
+    /// The one step body. A shard's fabric step and node step touch only
+    /// that shard, so they fan out over `workers` threads with no
+    /// synchronization; everything that crosses shards runs afterwards on
+    /// the calling thread. The boundary ingest still precedes the flush,
+    /// since both take slab slots in the destination fabric.
+    fn step_on(&mut self, workers: usize) -> Result<(), SimError> {
         self.net_cycle += 1;
+        let now = self.net_cycle;
+        let boundary = now.is_multiple_of(u64::from(self.config.clock_ratio));
+        let (config, reference) = (&self.config, self.reference);
+        try_for_each_chunk(&mut self.shards, workers, |shard| {
+            shard.fabric.step()?;
+            match (boundary, reference) {
+                (false, _) => Ok(()),
+                (true, false) => shard.step_nodes_active(config, now),
+                (true, true) => shard.step_nodes_reference(config, now),
+            }
+        })?;
         if self.shards.len() > 1 {
             self.exchange_boundary();
         }
-        if self
-            .net_cycle
-            .is_multiple_of(u64::from(self.config.clock_ratio))
-        {
-            // A shard's injections cannot reach a later shard's node step
-            // in this cycle, so each shard flushes right after its own
-            // boundary; shard order is ascending-node id order.
-            let now = self.net_cycle;
+        if boundary {
+            // Shard order is ascending-node order: the order the ids
+            // follow at every shard count (fault rolls hash over them).
             for shard in &mut self.shards {
-                if self.reference {
-                    shard.step_nodes_reference(&self.config, now)?;
-                } else {
-                    shard.step_nodes_active(&self.config, now)?;
-                }
-                if !shard.staged.is_empty() {
-                    self.next_msg_id = shard.flush_staged(self.next_msg_id);
-                }
+                self.next_msg_id = shard.flush_staged(self.next_msg_id);
             }
             if self.policy.is_some() {
                 self.process_migrations();
@@ -958,15 +962,15 @@ impl Machine {
         self.boundary_scratch = items;
     }
 
-    /// Advances `cycles` network cycles, on the worker threads set by
-    /// [`Machine::set_jobs`] when the process job budget grants them
-    /// (bit-identical either way).
+    /// Advances `cycles` network cycles, fanning each cycle's shard work
+    /// out over the worker threads set by [`Machine::set_jobs`] when the
+    /// process job budget grants them (bit-identical either way).
     ///
-    /// With the active-node engine on the calling thread, fully
-    /// quiescent stretches — no messages in flight, every node dormant,
-    /// in every shard — are fast-forwarded to the earliest next-event
-    /// horizon in O(active components) instead of being stepped cycle by
-    /// cycle; the observable behavior (stats, fault log, watchdog trips,
+    /// With the active-node engine, fully quiescent stretches — no
+    /// messages in flight, every node dormant, in every shard — are
+    /// fast-forwarded to the earliest next-event horizon in O(active
+    /// components) instead of being stepped cycle by cycle; the
+    /// observable behavior (stats, fault log, watchdog trips,
     /// measurements) is bit-identical to per-cycle stepping.
     ///
     /// # Errors
@@ -974,33 +978,16 @@ impl Machine {
     /// Propagates the first error from [`Machine::step`].
     pub fn run_network_cycles(&mut self, cycles: u64) -> Result<(), SimError> {
         let target = self.net_cycle + cycles;
-        if self.jobs > 1 {
-            // Extra worker threads come out of the process-wide job
-            // budget shared with sweep-level `parallel_map`, so a sweep
-            // of sharded simulations never oversubscribes the configured
-            // job count. The grant only changes wall-clock time.
-            let claim = crate::parallel::claim_extra_workers(self.jobs - 1);
-            if claim.granted() > 0 {
-                let stalled = crate::shard::run_parallel(
-                    &mut self.shards,
-                    &self.config,
-                    &mut self.net_cycle,
-                    &mut self.next_msg_id,
-                    &mut self.watchdog,
-                    target,
-                    1 + claim.granted(),
-                )?;
-                return match stalled {
-                    Some(stalled_for) => Err(self.stall_report(stalled_for)),
-                    None => Ok(()),
-                };
-            }
-        }
+        // Extra worker threads come out of the process-wide job budget
+        // shared with sweep-level `parallel_map`, so a sweep of sharded
+        // simulations never oversubscribes the configured job count.
+        let claim = (self.jobs > 1).then(|| claim_extra_workers(self.jobs - 1));
+        let workers = 1 + claim.as_ref().map_or(0, WorkerClaim::granted);
         while self.net_cycle < target {
             if !self.reference {
                 self.try_fast_forward(target);
             }
-            self.step()?;
+            self.step_on(workers)?;
         }
         Ok(())
     }
@@ -1078,11 +1065,10 @@ impl Machine {
         self.fast_forwarded += jumped;
     }
 
-    /// Total network cycles skipped by quiescent fast-forward jumps of
-    /// the serial driver — always 0 for the reference engine and for runs
-    /// on worker threads ([`Machine::set_jobs`]), which step every cycle.
-    /// Diagnostic only: the jumps are behaviorally invisible by
-    /// construction.
+    /// Total network cycles skipped by quiescent fast-forward jumps —
+    /// always 0 for the reference engine, and the same at every shard and
+    /// worker count. Diagnostic only: the jumps are behaviorally
+    /// invisible by construction.
     pub fn fast_forwarded_cycles(&self) -> u64 {
         self.fast_forwarded
     }

@@ -1,14 +1,12 @@
-//! Dependency-free parallel experiment runner.
+//! Dependency-free parallelism: a job budget and two fan-outs over it.
 //!
 //! Mapping sweeps (the paper's Figure 3/5 suites) run many completely
-//! independent machine simulations; this module fans them out across OS
-//! threads with [`std::thread::scope`] — no external crates. Each machine
-//! is deterministic in isolation, so results are identical for every job
-//! count; only wall-clock time changes, and output order always follows
-//! input order.
+//! independent machine simulations; [`parallel_map`] fans them out across
+//! OS threads with [`std::thread::scope`] — no external crates. A sharded
+//! [`crate::Machine`] fans its shards' per-cycle work out the same way
+//! ([`try_for_each_chunk`]). Both are deterministic for every job count;
+//! only wall-clock time changes, and results always follow input order.
 
-use crate::machine::{run_experiment, Measurements, SimConfig};
-use crate::mapping::NamedMapping;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -196,49 +194,46 @@ where
         .collect()
 }
 
-/// One mapping's result within a sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// The mapping's suite name (e.g. `identity`, `random-1`).
-    pub name: String,
-    /// Average thread-to-neighbor distance of the mapping (hops), carried
-    /// over from the suite entry.
-    pub distance: f64,
-    /// The measured experiment.
-    pub measured: Measurements,
-}
-
-/// Runs one experiment per mapping across `jobs` threads and returns the
-/// points in input order.
+/// Applies `f` to every item of `items` in place on up to `workers`
+/// threads: inline on the calling thread with one worker, otherwise over
+/// contiguous chunks on [`std::thread::scope`] threads, the calling thread
+/// taking the first chunk. Each chunk stops at its first error, and the
+/// error returned is the first by item order. A panic in `f` propagates.
 ///
-/// Every experiment builds its own [`Machine`](crate::Machine), so runs
-/// share nothing and the sweep is deterministic for any `jobs`.
-///
-/// # Errors
-///
-/// Returns the first failing experiment's error (by input order).
-pub fn run_sweep(
-    config: &SimConfig,
-    mappings: &[NamedMapping],
-    warmup: u64,
-    window: u64,
-    jobs: usize,
-) -> Result<Vec<SweepPoint>, crate::SimError> {
-    let results = parallel_map(mappings, jobs, |named| {
-        run_experiment(config, &named.mapping, warmup, window).map(|measured| SweepPoint {
-            name: named.name.clone(),
-            distance: named.distance,
-            measured,
-        })
-    });
-    results.into_iter().collect()
+/// Unlike [`parallel_map`] this claims nothing from the job budget: the
+/// caller claims `workers` once and holds the claim across many calls
+/// ([`crate::Machine::run_network_cycles`] calls this once per cycle).
+pub(crate) fn try_for_each_chunk<T, E, F>(items: &mut [T], workers: usize, f: F) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(&mut T) -> Result<(), E> + Sync,
+{
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    if chunk >= items.len() {
+        return items.iter_mut().try_for_each(f);
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks_mut(chunk);
+        let first = chunks.next().expect("more than one chunk");
+        let spawned: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().try_for_each(f)))
+            .collect();
+        let mut result = first.iter_mut().try_for_each(f);
+        for handle in spawned {
+            let outcome = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            result = result.and(outcome);
+        }
+        result
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::mapping_suite;
-    use commloc_net::Torus;
 
     #[test]
     fn parallel_map_preserves_input_order() {
@@ -352,23 +347,34 @@ mod tests {
     }
 
     #[test]
+    fn chunked_fan_out_visits_every_item_and_reports_the_first_error() {
+        for workers in [1, 2, 3, 8] {
+            let mut items: Vec<u32> = (0..7).collect();
+            let ok: Result<(), u32> = try_for_each_chunk(&mut items, workers, |x| {
+                *x += 10;
+                Ok(())
+            });
+            assert_eq!(ok, Ok(()));
+            assert_eq!(items, (10..17).collect::<Vec<_>>(), "{workers} workers");
+            let failed = try_for_each_chunk(&mut items, workers, |&mut x| {
+                if x >= 13 && x % 2 == 1 {
+                    Err(x)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(
+                failed,
+                Err(13),
+                "{workers} workers: first error by item order"
+            );
+        }
+    }
+
+    #[test]
     fn parallel_map_runs_inline_for_single_job() {
         let items = vec![1, 2, 3];
         assert_eq!(parallel_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
         assert_eq!(parallel_map(&items, 0, |&x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn sweep_results_do_not_depend_on_job_count() {
-        let torus = Torus::new(2, 8);
-        let mappings: Vec<_> = mapping_suite(&torus, 7).into_iter().take(3).collect();
-        let config = SimConfig::default();
-        let serial = run_sweep(&config, &mappings, 2_000, 6_000, 1).expect("serial sweep");
-        let parallel = run_sweep(&config, &mappings, 2_000, 6_000, 4).expect("parallel sweep");
-        assert_eq!(
-            serial, parallel,
-            "sweep must be deterministic across job counts"
-        );
-        assert_eq!(serial[0].name, mappings[0].name);
     }
 }

@@ -495,8 +495,8 @@ fn run_cached_sweep_with(
 /// Runs one experiment per mapping through the process-wide result and
 /// warm-start caches, fanning misses across `jobs` threads (under the
 /// shared job budget). Results are in input order and bit-identical to
-/// [`crate::run_sweep`] — repeated scenarios are served from the cache
-/// without simulating.
+/// one [`crate::run_experiment`] per mapping — repeated scenarios are
+/// served from the cache without simulating.
 ///
 /// # Errors
 ///
@@ -607,6 +607,10 @@ fn parse_request(line: &str) -> Result<Request, String> {
             v.as_u64().map_err(|e| format!("{name}: {e}"))
         })
     };
+    let u32_field = |name: &str, default: u32| -> Result<u32, String> {
+        let value = u64_field(name, u64::from(default))?;
+        u32::try_from(value).map_err(|_| format!("{name}: {value} does not fit in 32 bits"))
+    };
     let rate_field = |name: &str| -> Result<f64, String> {
         let rate = get(name).map_or(Ok(0.0), |v| {
             v.as_number().map_err(|e| format!("{name}: {e}"))
@@ -619,12 +623,12 @@ fn parse_request(line: &str) -> Result<Request, String> {
     };
     let defaults = SimConfig::default();
     let mut config = SimConfig {
-        dims: u64_field("dims", u64::from(defaults.dims))? as u32,
+        dims: u32_field("dims", defaults.dims)?,
         radix: u64_field("radix", defaults.radix as u64)? as usize,
         contexts: u64_field("contexts", defaults.contexts as u64)? as usize,
-        clock_ratio: u64_field("clock_ratio", u64::from(defaults.clock_ratio))? as u32,
-        switch_cycles: u64_field("switch_cycles", u64::from(defaults.switch_cycles))? as u32,
-        work: u64_field("work", u64::from(defaults.work))? as u32,
+        clock_ratio: u32_field("clock_ratio", defaults.clock_ratio)?,
+        switch_cycles: u32_field("switch_cycles", defaults.switch_cycles)?,
+        work: u32_field("work", defaults.work)?,
         watchdog_cycles: u64_field("watchdog", defaults.watchdog_cycles)?,
         ..defaults
     };
@@ -1136,9 +1140,12 @@ mod tests {
         let first =
             run_cached_sweep_with(&config, &mappings, 1_500, 4_000, 2, &cache, None).unwrap();
         assert!(first.iter().all(|r| !r.cached));
-        // Uncached reference: byte- and bit-level agreement.
-        for r in &first {
-            let named = mappings.iter().find(|m| m.name == r.name).unwrap();
+        // Uncached reference, in input order: byte- and bit-level
+        // agreement.
+        assert_eq!(first.len(), mappings.len());
+        for (r, named) in first.iter().zip(&mappings) {
+            assert_eq!(r.name, named.name, "results must follow input order");
+            assert_eq!(r.distance, named.distance);
             let reference = run_experiment(&config, &named.mapping, 1_500, 4_000).unwrap();
             assert_eq!(r.measured, reference);
         }
@@ -1156,9 +1163,10 @@ mod tests {
         // simulation), still bit-identical to the cold path.
         let warm =
             run_cached_sweep_with(&config, &mappings, 1_500, 2_500, 2, &cache, None).unwrap();
-        for r in &warm {
+        assert_eq!(warm.len(), mappings.len());
+        for (r, named) in warm.iter().zip(&mappings) {
             assert!(!r.cached);
-            let named = mappings.iter().find(|m| m.name == r.name).unwrap();
+            assert_eq!(r.name, named.name, "results must follow input order");
             let reference = run_experiment(&config, &named.mapping, 1_500, 2_500).unwrap();
             assert_eq!(r.measured, reference, "warm start must be bit-exact");
         }
@@ -1225,6 +1233,11 @@ mod tests {
             "{\"op\":\"run\",\"mapping\":\"identity\",\"work\":0}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"dims\":64,\"radix\":2}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"topology\":\"mesh\",\"radix\":1}\n",
+            // Fields past `u32`, which once wrapped to a valid scenario.
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"dims\":4294967298,\"warmup\":100,\"window\":100}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"switch_cycles\":4294967307,\"warmup\":100,\"window\":100}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"work\":4294967306,\"warmup\":100,\"window\":100}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"clock_ratio\":4294967298}\n",
             "{\"op\":\"stats\"}\n",
         );
         let mut output = Vec::new();
@@ -1232,8 +1245,8 @@ mod tests {
         assert!(eof, "EOF (not shutdown) ends the stream");
         let text = String::from_utf8(output).unwrap();
         let events: Vec<&str> = text.lines().collect();
-        assert_eq!(events.len(), 11, "one event per request: {text}");
-        for (line, field) in events[..10].iter().zip([
+        assert_eq!(events.len(), 15, "one event per request: {text}");
+        for (line, field) in events[..14].iter().zip([
             "",
             "",
             "",
@@ -1244,12 +1257,16 @@ mod tests {
             "work",
             "dims",
             "radix",
+            "dims",
+            "switch_cycles",
+            "work",
+            "clock_ratio",
         ]) {
             assert!(line.contains("\"event\":\"error\""), "{line}");
             assert!(line.contains(field), "error must name `{field}`: {line}");
         }
         assert!(
-            events[10].contains("\"event\":\"stats\""),
+            events[14].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
     }

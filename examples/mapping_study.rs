@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example mapping_study`
 
-use commloc::sim::{default_jobs, mapping_suite, run_sweep, SimConfig};
+use commloc::sim::{default_jobs, mapping_suite, run_cached_sweep, SimConfig};
 
 fn main() {
     // `COMMLOC_SMOKE` shrinks the measurement windows so CI can exercise
@@ -30,7 +30,7 @@ fn main() {
         "{:<14} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7}",
         "mapping", "d", "d_sim", "r_t", "T_m", "T_h", "rho"
     );
-    let points = run_sweep(&config, &suite, warmup, window, jobs).expect("fault-free runs");
+    let points = run_cached_sweep(&config, &suite, warmup, window, jobs).expect("fault-free runs");
     for point in &points {
         let m = &point.measured;
         println!(

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example multithreading`
 
-use commloc::sim::{default_jobs, fit_line, mapping_suite, run_sweep, SimConfig};
+use commloc::sim::{default_jobs, fit_line, mapping_suite, run_cached_sweep, SimConfig};
 
 fn main() {
     // `COMMLOC_SMOKE` shrinks the measurement windows so CI can exercise
@@ -27,8 +27,8 @@ fn main() {
         let mut g_sum = 0.0;
         println!("p = {contexts}:");
         println!("  {:<14} {:>8} {:>8}", "mapping", "t_m", "T_m");
-        let sweep =
-            run_sweep(&config, &suite, warmup, window, default_jobs()).expect("fault-free runs");
+        let sweep = run_cached_sweep(&config, &suite, warmup, window, default_jobs())
+            .expect("fault-free runs");
         for point in &sweep {
             let m = &point.measured;
             println!(

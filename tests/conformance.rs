@@ -65,8 +65,7 @@ fn seeded_mutation_trips_fuzzer_and_shrinker() {
 }
 
 /// The differential fuzzer is reachable through the facade under plain
-/// `cargo test -q` — the `reference-engine` feature plumbing holds — and
-/// a few seeds run clean.
+/// `cargo test -q`, and a few seeds run clean.
 #[test]
 fn fuzzer_runs_clean_through_the_facade() {
     for seed in [0u64, 1, 2] {
