@@ -34,21 +34,37 @@
 //! bit-for-bit identically (the equivalence tests in
 //! [`crate::reference`] assert this against the retained naive engine).
 //!
+//! Inside an active router, phases 2 and 3 visit only waiting work,
+//! through three bitsets kept current where flits are pushed and popped,
+//! routes assigned and wormhole locks taken or released:
+//!
+//! * **route-ready**, per router — input VCs whose front flit is an
+//!   unrouted head (marked when a head becomes a buffer's front);
+//! * **requesters**, per `(router, output, dateline class)` — input VCs
+//!   whose routed head waits for that output (set at route assignment,
+//!   cleared when the head departs);
+//! * **busy outputs**, per router — outputs holding a locked VC or a
+//!   requester (set with the requester; re-derived when a tail unlocks,
+//!   since a departing head leaves its output locked).
+//!
+//! A bit's index is its position in the scan it replaces (an input VC's
+//! offset in the node's port-major, injection-last block; an output's
+//! port number), so walking set bits in ascending order visits work in
+//! exactly the old order: round-robin pointers, arbitration and fault
+//! rolls replay bit-for-bit. Every set is sized in 64-bit words from the
+//! configuration, with no bound on ports or VCs.
+//!
 //! Messages in flight live in a generational slab: each flit carries its
 //! message's slot index, so hot-path lookups are array indexing (with the
-//! message id doubling as a generation check) instead of hashing. Switch
-//! allocation is gated by per-`(router, output, dateline-class)` request
-//! counters — maintained when routes are assigned and heads depart — so
-//! the expensive input-VC arbitration scan runs only when a routed head
-//! is actually waiting. All per-cycle buffers (credit returns, worklist
-//! snapshots) are reused scratch vectors: the steady-state hot path
-//! allocates nothing.
+//! message id doubling as a generation check) instead of hashing. All
+//! per-cycle buffers (credit returns, worklist snapshots) are reused
+//! scratch vectors: the steady-state hot path allocates nothing.
 //!
 //! When the fabric is completely drained, [`Fabric::fast_forward`] jumps
 //! the clock over the idle gap in O(scheduled faults) instead of stepping
 //! cycle by cycle, still firing scheduled faults at their exact cycles.
 
-use crate::active::ActiveSet;
+use crate::active::{ActiveSet, BitRows};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::message::{Delivery, Flit, FlitKind, Message, MessageId};
 use crate::router::{InputRef, OutputRef, INFINITE_CREDITS};
@@ -199,6 +215,12 @@ pub struct Fabric<P> {
     base: usize,
     /// Number of nodes this fabric owns.
     owned: usize,
+    /// Inter-router ports per node ([`Topology::ports`]); port
+    /// `link_ports` is the injection input / ejection output.
+    link_ports: usize,
+    /// Virtual channels per node in the flattened VC arrays:
+    /// `link_ports * link_vcs + 1`.
+    vc_stride: usize,
     /// Router state, struct-of-arrays. Input and output virtual channels
     /// share the index function `node * vc_stride + port * link_vcs + vc`
     /// with `vc_stride = link_ports * link_vcs + 1`: the single-VC
@@ -244,9 +266,6 @@ pub struct Fabric<P> {
     /// [`Fabric::take_delivery_events`] drain — the wake-up signal the
     /// machine-level active-node engine subscribes to.
     delivery_events: ActiveSet,
-    /// Flattened (port, vc) enumeration shared by all routers, used for
-    /// round-robin allocation.
-    input_vc_list: Vec<(usize, usize)>,
     /// Downstream **global** node of each output link, indexed
     /// `node * link_ports + port` — precomputed so the hot path never
     /// re-derives topology coordinates. [`NO_LINK`] marks absent ports
@@ -271,10 +290,15 @@ pub struct Fabric<P> {
     /// Network interfaces with queued or streaming messages — the only
     /// ones phase 5 visits.
     active_nis: ActiveSet,
-    /// Count of routed head flits waiting per
-    /// `(node, output port, dateline class)`: switch allocation scans for
-    /// a requester only when nonzero.
-    requests: Vec<u32>,
+    /// Per router: input VCs (by offset in the node's VC block) whose
+    /// front flit is an unrouted head — phase 2's worklist.
+    route_ready: BitRows,
+    /// Per `(node, output port, dateline class)` ([`Fabric::req_row`]):
+    /// input VCs whose routed head waits at the front for that output.
+    requesters: BitRows,
+    /// Per router: outputs holding a locked VC or a requester — the only
+    /// outputs phase 3 tries.
+    busy_outputs: BitRows,
     /// Scratch: snapshot of an [`ActiveSet`] for iteration.
     node_scratch: Vec<u32>,
     /// Scratch: last cycle's occupied-link worklist being drained.
@@ -385,13 +409,6 @@ impl<P> Fabric<P> {
             }
             out_credits.push(INFINITE_CREDITS); // ejection pseudo-channel
         }
-        let mut input_vc_list = Vec::new();
-        for port in 0..link_ports {
-            for vc in 0..config.link_vcs {
-                input_vc_list.push((port, vc));
-            }
-        }
-        input_vc_list.push((link_ports, 0)); // injection input
         let mut neighbors = Vec::with_capacity(owned * link_ports);
         let mut link_in_ports = Vec::with_capacity(owned * link_ports);
         let mut upstream = Vec::with_capacity(owned * link_ports);
@@ -427,6 +444,8 @@ impl<P> Fabric<P> {
             config,
             base,
             owned,
+            link_ports,
+            vc_stride,
             in_fifo: (0..owned * vc_stride).map(|_| VecDeque::new()).collect(),
             in_route: vec![None; owned * vc_stride],
             in_routed_at: vec![0; owned * vc_stride],
@@ -445,7 +464,6 @@ impl<P> Fabric<P> {
             live: 0,
             deliveries: (0..owned).map(|_| VecDeque::new()).collect(),
             delivery_events: ActiveSet::new(owned),
-            input_vc_list,
             neighbors,
             link_in_ports,
             upstream,
@@ -453,7 +471,9 @@ impl<P> Fabric<P> {
             occupancy: vec![0; owned],
             active_routers: ActiveSet::new(owned),
             active_nis: ActiveSet::new(owned),
-            requests: vec![0; owned * (link_ports + 1) * DATELINE_VCS],
+            route_ready: BitRows::new(owned, vc_stride),
+            requesters: BitRows::new(owned * (link_ports + 1) * DATELINE_VCS, vc_stride),
+            busy_outputs: BitRows::new(owned, link_ports + 1),
             node_scratch: Vec::new(),
             link_scratch: Vec::new(),
             inj_scratch: Vec::new(),
@@ -820,33 +840,26 @@ impl<P> Fabric<P> {
             && self.remap.is_empty()
     }
 
-    fn link_ports(&self) -> usize {
-        self.topology.ports()
-    }
-
-    /// Index of the injection input / ejection output port.
-    fn local_port(&self) -> usize {
-        self.topology.ports()
-    }
-
-    /// Virtual channels per node in the flattened VC arrays.
-    fn vc_stride(&self) -> usize {
-        self.link_ports() * self.config.link_vcs + 1
+    /// Offset of `(port, vc)` in a node's block of the flattened VC
+    /// arrays — also its bit in the route-ready and requester sets. The
+    /// injection/ejection port (`port == link_ports`, `vc == 0`) lands on
+    /// the trailing slot of the block.
+    #[inline]
+    fn vc_offset(&self, port: usize, vc: usize) -> usize {
+        port * self.config.link_vcs + vc
     }
 
     /// Index of `(local node, port, vc)` in the flattened VC arrays.
-    /// The injection/ejection port (`port == link_ports`, `vc == 0`)
-    /// lands on the trailing slot of the node's block.
     #[inline]
     fn vc_idx(&self, node: usize, port: usize, vc: usize) -> usize {
-        node * self.vc_stride() + port * self.config.link_vcs + vc
+        node * self.vc_stride + self.vc_offset(port, vc)
     }
 
     /// Virtual channels on a port: `link_vcs` for link ports, one for the
     /// injection/ejection port.
     #[inline]
     fn port_vcs(&self, port: usize) -> usize {
-        if port == self.link_ports() {
+        if port == self.link_ports {
             1
         } else {
             self.config.link_vcs
@@ -859,16 +872,33 @@ impl<P> Fabric<P> {
         global >= self.base && global < self.base + self.owned
     }
 
-    /// Index into `requests` for `(local node, output port, dateline
+    /// Row of the requester set for `(local node, output port, dateline
     /// class)`.
-    fn req_index(&self, node: usize, output: usize, class: usize) -> usize {
-        (node * (self.link_ports() + 1) + output) * DATELINE_VCS + class
+    #[inline]
+    fn req_row(&self, node: usize, output: usize, class: usize) -> usize {
+        (node * (self.link_ports + 1) + output) * DATELINE_VCS + class
+    }
+
+    /// Re-derives whether `output` of router `node` is busy: it holds a
+    /// locked VC or a routed head waits for it.
+    fn refresh_busy(&mut self, node: usize, output: usize) {
+        let first = self.vc_idx(node, output, 0);
+        let busy = self.out_locked[first..first + self.port_vcs(output)]
+            .iter()
+            .any(Option::is_some)
+            || (0..DATELINE_VCS)
+                .any(|class| !self.requesters.is_empty(self.req_row(node, output, class)));
+        if busy {
+            self.busy_outputs.insert(node, output);
+        } else {
+            self.busy_outputs.remove(node, output);
+        }
     }
 
     /// Phase 1: flits in transit arrive in downstream input buffers.
     /// Visits only the links and injection channels that carry a flit.
     fn deliver_links(&mut self) {
-        let local = self.local_port();
+        let injection = self.vc_offset(self.link_ports, 0);
         mem::swap(&mut self.link_occupied, &mut self.link_scratch);
         for i in 0..self.link_scratch.len() {
             let li = self.link_scratch[i] as usize;
@@ -879,13 +909,8 @@ impl<P> Fabric<P> {
             // node of a locally occupied link is always owned.
             let down = self.neighbors[li] as usize;
             let node = down - self.base;
-            let port = self.link_in_ports[li] as usize;
-            let idx = self.vc_idx(node, port, vc);
-            debug_assert!(
-                self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
-                "credit protocol violated"
-            );
-            self.in_fifo[idx].push_back(flit);
+            let offset = self.vc_offset(self.link_in_ports[li] as usize, vc);
+            self.push_flit(node, offset, flit);
             // Stamp the head's arrival at its destination router — the
             // boundary between in-network (hop) time and ejection wait in
             // the latency breakdown. One slab lookup per head per hop.
@@ -896,9 +921,6 @@ impl<P> Fabric<P> {
                     }
                 }
             }
-            self.occupancy[node] += 1;
-            self.buffered += 1;
-            self.active_routers.insert(node);
         }
         self.link_scratch.clear();
         mem::swap(&mut self.inj_occupied, &mut self.inj_scratch);
@@ -907,39 +929,50 @@ impl<P> Fabric<P> {
             let Some(flit) = self.inj_links[node].take() else {
                 continue;
             };
-            let idx = self.vc_idx(node, local, 0);
-            debug_assert!(
-                self.in_fifo[idx].len() < self.config.injection_buffer_capacity,
-                "injection credit protocol violated"
-            );
-            self.in_fifo[idx].push_back(flit);
-            self.occupancy[node] += 1;
-            self.buffered += 1;
-            self.active_routers.insert(node);
+            self.push_flit(node, injection, flit);
         }
         self.inj_scratch.clear();
     }
 
+    /// Appends `flit` to the input VC at `offset` of router `node`,
+    /// marking the VC route-ready when the flit is a head that lands at
+    /// the front.
+    fn push_flit(&mut self, node: usize, offset: usize, flit: Flit) {
+        let capacity = if offset + 1 == self.vc_stride {
+            self.config.injection_buffer_capacity
+        } else {
+            self.config.vc_buffer_capacity
+        };
+        let fifo = &mut self.in_fifo[node * self.vc_stride + offset];
+        debug_assert!(fifo.len() < capacity, "credit protocol violated");
+        fifo.push_back(flit);
+        if flit.kind.is_head() && fifo.len() == 1 {
+            self.route_ready.insert(node, offset);
+        }
+        self.occupancy[node] += 1;
+        self.buffered += 1;
+        self.active_routers.insert(node);
+    }
+
     /// Phase 2: assign routes to head flits now at buffer fronts, and
-    /// count each new assignment as a pending switch request.
+    /// enter each as a requester for its output. Visits only route-ready
+    /// VCs, lowest offset first — the old port-major, injection-last
+    /// scan order — and leaves the set empty.
     fn compute_routes(&mut self, active: &[u32]) -> Result<(), FabricError> {
-        let local = self.local_port();
-        let stride = self.vc_stride();
+        let local = self.link_ports;
         for &n in active {
             let node = n as usize;
             let global = NodeId(self.base + node);
-            // Walking the node's flattened VC block visits (port, vc) in
-            // exactly the old port-major, injection-last order.
-            for idx in node * stride..(node + 1) * stride {
-                if self.in_route[idx].is_some() {
-                    continue;
-                }
-                let Some(front) = self.in_fifo[idx].front() else {
+            while let Some(offset) = self.route_ready.pop_first(node) {
+                let idx = node * self.vc_stride + offset;
+                let front = self.in_fifo[idx].front();
+                debug_assert!(
+                    self.in_route[idx].is_none() && front.is_some_and(|f| f.kind.is_head()),
+                    "route-ready VC without an unrouted head at its front"
+                );
+                let Some(&front) = front else {
                     continue;
                 };
-                if !front.kind.is_head() {
-                    continue;
-                }
                 let message = front.message;
                 let slot = front.slot as usize;
                 let pending = self
@@ -961,26 +994,28 @@ impl<P> Fabric<P> {
                 self.in_route[idx] = Some(output);
                 self.in_routed_at[idx] = self.cycle;
                 // `output.vc` is the dateline class here, matching the
-                // decrement when this head is forwarded.
-                let ridx = self.req_index(node, output.port, output.vc);
-                self.requests[ridx] += 1;
+                // removal when this head is forwarded.
+                let row = self.req_row(node, output.port, output.vc);
+                self.requesters.insert(row, offset);
+                self.busy_outputs.insert(node, output.port);
             }
         }
         Ok(())
     }
 
     /// Phase 3: each output physical channel forwards at most one flit.
-    /// Visits only routers holding flits, in ascending node order — the
-    /// same order the full scan used, so arbitration and fault rolls are
-    /// bit-for-bit identical (idle routers can never forward, so skipping
-    /// them is invisible).
+    /// Visits only routers holding flits, in ascending node order, and in
+    /// each only its busy outputs, in ascending port order — the same
+    /// order the full scan used, so arbitration and fault rolls are
+    /// bit-for-bit identical. Skipping the rest is invisible: an idle
+    /// router or an output with no lock and no requester can never
+    /// forward, `pick_sender` changes no state when it finds nothing, and
+    /// the fault checks are pure reads.
     ///
     /// Faulted outputs (killed or stalled links, stalled routers) forward
     /// nothing; their traffic waits in input buffers and backpressure
     /// propagates upstream through the ordinary credit mechanism.
     fn switch_traversal(&mut self, active: &[u32]) -> Result<(), FabricError> {
-        let link_ports = self.link_ports();
-        let output_count = link_ports + 1;
         for &n in active {
             let node = n as usize;
             // Faults are keyed by global node id: a restricted shard plan
@@ -991,8 +1026,13 @@ impl<P> Fabric<P> {
                     continue;
                 }
             }
-            for output in 0..output_count {
-                if output < link_ports {
+            // Forwarding changes only the current output's bit, so
+            // re-reading the row from one past it walks the busy outputs
+            // as they stood.
+            let mut from = 0;
+            while let Some(output) = self.busy_outputs.first_from(node, from) {
+                from = output + 1;
+                if output < self.link_ports {
                     if let Some(plan) = self.fault.as_ref() {
                         if plan.link_blocked(self.cycle, global, output) {
                             continue;
@@ -1012,82 +1052,60 @@ impl<P> Fabric<P> {
     /// unlocked. Returns the chosen input and output VC.
     fn pick_sender(&mut self, node: usize, output: usize) -> Option<(InputRef, VcIndex)> {
         let vc_count = self.port_vcs(output);
-        let rr = node * (self.link_ports() + 1) + output;
-        for i in 0..vc_count {
-            let w = (self.out_rr_vc[rr] + i) % vc_count;
+        let rr = node * (self.link_ports + 1) + output;
+        let mut w = self.out_rr_vc[rr];
+        for _ in 0..vc_count {
             let ovc = self.vc_idx(node, output, w);
-            if self.out_credits[ovc] == 0 {
-                continue;
-            }
-            if let Some(input) = self.out_locked[ovc] {
-                // Continue the wormhole if the next flit has arrived.
-                let buf = self.vc_idx(node, input.port, input.vc);
-                if self.in_fifo[buf].front().is_some() {
-                    self.out_rr_vc[rr] = (w + 1) % vc_count;
-                    return Some((input, w));
-                }
-            } else {
-                // The arbitration scan succeeds iff a routed head waits
-                // for this (output, class) — exactly when the request
-                // counter is nonzero, so the scan is skipped otherwise.
-                let class = self.vc_class(output, w);
-                if self.requests[self.req_index(node, output, class)] == 0 {
-                    continue;
-                }
-                if let Some(input) = self.find_requester(node, output, w) {
+            let next = if w + 1 == vc_count { 0 } else { w + 1 };
+            if self.out_credits[ovc] != 0 {
+                if let Some(input) = self.out_locked[ovc] {
+                    // Continue the wormhole if the next flit has arrived.
+                    let buf = self.vc_idx(node, input.port, input.vc);
+                    if !self.in_fifo[buf].is_empty() {
+                        self.out_rr_vc[rr] = next;
+                        return Some((input, w));
+                    }
+                } else if let Some(input) = self.find_requester(node, output, w) {
                     // Allocate this output VC to a new message and forward
                     // its head immediately.
                     self.out_locked[ovc] = Some(input);
-                    self.out_rr_vc[rr] = (w + 1) % vc_count;
+                    self.out_rr_vc[rr] = next;
                     return Some((input, w));
                 }
             }
+            w = next;
         }
         None
     }
 
-    /// Round-robin search for an input VC whose routed message requests
-    /// output VC `(output, w)` and whose head flit is at the front.
+    /// Round-robin pick among the input VCs whose routed head waits for
+    /// output VC `(output, w)`: the first requester at or after the VC's
+    /// pointer, else the first one — the winner of a cyclic scan from
+    /// the pointer. `None`, and no state change, when the set is empty.
     fn find_requester(&mut self, node: usize, output: usize, w: VcIndex) -> Option<InputRef> {
-        let list_len = self.input_vc_list.len();
         let ovc = self.vc_idx(node, output, w);
-        let start = self.out_rr_input[ovc];
-        // `route.vc` is the dateline class; output VC `w` serves it if it
-        // falls in that class's half of the channel set.
-        let class = self.vc_class(output, w);
-        for i in 0..list_len {
-            let idx = (start + i) % list_len;
-            let (port, vc) = self.input_vc_list[idx];
-            let buf = self.vc_idx(node, port, vc);
-            let Some(route) = self.in_route[buf] else {
-                continue;
-            };
-            if route.port != output || class != route.vc {
-                continue;
-            }
-            let Some(front) = self.in_fifo[buf].front() else {
-                continue;
-            };
-            if !front.kind.is_head() {
-                // A body/tail flit at the front means this VC's message is
-                // already locked somewhere; not a new request.
-                continue;
-            }
-            self.out_rr_input[ovc] = (idx + 1) % list_len;
-            return Some(InputRef { port, vc });
-        }
-        None
+        let row = self.req_row(node, output, self.vc_class(w));
+        let offset = self
+            .requesters
+            .first_from(row, self.out_rr_input[ovc])
+            .or_else(|| self.requesters.first_from(row, 0))?;
+        // One past the winner; a pointer past the last VC finds nothing
+        // at or after it and wraps to the first requester.
+        self.out_rr_input[ovc] = offset + 1;
+        // The injection input's offset, `link_ports * link_vcs`, splits
+        // into `(link_ports, 0)` like any other.
+        let link_vcs = self.config.link_vcs;
+        Some(InputRef {
+            port: offset / link_vcs,
+            vc: offset % link_vcs,
+        })
     }
 
-    /// The dateline class an output VC serves: lower half of a link's VCs
-    /// is class 0, upper half class 1. Local (ejection) ports have a
-    /// single class-0 VC.
-    fn vc_class(&self, output: usize, w: VcIndex) -> usize {
-        if output == self.local_port() || w < self.config.link_vcs / DATELINE_VCS {
-            0
-        } else {
-            1
-        }
+    /// The dateline class output VC `w` serves: the lower half of a
+    /// link's VCs is class 0, the upper half class 1. The ejection port's
+    /// single VC is `0`, so class 0.
+    fn vc_class(&self, w: VcIndex) -> usize {
+        usize::from(w >= self.config.link_vcs / DATELINE_VCS)
     }
 
     /// Moves one flit from `input` of router `node` out through
@@ -1100,33 +1118,35 @@ impl<P> Fabric<P> {
         out_vc: VcIndex,
         input: InputRef,
     ) -> Result<(), FabricError> {
-        let local = self.local_port();
+        let local = self.link_ports;
         let global = self.base + node;
-        let (flit, route_class, routed_at) = {
-            let buf = self.vc_idx(node, input.port, input.vc);
-            let route_class = self.in_route[buf].map_or(0, |r| r.vc);
-            let routed_at = self.in_routed_at[buf];
-            let flit = self.in_fifo[buf]
-                .pop_front()
-                .ok_or(FabricError::MissingFlit {
-                    node: NodeId(global),
-                    cycle: self.cycle,
-                })?;
-            if flit.kind.is_tail() {
-                self.in_route[buf] = None;
+        let offset = self.vc_offset(input.port, input.vc);
+        let buf = node * self.vc_stride + offset;
+        let route_class = self.in_route[buf].map_or(0, |r| r.vc);
+        let routed_at = self.in_routed_at[buf];
+        let flit = self.in_fifo[buf]
+            .pop_front()
+            .ok_or(FabricError::MissingFlit {
+                node: NodeId(global),
+                cycle: self.cycle,
+            })?;
+        if flit.kind.is_tail() {
+            self.in_route[buf] = None;
+            // The next message's head, if buffered, is now at the front.
+            if self.in_fifo[buf].front().is_some_and(|f| f.kind.is_head()) {
+                self.route_ready.insert(node, offset);
             }
-            (flit, route_class, routed_at)
-        };
+        }
         self.occupancy[node] -= 1;
         self.buffered -= 1;
         if self.occupancy[node] == 0 {
             self.active_routers.remove(node);
         }
         if flit.kind.is_head() {
-            // A head departs only through its routed output: retire the
-            // request counted at route assignment.
-            let idx = self.req_index(node, output, route_class);
-            self.requests[idx] -= 1;
+            // A head departs only through its routed output: it stops
+            // requesting that output.
+            let row = self.req_row(node, output, route_class);
+            self.requesters.remove(row, offset);
             if let Some(trace) = self.trace.as_mut() {
                 // Routed in phase 2, forwardable in phase 3 of the same
                 // cycle: any later departure means it sat blocked.
@@ -1149,7 +1169,7 @@ impl<P> Fabric<P> {
             // port this link occupies there, come from the precomputed
             // upstream tables (on a torus: the neighbor behind the
             // opposite-direction port `p ^ 1`, at its own port `p`).
-            let ui = node * self.link_ports() + input.port;
+            let ui = node * self.link_ports + input.port;
             let upstream = self.upstream[ui] as usize;
             let up_port = self.upstream_ports[ui] as usize;
             debug_assert_ne!(self.upstream[ui], NO_LINK, "flit arrived on absent link");
@@ -1173,18 +1193,22 @@ impl<P> Fabric<P> {
                     }));
             }
         }
-        // Release the wormhole lock on a tail.
+        // Release the wormhole lock on a tail. A departing head leaves
+        // its output locked, so only a tail can leave the output idle.
         if flit.kind.is_tail() {
             let ovc = self.vc_idx(node, output, out_vc);
             self.out_locked[ovc] = None;
+            self.refresh_busy(node, output);
         }
         // Fault rolls happen once per message per link crossing, on the
         // head flit, keyed by global node id so a given seed replays
-        // exactly — sharded or not.
+        // exactly — sharded or not. Only a drop roll dooms a message, so
+        // without a plan there is no doom to look up.
         let slot = flit.slot as usize;
-        let mut doomed_here = self.slots[slot].as_ref().is_some_and(|p| {
-            p.id == flit.message.0 && p.doomed == Some((global as u32, output as u32))
-        });
+        let mut doomed_here = self.fault.is_some()
+            && self.slots[slot].as_ref().is_some_and(|p| {
+                p.id == flit.message.0 && p.doomed == Some((global as u32, output as u32))
+            });
         if !doomed_here && output != local && flit.kind.is_head() {
             if let Some(plan) = self.fault.as_mut() {
                 if let Some(mask) = plan.roll_corrupt(self.cycle, global, output, flit.message) {
@@ -1242,7 +1266,7 @@ impl<P> Fabric<P> {
             let ovc = self.vc_idx(node, output, out_vc);
             debug_assert!(self.out_credits[ovc] > 0 && self.out_credits[ovc] != INFINITE_CREDITS);
             self.out_credits[ovc] -= 1;
-            let li = node * self.link_ports() + output;
+            let li = node * self.link_ports + output;
             self.stats.link_busy[li] += 1;
             self.stats.link_flits += 1;
             self.activity += 1;
@@ -1344,7 +1368,7 @@ impl<P> Fabric<P> {
     /// Phase 4: freed buffer slots become visible upstream. Drains the
     /// reusable credit scratch filled during switch traversal.
     fn apply_credit_returns(&mut self) {
-        let link_ports = self.link_ports();
+        let link_ports = self.link_ports;
         for i in 0..self.credit_scratch.len() {
             match self.credit_scratch[i] {
                 CreditReturn::Injection { node } => {
@@ -1590,15 +1614,8 @@ impl<P> Fabric<P> {
                         }
                     }
                 }
-                let idx = self.vc_idx(node, port as usize, vc as usize);
-                debug_assert!(
-                    self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
-                    "boundary credit protocol violated"
-                );
-                self.in_fifo[idx].push_back(flit);
-                self.occupancy[node] += 1;
-                self.buffered += 1;
-                self.active_routers.insert(node);
+                let offset = self.vc_offset(port as usize, vc as usize);
+                self.push_flit(node, offset, flit);
                 self.inbound.push(node as u32);
             }
             BoundaryPayload::Credit { node, port, vc } => {
@@ -1608,6 +1625,54 @@ impl<P> Fabric<P> {
                 debug_assert!(self.out_credits[ovc] <= self.config.vc_buffer_capacity);
             }
         }
+    }
+
+    /// Rebuilds the route-ready, requester and busy-output sets from the
+    /// buffers, routes and locks, and asserts the maintained sets equal
+    /// them — so bookkeeping drift fails on the cycle it happens.
+    #[cfg(test)]
+    pub(crate) fn audit_worklists(&self) {
+        let mut route_ready = BitRows::new(self.owned, self.vc_stride);
+        let mut requesters = BitRows::new(
+            self.owned * (self.link_ports + 1) * DATELINE_VCS,
+            self.vc_stride,
+        );
+        let mut busy_outputs = BitRows::new(self.owned, self.link_ports + 1);
+        for node in 0..self.owned {
+            for offset in 0..self.vc_stride {
+                let idx = node * self.vc_stride + offset;
+                if !self.in_fifo[idx].front().is_some_and(|f| f.kind.is_head()) {
+                    continue;
+                }
+                match self.in_route[idx] {
+                    None => route_ready.insert(node, offset),
+                    Some(route) => {
+                        requesters.insert(self.req_row(node, route.port, route.vc), offset);
+                        busy_outputs.insert(node, route.port);
+                    }
+                }
+            }
+            for output in 0..=self.link_ports {
+                for w in 0..self.port_vcs(output) {
+                    if self.out_locked[self.vc_idx(node, output, w)].is_some() {
+                        busy_outputs.insert(node, output);
+                    }
+                }
+            }
+        }
+        let cycle = self.cycle;
+        assert_eq!(
+            route_ready, self.route_ready,
+            "route-ready set drifted by cycle {cycle}"
+        );
+        assert_eq!(
+            requesters, self.requesters,
+            "requester sets drifted by cycle {cycle}"
+        );
+        assert_eq!(
+            busy_outputs, self.busy_outputs,
+            "busy-output sets drifted by cycle {cycle}"
+        );
     }
 }
 
@@ -2066,6 +2131,10 @@ mod shard_tests {
             for item in items.drain(..) {
                 let s = owner(&shards, item.dst_node());
                 shards[s].ingest_boundary(item);
+            }
+            mono.audit_worklists();
+            for f in &shards {
+                f.audit_worklists();
             }
             assert!(mono.cycle() < 500_000, "traffic did not drain");
         }

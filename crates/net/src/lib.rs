@@ -71,6 +71,7 @@ pub use reference::ReferenceFabric;
 pub use rng::DetRng;
 pub use stats::{FabricStats, Histogram, LatencyBreakdown, HISTOGRAM_BUCKETS};
 pub use topology::{
-    Direction, Dragonfly, FatTree, Mesh2D, NodeId, PortStep, Topology, Torus, VcIndex, DATELINE_VCS,
+    Direction, Dragonfly, FatTree, Mesh2D, NodeId, PortStep, Topology, Torus, VcIndex,
+    DATELINE_VCS, MAX_NODES,
 };
 pub use trace::{TraceBuffer, TraceEvent};

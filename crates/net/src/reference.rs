@@ -703,6 +703,7 @@ mod equivalence_tests {
             }
             opt.step().unwrap();
             reference.step().unwrap();
+            opt.audit_worklists();
             if cycle % 64 == 0 {
                 assert_eq!(
                     opt.stats(),
@@ -718,6 +719,7 @@ mod equivalence_tests {
             }
             opt.step().unwrap();
             reference.step().unwrap();
+            opt.audit_worklists();
         }
         assert_eq!(opt.cycle(), reference.cycle());
         assert_eq!(opt.stats(), reference.stats(), "final stats diverged");
@@ -794,6 +796,26 @@ mod equivalence_tests {
                 2_500,
             );
         }
+    }
+
+    #[test]
+    fn matches_reference_with_multi_word_vc_sets() {
+        // Twelve VCs a link on a 3-D torus: 73 input VCs a router, so
+        // every per-router worklist spans two 64-bit words.
+        let plan = FaultPlan::new(41)
+            .with_drop_rate(0.01)
+            .with_stall_rate(0.005, 40);
+        lockstep(
+            Torus::new(3, 4),
+            FabricConfig {
+                link_vcs: 12,
+                ..FabricConfig::default()
+            },
+            Some(plan),
+            41,
+            0.04,
+            2_000,
+        );
     }
 
     #[test]

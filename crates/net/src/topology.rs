@@ -50,6 +50,14 @@ pub type VcIndex = usize;
 /// pre-global/post-global on the dragonfly.
 pub const DATELINE_VCS: usize = 2;
 
+/// Most routers a fabric built from user input may have: 2^21, which
+/// admits a 1000 x 1000 torus. Front ends hold shapes to it
+/// ([`Topology::try_cube`], [`Topology::parse`], [`Topology::check_size`])
+/// before allocating anything, because a machine costs kilobytes a node
+/// and a larger request would abort on allocation instead of returning
+/// an error.
+pub const MAX_NODES: usize = 1 << 21;
+
 /// The cube/mesh output port for travel along `dim` in `direction`:
 /// ports are numbered `2 * dim + direction.index()`.
 pub(crate) fn link_to_port(dim: u32, direction: Direction) -> usize {
@@ -471,7 +479,7 @@ impl Topology {
 
     /// [`Topology::cube`] for user-supplied shapes: an error naming the
     /// offending field instead of a panic when the torus would be empty
-    /// or its node count `radix^dims` overflows.
+    /// or its node count `radix^dims` exceeds [`MAX_NODES`].
     pub fn try_cube(dims: u32, radix: usize) -> Result<Self, String> {
         if dims == 0 {
             return Err("dims: a cube needs at least one dimension".into());
@@ -479,12 +487,42 @@ impl Topology {
         if radix == 0 {
             return Err("radix: a cube needs at least one node per ring".into());
         }
-        if radix.checked_pow(dims).is_none() {
-            return Err(format!(
-                "dims: {radix}^{dims} nodes overflows the node count"
-            ));
+        let cube = Topology::cube(dims, radix);
+        cube.check_size().map_err(|e| format!("dims: {e}"))?;
+        Ok(cube)
+    }
+
+    /// Checks that the fabric has at most [`MAX_NODES`] routers,
+    /// counting them with checked arithmetic, so a shape whose count
+    /// overflows is rejected too.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the shape and its node count.
+    pub fn check_size(&self) -> Result<(), String> {
+        let nodes = match self {
+            Topology::Cube(t) => t.radix.checked_pow(t.dims),
+            Topology::Mesh(m) => m.x.checked_mul(m.y),
+            Topology::FatTree(f) => (0..=f.levels).try_fold(0usize, |sum, level| {
+                sum.checked_add(f.arity.checked_pow(level)?)
+            }),
+            Topology::Dragonfly(d) => d
+                .routers
+                .checked_mul(d.globals)
+                .and_then(|channels| channels.checked_add(1))
+                .and_then(|groups| groups.checked_mul(d.routers)),
+        };
+        match nodes {
+            Some(n) if n <= MAX_NODES => Ok(()),
+            Some(n) => Err(format!(
+                "{} has {n} nodes, over the {MAX_NODES}-node cap",
+                self.canonical()
+            )),
+            None => Err(format!(
+                "{} has more nodes than a usize counts, over the {MAX_NODES}-node cap",
+                self.canonical()
+            )),
         }
-        Ok(Topology::cube(dims, radix))
     }
 
     /// An `x` by `y` non-wrapping mesh.
@@ -933,7 +971,7 @@ impl Topology {
     /// `cube` and `mesh` take their shape from `dims`/`radix` (the cube
     /// as [`Topology::try_cube`] checks it; the mesh requires `dims == 2`
     /// and is `radix` by `radix`, `radix >= 2`, so that every node has a
-    /// neighbour).
+    /// neighbour). Every family is held to [`MAX_NODES`].
     pub fn parse(spec: &str, dims: u32, radix: usize) -> Result<Topology, String> {
         let (family, params) = match spec.split_once(':') {
             Some((f, p)) => (f, Some(p)),
@@ -975,21 +1013,29 @@ impl Topology {
                         "radix: a mesh needs at least 2 nodes per side, got {radix}"
                     ));
                 }
-                Ok(Topology::mesh(radix, radix))
+                let mesh = Topology::mesh(radix, radix);
+                mesh.check_size().map_err(|e| format!("radix: {e}"))?;
+                Ok(mesh)
             }
             "fattree" => {
                 let (arity, levels) = two(params, 4, 3)?;
                 if arity < 2 || levels == 0 {
                     return Err("fattree needs arity >= 2 and levels >= 1".into());
                 }
-                Ok(Topology::fat_tree(arity, levels as u32))
+                let levels = u32::try_from(levels)
+                    .map_err(|_| format!("fattree levels {levels} is out of range"))?;
+                let tree = Topology::fat_tree(arity, levels);
+                tree.check_size()?;
+                Ok(tree)
             }
             "dragonfly" => {
                 let (routers, globals) = two(params, 4, 4)?;
                 if routers < 2 || globals == 0 {
                     return Err("dragonfly needs routers >= 2 and globals >= 1".into());
                 }
-                Ok(Topology::dragonfly(routers, globals))
+                let dragonfly = Topology::dragonfly(routers, globals);
+                dragonfly.check_size()?;
+                Ok(dragonfly)
             }
             other => Err(format!(
                 "unknown topology '{other}' (expected cube, mesh, fattree, dragonfly)"
@@ -1433,17 +1479,34 @@ mod tests {
         assert!(Topology::parse("mesh", 3, 8).is_err());
         assert!(Topology::parse("hypercube", 2, 8).is_err());
         // Shapes that would panic (or wrap to zero nodes) are named errors.
+        // So are shapes over the node cap, in every family; the error
+        // names the field, or the shape when the spec is the field.
         for (spec, dims, radix, field) in [
             ("cube", 0, 8, "dims"),
             ("cube", 2, 0, "radix"),
             ("cube", 64, 2, "dims"),
+            ("cube", 22, 2, "dims"),
+            ("cube", 31, 2, "dims"),
             ("mesh", 2, 1, "radix"),
             ("mesh", 2, 0, "radix"),
+            ("mesh", 2, 1_449, "radix"),
+            ("mesh", 2, 1 << 40, "radix"),
+            ("fattree:2,21", 2, 8, "fattree:a2l21 has 4194303 nodes"),
+            ("fattree:2,64", 2, 8, "fattree:a2l64 has more nodes"),
+            ("fattree:2,4294967297", 2, 8, "fattree levels"),
+            ("dragonfly:2000,2000", 2, 8, "dragonfly:a2000h2000 has 8"),
+            ("dragonfly:4294967296,4294967296", 2, 8, "dragonfly:"),
         ] {
             let err = Topology::parse(spec, dims, radix).unwrap_err();
             assert!(err.starts_with(field), "{spec} {dims}x{radix}: {err}");
         }
+        // Shapes up to the cap stay legal: a 1000 x 1000 torus, and a
+        // 2^21-node cube.
         assert_eq!(Topology::try_cube(2, 8), Ok(Topology::cube(2, 8)));
+        assert!(Topology::try_cube(2, 1_000).is_ok());
+        assert!(Topology::try_cube(21, 2).is_ok());
+        assert!(Topology::parse("mesh", 2, 1_448).is_ok());
+        assert!(Topology::parse("fattree:2,20", 2, 8).is_ok());
         for t in all_small() {
             // Canonical names are unique per shape.
             assert!(t.canonical().contains(t.family()));

@@ -1306,6 +1306,8 @@ mod tests {
         // Bad specs surface the offending flag.
         let e = sim_config(&opts(&["--topology", "hypercube"])).unwrap_err();
         assert!(e.starts_with("--topology:"), "{e}");
+        let e = sim_config(&opts(&["--topology", "dragonfly:2000,2000"])).unwrap_err();
+        assert!(e.starts_with("--topology:") && e.contains("cap"), "{e}");
         let e = sim_config(&opts(&["--traffic", "storm"])).unwrap_err();
         assert!(e.starts_with("--traffic:"), "{e}");
     }

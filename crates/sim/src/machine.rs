@@ -113,9 +113,10 @@ impl SimConfig {
 
     /// Checks the fields a front end takes from its user (the CLI and the
     /// serve daemon both call this) and names the first one out of range,
-    /// where building a machine would panic: zero contexts, clock ratio
-    /// or work grain, or — with no explicit topology — a `dims`/`radix`
-    /// torus that [`Topology::try_cube`] rejects.
+    /// where building a machine would panic or abort: zero contexts,
+    /// clock ratio or work grain, a `dims`/`radix` torus that
+    /// [`Topology::try_cube`] rejects, or an explicit topology over the
+    /// node cap ([`Topology::check_size`]).
     ///
     /// # Errors
     ///
@@ -132,10 +133,10 @@ impl SimConfig {
         if self.work == 0 {
             return Err("work: the computation grain must be at least one cycle".into());
         }
-        if self.topology.is_none() {
-            Topology::try_cube(self.dims, self.radix)?;
+        match &self.topology {
+            None => Topology::try_cube(self.dims, self.radix).map(drop),
+            Some(topology) => topology.check_size().map_err(|e| format!("topology: {e}")),
         }
-        Ok(())
     }
 }
 

@@ -1238,6 +1238,9 @@ mod tests {
             "{\"op\":\"run\",\"mapping\":\"identity\",\"switch_cycles\":4294967307,\"warmup\":100,\"window\":100}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"work\":4294967306,\"warmup\":100,\"window\":100}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"clock_ratio\":4294967298}\n",
+            // Machines too large to allocate, which once aborted the daemon.
+            "{\"op\":\"run\",\"id\":\"x\",\"mapping\":\"identity\",\"dims\":31,\"radix\":2,\"warmup\":10,\"window\":10}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"topology\":\"dragonfly:2000,2000\"}\n",
             "{\"op\":\"stats\"}\n",
         );
         let mut output = Vec::new();
@@ -1245,8 +1248,8 @@ mod tests {
         assert!(eof, "EOF (not shutdown) ends the stream");
         let text = String::from_utf8(output).unwrap();
         let events: Vec<&str> = text.lines().collect();
-        assert_eq!(events.len(), 15, "one event per request: {text}");
-        for (line, field) in events[..14].iter().zip([
+        assert_eq!(events.len(), 17, "one event per request: {text}");
+        for (line, field) in events[..16].iter().zip([
             "",
             "",
             "",
@@ -1261,12 +1264,14 @@ mod tests {
             "switch_cycles",
             "work",
             "clock_ratio",
+            "dims",
+            "topology",
         ]) {
             assert!(line.contains("\"event\":\"error\""), "{line}");
             assert!(line.contains(field), "error must name `{field}`: {line}");
         }
         assert!(
-            events[14].contains("\"event\":\"stats\""),
+            events[16].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
     }
