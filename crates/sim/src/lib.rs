@@ -53,7 +53,7 @@ pub use fit::{fit_line, FitError, LineFit};
 pub use machine::{
     run_experiment, run_sharded_experiment, Machine, MachineSnapshot, Measurements, SimConfig,
 };
-pub use mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
+pub use mapping::{mapping_suite, suite_names, topology_mapping_suite, Mapping, NamedMapping};
 pub use parallel::{default_jobs, parallel_map, set_job_budget};
 pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, ServeOptions};
 pub use shard::ShardedMachine;

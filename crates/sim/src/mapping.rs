@@ -7,6 +7,19 @@
 //! equivalent of that suite: structured permutations with known dilation,
 //! seeded random permutations (expected distance from Eq. 17), and a
 //! hill-climbing search for a near-pessimal mapping.
+//!
+//! Each suite mapping is defined once, by name, in
+//! [`NamedMapping::by_name`]; [`suite_names`] lists a topology's names
+//! (ten on a cube, six elsewhere), and [`topology_mapping_suite`] builds
+//! them all. A caller that needs one mapping builds only that one.
+//!
+//! The hill climb ([`Mapping::maximize_app_distance`]) scores a candidate
+//! swap of threads `a` and `b` over only the application edges that touch
+//! `a` or `b`, found through an index of each thread's outgoing and
+//! incoming edges built once per climb. Every other edge keeps both of
+//! its endpoints' processors, so it adds the same distance before and
+//! after the swap: the touched sums differ by exactly what the totals
+//! differ by, and the climb keeps the same swaps a full rescore would.
 
 use commloc_net::{DetRng, NodeId, Topology, Torus};
 
@@ -187,11 +200,254 @@ impl Mapping {
     /// application-graph distance — the pessimal end of the paper's
     /// mapping range on the torus, and its counterpart on every other
     /// fabric.
+    ///
+    /// A swap is kept when it lengthens the edges that touch the two
+    /// swapped threads, found through a reverse edge index built once per
+    /// climb. The untouched edges add the same amount before and after
+    /// it, so that test decides exactly as comparing whole-graph totals
+    /// would, at the cost of a few edges per swap instead of all of them.
     pub fn maximize_app_distance(topology: &Topology, seed: u64, iterations: usize) -> Self {
-        let edges = app_edges(topology);
+        let graph = AppGraph::new(topology);
         let threads = topology.compute_nodes();
         let mut rng = DetRng::new(seed);
         let mut best = Self::random(threads, seed ^ 0x5EED);
+        for _ in 0..iterations {
+            let a = rng.index(threads);
+            let b = rng.index(threads);
+            if a == b {
+                continue;
+            }
+            let before = graph.swap_distance(topology, &best.map, a, b);
+            best.map.swap(a, b);
+            if graph.swap_distance(topology, &best.map, a, b) <= before {
+                best.map.swap(a, b);
+            }
+        }
+        best
+    }
+}
+
+/// The application graph as `(thread, peer)` edges from
+/// [`Topology::app_neighbors`], built once per scoring call rather than
+/// once per rescoring.
+fn app_edges(topology: &Topology) -> Vec<(usize, usize)> {
+    (0..topology.compute_nodes())
+        .flat_map(|t| topology.app_neighbors(t).into_iter().map(move |p| (t, p)))
+        .collect()
+}
+
+/// [`app_edges`] indexed both ways, for the hill climb: each thread's
+/// outgoing edges are a range of the edge table (it is grouped by
+/// source), and its incoming edges a range of a flat list of edge
+/// indices.
+struct AppGraph {
+    edges: Vec<(usize, usize)>,
+    /// `edges[out_start[t]..out_start[t + 1]]` leave thread `t`.
+    out_start: Vec<usize>,
+    /// `in_edges[in_start[t]..in_start[t + 1]]` index the edges that
+    /// end at thread `t`.
+    in_start: Vec<usize>,
+    in_edges: Vec<usize>,
+}
+
+impl AppGraph {
+    fn new(topology: &Topology) -> Self {
+        Self::from_edges(topology.compute_nodes(), app_edges(topology))
+    }
+
+    /// Indexes `edges` among `threads` threads; the edges must be grouped
+    /// by source thread in ascending order, as [`app_edges`] lists them.
+    fn from_edges(threads: usize, edges: Vec<(usize, usize)>) -> Self {
+        let out_start = degree_offsets(threads, edges.iter().map(|&(t, _)| t));
+        let in_start = degree_offsets(threads, edges.iter().map(|&(_, p)| p));
+        let mut next = in_start.clone();
+        let mut in_edges = vec![0; edges.len()];
+        for (e, &(_, p)) in edges.iter().enumerate() {
+            in_edges[next[p]] = e;
+            next[p] += 1;
+        }
+        Self {
+            edges,
+            out_start,
+            in_start,
+            in_edges,
+        }
+    }
+
+    /// Total fabric distance under `map` over the edges that touch
+    /// thread `a` or `b`, each edge once. Those are the edges leaving `a`
+    /// and `b`, plus the edges into `a` and `b` from any other thread:
+    /// an edge into `a` or `b` from `a` or `b` (the `(a, b)` edge, a
+    /// self-loop) already left one of them. Repeated edges (a radix-2
+    /// torus lists one neighbour twice) are distinct edge indices, so
+    /// each is counted as often as the full total counts it.
+    fn swap_distance(&self, topology: &Topology, map: &[NodeId], a: usize, b: usize) -> usize {
+        let outgoing = (self.out_start[a]..self.out_start[a + 1])
+            .chain(self.out_start[b]..self.out_start[b + 1]);
+        let incoming = self.in_edges[self.in_start[a]..self.in_start[a + 1]]
+            .iter()
+            .chain(&self.in_edges[self.in_start[b]..self.in_start[b + 1]])
+            .copied()
+            .filter(|&e| {
+                let (from, _) = self.edges[e];
+                from != a && from != b
+            });
+        outgoing
+            .chain(incoming)
+            .map(|e| {
+                let (t, p) = self.edges[e];
+                topology.distance(map[t], map[p])
+            })
+            .sum()
+    }
+}
+
+/// Prefix offsets of `keys` grouped by value in `0..len`: entry `t` is
+/// the number of keys below `t`, and the last entry is the key count.
+fn degree_offsets(len: usize, keys: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut offsets = vec![0; len + 1];
+    for key in keys {
+        offsets[key + 1] += 1;
+    }
+    for t in 0..len {
+        offsets[t + 1] += offsets[t];
+    }
+    offsets
+}
+
+/// A named mapping together with its analytic average neighbour distance.
+#[derive(Debug, Clone)]
+pub struct NamedMapping {
+    /// Short identifier, e.g. `"identity"` or `"random-1"`.
+    pub name: String,
+    /// The mapping.
+    pub mapping: Mapping,
+    /// Average neighbour distance on the torus it was built for.
+    pub distance: f64,
+}
+
+impl NamedMapping {
+    /// Builds the suite mapping `name` for `topology` from `seed`, with
+    /// its [`Mapping::average_app_distance`]; `None` when `name` is not
+    /// in [`suite_names`] for this topology. This is the one definition
+    /// of every suite mapping: [`topology_mapping_suite`] builds each of
+    /// its names through it.
+    pub fn by_name(topology: &Topology, seed: u64, name: &str) -> Option<Self> {
+        if !suite_names(topology).contains(&name) {
+            return None;
+        }
+        let n = topology.compute_nodes();
+        let mapping = match (topology, name) {
+            (_, "identity") => Mapping::identity(n),
+            (_, "random-1") => Mapping::random(n, seed),
+            (_, "random-2") => Mapping::random(n, seed ^ 0xABCD),
+            (Topology::Cube(_), "swaps-8") => Mapping::random_swaps(n, 8, seed ^ 0x11),
+            (Topology::Cube(_), "swaps-20") => Mapping::random_swaps(n, 20, seed ^ 0x22),
+            (Topology::Cube(_), "swaps-48") => Mapping::random_swaps(n, 48, seed ^ 0x33),
+            (Topology::Cube(torus), "scale3-x") => Mapping::scale_coordinate(torus, 0, 3),
+            (Topology::Cube(torus), "scale3-xy") => Mapping::from_coordinate_fn(torus, |c| {
+                c.iter().map(|&v| (v * 3) % torus.radix()).collect()
+            }),
+            (Topology::Cube(torus), "bitrev") => Mapping::bit_reversal(torus),
+            (Topology::Cube(_), "worst") => Mapping::maximize_app_distance(topology, seed, 4000),
+            (_, "swaps-light") => Mapping::random_swaps(n, n / 8 + 1, seed ^ 0x11),
+            (_, "swaps-heavy") => Mapping::random_swaps(n, (3 * n) / 4, seed ^ 0x33),
+            (_, "worst") => Mapping::maximize_app_distance(topology, seed, 2000),
+            _ => return None,
+        };
+        Some(Self {
+            name: name.to_owned(),
+            distance: mapping.average_app_distance(topology),
+            mapping,
+        })
+    }
+}
+
+/// The cube suite's names in their build order, which breaks distance
+/// ties in [`topology_mapping_suite`].
+const CUBE_SUITE: [&str; 10] = [
+    "identity",
+    "swaps-8",
+    "scale3-x",
+    "swaps-20",
+    "scale3-xy",
+    "bitrev",
+    "swaps-48",
+    "random-1",
+    "random-2",
+    "worst",
+];
+
+/// The suite's names on every fabric other than the cube.
+const FABRIC_SUITE: [&str; 6] = [
+    "identity",
+    "swaps-light",
+    "swaps-heavy",
+    "random-1",
+    "random-2",
+    "worst",
+];
+
+/// The names of `topology`'s mapping suite, in the family's fixed order.
+/// A cube leaves out the structured mappings its radix cannot hold as
+/// permutations: `bitrev` needs a power-of-two radix, and `scale3-x` and
+/// `scale3-xy` a radix that 3 does not divide.
+pub fn suite_names(topology: &Topology) -> Vec<&'static str> {
+    match topology {
+        Topology::Cube(torus) => {
+            let k = torus.radix();
+            CUBE_SUITE
+                .into_iter()
+                .filter(|&name| match name {
+                    "bitrev" => k.is_power_of_two(),
+                    "scale3-x" | "scale3-xy" => k % 3 != 0,
+                    _ => true,
+                })
+                .collect()
+        }
+        _ => FABRIC_SUITE.to_vec(),
+    }
+}
+
+/// The validation mapping suite: on the 8x8 torus, ten mappings spanning
+/// average communication distances from one to just over six hops,
+/// mirroring the paper's Section 3.2 range ([`topology_mapping_suite`]
+/// on the cube).
+pub fn mapping_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
+    topology_mapping_suite(&Topology::Cube(torus.clone()), seed)
+}
+
+/// The mapping suite for any topology: every name in [`suite_names`]
+/// built by [`NamedMapping::by_name`] — on a cube, structured
+/// permutations, graded random swaps, random permutations and a
+/// hill-climbed worst mapping; elsewhere the same without the structured
+/// ones. The suite is sorted by average application-graph distance
+/// (stably, so ties keep the names' order).
+pub fn topology_mapping_suite(topology: &Topology, seed: u64) -> Vec<NamedMapping> {
+    let mut suite: Vec<NamedMapping> = suite_names(topology)
+        .into_iter()
+        .filter_map(|name| NamedMapping::by_name(topology, seed, name))
+        .collect();
+    suite.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+    suite
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn torus() -> Torus {
+        Torus::new(2, 8)
+    }
+
+    /// The whole-graph hill climb: rescore every application edge after
+    /// each candidate swap. The oracle the incremental climb must match
+    /// swap for swap.
+    fn maximize_by_full_rescore(topology: &Topology, seed: u64, iterations: usize) -> Mapping {
+        let edges = app_edges(topology);
+        let threads = topology.compute_nodes();
+        let mut rng = DetRng::new(seed);
+        let mut best = Mapping::random(threads, seed ^ 0x5EED);
         let mut best_score = best.total_app_distance(topology, &edges);
         for _ in 0..iterations {
             let a = rng.index(threads);
@@ -209,113 +465,162 @@ impl Mapping {
         }
         best
     }
-}
 
-/// The application graph as `(thread, peer)` edges from
-/// [`Topology::app_neighbors`], built once per scoring call rather than
-/// once per rescoring.
-fn app_edges(topology: &Topology) -> Vec<(usize, usize)> {
-    (0..topology.compute_nodes())
-        .flat_map(|t| topology.app_neighbors(t).into_iter().map(move |p| (t, p)))
-        .collect()
-}
-
-/// A named mapping together with its analytic average neighbour distance.
-#[derive(Debug, Clone)]
-pub struct NamedMapping {
-    /// Short identifier, e.g. `"identity"` or `"random-1"`.
-    pub name: String,
-    /// The mapping.
-    pub mapping: Mapping,
-    /// Average neighbour distance on the torus it was built for.
-    pub distance: f64,
-}
-
-/// The validation mapping suite: nine mappings spanning average
-/// communication distances from one to just over six hops on the 8x8
-/// torus, mirroring the paper's Section 3.2 range.
-pub fn mapping_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
-    let topology = Topology::Cube(torus.clone());
-    let n = torus.nodes();
-    sorted_suite(
-        &topology,
-        vec![
-            ("identity", Mapping::identity(n)),
-            ("swaps-8", Mapping::random_swaps(n, 8, seed ^ 0x11)),
-            ("scale3-x", Mapping::scale_coordinate(torus, 0, 3)),
-            ("swaps-20", Mapping::random_swaps(n, 20, seed ^ 0x22)),
-            (
-                "scale3-xy",
-                Mapping::from_coordinate_fn(torus, |c| {
-                    c.iter().map(|&v| (v * 3) % torus.radix()).collect()
-                }),
-            ),
-            ("bitrev", Mapping::bit_reversal(torus)),
-            ("swaps-48", Mapping::random_swaps(n, 48, seed ^ 0x33)),
-            ("random-1", Mapping::random(n, seed)),
-            ("random-2", Mapping::random(n, seed ^ 0xABCD)),
-            (
-                "worst",
-                Mapping::maximize_app_distance(&topology, seed, 4000),
-            ),
-        ],
-    )
-}
-
-/// The mapping suite for any topology: [`mapping_suite`] on a cube;
-/// elsewhere identity, graded random swaps, fully random permutations,
-/// and a hill-climbed worst mapping. Each entry carries its average
-/// application-graph distance, and the suite is sorted by it.
-pub fn topology_mapping_suite(topology: &Topology, seed: u64) -> Vec<NamedMapping> {
-    if let Topology::Cube(torus) = topology {
-        return mapping_suite(torus, seed);
+    /// The topologies the climb and the by-name constructor are checked
+    /// on: every cube shape below, the meshes among them, and two shapes
+    /// each of fat tree and dragonfly.
+    fn shapes() -> Vec<Topology> {
+        let mut out = Vec::new();
+        for (dims, radix) in [(2, 8), (3, 4), (2, 2), (1, 5), (2, 3)] {
+            out.push(Topology::cube(dims, radix));
+            if let Ok(mesh) = Topology::parse("mesh", dims, radix) {
+                out.push(mesh);
+            }
+        }
+        for spec in ["fattree", "fattree:2,5", "dragonfly", "dragonfly:4,5"] {
+            out.push(Topology::parse(spec, 2, 8).unwrap());
+        }
+        out
     }
-    let n = topology.compute_nodes();
-    sorted_suite(
-        topology,
-        vec![
-            ("identity", Mapping::identity(n)),
-            (
-                "swaps-light",
-                Mapping::random_swaps(n, n / 8 + 1, seed ^ 0x11),
-            ),
-            (
-                "swaps-heavy",
-                Mapping::random_swaps(n, (3 * n) / 4, seed ^ 0x33),
-            ),
-            ("random-1", Mapping::random(n, seed)),
-            ("random-2", Mapping::random(n, seed ^ 0xABCD)),
-            (
-                "worst",
-                Mapping::maximize_app_distance(topology, seed, 2000),
-            ),
-        ],
-    )
-}
 
-/// Names each mapping, annotates it with its average application-graph
-/// distance on `topology`, and sorts the suite by that distance (stably,
-/// so ties keep their listed order).
-fn sorted_suite(topology: &Topology, mappings: Vec<(&str, Mapping)>) -> Vec<NamedMapping> {
-    let edges = app_edges(topology);
-    let mut suite: Vec<NamedMapping> = mappings
-        .into_iter()
-        .map(|(name, mapping)| NamedMapping {
-            name: name.to_owned(),
-            distance: mapping.total_app_distance(topology, &edges) as f64 / edges.len() as f64,
-            mapping,
-        })
-        .collect();
-    suite.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-    suite
-}
+    #[test]
+    fn incremental_climb_matches_full_rescore() {
+        for topology in shapes() {
+            for seed in [0, 1, 7, 1992, 12345] {
+                assert_eq!(
+                    Mapping::maximize_app_distance(&topology, seed, 3000),
+                    maximize_by_full_rescore(&topology, seed, 3000),
+                    "{} at seed {seed}",
+                    topology.canonical()
+                );
+            }
+        }
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn swap_distance_moves_as_the_total_does_on_any_edge_list() {
+        // Every application graph a topology lists is symmetric, so the
+        // incoming half of the index needs an edge list that is not: one
+        // way ring edges, a repeated edge, a self-loop and an edge each
+        // way between threads 0 and 1. Each touched edge counts once, and
+        // the touched sum moves by exactly what the total moves by.
+        let topology = Topology::cube(1, 7);
+        let edges = vec![
+            (0, 1),
+            (0, 1),
+            (1, 0),
+            (1, 2),
+            (2, 2),
+            (2, 3),
+            (3, 4),
+            (4, 6),
+            (5, 6),
+            (6, 0),
+        ];
+        let graph = AppGraph::from_edges(7, edges.clone());
+        let mut rng = DetRng::new(3);
+        let mut mapping = Mapping::random(7, 3);
+        for _ in 0..500 {
+            let (a, b) = (rng.index(7), rng.index(7));
+            if a == b {
+                continue;
+            }
+            let touched = graph.swap_distance(&topology, &mapping.map, a, b) as i64;
+            let each_once: usize = edges
+                .iter()
+                .filter(|&&(t, p)| [t, p].iter().any(|&end| end == a || end == b))
+                .map(|&(t, p)| topology.distance(mapping.map[t], mapping.map[p]))
+                .sum();
+            assert_eq!(touched, each_once as i64, "touched edges of ({a}, {b})");
+            let total = mapping.total_app_distance(&topology, &edges) as i64;
+            mapping.map.swap(a, b);
+            let touched_delta = graph.swap_distance(&topology, &mapping.map, a, b) as i64 - touched;
+            let total_delta = mapping.total_app_distance(&topology, &edges) as i64 - total;
+            assert_eq!(touched_delta, total_delta, "swap ({a}, {b})");
+        }
+    }
 
-    fn torus() -> Torus {
-        Torus::new(2, 8)
+    #[test]
+    fn by_name_builds_each_suite_entry_bit_for_bit() {
+        let mut cases: Vec<(Topology, u64)> = shapes().into_iter().map(|t| (t, 1992)).collect();
+        cases.push((Topology::cube(2, 8), 7));
+        cases.push((Topology::cube(2, 6), 1992));
+        for (topology, seed) in cases {
+            let suite = topology_mapping_suite(&topology, seed);
+            let mut names: Vec<&str> = suite.iter().map(|named| named.name.as_str()).collect();
+            names.sort_unstable();
+            let mut listed = suite_names(&topology);
+            listed.sort_unstable();
+            assert_eq!(names, listed, "{}", topology.canonical());
+            for named in &suite {
+                let built = NamedMapping::by_name(&topology, seed, &named.name)
+                    .unwrap_or_else(|| panic!("{} on {}", named.name, topology.canonical()));
+                assert_eq!(built.name, named.name);
+                assert_eq!(built.mapping, named.mapping, "{}", named.name);
+                assert_eq!(built.distance.to_bits(), named.distance.to_bits());
+            }
+            assert!(NamedMapping::by_name(&topology, seed, "no-such-mapping").is_none());
+        }
+    }
+
+    #[test]
+    fn cube_suite_leaves_out_what_the_radix_cannot_hold() {
+        let names = |radix| suite_names(&Topology::cube(2, radix));
+        assert_eq!(names(8).len(), 10, "the paper's 8x8 suite keeps all ten");
+        assert_eq!(names(8), CUBE_SUITE);
+        assert!(!names(5).contains(&"bitrev"));
+        assert!(names(5).contains(&"scale3-x"));
+        for radix in [3, 6, 9] {
+            let listed = names(radix);
+            assert!(!listed.contains(&"scale3-x") && !listed.contains(&"scale3-xy"));
+            assert!(NamedMapping::by_name(&Topology::cube(2, radix), 1, "scale3-x").is_none());
+        }
+        assert!(NamedMapping::by_name(&Topology::cube(2, 6), 1, "bitrev").is_none());
+        assert_eq!(suite_names(&Topology::mesh(4, 4)), FABRIC_SUITE);
+        // Names of one family are not names of the other.
+        assert!(NamedMapping::by_name(&Topology::mesh(4, 4), 1, "bitrev").is_none());
+        assert!(NamedMapping::by_name(&Topology::cube(2, 4), 1, "swaps-light").is_none());
+    }
+
+    /// FNV-1a over every entry's name, distance bits and permutation, in
+    /// suite order.
+    fn suite_digest(topology: &Topology, seed: u64) -> u64 {
+        let mut text = String::new();
+        for named in topology_mapping_suite(topology, seed) {
+            text.push_str(&format!(
+                "{}:{:016x}:",
+                named.name,
+                named.distance.to_bits()
+            ));
+            for t in 0..named.mapping.threads() {
+                text.push_str(&format!("{},", named.mapping.processor(t).0));
+            }
+            text.push(';');
+        }
+        crate::workload::fnv1a(text.as_bytes())
+    }
+
+    #[test]
+    fn suites_are_pinned_on_every_family() {
+        // Recorded from the whole-graph climb, so the incremental one is
+        // held to it on every family: any drift in a mapping, its
+        // distance or the suite order fails here.
+        for (topology, seed, digest) in [
+            (Topology::cube(2, 8), 1992, 0xef29_7cfb_c119_a38e),
+            (Topology::cube(2, 8), 7, 0xb766_9333_e8d6_de2e),
+            (Topology::cube(3, 4), 1992, 0x18f2_0744_296f_e5c7),
+            (Topology::cube(2, 16), 1992, 0xe0c4_7587_687b_20d1),
+            (Topology::mesh(8, 8), 1992, 0xab2b_73ea_987c_2004),
+            (Topology::fat_tree(4, 3), 1992, 0x0ea7_24ba_e55f_8992),
+            (Topology::dragonfly(4, 4), 1992, 0x1a03_9611_cb54_ae6e),
+        ] {
+            assert_eq!(
+                suite_digest(&topology, seed),
+                digest,
+                "{} at seed {seed}",
+                topology.canonical()
+            );
+        }
     }
 
     #[test]

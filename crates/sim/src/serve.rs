@@ -39,7 +39,7 @@ use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW, SUITE_SEED};
 use crate::error::SimError;
 use crate::json::{json_string, Json};
 use crate::machine::{Machine, MachineSnapshot, Measurements, SimConfig};
-use crate::mapping::{topology_mapping_suite, Mapping, NamedMapping};
+use crate::mapping::{suite_names, topology_mapping_suite, Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
 use crate::workload::{fnv1a, Workload};
 use commloc_net::{FaultPlan, Topology};
@@ -684,31 +684,32 @@ fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
-/// Resolves request mapping names against the suite for this config's
-/// topology ([`topology_mapping_suite`]). Empty `specs` means the whole
-/// suite.
+/// Resolves request mapping names for this config's topology, building
+/// only the mappings named ([`NamedMapping::by_name`]); empty `specs`
+/// means the whole suite ([`topology_mapping_suite`]). Every name is
+/// checked against [`suite_names`] before anything is built, and an
+/// unknown one is reported with the family's names in their fixed order.
 fn resolve_mappings(
     config: &SimConfig,
     seed: u64,
     specs: &[String],
 ) -> Result<Vec<NamedMapping>, String> {
-    let suite = topology_mapping_suite(&config.resolved_topology(), seed);
+    let topology = config.resolved_topology();
     if specs.is_empty() {
-        return Ok(suite);
+        return Ok(topology_mapping_suite(&topology, seed));
     }
-    specs
+    let names = suite_names(&topology);
+    if let Some(spec) = specs.iter().find(|spec| !names.contains(&spec.as_str())) {
+        return Err(format!(
+            "unknown mapping `{spec}` on {} (suite: {})",
+            topology.canonical(),
+            names.join(", ")
+        ));
+    }
+    Ok(specs
         .iter()
-        .map(|spec| {
-            suite
-                .iter()
-                .find(|named| &named.name == spec)
-                .cloned()
-                .ok_or_else(|| {
-                    let known: Vec<&str> = suite.iter().map(|n| n.name.as_str()).collect();
-                    format!("unknown mapping `{spec}` (suite: {})", known.join(", "))
-                })
-        })
-        .collect()
+        .filter_map(|spec| NamedMapping::by_name(&topology, seed, spec))
+        .collect())
 }
 
 /// The identity segment shared by every event of one request.
@@ -954,7 +955,7 @@ mod tests {
     use super::*;
     use crate::machine::run_experiment;
     use crate::mapping::mapping_suite;
-    use commloc_net::Torus;
+    use commloc_net::{DetRng, Torus};
 
     fn small_key(window: u64) -> ScenarioKey {
         ScenarioKey::new(&SimConfig::default(), &Mapping::identity(64), 1_000, window)
@@ -1274,5 +1275,188 @@ mod tests {
             events[16].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
+    }
+
+    /// Splits a daemon's output into one reply per request line: the
+    /// events up to and including its one terminal event (`done`,
+    /// `error` or `stats`). Every event must be well-formed JSON, and no
+    /// event may follow the last terminal one.
+    fn replies(output: &[u8]) -> Vec<Vec<String>> {
+        let text = String::from_utf8(output.to_vec()).unwrap();
+        let mut out = Vec::new();
+        let mut current = Vec::new();
+        for line in text.lines() {
+            let doc = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let event = doc.field("event").unwrap().expect("event");
+            current.push(line.to_string());
+            if matches!(
+                event.as_string().unwrap().as_str(),
+                "done" | "error" | "stats"
+            ) {
+                out.push(std::mem::take(&mut current));
+            }
+        }
+        assert!(current.is_empty(), "unterminated reply: {current:?}");
+        out
+    }
+
+    #[test]
+    fn protocol_answers_every_cube_radix() {
+        // Bit reversal needs a power-of-two radix and scaling by 3 a
+        // radix 3 does not divide; these shapes once killed the daemon.
+        let cache = Mutex::new(ScenarioCache::new(64, 4));
+        let cases = [
+            (
+                r#"{"op":"run","mapping":"identity","radix":3,"warmup":10,"window":10}"#,
+                "",
+            ),
+            (
+                r#"{"op":"run","mapping":"scale3-x","radix":3,"warmup":10,"window":10}"#,
+                "scale3-x",
+            ),
+            (r#"{"op":"sweep","radix":3,"warmup":10,"window":10}"#, ""),
+            (
+                r#"{"op":"run","mapping":"scale3-x","radix":5,"warmup":10,"window":10}"#,
+                "",
+            ),
+            (
+                r#"{"op":"run","mapping":"bitrev","radix":5,"warmup":10,"window":10}"#,
+                "bitrev",
+            ),
+            (r#"{"op":"sweep","radix":5,"warmup":10,"window":10}"#, ""),
+            (
+                r#"{"op":"run","mapping":"identity","radix":6,"warmup":10,"window":10}"#,
+                "",
+            ),
+            (
+                r#"{"op":"run","mapping":"worst","radix":6,"warmup":10,"window":10}"#,
+                "",
+            ),
+            (
+                r#"{"op":"run","mapping":"scale3-xy","radix":6,"warmup":10,"window":10}"#,
+                "scale3-xy",
+            ),
+            (
+                r#"{"op":"sweep","mappings":["identity","bitrev"],"radix":6,"warmup":10,"window":10}"#,
+                "bitrev",
+            ),
+            (r#"{"op":"sweep","radix":6,"warmup":10,"window":10}"#, ""),
+        ];
+        let mut input: String = cases.iter().map(|(line, _)| format!("{line}\n")).collect();
+        input.push_str("{\"op\":\"stats\"}\n");
+        let mut output = Vec::new();
+        assert!(handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap());
+        let replies = replies(&output);
+        assert_eq!(replies.len(), cases.len() + 1);
+        for ((request, missing), reply) in cases.iter().zip(&replies) {
+            let last = reply.last().unwrap();
+            if missing.is_empty() {
+                assert!(last.contains("\"event\":\"done\""), "{request}: {last}");
+                let results = reply.iter().filter(|l| l.contains("\"event\":\"result\""));
+                assert!(results.count() >= 1, "{request}: {reply:?}");
+            } else {
+                assert_eq!(reply.len(), 1, "{request}: nothing is built or run");
+                assert!(last.contains("\"event\":\"error\""), "{request}: {last}");
+                assert!(
+                    last.contains(missing),
+                    "error must name `{missing}`: {last}"
+                );
+            }
+        }
+        // The whole-suite sweeps return the mappings each radix holds.
+        for (reply, results) in [(&replies[2], 7), (&replies[5], 9), (&replies[10], 7)] {
+            let count = reply
+                .iter()
+                .filter(|l| l.contains("\"event\":\"result\""))
+                .count();
+            assert_eq!(count, results, "{reply:?}");
+        }
+        assert!(replies[cases.len()][0].contains("\"event\":\"stats\""));
+    }
+
+    #[test]
+    fn seeded_request_fuzz_never_kills_the_daemon() {
+        // Seeded request lines over every family and small shapes, with
+        // mapping names from the family's list plus a bogus one: each line
+        // must end in exactly one `done` or `error`, and the stream must
+        // still answer `stats` after them.
+        let mut rng = DetRng::new(0x5E4E);
+        let cube_names = suite_names(&Topology::cube(2, 8));
+        let fabric_names = suite_names(&Topology::mesh(4, 4));
+        let mut lines = Vec::new();
+        for _ in 0..50 {
+            let (shape, names) = match rng.index(4) {
+                0 | 1 => (
+                    format!(
+                        r#""dims":{},"radix":{}"#,
+                        1 + rng.index(3),
+                        2 + rng.index(8)
+                    ),
+                    &cube_names,
+                ),
+                2 => (
+                    format!(r#""topology":"mesh","radix":{}"#, 2 + rng.index(6)),
+                    &fabric_names,
+                ),
+                _ if rng.chance(0.5) => (
+                    format!(
+                        r#""topology":"fattree:{},{}""#,
+                        2 + rng.index(3),
+                        1 + rng.index(3)
+                    ),
+                    &fabric_names,
+                ),
+                _ => (
+                    format!(
+                        r#""topology":"dragonfly:{},{}""#,
+                        2 + rng.index(3),
+                        1 + rng.index(3)
+                    ),
+                    &fabric_names,
+                ),
+            };
+            let pick = |rng: &mut DetRng| {
+                let i = rng.index(names.len() + 1);
+                names.get(i).copied().unwrap_or("no-such-mapping")
+            };
+            let mapping = if rng.chance(0.5) {
+                format!(r#""op":"run","mapping":"{}""#, pick(&mut rng))
+            } else if rng.chance(0.5) {
+                r#""op":"sweep""#.to_string()
+            } else {
+                let picked: Vec<String> = (0..1 + rng.index(3))
+                    .map(|_| format!("\"{}\"", pick(&mut rng)))
+                    .collect();
+                format!(r#""op":"sweep","mappings":[{}]"#, picked.join(","))
+            };
+            lines.push(format!(
+                r#"{{{mapping},{shape},"seed":{},"warmup":{},"window":{}}}"#,
+                rng.index(1000),
+                rng.index(51),
+                1 + rng.index(50)
+            ));
+        }
+        let cache = Mutex::new(ScenarioCache::new(16, 4));
+        let mut input: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        input.push_str("{\"op\":\"stats\"}\n");
+        let mut output = Vec::new();
+        assert!(handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap());
+        let replies = replies(&output);
+        assert_eq!(replies.len(), lines.len() + 1, "one reply per line");
+        for (line, reply) in lines.iter().zip(&replies) {
+            let last = reply.last().unwrap();
+            assert!(
+                last.contains("\"event\":\"done\"") || last.contains("\"event\":\"error\""),
+                "{line}: {last}"
+            );
+        }
+        let answered = replies
+            .iter()
+            .filter(|r| r.last().unwrap().contains("\"event\":\"done\""));
+        assert!(
+            answered.count() > lines.len() / 2,
+            "most lines must run: {replies:?}"
+        );
+        assert!(replies[lines.len()][0].contains("\"event\":\"stats\""));
     }
 }
