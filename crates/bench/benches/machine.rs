@@ -20,32 +20,81 @@
 //! varies much more run to run, and the engine's failure modes all cost
 //! well over 2x somewhere).
 //!
+//! Shape gate: each fault scenario names the behaviour it exists to time
+//! ([`Shape`]), and the harness always exits non-zero when a run loses
+//! it — a throughput figure for a machine that no longer fast-forwards,
+//! stalls or migrates measures some other scenario.
+//!
 //! Run with: `cargo bench --bench machine`
 
 use commloc_mem::MemConfig;
 use commloc_net::{FaultConfig, FaultPlan};
-use commloc_sim::{Machine, Mapping, MigrationSpec, SimConfig};
+use commloc_sim::{Machine, Mapping, SimConfig, SimError, WorkStealingPolicy};
 use std::path::PathBuf;
 
 struct Scenario {
     name: &'static str,
     config: SimConfig,
     mapping: Mapping,
-    /// Migration policy spec, built fresh per engine (`None` = static
+    /// Migration policy installed on both engines (`None` = static
     /// machine without the resilience layer).
-    migration: Option<MigrationSpec>,
+    migration: Option<WorkStealingPolicy>,
     /// Network-cycle run bound; fault scenarios may trip the watchdog
     /// earlier (identically on both engines).
     cycles: u64,
+    /// The behaviour the scenario exists to time.
+    shape: Shape,
+}
+
+/// What a scenario's run must show for its throughput to mean what the
+/// scenario's comment says.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Dense traffic; nothing to check.
+    Dense,
+    /// Quiescent retry gaps: the run fast-forwards.
+    FastForwards,
+    /// A wedged machine: the run ends in a watchdog stall with at least
+    /// 90% of its cycles fast-forwarded.
+    WatchdogStall,
+    /// The migration policy moves threads.
+    Migrates,
+}
+
+/// What one engine's run showed.
+struct Run {
+    wall_secs: f64,
+    cycles: u64,
+    completions: u64,
+    fast_forwarded: u64,
+    stalled: bool,
+    migrations: usize,
+}
+
+impl Shape {
+    /// Why `run` does not have this shape, if it does not.
+    fn lost_by(self, run: &Run) -> Option<String> {
+        let ff_share = run.fast_forwarded as f64 / run.cycles.max(1) as f64;
+        match self {
+            Shape::Dense => None,
+            Shape::FastForwards if run.fast_forwarded == 0 => {
+                Some("no cycle was fast-forwarded".to_owned())
+            }
+            Shape::WatchdogStall if !run.stalled => Some("the watchdog never tripped".to_owned()),
+            Shape::WatchdogStall if ff_share < 0.9 => Some(format!(
+                "{:.1}% of cycles fast-forwarded, under 90%",
+                ff_share * 100.0
+            )),
+            Shape::Migrates if run.migrations == 0 => Some("no thread migrated".to_owned()),
+            _ => None,
+        }
+    }
 }
 
 struct Outcome {
     name: &'static str,
-    cycles: u64,
-    wall_secs: f64,
+    run: Run,
     cycles_per_sec: f64,
-    completions: u64,
-    fast_forwarded: u64,
     reference_cycles_per_sec: f64,
     speedup: f64,
 }
@@ -61,6 +110,7 @@ fn scenarios() -> Vec<Scenario> {
             mapping: Mapping::identity(64),
             migration: None,
             cycles: 30_000,
+            shape: Shape::Dense,
         },
         Scenario {
             // Figure 5 regime: multithreaded (2 contexts) with the random
@@ -73,6 +123,7 @@ fn scenarios() -> Vec<Scenario> {
             mapping: Mapping::random(64, 1992),
             migration: None,
             cycles: 30_000,
+            shape: Shape::Dense,
         },
         Scenario {
             // Heavy drops with long retry timeouts carve quiescent gaps
@@ -97,12 +148,14 @@ fn scenarios() -> Vec<Scenario> {
             mapping: Mapping::identity(16),
             migration: None,
             cycles: 120_000,
+            shape: Shape::FastForwards,
         },
         Scenario {
-            // Unretried drops wedge every thread; once the machine is
-            // fully quiescent the only future event is the watchdog trip,
-            // a few hundred thousand cycles out — one fast-forward jump
-            // for the active engine, a grind for the reference one.
+            // Every message is dropped and never retried, so every thread
+            // wedges on its first miss; once the machine is fully
+            // quiescent the only future event is the watchdog trip, a few
+            // hundred thousand cycles out — one fast-forward jump for the
+            // active engine, a grind for the reference one.
             name: "wedged_watchdog_horizon_4x4",
             config: SimConfig {
                 dims: 2,
@@ -113,7 +166,7 @@ fn scenarios() -> Vec<Scenario> {
                 },
                 watchdog_cycles: 300_000,
                 fault_plan: Some(FaultPlan::new(41).with_config(FaultConfig {
-                    drop_rate: 0.05,
+                    drop_rate: 1.0,
                     ..FaultConfig::default()
                 })),
                 ..SimConfig::default()
@@ -121,6 +174,7 @@ fn scenarios() -> Vec<Scenario> {
             mapping: Mapping::identity(16),
             migration: None,
             cycles: 400_000,
+            shape: Shape::WatchdogStall,
         },
         Scenario {
             // Resilience regime: unretried drops continuously wedge
@@ -143,40 +197,40 @@ fn scenarios() -> Vec<Scenario> {
                 ..SimConfig::default()
             },
             mapping: Mapping::identity(16),
-            migration: Some(MigrationSpec {
-                stealing: true,
+            migration: Some(WorkStealingPolicy {
                 steal_latency: 300,
                 wedge_threshold: 2_000,
                 max_migrations: 10_000,
             }),
             cycles: 120_000,
+            shape: Shape::Migrates,
         },
     ]
 }
 
-/// Runs one engine over the scenario; returns wall seconds plus the
-/// observables the harness cross-checks between engines.
-fn run_engine(s: &Scenario, reference: bool) -> (f64, u64, u64, u64) {
-    let mut machine = match (reference, s.migration) {
-        (true, Some(spec)) => {
-            Machine::new_reference_with_policy(&s.config, &s.mapping, spec.build())
-        }
-        (true, None) => Machine::new_reference(&s.config, &s.mapping),
-        (false, Some(spec)) => Machine::with_policy(&s.config, &s.mapping, spec.build()),
-        (false, None) => Machine::new(&s.config, &s.mapping),
+/// Runs one engine over the scenario.
+fn run_engine(s: &Scenario, reference: bool) -> Run {
+    let mut machine = if reference {
+        Machine::new_reference(&s.config, &s.mapping)
+    } else {
+        Machine::new(&s.config, &s.mapping)
     };
+    if let Some(policy) = s.migration {
+        machine.set_migration(policy);
+    }
     let start = std::time::Instant::now();
     // Watchdog trips are expected in the fault scenarios; the engines
-    // must agree on the outcome either way (asserted by the caller via
-    // net_cycle/completions — the full report equality lives in the
-    // equivalence tests and fuzzer).
-    let _ = machine.run_network_cycles(s.cycles);
-    (
-        start.elapsed().as_secs_f64(),
-        machine.net_cycle(),
-        machine.completions(),
-        machine.fast_forwarded_cycles(),
-    )
+    // must agree on the outcome either way (asserted by the caller — the
+    // full report equality lives in the equivalence tests and fuzzer).
+    let result = machine.run_network_cycles(s.cycles);
+    Run {
+        wall_secs: start.elapsed().as_secs_f64(),
+        cycles: machine.net_cycle(),
+        completions: machine.completions(),
+        fast_forwarded: machine.fast_forwarded_cycles(),
+        stalled: matches!(result, Err(SimError::Stalled(_))),
+        migrations: machine.migrations().len(),
+    }
 }
 
 fn repo_root() -> PathBuf {
@@ -191,13 +245,16 @@ fn render_json(outcomes: &[Outcome]) -> String {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"cycles\": {}, \"wall_secs\": {:.3}, \
              \"cycles_per_sec\": {:.0}, \"completions\": {}, \"fast_forwarded_cycles\": {}, \
+             \"watchdog_stall\": {}, \"migrations\": {}, \
              \"reference_cycles_per_sec\": {:.0}, \"speedup_vs_reference\": {:.2}}}{}\n",
             o.name,
-            o.cycles,
-            o.wall_secs,
+            o.run.cycles,
+            o.run.wall_secs,
             o.cycles_per_sec,
-            o.completions,
-            o.fast_forwarded,
+            o.run.completions,
+            o.run.fast_forwarded,
+            o.run.stalled,
+            o.run.migrations,
             o.reference_cycles_per_sec,
             o.speedup,
             if i + 1 < outcomes.len() { "," } else { "" },
@@ -226,40 +283,44 @@ fn main() {
     let baseline = std::fs::read_to_string(&baseline_path).ok();
 
     let mut outcomes = Vec::new();
+    let mut misshapen = Vec::new();
     println!("=== Machine engine throughput (simulated network cycles / second) ===\n");
     for scenario in scenarios() {
-        let (secs, net_cycles, completions, fast_forwarded) = run_engine(&scenario, false);
-        let (ref_secs, ref_net_cycles, ref_completions, _) = run_engine(&scenario, true);
+        let run = run_engine(&scenario, false);
+        let reference = run_engine(&scenario, true);
         assert_eq!(
-            net_cycles, ref_net_cycles,
-            "{}: engines disagree on elapsed cycles",
+            (run.cycles, run.completions, run.stalled, run.migrations),
+            (
+                reference.cycles,
+                reference.completions,
+                reference.stalled,
+                reference.migrations
+            ),
+            "{}: engines disagree on (cycles, completions, stall, migrations)",
             scenario.name
         );
-        assert_eq!(
-            completions, ref_completions,
-            "{}: engines disagree on completed transactions",
-            scenario.name
-        );
-        let cycles_per_sec = net_cycles as f64 / secs;
-        let reference_cycles_per_sec = net_cycles as f64 / ref_secs;
+        if let Some(why) = scenario.shape.lost_by(&run) {
+            misshapen.push(format!("{}: {why}", scenario.name));
+        }
+        let cycles_per_sec = run.cycles as f64 / run.wall_secs;
+        let reference_cycles_per_sec = run.cycles as f64 / reference.wall_secs;
         let speedup = cycles_per_sec / reference_cycles_per_sec;
         println!(
             "{:<28} {:>12.0} cyc/s  (reference {:>10.0} cyc/s, speedup {:>6.1}x, \
-             {} completions, {} cycles fast-forwarded)",
+             {} completions, {} cycles fast-forwarded, stalled: {}, {} migrations)",
             scenario.name,
             cycles_per_sec,
             reference_cycles_per_sec,
             speedup,
-            completions,
-            fast_forwarded
+            run.completions,
+            run.fast_forwarded,
+            run.stalled,
+            run.migrations
         );
         outcomes.push(Outcome {
             name: scenario.name,
-            cycles: net_cycles,
-            wall_secs: secs,
+            run,
             cycles_per_sec,
-            completions,
-            fast_forwarded,
             reference_cycles_per_sec,
             speedup,
         });
@@ -297,6 +358,14 @@ fn main() {
 
     std::fs::write(&baseline_path, render_json(&outcomes)).expect("write BENCH_machine.json");
     println!("\nwrote {}", baseline_path.display());
+
+    if !misshapen.is_empty() {
+        eprintln!("\nscenario lost the shape it exists to time:");
+        for m in &misshapen {
+            eprintln!("  {m}");
+        }
+        std::process::exit(1);
+    }
 
     if !regressed.is_empty() {
         eprintln!("\nperformance regression (>50% below committed baseline):");

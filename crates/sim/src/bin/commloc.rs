@@ -306,8 +306,13 @@ fn get_shards(options: &HashMap<String, String>, nodes: usize) -> Result<usize, 
 }
 
 fn machine_from(options: &HashMap<String, String>) -> Result<MachineConfig, String> {
-    let mut machine = MachineConfig::alewife();
-    machine = machine.with_contexts(get_u64(options, "contexts", 1)? as u32);
+    // The model counts contexts in a `u32`; a processor needs at least one.
+    let contexts = get_u64(options, "contexts", 1)?;
+    let contexts = u32::try_from(contexts)
+        .ok()
+        .filter(|&p| p >= 1)
+        .ok_or_else(|| format!("--contexts: {contexts} is not in 1..={}", u32::MAX))?;
+    let mut machine = MachineConfig::alewife().with_contexts(contexts);
     if let Some(nodes) = options.get("nodes") {
         let nodes: f64 = nodes.parse().map_err(|_| "--nodes: not a number")?;
         machine = machine.with_nodes(nodes);
@@ -1029,9 +1034,10 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `commloc fuzz --machine`: full-machine lockstep over a seed range —
-/// the active-node engine against exhaustive reference stepping, with
-/// bit-exact checks on completions, measurements, latency breakdowns,
-/// fault logs, and watchdog trips. Failing seeds shrink to a minimal
+/// the active-node engine against exhaustive reference stepping (and a
+/// sharded machine on sharded draws), with bit-exact checks on
+/// completions, measurements, latency breakdowns, fault logs,
+/// migrations, and watchdog trips. Failing seeds shrink to a minimal
 /// scenario and print a ready-to-paste repro test.
 fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     use commloc_sim::fuzz as machine_fuzz;
@@ -1041,12 +1047,14 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     let mut completions = 0u64;
     let mut net_cycles = 0u64;
     let mut stalls = 0u64;
+    let mut migrations = 0;
     for (seed, result) in results {
         match result {
             Ok(report) => {
                 completions += report.completions;
                 net_cycles += report.net_cycles;
                 stalls += u64::from(report.stalled);
+                migrations += report.migrations;
             }
             Err(divergence) => {
                 eprintln!("seed {seed} diverged: {divergence}");
@@ -1064,12 +1072,14 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     }
     println!(
         "fuzz --machine: {} seeds [{start}..{}) lockstep-clean in {:.1}s — {} transactions \
-         completed, {} watchdog stalls matched bit-exactly, {} net cycles per engine",
+         completed, {} watchdog stalls and {} migrations matched bit-exactly, {} net cycles per \
+         engine",
         seeds,
         start.saturating_add(seeds),
         began.elapsed().as_secs_f64(),
         completions,
         stalls,
+        migrations,
         net_cycles
     );
     Ok(())
@@ -1288,6 +1298,28 @@ mod tests {
         for cmd in [cmd_sim, cmd_report, cmd_suite] {
             let e = cmd(&o).unwrap_err();
             assert!(e.starts_with("--contexts:"), "{e}");
+        }
+        // More threads than the node cap once aborted allocating the
+        // home map.
+        let o = opts(&[
+            "--contexts",
+            "4294967295",
+            "--warmup",
+            "10",
+            "--window",
+            "10",
+        ]);
+        for cmd in [cmd_sim, cmd_report, cmd_suite] {
+            let e = cmd(&o).unwrap_err();
+            assert!(e.starts_with("--contexts:") && e.contains("cap"), "{e}");
+        }
+        // The model commands once truncated 2^32 + 1 to one context.
+        for contexts in ["0", "4294967297"] {
+            let o = opts(&["--contexts", contexts, "--sizes", "100"]);
+            for cmd in [cmd_solve, cmd_gain, cmd_scale] {
+                let e = cmd(&o).unwrap_err();
+                assert!(e.starts_with("--contexts:"), "{e}");
+            }
         }
     }
 

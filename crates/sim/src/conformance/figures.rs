@@ -17,11 +17,11 @@ use super::tolerances::{
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_LATENCY_GAP, MODEL_VS_SIM_RATE, SLOPE_RATIO_P2_OVER_P1,
 };
 use super::{calibrated_model, fit_message_curve, reduced_runs, SUITE_SEED};
-use crate::disturbance::DisturbanceConfig;
 use crate::machine::{run_experiment, SimConfig};
 use crate::mapping::Mapping;
 use crate::resilience::{
-    run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, IdleWave, MigrationSpec,
+    run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, DisturbanceConfig,
+    IdleWave, WorkStealingPolicy,
 };
 use crate::serve::ScenarioResult;
 use commloc_model::{
@@ -432,8 +432,7 @@ pub fn resilience_degradation_detail() -> Result<(Vec<DegradationPoint>, GoldenT
         kill_cycle: 3_000,
         horizon: 24_000,
         seed: SUITE_SEED,
-        spec: MigrationSpec {
-            stealing: true,
+        policy: WorkStealingPolicy {
             steal_latency: 300,
             wedge_threshold: 1_500,
             max_migrations: 400,

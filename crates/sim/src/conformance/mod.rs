@@ -29,6 +29,7 @@ pub mod tolerances;
 
 pub use golden::{rel_err, GoldenRow, GoldenTable, Violation};
 
+use crate::mapping::sorted_mappings;
 use crate::{
     fit_line, mapping_suite, run_cached_sweep, FitError, LineFit, NamedMapping, ScenarioResult,
     SimConfig,
@@ -37,7 +38,7 @@ use commloc_model::{
     ApplicationModel, CombinedModel, EndpointContention, NetworkModel, NodeModel, TorusGeometry,
     TransactionModel,
 };
-use commloc_net::Torus;
+use commloc_net::{Topology, Torus};
 
 /// Warmup window (network cycles) for full-size validation simulations
 /// (the bench suite).
@@ -102,13 +103,15 @@ pub fn validation_runs(contexts: usize) -> Vec<ScenarioResult> {
 /// The four-mapping subset of the validation suite used by the reduced
 /// conformance scenarios: identity (d = 1), a scaled mapping, a random
 /// mapping (the Eq. 17 regime), and the worst-case mapping — spanning
-/// the suite's distance range with the fewest simulations.
+/// the suite's distance range with the fewest simulations. Only these
+/// four are built, sorted by distance as the full suite sorts them.
 pub fn reduced_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
-    const KEEP: [&str; 4] = ["identity", "scale3-x", "random-1", "worst"];
-    mapping_suite(torus, seed)
-        .into_iter()
-        .filter(|m| KEEP.contains(&m.name.as_str()))
-        .collect()
+    let topology = Topology::Cube(torus.clone());
+    sorted_mappings(
+        &topology,
+        seed,
+        ["identity", "scale3-x", "random-1", "worst"],
+    )
 }
 
 /// Runs the reduced conformance sweep at one context count across `jobs`
@@ -201,6 +204,33 @@ mod tests {
         assert_eq!(suite.first().unwrap().name, "identity");
         assert_eq!(suite.last().unwrap().name, "worst");
         assert!(suite.last().unwrap().distance > 3.0 * suite[0].distance);
+    }
+
+    #[test]
+    fn reduced_suite_equals_the_filtered_full_suite() {
+        // Building the four mappings by name must give exactly what
+        // filtering the whole ten-mapping suite gave.
+        let torus = Torus::new(2, 8);
+        for seed in [SUITE_SEED, 7] {
+            let filtered: Vec<NamedMapping> = mapping_suite(&torus, seed)
+                .into_iter()
+                .filter(|m| {
+                    ["identity", "scale3-x", "random-1", "worst"].contains(&m.name.as_str())
+                })
+                .collect();
+            let reduced = reduced_suite(&torus, seed);
+            assert_eq!(reduced.len(), filtered.len(), "seed {seed}");
+            for (a, b) in reduced.iter().zip(&filtered) {
+                assert_eq!(a.name, b.name, "seed {seed}");
+                assert_eq!(a.mapping, b.mapping, "seed {seed}: {}", a.name);
+                assert_eq!(
+                    a.distance.to_bits(),
+                    b.distance.to_bits(),
+                    "seed {seed}: {}",
+                    a.name
+                );
+            }
+        }
     }
 
     #[test]

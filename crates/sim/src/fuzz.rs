@@ -4,13 +4,14 @@
 //! Each seed draws a random full-machine scenario — torus shape, context
 //! count, clock ratio, mapping, retry/timeout configuration, watchdog
 //! window, an optional fault plan (including one-off exact-cycle delay
-//! events), and an optional migration policy (null or work-stealing) —
-//! and runs two [`Machine`]s over it in lockstep: one stepped by the
-//! active-node engine ([`Machine::new`]), one by the reference loop
-//! ([`Machine::new_reference`]). The checker requires **bit-identical**
+//! events), an optional work-stealing migration policy, and a shard
+//! count — and runs two or three [`Machine`]s over it in lockstep: one
+//! stepped by the active-node engine ([`Machine::new`]), one by the
+//! reference loop ([`Machine::new_reference`]), and on sharded draws a
+//! [`Machine::with_shards`]. The checker requires **bit-identical**
 //! behavior: completion counts (total and per node), measurements,
-//! latency breakdowns, fault logs, and — when the scenario wedges — the
-//! watchdog's stall report, down to the trip cycle.
+//! latency breakdowns, fault logs, migrations, and — when the scenario
+//! wedges — the watchdog's stall report, down to the trip cycle.
 //!
 //! Failing seeds shrink through the same greedy fixed-point loop as the
 //! fabric fuzzer ([`commloc_net::fuzz::shrink_with`]) and render a
@@ -19,7 +20,7 @@
 
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
-use crate::resilience::MigrationSpec;
+use crate::resilience::WorkStealingPolicy;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
 use commloc_net::fuzz::{shrink_with, topology_expr, Divergence, FaultSpec};
@@ -106,19 +107,16 @@ pub struct MachineScenario {
     pub window: u64,
     /// Optional fault plan, shared verbatim by both engines.
     pub fault: Option<FaultSpec>,
-    /// Optional migration policy (null or work-stealing), built fresh
-    /// for each engine from the same spec — the resilience layer's
-    /// park/adopt/abandon machinery must stay bit-exact across engines.
-    pub migration: Option<MigrationSpec>,
+    /// Optional migration policy, installed on every engine — the
+    /// resilience layer's park/adopt/abandon machinery must stay
+    /// bit-exact across engines and shard counts.
+    pub migration: Option<WorkStealingPolicy>,
     /// Shard count for a third machine ([`Machine::with_shards`])
-    /// checked against the active one (`1` = no third machine). Forced
-    /// to 1 when a migration policy is drawn: the migration layer moves
-    /// threads between nodes outside the shard step, so policies run on
-    /// one-shard machines only and the checker skips the third machine.
+    /// checked against the active one (`1` = no third machine).
     pub shards: usize,
     /// Explicit non-cube topology (`None` = the cube from `dims`/`radix`).
-    /// Scheduled `(dim, direction)`-addressed faults and migration
-    /// policies are cube-only and are never drawn alongside this.
+    /// Scheduled `(dim, direction)`-addressed faults are cube-only and
+    /// are never drawn alongside this.
     pub topology: Option<Topology>,
     /// The traffic-generating workload both engines run.
     pub workload: WorkloadKind,
@@ -267,29 +265,18 @@ impl MachineScenario {
                 .router_stalls
                 .push(delay);
         }
-        // Migration policies ride along about a third of the time: null
-        // (must be invisible) or work-stealing with small budgets and
-        // thresholds low enough to fire on ordinary congestion. They are
-        // cube-only (the policy view exposes torus coordinates).
-        let migration = if topology.is_none() && rng.chance(0.35) {
-            Some(MigrationSpec {
-                stealing: rng.chance(0.5),
-                steal_latency: rng.range_u64(0, 400),
-                wedge_threshold: rng.range_u64(200, 1_700),
-                max_migrations: rng.range_u64(0, 5),
-            })
-        } else {
-            None
-        };
-        // A multi-shard machine rides along on half the migration-free
-        // seeds: the scenario then runs a three-way lockstep, active vs
-        // reference vs sharded. Migration stays one-shard-only (see
-        // `MachineScenario::shards`).
-        let shards = if migration.is_some() {
-            1
-        } else {
-            [1, 1, 1, 2, 3, 4][rng.index(6)].min(routers)
-        };
+        // A migration policy rides along on one seed in five, on every
+        // fabric, with small budgets and thresholds low enough to fire on
+        // ordinary congestion.
+        let migration = rng.chance(0.2).then(|| WorkStealingPolicy {
+            steal_latency: rng.range_u64(0, 400),
+            wedge_threshold: rng.range_u64(200, 1_700),
+            max_migrations: rng.range_u64(0, 5),
+        });
+        // A multi-shard machine rides along on half the seeds, policy or
+        // not: the scenario then runs a three-way lockstep, active vs
+        // reference vs sharded.
+        let shards = [1, 1, 1, 2, 3, 4][rng.index(6)].min(routers);
         Self {
             seed,
             dims,
@@ -391,6 +378,8 @@ pub struct MachineFuzzReport {
     /// Network cycles the active engine skipped by fast-forward (a
     /// sharded participant is checked to skip the same).
     pub fast_forwarded: u64,
+    /// Thread migrations every engine performed identically.
+    pub migrations: usize,
 }
 
 macro_rules! check_eq {
@@ -452,27 +441,20 @@ pub fn run_scenario_mutated(
     if mutation == Some(MachineMutation::SkewWork) {
         ref_config.work += 1;
     }
-    let active_config = scenario.sim_config(true);
-    let mut active = match scenario.migration {
-        Some(spec) => Machine::with_policy(&active_config, &mapping, spec.build()),
-        None => Machine::new(&active_config, &mapping),
-    };
-    let mut reference = match scenario.migration {
-        Some(spec) => Machine::new_reference_with_policy(&ref_config, &mapping, spec.build()),
-        None => Machine::new_reference(&ref_config, &mapping),
-    };
+    let mut active = Machine::new(&scenario.sim_config(true), &mapping);
+    let mut reference = Machine::new_reference(&ref_config, &mapping);
     // A multi-shard machine joins as a third lockstep participant on
     // sharded draws (untraced config — sharded machines reject tracing;
     // one worker — worker counts never change results).
-    let mut sharded = if scenario.shards > 1 && scenario.migration.is_none() {
-        Some(Machine::with_shards(
-            &scenario.sim_config(false),
-            &mapping,
-            scenario.shards,
-        ))
-    } else {
-        None
-    };
+    let mut sharded = (scenario.shards > 1)
+        .then(|| Machine::with_shards(&scenario.sim_config(false), &mapping, scenario.shards));
+    if let Some(policy) = scenario.migration {
+        active.set_migration(policy);
+        reference.set_migration(policy);
+        if let Some(shard) = sharded.as_mut() {
+            shard.set_migration(policy);
+        }
+    }
 
     let mut stalled = false;
     'phases: for (name, cycles) in [("warmup", scenario.warmup), ("window", scenario.window)] {
@@ -539,6 +521,7 @@ pub fn run_scenario_mutated(
                     "per-node completions"
                 );
                 check_shard!(now, active.measure(), shard.measure(), "measurements");
+                check_shard!(now, active.migrations(), shard.migrations(), "migrations");
             }
             left -= chunk;
         }
@@ -591,12 +574,20 @@ pub fn run_scenario_mutated(
             shard.total_iterations(),
             "workload iterations"
         );
+        check_shard!(end, active.migrations(), shard.migrations(), "migrations");
+        check_shard!(
+            end,
+            active.migrated_from_nodes(),
+            shard.migrated_from_nodes(),
+            "migrated-from nodes"
+        );
     }
     Ok(MachineFuzzReport {
         completions: active.completions(),
         net_cycles: active.net_cycle(),
         stalled,
         fast_forwarded: active.fast_forwarded_cycles(),
+        migrations: active.migrations().len(),
     })
 }
 
@@ -634,9 +625,9 @@ impl MachineShrinkOutcome {
         let migration = match &s.migration {
             None => "None".to_owned(),
             Some(m) => format!(
-                "Some(MigrationSpec {{\n            stealing: {},\n            steal_latency: {},\n            \
+                "Some(WorkStealingPolicy {{\n            steal_latency: {},\n            \
                  wedge_threshold: {},\n            max_migrations: {},\n        }})",
-                m.stealing, m.steal_latency, m.wedge_threshold, m.max_migrations
+                m.steal_latency, m.wedge_threshold, m.max_migrations
             ),
         };
         let topology = match &s.topology {
@@ -646,10 +637,10 @@ impl MachineShrinkOutcome {
         format!(
             "#[test]\nfn machine_fuzz_repro_seed_{seed}() {{\n    \
              use commloc_sim::fuzz::{{run_scenario, MachineScenario, MappingKind, WorkloadKind}};\n    \
-             use commloc_sim::MigrationSpec;\n    \
+             use commloc_sim::WorkStealingPolicy;\n    \
              use commloc_net::fuzz::FaultSpec;\n    use commloc_net::{{Direction, Topology}};\n    \
              let _ = &Direction::Plus; // used by fault literals\n    \
-             let _: Option<MigrationSpec> = None; // used by migration literals\n    \
+             let _: Option<WorkStealingPolicy> = None; // used by migration literals\n    \
              let _: Option<Topology> = None; // used by topology literals\n    \
              let scenario = MachineScenario {{\n        seed: {seed},\n        dims: {dims},\n        \
              radix: {radix},\n        contexts: {contexts},\n        clock_ratio: {ratio},\n        \
@@ -725,18 +716,6 @@ fn reductions(s: &MachineScenario) -> Vec<MachineScenario> {
         let mut c = s.clone();
         c.migration = None;
         out.push(c);
-    }
-    if let Some(spec) = s.migration {
-        if spec.stealing {
-            // Weaker than dropping the layer outright: keep the policy
-            // machinery in place but make it a guaranteed no-op.
-            let mut c = s.clone();
-            c.migration = Some(MigrationSpec {
-                stealing: false,
-                ..spec
-            });
-            out.push(c);
-        }
     }
     if s.shards > 1 {
         // Drop the sharded engine entirely, then try fewer shards — a
@@ -833,8 +812,6 @@ mod tests {
             if let Some(m) = a.migration {
                 assert!(m.wedge_threshold >= 200, "seed {seed}");
                 assert!(m.max_migrations < 5, "seed {seed}");
-                assert_eq!(a.shards, 1, "seed {seed}: migration forces one shard");
-                assert!(a.topology.is_none(), "seed {seed}: migration is cube-only");
             }
             if let Some(spec) = &a.fault {
                 if a.topology.is_some() {
@@ -906,55 +883,75 @@ mod tests {
         // several shard counts, a few such seeds must hold the three-way
         // lockstep, and at least one must fast-forward (so the sharded
         // machine's jumps are compared, not just its per-cycle steps).
-        let drawn: Vec<(u64, usize)> = (0..140u64)
-            .map(|s| (s, MachineScenario::from_seed(s).shards))
-            .filter(|&(_, k)| k > 1)
+        // Fast-forwarding sharded draws are rare — the first is seed 456
+        // — so the scan runs wider than the shape checks need, and past
+        // the first four draws it runs only lossy fault plans: only a
+        // lost message can leave every node idle, which a jump needs.
+        let drawn: Vec<MachineScenario> = (0..500u64)
+            .map(MachineScenario::from_seed)
+            .filter(|s| s.shards > 1)
             .collect();
+        let counts: std::collections::BTreeSet<usize> = drawn.iter().map(|s| s.shards).collect();
         assert!(
-            drawn.len() >= 5,
-            "expected sharded draws in 140 seeds: {drawn:?}"
+            drawn.len() >= 5 && counts.len() >= 2,
+            "expected sharded draws over several shard counts in 500 seeds: {counts:?}"
         );
-        assert!(
-            drawn
-                .iter()
-                .map(|&(_, k)| k)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                >= 2,
-            "expected multiple shard counts: {drawn:?}"
-        );
+        let lossy = |s: &MachineScenario| {
+            s.fault
+                .as_ref()
+                .is_some_and(|f| f.drop_rate > 0.0 || f.corrupt_rate > 0.0)
+        };
         let mut fast_forwarded = 0;
-        for (i, &(seed, _)) in drawn.iter().enumerate() {
+        for (i, s) in drawn.iter().enumerate() {
             if i >= 4 && fast_forwarded > 0 {
                 break;
             }
-            match run_seed(seed) {
+            if i >= 4 && !lossy(s) {
+                continue;
+            }
+            match run_scenario(s) {
                 Ok(report) => fast_forwarded += report.fast_forwarded,
-                Err(d) => panic!("seed {seed}: {d}"),
+                Err(d) => panic!("seed {}: {d}", s.seed),
             }
         }
-        assert!(
-            fast_forwarded > 0,
-            "no sharded draw fast-forwarded: {drawn:?}"
-        );
+        assert!(fast_forwarded > 0, "no sharded draw fast-forwarded");
     }
 
     #[test]
     fn migration_scenarios_appear_and_run_clean() {
-        // The scenario space must actually contain both policy kinds,
-        // and a few such seeds must hold lockstep.
-        let drawn: Vec<(u64, MigrationSpec)> = (0..60u64)
-            .filter_map(|s| MachineScenario::from_seed(s).migration.map(|m| (s, m)))
+        // Policies must be drawn on sharded machines and on non-cube
+        // fabrics, and such seeds must hold the lockstep — migrations
+        // included — with at least one of them actually migrating.
+        let drawn: Vec<MachineScenario> = (0..100u64)
+            .map(MachineScenario::from_seed)
+            .filter(|s| s.migration.is_some())
+            .collect();
+        let sharded: Vec<u64> = drawn
+            .iter()
+            .filter(|s| s.shards > 1)
+            .map(|s| s.seed)
+            .collect();
+        let noncube: Vec<u64> = drawn
+            .iter()
+            .filter(|s| s.topology.is_some())
+            .map(|s| s.seed)
             .collect();
         assert!(
-            drawn.iter().any(|(_, m)| m.stealing) && drawn.iter().any(|(_, m)| !m.stealing),
-            "expected both null and stealing policies in 60 seeds: {drawn:?}"
+            sharded.len() >= 3,
+            "expected policies on sharded machines in 100 seeds: {sharded:?}"
         );
-        for &(seed, _) in drawn.iter().take(4) {
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed}: {d}");
+        assert!(
+            noncube.len() >= 3,
+            "expected policies on non-cube fabrics in 100 seeds: {noncube:?}"
+        );
+        let mut migrations = 0;
+        for s in &drawn {
+            match run_scenario(s) {
+                Ok(report) => migrations += report.migrations,
+                Err(d) => panic!("seed {}: {d}", s.seed),
             }
         }
+        assert!(migrations > 0, "no drawn policy migrated: {drawn:?}");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 mod breakdown;
 pub mod conformance;
 mod csv;
-mod disturbance;
 mod error;
 mod fit;
 pub mod fuzz;
@@ -47,7 +46,6 @@ mod workload;
 
 pub use breakdown::{SpanEvent, SpanLog, TransactionBreakdown, BREAKDOWN_CSV_HEADER};
 pub use csv::MEASUREMENTS_CSV_HEADER;
-pub use disturbance::{run_disturbance, DisturbanceConfig, DisturbanceCurve};
 pub use error::{SimError, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
 pub use machine::{
@@ -59,8 +57,8 @@ pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, Serve
 pub use shard::ShardedMachine;
 
 pub use resilience::{
-    run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, IdleWave, MigrationPolicy,
-    MigrationRecord, MigrationSpec, MigrationView, NullPolicy, WorkStealingPolicy,
+    run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, DisturbanceConfig,
+    DisturbanceCurve, IdleWave, MigrationRecord, MigrationView, WorkStealingPolicy,
     ABSORPTION_COMPONENTS,
 };
 pub use workload::{

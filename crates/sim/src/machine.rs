@@ -26,8 +26,9 @@
 //! inline with one worker, on scoped threads over contiguous shard chunks
 //! with more ([`Machine::set_jobs`]) — and then the calling thread
 //! exchanges boundary traffic, injects staged messages in id order, runs
-//! migrations, and feeds the watchdog. A sharded run is therefore
-//! bit-exact with the one-shard machine at every worker count.
+//! migrations ([`Machine::set_migration`]) over every shard, and feeds
+//! the watchdog. A sharded run is therefore bit-exact with the one-shard
+//! machine at every worker count, with or without a migration policy.
 //!
 //! # The active-node engine
 //!
@@ -50,13 +51,13 @@ use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
 use crate::error::{SimError, StallKind, StallReport};
 use crate::mapping::Mapping;
 use crate::parallel::{claim_extra_workers, try_for_each_chunk, WorkerClaim};
-use crate::resilience::{MigrationPolicy, MigrationRecord, MigrationView};
+use crate::resilience::{MigrationRecord, MigrationView, WorkStealingPolicy};
 use crate::shard::shard_ranges;
 use crate::workload::{workload_home_map, Workload};
 use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
     ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
-    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer,
+    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer, MAX_NODES,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::borrow::Cow;
@@ -115,8 +116,9 @@ impl SimConfig {
     /// serve daemon both call this) and names the first one out of range,
     /// where building a machine would panic or abort: zero contexts,
     /// clock ratio or work grain, a `dims`/`radix` torus that
-    /// [`Topology::try_cube`] rejects, or an explicit topology over the
-    /// node cap ([`Topology::check_size`]).
+    /// [`Topology::try_cube`] rejects, an explicit topology over the
+    /// node cap ([`Topology::check_size`]), or more threads (contexts
+    /// times compute nodes) than that cap.
     ///
     /// # Errors
     ///
@@ -133,9 +135,21 @@ impl SimConfig {
         if self.work == 0 {
             return Err("work: the computation grain must be at least one cycle".into());
         }
-        match &self.topology {
-            None => Topology::try_cube(self.dims, self.radix).map(drop),
-            Some(topology) => topology.check_size().map_err(|e| format!("topology: {e}")),
+        let compute = match &self.topology {
+            None => Topology::try_cube(self.dims, self.radix)?.compute_nodes(),
+            Some(topology) => {
+                topology
+                    .check_size()
+                    .map_err(|e| format!("topology: {e}"))?;
+                topology.compute_nodes()
+            }
+        };
+        match self.contexts.checked_mul(compute) {
+            Some(threads) if threads <= MAX_NODES => Ok(()),
+            _ => Err(format!(
+                "contexts: {} contexts on {compute} compute nodes is over the {MAX_NODES}-thread cap",
+                self.contexts
+            )),
         }
     }
 }
@@ -727,9 +741,10 @@ pub struct Machine {
     /// active-node engine (differential testing only).
     reference: bool,
     /// Dynamic re-mapping policy, consulted at every processor boundary
-    /// (`None` = the static machine; [`crate::NullPolicy`] is bit-exact
-    /// with `None`). One-shard machines only.
-    policy: Option<Box<dyn MigrationPolicy>>,
+    /// (`None` = the static machine).
+    policy: Option<WorkStealingPolicy>,
+    /// Migrations the policy may still perform.
+    migrations_left: u64,
     /// Migrating threads keyed by the network cycle their steal latency
     /// elapses; each is adopted at the first processor boundary at or
     /// after that cycle.
@@ -767,24 +782,7 @@ impl Machine {
     /// enabled (`fabric.trace_capacity > 0`) with more than one shard, or
     /// if the mapping does not cover the torus.
     pub fn with_shards(config: &SimConfig, mapping: &Mapping, shards: usize) -> Self {
-        Self::build(config, mapping, shards, false, None)
-    }
-
-    /// Builds the machine with a dynamic re-mapping policy installed
-    /// (see [`crate::MigrationPolicy`]): wedged threads may migrate to
-    /// other nodes instead of tripping the watchdog. A
-    /// [`crate::NullPolicy`] machine behaves bit-exactly like
-    /// [`Machine::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapping size does not match the torus.
-    pub fn with_policy(
-        config: &SimConfig,
-        mapping: &Mapping,
-        policy: Box<dyn MigrationPolicy>,
-    ) -> Self {
-        Self::build(config, mapping, 1, false, Some(policy))
+        Self::build(config, mapping, shards, false)
     }
 
     /// Builds a machine that steps with the retained exhaustive
@@ -793,26 +791,10 @@ impl Machine {
     /// bit-identical by the golden-equivalence tests and
     /// `commloc fuzz --machine`.
     pub fn new_reference(config: &SimConfig, mapping: &Mapping) -> Self {
-        Self::build(config, mapping, 1, true, None)
+        Self::build(config, mapping, 1, true)
     }
 
-    /// Reference-engine counterpart of [`Machine::with_policy`]
-    /// (differential testing of the migration layer).
-    pub fn new_reference_with_policy(
-        config: &SimConfig,
-        mapping: &Mapping,
-        policy: Box<dyn MigrationPolicy>,
-    ) -> Self {
-        Self::build(config, mapping, 1, true, Some(policy))
-    }
-
-    fn build(
-        config: &SimConfig,
-        mapping: &Mapping,
-        shards: usize,
-        reference: bool,
-        policy: Option<Box<dyn MigrationPolicy>>,
-    ) -> Self {
+    fn build(config: &SimConfig, mapping: &Mapping, shards: usize, reference: bool) -> Self {
         let mut config = config.clone();
         let topology = config.resolved_topology();
         let fault_plan = config.fault_plan.take();
@@ -830,11 +812,6 @@ impl Machine {
             mapping.threads(),
             compute,
             "mapping must cover every compute node"
-        );
-        assert!(
-            policy.is_none() || matches!(topology, Topology::Cube(_)),
-            "migration policies require a cube topology, got {}",
-            topology.canonical()
         );
         // Invert the mapping: which thread runs on each processor.
         let mut thread_at = vec![usize::MAX; compute];
@@ -868,7 +845,8 @@ impl Machine {
             jobs: 1,
             fast_forwarded: 0,
             reference,
-            policy,
+            policy: None,
+            migrations_left: 0,
             arrivals: BTreeMap::new(),
             migrations: Vec::new(),
             migrated_from: vec![false; compute],
@@ -881,6 +859,20 @@ impl Machine {
     /// only change wall-clock time.
     pub fn set_jobs(&mut self, jobs: usize) {
         self.jobs = jobs.clamp(1, self.shards.len());
+    }
+
+    /// Installs a migration policy (DESIGN.md §4.10): wedged threads
+    /// migrate to other nodes instead of tripping the watchdog, at most
+    /// `policy.max_migrations` times over the machine's life. Works on
+    /// every machine this type builds — any shard count, worker count
+    /// and topology, and the reference engine — and a sharded machine
+    /// migrates bit-exactly as the one-shard one does.
+    pub fn set_migration(&mut self, policy: WorkStealingPolicy) {
+        self.migrations_left = policy.max_migrations;
+        self.policy = Some(WorkStealingPolicy {
+            wedge_threshold: policy.wedge_threshold.max(1),
+            ..policy
+        });
     }
 
     /// The simulation configuration.
@@ -938,8 +930,8 @@ impl Machine {
             for shard in &mut self.shards {
                 self.next_msg_id = shard.flush_staged(self.next_msg_id);
             }
-            if self.policy.is_some() {
-                self.process_migrations();
+            if let Some(policy) = self.policy {
+                self.process_migrations(policy);
             }
         }
         self.check_watchdog()
@@ -956,11 +948,19 @@ impl Machine {
             shard.fabric.take_boundary(&mut items);
         }
         for item in items.drain(..) {
-            let node = item.dst_node();
-            let owner = self.shards.partition_point(|s| s.base <= node) - 1;
-            self.shards[owner].fabric.ingest_boundary(item);
+            let (owner, _) = self.owner_mut(item.dst_node());
+            owner.fabric.ingest_boundary(item);
         }
         self.boundary_scratch = items;
+    }
+
+    /// The shard owning global node `node`, and the node's local index
+    /// there.
+    fn owner_mut(&mut self, node: usize) -> (&mut Shard, usize) {
+        let owner = self.shards.partition_point(|s| s.base <= node) - 1;
+        let shard = &mut self.shards[owner];
+        let local = node - shard.base;
+        (shard, local)
     }
 
     /// Advances `cycles` network cycles, fanning each cycle's shard work
@@ -1039,7 +1039,7 @@ impl Machine {
                     .trip_cycle(oldest, self.config.watchdog_cycles),
             );
         }
-        if let Some(policy) = self.policy.as_ref() {
+        if let Some(policy) = self.policy {
             // Migration events happen at processor boundaries: the first
             // boundary at or after a steal arrival, and the boundary at
             // which the oldest outstanding transaction's age reaches the
@@ -1048,11 +1048,9 @@ impl Machine {
             if let Some((&due, _)) = self.arrivals.first_key_value() {
                 horizon = horizon.min(next_boundary(due.max(self.net_cycle + 1)));
             }
-            let threshold = policy.wedge_threshold();
-            if threshold != u64::MAX {
-                if let Some(issued) = oldest {
-                    horizon = horizon.min(next_boundary(issued.saturating_add(threshold)));
-                }
+            if let Some(issued) = oldest {
+                let wedge = issued.saturating_add(policy.wedge_threshold);
+                horizon = horizon.min(next_boundary(wedge));
             }
         }
         if horizon.saturating_sub(1) <= self.net_cycle {
@@ -1168,7 +1166,12 @@ impl Machine {
     /// controller (any in-flight grant is later dropped as stale) and
     /// re-issues it from the destination via a
     /// [`ReissueProgram`] wrapper, so no work is lost or duplicated.
-    fn process_migrations(&mut self) {
+    ///
+    /// It runs on the calling thread after every shard has stepped, so it
+    /// reaches each node through its owning shard and needs no hand-off:
+    /// victims are scanned in shard order, which is ascending
+    /// `(node, context)` order at every shard count.
+    fn process_migrations(&mut self, policy: WorkStealingPolicy) {
         let now = self.net_cycle;
         let boundary = now / u64::from(self.config.clock_ratio);
         let reference = self.reference;
@@ -1181,13 +1184,13 @@ impl Machine {
                 break;
             }
             let (_, batch) = self.arrivals.pop_first().expect("peeked entry");
-            let shard = &mut self.shards[0];
             for stolen in batch {
+                let (shard, n) = self.owner_mut(stolen.to);
                 if !reference {
-                    shard.settle_debt(stolen.to, boundary);
-                    shard.active.insert(stolen.to);
+                    shard.settle_debt(n, boundary);
+                    shard.active.insert(n);
                 }
-                let node = &mut shard.nodes[stolen.to];
+                let node = &mut shard.nodes[n];
                 node.cpu.adopt(stolen.program);
                 node.ctx_txn.push(None);
             }
@@ -1195,75 +1198,72 @@ impl Machine {
         // 2. Wedge scan, gated on a cheap oldest-transaction age check
         // so the per-context sweep only runs when something is actually
         // wedged.
-        let threshold = self
-            .policy
-            .as_ref()
-            .expect("caller checked a policy exists")
-            .wedge_threshold();
-        if threshold == u64::MAX {
-            return;
-        }
+        let threshold = policy.wedge_threshold;
         match self.progress().1 {
             Some(issued) if now - issued >= threshold => {}
             _ => return,
         }
-        let shard = &mut self.shards[0];
-        let mut victims: Vec<(usize, usize, TxnId, u64)> = Vec::new();
-        for (n, node) in shard.nodes.iter().enumerate() {
-            for (ctx, slot) in node.ctx_txn.iter().enumerate() {
-                let Some(txn) = *slot else { continue };
-                let Some(&issued) = shard.txn_issue_cycle.get(&txn.0) else {
-                    continue;
-                };
-                if now - issued >= threshold {
-                    victims.push((n, ctx, txn, now - issued));
+        let mut victims: Vec<(usize, usize, TxnId)> = Vec::new();
+        for shard in &self.shards {
+            for (n, node) in shard.nodes.iter().enumerate() {
+                for (ctx, slot) in node.ctx_txn.iter().enumerate() {
+                    let Some(txn) = *slot else { continue };
+                    let Some(&issued) = shard.txn_issue_cycle.get(&txn.0) else {
+                        continue;
+                    };
+                    if now - issued >= threshold {
+                        victims.push((shard.base + n, ctx, txn));
+                    }
                 }
             }
         }
         if victims.is_empty() {
             return;
         }
-        let mut wedged = vec![false; shard.nodes.len()];
+        let compute = self.live_threads.len();
+        let mut wedged = vec![false; compute];
         for &(n, ..) in &victims {
             wedged[n] = true;
         }
-        let mut killed = vec![false; shard.nodes.len()];
-        if let Some(log) = shard.fabric.fault_log() {
+        let mut killed = vec![false; compute];
+        for log in self.shards.iter().filter_map(|s| s.fabric.fault_log()) {
             for event in log.events() {
+                // A killed switch link (ids past the compute prefix) has
+                // no node to exclude.
                 if let FaultEvent::LinkKilled { node, .. } = event {
-                    killed[node.0] = true;
+                    if let Some(k) = killed.get_mut(node.0) {
+                        *k = true;
+                    }
                 }
             }
         }
-        let topology = shard.fabric.topology().clone();
-        let mut policy = self.policy.take().expect("caller checked a policy exists");
-        for (victim, ctx, txn, age) in victims {
+        let topology = self.topology().clone();
+        for (victim, ctx, txn) in victims {
+            if self.migrations_left == 0 {
+                break;
+            }
             let view = MigrationView {
                 victim,
-                context: ctx,
-                age,
-                cycle: now,
                 topology: &topology,
                 wedged: &wedged,
                 load: &self.live_threads,
-                migrated_from: &self.migrated_from,
                 killed: &killed,
             };
             let Some(dst) = policy.choose_destination(&view) else {
                 continue;
             };
-            if dst.0 == victim {
-                continue;
-            }
-            let shard = &mut self.shards[0];
+            // The budget pays for a placement even when the controller
+            // below refuses to give the transaction up.
+            self.migrations_left -= 1;
+            let (shard, n) = self.owner_mut(victim);
             if !reference {
-                shard.settle_debt(victim, boundary);
+                shard.settle_debt(n, boundary);
             }
-            let Some(op) = shard.nodes[victim].ctrl.abandon(txn) else {
+            let Some(op) = shard.nodes[n].ctrl.abandon(txn) else {
                 continue;
             };
-            let program = shard.nodes[victim].cpu.park(ctx);
-            shard.nodes[victim].ctx_txn[ctx] = None;
+            let program = shard.nodes[n].cpu.park(ctx);
+            shard.nodes[n].ctx_txn[ctx] = None;
             shard.txn_issue_cycle.remove(&txn.0);
             shard.abandoned.insert(txn.0);
             self.migrated_from[victim] = true;
@@ -1273,7 +1273,7 @@ impl Machine {
                 MemOp::Read(addr) => ThreadOp::Read(addr),
                 MemOp::Write(addr, value) => ThreadOp::Write(addr, value),
             };
-            let due = now.saturating_add(policy.steal_latency());
+            let due = now.saturating_add(policy.steal_latency);
             self.arrivals.entry(due).or_default().push(StolenThread {
                 to: dst.0,
                 program: Box::new(ReissueProgram::new(reissue, program)),
@@ -1286,7 +1286,6 @@ impl Machine {
                 txn: txn.0,
             });
         }
-        self.policy = Some(policy);
     }
 
     /// Every migration performed so far, in decision order.
@@ -1363,9 +1362,10 @@ impl Machine {
     /// Captures the machine's complete state. Restoring the snapshot
     /// yields a machine that continues bit-identically to this one —
     /// every layer (programs, caches, directories, in-flight worms,
-    /// fault-plan state, migration policy) is deep-copied, so a settled
-    /// post-warmup machine can be snapshotted once and re-run over many
-    /// measurement windows (the `commloc serve` warm-start path).
+    /// fault-plan state, migration policy and budget) is deep-copied, so
+    /// a settled post-warmup machine can be snapshotted once and re-run
+    /// over many measurement windows (the `commloc serve` warm-start
+    /// path).
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             machine: self.clone(),
@@ -1963,18 +1963,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wedged_node_with_migration_does_not_trip_the_watchdog() {
-        use crate::resilience::WorkStealingPolicy;
+    /// Unretried drops on the small machine: every dropped message
+    /// permanently wedges one thread, so without migration the watchdog
+    /// trips (see `fast_forward_lands_watchdog_trips_on_the_exact_cycle`).
+    fn wedging_config(topology: Option<Topology>) -> SimConfig {
         use commloc_net::{FaultConfig, FaultPlan};
-        // Without migration this exact scenario trips the watchdog (see
-        // `fast_forward_lands_watchdog_trips_on_the_exact_cycle`): with
-        // retries disabled, every dropped message permanently wedges one
-        // thread. With work stealing enabled, each wedged thread is
-        // offered to the policy at age `wedge_threshold` — far below the
-        // watchdog window — and re-issues its abandoned operation from a
-        // new node, so the machine keeps retiring transactions.
-        let config = SimConfig {
+        SimConfig {
             mem: MemConfig {
                 timeout_cycles: 0,
                 ..MemConfig::default()
@@ -1984,12 +1978,29 @@ mod tests {
                 drop_rate: 0.05,
                 ..FaultConfig::default()
             })),
+            topology,
             ..small_config()
-        };
+        }
+    }
+
+    const STEALING: WorkStealingPolicy = WorkStealingPolicy {
+        steal_latency: 300,
+        wedge_threshold: 2_000,
+        max_migrations: 10_000,
+    };
+
+    #[test]
+    fn wedged_node_with_migration_does_not_trip_the_watchdog() {
+        // With work stealing enabled, each wedged thread is offered to
+        // the policy at age `wedge_threshold` — far below the watchdog
+        // window — and re-issues its abandoned operation from a new
+        // node, so the machine keeps retiring transactions.
+        let config = wedging_config(None);
         let mapping = Mapping::identity(16);
-        let policy = || Box::new(WorkStealingPolicy::new(300, 2_000, 10_000));
-        let mut active = Machine::with_policy(&config, &mapping, policy());
-        let mut reference = Machine::new_reference_with_policy(&config, &mapping, policy());
+        let mut active = Machine::new(&config, &mapping);
+        let mut reference = Machine::new_reference(&config, &mapping);
+        active.set_migration(STEALING);
+        reference.set_migration(STEALING);
         let ra = active.run_network_cycles(60_000);
         let rb = reference.run_network_cycles(60_000);
         assert_eq!(ra, rb, "migration runs must agree across engines");
@@ -2015,8 +2026,87 @@ mod tests {
     }
 
     #[test]
+    fn sharded_migration_is_bit_exact_with_one_shard() {
+        // The wedging scenario at 2, 3 and 4 shards, on one and two
+        // workers: migrations reach each node through its owning shard
+        // after every shard has stepped, so nothing may differ.
+        let config = wedging_config(None);
+        let mapping = Mapping::identity(16);
+        let run = |shards: usize, jobs: usize| {
+            let mut machine = Machine::with_shards(&config, &mapping, shards);
+            machine.set_jobs(jobs);
+            machine.set_migration(STEALING);
+            let result = machine.run_network_cycles(60_000);
+            (result, machine)
+        };
+        let (r1, one) = run(1, 1);
+        assert!(r1.is_ok(), "{r1:?}");
+        assert!(!one.migrations().is_empty(), "the scenario must migrate");
+        for shards in 2..=4 {
+            for jobs in 1..=2 {
+                let (r, sharded) = run(shards, jobs);
+                let at = format!("{shards} shards, {jobs} jobs");
+                assert_eq!(r, r1, "{at}");
+                assert_eq!(sharded.net_cycle(), one.net_cycle(), "{at}");
+                assert_eq!(sharded.migrations(), one.migrations(), "{at}");
+                assert_eq!(
+                    sharded.migrated_from_nodes(),
+                    one.migrated_from_nodes(),
+                    "{at}"
+                );
+                assert_eq!(
+                    sharded.completions_per_node(),
+                    one.completions_per_node(),
+                    "{at}"
+                );
+                assert_eq!(sharded.measure(), one.measure(), "{at}");
+                assert_eq!(sharded.fault_log(), one.fault_log(), "{at}");
+                assert_eq!(
+                    sharded.fast_forwarded_cycles(),
+                    one.fast_forwarded_cycles(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn migration_on_every_fabric_matches_the_reference_engine() {
+        // The policy reads distances from the topology, so it places
+        // threads on any fabric; each must migrate at least once and
+        // agree with exhaustive stepping.
+        for topology in [
+            Topology::mesh(4, 4),
+            Topology::fat_tree(2, 4),
+            Topology::dragonfly(2, 2),
+        ] {
+            let config = wedging_config(Some(topology.clone()));
+            let mapping = Mapping::identity(topology.compute_nodes());
+            let mut active = Machine::new(&config, &mapping);
+            let mut reference = Machine::new_reference(&config, &mapping);
+            active.set_migration(STEALING);
+            reference.set_migration(STEALING);
+            let ra = active.run_network_cycles(40_000);
+            let rb = reference.run_network_cycles(40_000);
+            let name = topology.canonical();
+            assert_eq!(ra, rb, "{name}");
+            assert!(
+                !active.migrations().is_empty(),
+                "{name}: the unretried drops should force a migration"
+            );
+            assert_eq!(active.migrations(), reference.migrations(), "{name}");
+            assert_eq!(active.net_cycle(), reference.net_cycle(), "{name}");
+            assert_eq!(active.measure(), reference.measure(), "{name}");
+            assert_eq!(
+                active.completions_per_node(),
+                reference.completions_per_node(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn exhausted_migration_budget_trips_and_names_the_migrated_nodes() {
-        use crate::resilience::WorkStealingPolicy;
         use commloc_net::{FaultConfig, FaultPlan};
         // A budget of one move: the first wedged context migrates, the
         // next wedged context has no budget left and ages out, and the
@@ -2034,8 +2124,11 @@ mod tests {
             ..small_config()
         };
         let mapping = Mapping::identity(16);
-        let policy = Box::new(WorkStealingPolicy::new(300, 2_000, 1));
-        let mut machine = Machine::with_policy(&config, &mapping, policy);
+        let mut machine = Machine::new(&config, &mapping);
+        machine.set_migration(WorkStealingPolicy {
+            max_migrations: 1,
+            ..STEALING
+        });
         let err = machine
             .run_network_cycles(400_000)
             .expect_err("budget exhaustion must leave a wedged thread");
@@ -2052,7 +2145,6 @@ mod tests {
 
     #[test]
     fn migration_layer_conserves_completions_on_fault_free_runs() {
-        use crate::resilience::WorkStealingPolicy;
         // Property: on a fault-free machine the stealing policy's wedge
         // threshold (far above any healthy transaction latency) never
         // fires, so a policy-carrying machine must complete exactly the
@@ -2062,8 +2154,12 @@ mod tests {
                 contexts,
                 ..small_config()
             };
-            let policy = Box::new(WorkStealingPolicy::new(200, 3_000, 1_000));
-            let mut dynamic = Machine::with_policy(&config, &mapping, policy);
+            let mut dynamic = Machine::new(&config, &mapping);
+            dynamic.set_migration(WorkStealingPolicy {
+                steal_latency: 200,
+                wedge_threshold: 3_000,
+                max_migrations: 1_000,
+            });
             let mut static_run = Machine::new(&config, &mapping);
             dynamic.run_network_cycles(30_000).unwrap();
             static_run.run_network_cycles(30_000).unwrap();
@@ -2079,10 +2175,10 @@ mod tests {
 
     #[test]
     fn null_policy_is_bit_exact_with_the_static_machine() {
-        use crate::resilience::NullPolicy;
         use commloc_net::{FaultConfig, FaultPlan};
-        // Even under an eventful fault plan, the null policy must leave
-        // no trace: identical cycles, measurements, and fault log.
+        // Even under an eventful fault plan, a policy whose threshold
+        // never fires must leave no trace: identical cycles,
+        // measurements, and fault log.
         let config = SimConfig {
             mem: MemConfig {
                 timeout_cycles: 2_000,
@@ -2096,7 +2192,11 @@ mod tests {
             ..small_config()
         };
         let mapping = Mapping::identity(16);
-        let mut with_null = Machine::with_policy(&config, &mapping, Box::new(NullPolicy));
+        let mut with_null = Machine::new(&config, &mapping);
+        with_null.set_migration(WorkStealingPolicy {
+            wedge_threshold: u64::MAX,
+            ..STEALING
+        });
         let mut without = Machine::new(&config, &mapping);
         let ra = with_null.run_network_cycles(30_000);
         let rb = without.run_network_cycles(30_000);

@@ -424,7 +424,16 @@ pub fn mapping_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
 /// ones. The suite is sorted by average application-graph distance
 /// (stably, so ties keep the names' order).
 pub fn topology_mapping_suite(topology: &Topology, seed: u64) -> Vec<NamedMapping> {
-    let mut suite: Vec<NamedMapping> = suite_names(topology)
+    sorted_mappings(topology, seed, suite_names(topology))
+}
+
+/// [`topology_mapping_suite`] restricted to `names`.
+pub(crate) fn sorted_mappings<'a>(
+    topology: &Topology,
+    seed: u64,
+    names: impl IntoIterator<Item = &'a str>,
+) -> Vec<NamedMapping> {
+    let mut suite: Vec<NamedMapping> = names
         .into_iter()
         .filter_map(|name| NamedMapping::by_name(topology, seed, name))
         .collect();

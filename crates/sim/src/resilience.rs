@@ -1,39 +1,130 @@
-//! Resilience experiments: idle-wave analysis and dynamic re-mapping.
+//! Resilience experiments: delay injection, idle-wave analysis and
+//! dynamic re-mapping.
 //!
-//! Two instruments built on the dual-machine lockstep of the disturbance
-//! experiments (DESIGN.md §4.10):
+//! * **Delay injection** — two deterministic copies of the same machine
+//!   run in lockstep, one of them suffering a single transient router
+//!   stall at a chosen node, and their per-node transaction completions
+//!   are differenced over time. Both copies are bit-identical until the
+//!   injection cycle, so every difference *is* the disturbance: the
+//!   per-ring deficits of a [`DisturbanceCurve`] show how far the delay
+//!   propagates through the fabric (via backpressure and coherence
+//!   dependences) and how quickly the completion rate recovers once the
+//!   stall clears. The paper's open-network model predicts that a
+//!   transient overload below saturation stays localized, with queue
+//!   backlogs draining geometrically; [`DisturbanceCurve::ring_peaks`]
+//!   and [`DisturbanceCurve::recovery_cycle`] quantify the two decays
+//!   (see `examples/delay_propagation.rs`).
 //!
-//! * **Idle-wave analysis** — [`run_idle_wave`] injects a one-off router
-//!   stall and measures, beyond the raw per-ring completion deficits of
-//!   [`DisturbanceCurve`], *how the disturbance travels*: its propagation
-//!   speed across distance rings, the distance at which it decays below a
-//!   threshold, the ring-to-ring damping factor, and — via the fabric's
-//!   per-message latency breakdown — which latency component (source
-//!   queueing, injection, contention, ejection, drain) absorbed the
-//!   delay. This mirrors the idle-wave methodology of Afzal et al.
-//!   applied to the paper's closed-loop transaction machine: locality
-//!   and context count `p` set how much slack neighbouring nodes have to
-//!   damp the wave.
+//! * **Idle-wave analysis** — [`run_idle_wave`] runs that experiment and
+//!   measures, beyond the raw curve, *how the disturbance travels*: its
+//!   propagation speed across distance rings, the distance at which it
+//!   decays below a threshold, the ring-to-ring damping factor, and —
+//!   via the fabric's per-message latency breakdown — which latency
+//!   component (source queueing, injection, contention, ejection, drain)
+//!   absorbed the delay. This mirrors the idle-wave methodology of Afzal
+//!   et al. applied to the paper's closed-loop transaction machine:
+//!   locality and context count `p` set how much slack neighbouring
+//!   nodes have to damp the wave.
 //!
-//! * **Dynamic re-mapping** — a [`MigrationPolicy`] lets the machine
-//!   react to wedged transactions (the watchdog's stuck-transaction
-//!   signal observed per-context) by migrating the blocked thread to
-//!   another node, paying a configurable steal latency, after which the
-//!   abandoned memory operation is re-issued from the new node — whose
-//!   e-cube route to the same home may avoid the dead resource entirely.
-//!   [`NullPolicy`] reproduces the static machine bit-exactly;
-//!   [`WorkStealingPolicy`] implements latency-bound work stealing in
+//! * **Dynamic re-mapping** — a [`WorkStealingPolicy`] installed with
+//!   [`Machine::set_migration`] lets the machine react to wedged
+//!   transactions (the watchdog's stuck-transaction signal observed
+//!   per-context) by migrating the blocked thread to another node, paying
+//!   a steal latency, after which the abandoned memory operation is
+//!   re-issued from the new node — whose route to the same home may avoid
+//!   the dead resource entirely. This is latency-bound work stealing in
 //!   the spirit of Khatiri et al. [`run_degradation`] sweeps permanently
 //!   killed links and reports the graceful-degradation curve: completed
 //!   work per surviving node as links die.
 
-use crate::disturbance::{DisturbanceConfig, DisturbanceCurve};
 use crate::error::SimError;
 use crate::fit::fit_line;
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
-use commloc_net::{DetRng, Direction, FaultPlan, NodeId, Topology, Torus};
-use std::fmt;
+use commloc_net::{DetRng, Direction, FaultPlan, NodeId, Topology};
+
+/// Parameters of a delay-injection experiment.
+#[derive(Debug, Clone)]
+pub struct DisturbanceConfig {
+    /// Base machine configuration. Its `fault_plan` (if any) is composed
+    /// into *both* lockstep machines as the ambient fault environment;
+    /// the experiment adds its own single router stall on top for the
+    /// disturbed copy only.
+    pub sim: SimConfig,
+    /// Node whose router is stalled.
+    pub victim: usize,
+    /// Network cycle at which the stall begins (give the machine time to
+    /// reach steady state first).
+    pub inject_cycle: u64,
+    /// Length of the stall in network cycles.
+    pub stall_window: u64,
+    /// Total network cycles to simulate.
+    pub horizon: u64,
+    /// Sampling-bucket width in network cycles.
+    pub bucket: u64,
+}
+
+/// The measured disturbance: per-ring, per-bucket completion deficits.
+#[derive(Debug, Clone)]
+pub struct DisturbanceCurve {
+    /// The stalled node.
+    pub victim: NodeId,
+    /// Injection cycle.
+    pub inject_cycle: u64,
+    /// Stall length.
+    pub stall_window: u64,
+    /// Bucket width.
+    pub bucket: u64,
+    /// `rings[d][i]`: completions the fault-free run achieved minus the
+    /// disturbed run, summed over nodes at torus distance `d` from the
+    /// victim, during bucket `i`. Positive = the disturbed machine fell
+    /// behind there.
+    pub rings: Vec<Vec<i64>>,
+    /// Number of nodes at each distance (for per-node normalization).
+    pub ring_sizes: Vec<usize>,
+}
+
+impl DisturbanceCurve {
+    /// Number of sampling buckets.
+    pub fn buckets(&self) -> usize {
+        self.rings.first().map_or(0, Vec::len)
+    }
+
+    /// Global completion deficit per bucket.
+    pub fn global(&self) -> Vec<i64> {
+        (0..self.buckets())
+            .map(|i| self.rings.iter().map(|r| r[i]).sum())
+            .collect()
+    }
+
+    /// Peak per-node deficit of each ring over the whole run — the
+    /// disturbance's spatial profile. A localized disturbance decays
+    /// monotonically (modulo noise) with distance.
+    pub fn ring_peaks(&self) -> Vec<f64> {
+        self.rings
+            .iter()
+            .zip(&self.ring_sizes)
+            .map(|(ring, &size)| {
+                let peak = ring.iter().copied().max().unwrap_or(0);
+                peak as f64 / size.max(1) as f64
+            })
+            .collect()
+    }
+
+    /// First bucket-start cycle at or after the stall's end where the
+    /// global per-bucket deficit has returned to zero (or surplus), i.e.
+    /// the machine's completion *rate* has recovered. `None` if it never
+    /// recovers within the horizon.
+    pub fn recovery_cycle(&self) -> Option<u64> {
+        let stall_end = self.inject_cycle + self.stall_window;
+        self.global()
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| (i as u64 * self.bucket, d))
+            .find(|&(start, d)| start >= stall_end && d <= 0)
+            .map(|(start, _)| start)
+    }
+}
 
 /// One completed thread migration (diagnostic record).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,17 +142,12 @@ pub struct MigrationRecord {
     pub txn: u64,
 }
 
-/// What a policy sees when asked to place a wedged thread.
+/// What the policy sees when placing a wedged thread. Per-node slices
+/// are indexed by compute node.
 #[derive(Debug)]
 pub struct MigrationView<'a> {
     /// Node whose context is wedged.
     pub victim: usize,
-    /// The wedged hardware context on the victim.
-    pub context: usize,
-    /// Network cycles the context's transaction has been outstanding.
-    pub age: u64,
-    /// Current network cycle.
-    pub cycle: u64,
     /// The machine's fabric (for distance-aware placement).
     pub topology: &'a Topology,
     /// Nodes that currently hold at least one wedged transaction.
@@ -69,155 +155,47 @@ pub struct MigrationView<'a> {
     /// Threads currently assigned to each node (in-flight migrations
     /// count at their destination).
     pub load: &'a [usize],
-    /// Nodes a thread has ever migrated away from (sticky; diagnostic).
-    pub migrated_from: &'a [bool],
     /// Nodes owning a permanently killed output link.
     pub killed: &'a [bool],
 }
 
-/// A dynamic re-mapping policy: decides whether and where to migrate
-/// threads whose transactions have wedged.
+/// Work-stealing migration, installed with [`Machine::set_migration`]:
+/// a thread whose transaction has been outstanding for
+/// `wedge_threshold` cycles moves to the least-loaded healthy node (ties
+/// broken by fabric distance from the victim, then node id), paying
+/// `steal_latency` cycles in flight.
 ///
-/// The machine consults the policy at every processor boundary once the
-/// oldest outstanding transaction is at least [`wedge_threshold`] cycles
-/// old, offering each wedged context in ascending `(node, context)`
-/// order. Migration preserves the machine's stepping invariants and the
-/// null policy is bit-exact with a policy-free machine.
-///
-/// [`wedge_threshold`]: MigrationPolicy::wedge_threshold
-///
-/// Policies must be `Send` so policy-carrying machines can run on
-/// worker threads (e.g. under [`crate::parallel_map`]).
-pub trait MigrationPolicy: fmt::Debug + Send {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-    /// Age (network cycles) at which an outstanding transaction counts
-    /// as wedged. `u64::MAX` disables the wedge scan entirely.
-    fn wedge_threshold(&self) -> u64;
-    /// Network cycles a migrating thread spends in flight before it is
-    /// adopted by its destination.
-    fn steal_latency(&self) -> u64;
-    /// Picks a destination for the wedged thread, or `None` to leave it
-    /// in place (it keeps waiting and will be offered again).
-    fn choose_destination(&mut self, view: &MigrationView<'_>) -> Option<NodeId>;
-    /// Clones the policy behind the trait object (machine snapshots
-    /// deep-copy policy-carrying machines, including mid-run state such
-    /// as a remaining migration budget).
-    fn clone_box(&self) -> Box<dyn MigrationPolicy>;
-}
-
-impl Clone for Box<dyn MigrationPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// The do-nothing policy: never migrates. A machine with this policy is
-/// bit-exact with one built without any policy (asserted by tests and
-/// the `--machine` differential fuzzer).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullPolicy;
-
-impl MigrationPolicy for NullPolicy {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-    fn wedge_threshold(&self) -> u64 {
-        u64::MAX
-    }
-    fn steal_latency(&self) -> u64 {
-        0
-    }
-    fn choose_destination(&mut self, _view: &MigrationView<'_>) -> Option<NodeId> {
-        None
-    }
-    fn clone_box(&self) -> Box<dyn MigrationPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// Work-stealing-style migration: a wedged thread moves to the
-/// least-loaded healthy node (ties broken by fabric distance from the
-/// victim, then node id), paying `steal_latency` cycles in flight.
-///
-/// Nodes currently wedged or owning a killed output link are excluded
-/// as destinations; nodes a thread merely migrated *from* earlier stay
-/// eligible — during a long transient stall a thread may legitimately
-/// bounce, and shrinking the destination pool permanently would strand
-/// it. A migration budget bounds total moves so a hopeless thread
+/// The machine offers wedged contexts at every processor boundary once
+/// the oldest outstanding transaction is at least `wedge_threshold`
+/// cycles old, in ascending `(node, context)` order. Nodes currently
+/// wedged or owning a killed output link are excluded as destinations;
+/// nodes a thread merely migrated *from* earlier stay eligible — during
+/// a long transient stall a thread may legitimately bounce, and
+/// shrinking the destination pool permanently would strand it. The
+/// `max_migrations` budget bounds total moves so a hopeless thread
 /// cannot ping-pong forever.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkStealingPolicy {
-    steal_latency: u64,
-    wedge_threshold: u64,
-    remaining: u64,
-}
-
-impl WorkStealingPolicy {
-    /// Creates the policy with the given steal latency, wedge threshold
-    /// (network cycles), and total migration budget.
-    pub fn new(steal_latency: u64, wedge_threshold: u64, max_migrations: u64) -> Self {
-        assert!(wedge_threshold > 0, "a zero threshold wedges every issue");
-        Self {
-            steal_latency,
-            wedge_threshold,
-            remaining: max_migrations,
-        }
-    }
-}
-
-impl MigrationPolicy for WorkStealingPolicy {
-    fn name(&self) -> &'static str {
-        "stealing"
-    }
-    fn wedge_threshold(&self) -> u64 {
-        self.wedge_threshold
-    }
-    fn steal_latency(&self) -> u64 {
-        self.steal_latency
-    }
-    fn choose_destination(&mut self, view: &MigrationView<'_>) -> Option<NodeId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let victim = NodeId(view.victim);
-        let best = (0..view.load.len())
-            .filter(|&n| n != view.victim && !view.wedged[n] && !view.killed[n])
-            .min_by_key(|&n| (view.load[n], view.topology.distance(victim, NodeId(n)), n))?;
-        self.remaining -= 1;
-        Some(NodeId(best))
-    }
-    fn clone_box(&self) -> Box<dyn MigrationPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// A serializable recipe for building a migration policy — the form the
-/// fuzzer and benches carry in their scenario descriptions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationSpec {
-    /// `true` builds a [`WorkStealingPolicy`]; `false` a [`NullPolicy`].
-    pub stealing: bool,
-    /// Steal latency in network cycles (stealing only).
+pub struct WorkStealingPolicy {
+    /// Network cycles a migrating thread spends in flight before its
+    /// destination adopts it.
     pub steal_latency: u64,
-    /// Wedge threshold in network cycles (stealing only).
+    /// Age (network cycles) at which an outstanding transaction counts
+    /// as wedged. Zero reads as one; `u64::MAX` never fires, which
+    /// leaves the machine bit-exact with one carrying no policy.
     pub wedge_threshold: u64,
-    /// Total migration budget (stealing only).
+    /// Total migrations the machine may perform.
     pub max_migrations: u64,
 }
 
-impl MigrationSpec {
-    /// Builds the described policy.
-    pub fn build(&self) -> Box<dyn MigrationPolicy> {
-        if self.stealing {
-            Box::new(WorkStealingPolicy::new(
-                self.steal_latency,
-                self.wedge_threshold.max(1),
-                self.max_migrations,
-            ))
-        } else {
-            Box::new(NullPolicy)
-        }
+impl WorkStealingPolicy {
+    /// The destination for the view's wedged thread, or `None` when no
+    /// node is eligible (the thread keeps waiting and is offered again).
+    pub fn choose_destination(&self, view: &MigrationView<'_>) -> Option<NodeId> {
+        let victim = NodeId(view.victim);
+        (0..view.load.len())
+            .filter(|&n| n != view.victim && !view.wedged[n] && !view.killed[n])
+            .min_by_key(|&n| (view.load[n], view.topology.distance(victim, NodeId(n)), n))
+            .map(NodeId)
     }
 }
 
@@ -443,7 +421,7 @@ pub struct DegradationConfig {
     /// Seed for the deterministic kill-list draw.
     pub seed: u64,
     /// Migration policy installed at every point.
-    pub spec: MigrationSpec,
+    pub policy: WorkStealingPolicy,
 }
 
 /// One point of the degradation curve.
@@ -474,13 +452,18 @@ pub struct DegradationPoint {
 ///
 /// # Panics
 ///
-/// Panics if `max_kills` exceeds the machine's distinct output links.
+/// Panics if the configuration's topology is not a cube — the kill list
+/// is addressed by `(dim, direction)` — or if `max_kills` exceeds the
+/// machine's distinct output links.
 pub fn run_degradation(
     config: &DegradationConfig,
     mapping: &Mapping,
 ) -> Result<Vec<DegradationPoint>, SimError> {
-    let torus = Torus::new(config.sim.dims, config.sim.radix);
-    let total_links = torus.nodes() * config.sim.dims as usize * 2;
+    let Topology::Cube(torus) = config.sim.resolved_topology() else {
+        panic!("run_degradation kills links by (dim, direction), which needs a cube topology");
+    };
+    let dims = torus.dims();
+    let total_links = torus.nodes() * dims as usize * 2;
     assert!(
         config.max_kills <= total_links,
         "cannot kill {} of {} links",
@@ -494,7 +477,7 @@ pub fn run_degradation(
     let mut kills: Vec<(usize, u32, Direction)> = Vec::new();
     while kills.len() < config.max_kills {
         let node = rng.index(torus.nodes());
-        let dim = rng.index(config.sim.dims as usize) as u32;
+        let dim = rng.index(dims as usize) as u32;
         let dir = if rng.chance(0.5) {
             Direction::Plus
         } else {
@@ -519,7 +502,8 @@ pub fn run_degradation(
             fault_plan: Some(plan),
             ..config.sim.clone()
         };
-        let mut machine = Machine::with_policy(&sim, mapping, config.spec.build());
+        let mut machine = Machine::new(&sim, mapping);
+        machine.set_migration(config.policy);
         machine.run_network_cycles(config.horizon)?;
         let migrated = machine.migrated_from_nodes();
         let survivors = torus.nodes() - migrated.len();
@@ -546,22 +530,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_spec_builds_a_policy_that_never_fires() {
-        let spec = MigrationSpec {
-            stealing: false,
-            steal_latency: 0,
-            wedge_threshold: 0,
-            max_migrations: 0,
-        };
-        let policy = spec.build();
-        assert_eq!(policy.name(), "null");
-        assert_eq!(policy.wedge_threshold(), u64::MAX);
-    }
-
-    #[test]
     fn stealing_picks_the_least_loaded_healthy_node() {
+        // The budget lives on the machine (see
+        // `machine::tests::exhausted_migration_budget_trips_and_names_the_migrated_nodes`);
+        // the policy itself only places.
         let topology = Topology::cube(2, 4);
-        let mut policy = WorkStealingPolicy::new(100, 500, 2);
+        let policy = WorkStealingPolicy {
+            steal_latency: 100,
+            wedge_threshold: 500,
+            max_migrations: 2,
+        };
         let wedged = {
             let mut w = vec![false; 16];
             w[3] = true;
@@ -577,21 +555,21 @@ mod tests {
         load[3] = 0; // wedged: excluded
         load[2] = 0; // healthy and empty: the winner
         load[7] = 0; // healthy and empty but farther from the victim
-        let migrated_from = vec![false; 16];
         let view = MigrationView {
             victim: 3,
-            context: 0,
-            age: 900,
-            cycle: 5_000,
             topology: &topology,
             wedged: &wedged,
             load: &load,
-            migrated_from: &migrated_from,
             killed: &killed,
         };
         assert_eq!(policy.choose_destination(&view), Some(NodeId(2)));
         assert_eq!(policy.choose_destination(&view), Some(NodeId(2)));
-        // Budget of 2 exhausted.
+        // With every other node wedged or killed there is nowhere to go.
+        let wedged = vec![true; 16];
+        let view = MigrationView {
+            wedged: &wedged,
+            ..view
+        };
         assert_eq!(policy.choose_destination(&view), None);
     }
 
@@ -660,8 +638,7 @@ mod tests {
             kill_cycle: 3_000,
             horizon: 16_000,
             seed: 9,
-            spec: MigrationSpec {
-                stealing: true,
+            policy: WorkStealingPolicy {
                 steal_latency: 300,
                 wedge_threshold: 1_500,
                 max_migrations: 200,
@@ -701,5 +678,58 @@ mod tests {
         assert_eq!(wave.damping(), 0.0);
         assert_eq!(wave.total_deficit(), 0);
         assert_eq!(wave.absorbed_total(), 0);
+    }
+
+    fn curve(stall_window: u64) -> DisturbanceCurve {
+        let config = DisturbanceConfig {
+            sim: SimConfig::default(),
+            victim: 27,
+            inject_cycle: 12_000,
+            stall_window,
+            horizon: 40_000,
+            bucket: 1_000,
+        };
+        run_idle_wave(&config, &Mapping::identity(64))
+            .expect("experiment runs")
+            .curve
+    }
+
+    #[test]
+    fn lockstep_runs_are_identical_before_injection() {
+        let c = curve(800);
+        let pre_buckets = (c.inject_cycle / c.bucket) as usize;
+        for ring in &c.rings {
+            for &d in &ring[..pre_buckets] {
+                assert_eq!(d, 0, "deficit before injection");
+            }
+        }
+    }
+
+    #[test]
+    fn disturbance_peaks_at_the_victim_and_decays_with_distance() {
+        let c = curve(800);
+        let peaks = c.ring_peaks();
+        assert!(
+            peaks[0] > 0.0,
+            "the stalled node itself must lose completions: {peaks:?}"
+        );
+        let far = *peaks.last().unwrap();
+        assert!(
+            peaks[0] > 2.0 * far.max(0.25),
+            "disturbance not localized: victim {} vs farthest {far}",
+            peaks[0]
+        );
+    }
+
+    #[test]
+    fn completion_rate_recovers_after_the_stall() {
+        let c = curve(800);
+        let recovery = c
+            .recovery_cycle()
+            .expect("rate should recover within the horizon");
+        assert!(
+            recovery < c.inject_cycle + c.stall_window + 15_000,
+            "recovery too slow: {recovery}"
+        );
     }
 }

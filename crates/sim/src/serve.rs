@@ -1242,6 +1242,7 @@ mod tests {
             // Machines too large to allocate, which once aborted the daemon.
             "{\"op\":\"run\",\"id\":\"x\",\"mapping\":\"identity\",\"dims\":31,\"radix\":2,\"warmup\":10,\"window\":10}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"topology\":\"dragonfly:2000,2000\"}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"contexts\":4294967295}\n",
             "{\"op\":\"stats\"}\n",
         );
         let mut output = Vec::new();
@@ -1249,8 +1250,8 @@ mod tests {
         assert!(eof, "EOF (not shutdown) ends the stream");
         let text = String::from_utf8(output).unwrap();
         let events: Vec<&str> = text.lines().collect();
-        assert_eq!(events.len(), 17, "one event per request: {text}");
-        for (line, field) in events[..16].iter().zip([
+        assert_eq!(events.len(), 18, "one event per request: {text}");
+        for (line, field) in events[..17].iter().zip([
             "",
             "",
             "",
@@ -1267,12 +1268,13 @@ mod tests {
             "clock_ratio",
             "dims",
             "topology",
+            "contexts",
         ]) {
             assert!(line.contains("\"event\":\"error\""), "{line}");
             assert!(line.contains(field), "error must name `{field}`: {line}");
         }
         assert!(
-            events[16].contains("\"event\":\"stats\""),
+            events[17].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
     }
