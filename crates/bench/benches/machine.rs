@@ -20,6 +20,12 @@
 //! varies much more run to run, and the engine's failure modes all cost
 //! well over 2x somewhere).
 //!
+//! Timing: each engine repeats a scenario on a fresh machine until the
+//! summed wall-clock passes [`MIN_TIMED_SECS`], and cycles/sec is the
+//! cycles of every repetition over that sum. A row that finishes in tens
+//! of µs (the wedge row is one fast-forward jump) would otherwise report
+//! timer noise.
+//!
 //! Shape gate: each fault scenario names the behaviour it exists to time
 //! ([`Shape`]), and the harness always exits non-zero when a run loses
 //! it — a throughput figure for a machine that no longer fast-forwards,
@@ -31,6 +37,10 @@ use commloc_mem::MemConfig;
 use commloc_net::{FaultConfig, FaultPlan};
 use commloc_sim::{Machine, Mapping, SimConfig, SimError, WorkStealingPolicy};
 use std::path::PathBuf;
+
+/// The summed wall-clock each engine's repetitions of a scenario must
+/// pass before its throughput is reported.
+const MIN_TIMED_SECS: f64 = 0.05;
 
 struct Scenario {
     name: &'static str,
@@ -61,9 +71,11 @@ enum Shape {
     Migrates,
 }
 
-/// What one engine's run showed.
+/// What one engine's runs showed: the wall-clock summed over `reps`
+/// identical repetitions, and what each repetition did.
 struct Run {
     wall_secs: f64,
+    reps: u32,
     cycles: u64,
     completions: u64,
     fast_forwarded: u64,
@@ -208,28 +220,48 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// Runs one engine over the scenario.
-fn run_engine(s: &Scenario, reference: bool) -> Run {
-    let mut machine = if reference {
-        Machine::new_reference(&s.config, &s.mapping)
-    } else {
-        Machine::new(&s.config, &s.mapping)
-    };
-    if let Some(policy) = s.migration {
-        machine.set_migration(policy);
+impl Run {
+    /// Simulated cycles per wall-clock second over every repetition.
+    fn cycles_per_sec(&self) -> f64 {
+        self.cycles as f64 * f64::from(self.reps) / self.wall_secs
     }
-    let start = std::time::Instant::now();
-    // Watchdog trips are expected in the fault scenarios; the engines
-    // must agree on the outcome either way (asserted by the caller — the
-    // full report equality lives in the equivalence tests and fuzzer).
-    let result = machine.run_network_cycles(s.cycles);
-    Run {
-        wall_secs: start.elapsed().as_secs_f64(),
-        cycles: machine.net_cycle(),
-        completions: machine.completions(),
-        fast_forwarded: machine.fast_forwarded_cycles(),
-        stalled: matches!(result, Err(SimError::Stalled(_))),
-        migrations: machine.migrations().len(),
+}
+
+/// Runs one engine over the scenario on fresh machines until the summed
+/// wall-clock of the runs (construction excluded) passes
+/// [`MIN_TIMED_SECS`]. The simulator is deterministic, so every
+/// repetition does the same work.
+fn run_engine(s: &Scenario, reference: bool) -> Run {
+    let mut wall_secs = 0.0;
+    let mut reps = 0;
+    loop {
+        let mut machine = if reference {
+            Machine::new_reference(&s.config, &s.mapping)
+        } else {
+            Machine::new(&s.config, &s.mapping)
+        };
+        if let Some(policy) = s.migration {
+            machine.set_migration(policy);
+        }
+        let start = std::time::Instant::now();
+        // Watchdog trips are expected in the fault scenarios; the engines
+        // must agree on the outcome either way (asserted by the caller —
+        // the full report equality lives in the equivalence tests and
+        // fuzzer).
+        let result = machine.run_network_cycles(s.cycles);
+        wall_secs += start.elapsed().as_secs_f64();
+        reps += 1;
+        if wall_secs >= MIN_TIMED_SECS {
+            return Run {
+                wall_secs,
+                reps,
+                cycles: machine.net_cycle(),
+                completions: machine.completions(),
+                fast_forwarded: machine.fast_forwarded_cycles(),
+                stalled: matches!(result, Err(SimError::Stalled(_))),
+                migrations: machine.migrations().len(),
+            };
+        }
     }
 }
 
@@ -243,12 +275,13 @@ fn render_json(outcomes: &[Outcome]) -> String {
     );
     for (i, o) in outcomes.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"wall_secs\": {:.3}, \
+            "    {{\"name\": \"{}\", \"cycles\": {}, \"reps\": {}, \"wall_secs\": {:.3}, \
              \"cycles_per_sec\": {:.0}, \"completions\": {}, \"fast_forwarded_cycles\": {}, \
              \"watchdog_stall\": {}, \"migrations\": {}, \
              \"reference_cycles_per_sec\": {:.0}, \"speedup_vs_reference\": {:.2}}}{}\n",
             o.name,
             o.run.cycles,
+            o.run.reps,
             o.run.wall_secs,
             o.cycles_per_sec,
             o.run.completions,
@@ -302,14 +335,15 @@ fn main() {
         if let Some(why) = scenario.shape.lost_by(&run) {
             misshapen.push(format!("{}: {why}", scenario.name));
         }
-        let cycles_per_sec = run.cycles as f64 / run.wall_secs;
-        let reference_cycles_per_sec = run.cycles as f64 / reference.wall_secs;
+        let cycles_per_sec = run.cycles_per_sec();
+        let reference_cycles_per_sec = reference.cycles_per_sec();
         let speedup = cycles_per_sec / reference_cycles_per_sec;
         println!(
-            "{:<28} {:>12.0} cyc/s  (reference {:>10.0} cyc/s, speedup {:>6.1}x, \
+            "{:<28} {:>12.0} cyc/s over {:>4} runs (reference {:>10.0} cyc/s, speedup {:>6.1}x, \
              {} completions, {} cycles fast-forwarded, stalled: {}, {} migrations)",
             scenario.name,
             cycles_per_sec,
+            run.reps,
             reference_cycles_per_sec,
             speedup,
             run.completions,

@@ -141,15 +141,28 @@ impl BitRows {
         self.words[row * self.row_words + index / 64] &= !(1u64 << (index % 64));
     }
 
-    /// Whether set `row` has no members.
+    /// Whether set `row` has no members. One word when a row fits in
+    /// 64 bits, as every torus and mesh router's does.
     #[inline]
     pub(crate) fn is_empty(&self, row: usize) -> bool {
+        if self.row_words == 1 {
+            return self.words[row] == 0;
+        }
         self.row(row).iter().all(|&w| w == 0)
     }
 
-    /// The smallest member of set `row` at or after `from`.
+    /// The smallest member of set `row` at or after `from`: one masked
+    /// word when a row fits in 64 bits.
     #[inline]
     pub(crate) fn first_from(&self, row: usize, from: usize) -> Option<usize> {
+        if self.row_words == 1 {
+            let mask = u32::try_from(from)
+                .ok()
+                .and_then(|from| u64::MAX.checked_shl(from))
+                .unwrap_or(0);
+            let bits = self.words[row] & mask;
+            return (bits != 0).then(|| bits.trailing_zeros() as usize);
+        }
         SetBits::new(self.row(row), from).next()
     }
 
@@ -249,5 +262,27 @@ mod tests {
         assert_eq!(rows.first_from(2, 0), Some(0));
         rows.remove(2, 0);
         assert_eq!(rows, BitRows::new(3, 73));
+    }
+
+    #[test]
+    fn bit_rows_of_one_word_answer_from_a_masked_word() {
+        // 25 bits a row (a 2-D torus router with four VCs a port): one
+        // word each, so lookups take the single-word path.
+        let mut rows = BitRows::new(3, 25);
+        rows.insert(1, 0);
+        rows.insert(1, 24);
+        rows.insert(2, 63);
+        assert!(rows.is_empty(0) && !rows.is_empty(1) && !rows.is_empty(2));
+        assert_eq!(rows.first_from(1, 0), Some(0));
+        assert_eq!(rows.first_from(1, 1), Some(24));
+        assert_eq!(rows.first_from(1, 25), None);
+        assert_eq!(rows.first_from(2, 63), Some(63));
+        // Starts at and past the word's end find nothing.
+        assert_eq!(rows.first_from(2, 64), None);
+        assert_eq!(rows.first_from(2, 1_000), None);
+        assert_eq!(rows.first_from(0, 0), None);
+        assert_eq!(rows.pop_first(1), Some(0));
+        assert_eq!(rows.pop_first(1), Some(24));
+        assert!(rows.is_empty(1));
     }
 }

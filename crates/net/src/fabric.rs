@@ -33,6 +33,9 @@
 //! round-robin arbitration decisions and fault-injection RNG rolls replay
 //! bit-for-bit identically (the equivalence tests in
 //! [`crate::reference`] assert this against the retained naive engine).
+//! A fabric with nothing in motion ([`Fabric::is_quiescent`]) does not
+//! run the phases at all: its step is the clock tick of
+//! [`Fabric::fast_forward`]`(1)`.
 //!
 //! Inside an active router, phases 2 and 3 visit only waiting work,
 //! through three bitsets kept current where flits are pushed and popped,
@@ -54,6 +57,11 @@
 //! rolls replay bit-for-bit. Every set is sized in 64-bit words from the
 //! configuration, with no bound on ports or VCs.
 //!
+//! Per-VC router state is kept in 4-byte tables: an input VC's route
+//! (output port and dateline class), an output VC's lock (the owning input
+//! VC's offset, the same index the requester sets use), its credits and
+//! its round-robin pointer.
+//!
 //! Messages in flight live in a generational slab: each flit carries its
 //! message's slot index, so hot-path lookups are array indexing (with the
 //! message id doubling as a generation check) instead of hashing. All
@@ -67,7 +75,6 @@
 use crate::active::{ActiveSet, BitRows};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::message::{Delivery, Flit, FlitKind, Message, MessageId};
-use crate::router::{InputRef, OutputRef, INFINITE_CREDITS};
 use crate::stats::{FabricStats, LatencyBreakdown};
 use crate::topology::{NodeId, PortStep, Topology, VcIndex, DATELINE_VCS};
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -229,18 +236,20 @@ pub struct Fabric<P> {
     in_fifo: Vec<VecDeque<Flit>>,
     /// Route of the message at each input VC's front, assigned when its
     /// head reaches the front and cleared when its tail departs.
-    in_route: Vec<Option<OutputRef>>,
+    in_route: Vec<Route>,
     /// Cycle each input VC's front route was assigned (hop-block trace).
     in_routed_at: Vec<u64>,
-    /// Wormhole lock owner of each output VC.
-    out_locked: Vec<Option<InputRef>>,
-    /// Free downstream buffer slots of each output VC.
-    out_credits: Vec<usize>,
+    /// Wormhole lock owner of each output VC: the owning input VC's
+    /// offset in the node's block, or [`UNLOCKED`].
+    out_locked: Vec<u32>,
+    /// Free downstream buffer slots of each output VC
+    /// ([`INFINITE_CREDITS`] for the ejection pseudo-channel).
+    out_credits: Vec<u32>,
     /// Round-robin input pointer of each output VC.
-    out_rr_input: Vec<usize>,
+    out_rr_input: Vec<u32>,
     /// Round-robin VC pointer of each output physical channel, indexed
     /// `node * (link_ports + 1) + port`.
-    out_rr_vc: Vec<usize>,
+    out_rr_vc: Vec<u32>,
     /// Inter-router links, indexed `node * link_ports + port`; each holds
     /// at most one in-transit flit tagged with its virtual channel.
     links: Vec<Option<(Flit, VcIndex)>>,
@@ -253,7 +262,7 @@ pub struct Fabric<P> {
     inj_occupied: Vec<u32>,
     /// Free slots in each router's injection input buffer as seen by the
     /// NI.
-    inj_credits: Vec<usize>,
+    inj_credits: Vec<u32>,
     nis: Vec<NetworkInterface>,
     /// Generational slab of in-flight messages; flits carry their slot.
     slots: Vec<Option<Pending<P>>>,
@@ -305,8 +314,9 @@ pub struct Fabric<P> {
     link_scratch: Vec<u32>,
     /// Scratch: last cycle's occupied-injection-channel worklist.
     inj_scratch: Vec<u32>,
-    /// Scratch: credits freed during switch traversal, applied in phase 4.
-    credit_scratch: Vec<CreditReturn>,
+    /// Scratch: flattened output VCs whose downstream slot was freed
+    /// during switch traversal, credited in phase 4.
+    credit_scratch: Vec<u32>,
     next_id: u64,
     cycle: u64,
     stats: FabricStats,
@@ -356,7 +366,8 @@ impl<P> Fabric<P> {
     /// # Panics
     ///
     /// Panics if the configuration requests fewer than
-    /// [`DATELINE_VCS`] virtual channels or zero-capacity buffers.
+    /// [`DATELINE_VCS`] virtual channels, zero-capacity buffers, or
+    /// buffer capacities that do not fit the 32-bit credit counters.
     pub fn new(topology: impl Into<Topology>, config: FabricConfig) -> Self {
         let topology = topology.into();
         let nodes = topology.nodes();
@@ -395,6 +406,16 @@ impl<P> Fabric<P> {
             config.injection_buffer_capacity > 0,
             "buffers must hold flits"
         );
+        let credits = |capacity: usize| {
+            u32::try_from(capacity)
+                .ok()
+                .filter(|&c| c != INFINITE_CREDITS)
+                .expect("buffer capacities must fit the 32-bit credit counters")
+        };
+        let (link_credits, inj_credits) = (
+            credits(config.vc_buffer_capacity),
+            credits(config.injection_buffer_capacity),
+        );
         assert!(owned > 0, "a shard must own at least one node");
         assert!(
             base + owned <= topology.nodes(),
@@ -402,10 +423,17 @@ impl<P> Fabric<P> {
         );
         let link_ports = topology.ports();
         let vc_stride = link_ports * config.link_vcs + 1;
+        assert!(
+            link_ports < usize::from(NO_LINK_PORT)
+                && owned
+                    .checked_mul(vc_stride)
+                    .is_some_and(|vcs| u32::try_from(vcs).is_ok()),
+            "virtual channels must fit the 32-bit router tables"
+        );
         let mut out_credits = Vec::with_capacity(owned * vc_stride);
         for _ in 0..owned {
             for _ in 0..link_ports * config.link_vcs {
-                out_credits.push(config.vc_buffer_capacity);
+                out_credits.push(link_credits);
             }
             out_credits.push(INFINITE_CREDITS); // ejection pseudo-channel
         }
@@ -447,9 +475,9 @@ impl<P> Fabric<P> {
             link_ports,
             vc_stride,
             in_fifo: (0..owned * vc_stride).map(|_| VecDeque::new()).collect(),
-            in_route: vec![None; owned * vc_stride],
+            in_route: vec![Route::NONE; owned * vc_stride],
             in_routed_at: vec![0; owned * vc_stride],
-            out_locked: vec![None; owned * vc_stride],
+            out_locked: vec![UNLOCKED; owned * vc_stride],
             out_credits,
             out_rr_input: vec![0; owned * vc_stride],
             out_rr_vc: vec![0; owned * (link_ports + 1)],
@@ -457,7 +485,7 @@ impl<P> Fabric<P> {
             link_occupied: Vec::new(),
             inj_links: vec![None; owned],
             inj_occupied: Vec::new(),
-            inj_credits: vec![config.injection_buffer_capacity; owned],
+            inj_credits: vec![inj_credits; owned],
             nis: (0..owned).map(|_| NetworkInterface::default()).collect(),
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -729,7 +757,9 @@ impl<P> Fabric<P> {
         self.injected_total
     }
 
-    /// Advances the fabric by one network cycle.
+    /// Advances the fabric by one network cycle. On a quiescent fabric
+    /// ([`Fabric::is_quiescent`]) this is the clock tick of
+    /// [`Fabric::fast_forward`]`(1)`.
     ///
     /// # Errors
     ///
@@ -742,6 +772,12 @@ impl<P> Fabric<P> {
         self.stats.cycles += 1;
         if let Some(plan) = self.fault.as_mut() {
             plan.activate(self.cycle);
+        }
+        // With nothing in motion the five phases cannot move a flit, roll
+        // a fault or touch an arbiter: the step is the clock tick above,
+        // exactly what `fast_forward(1)` does.
+        if self.is_quiescent() {
+            return Ok(());
         }
         self.deliver_links();
         // Snapshot the routers holding flits once; phases 2 and 3 share
@@ -885,7 +921,7 @@ impl<P> Fabric<P> {
         let first = self.vc_idx(node, output, 0);
         let busy = self.out_locked[first..first + self.port_vcs(output)]
             .iter()
-            .any(Option::is_some)
+            .any(|&lock| lock != UNLOCKED)
             || (0..DATELINE_VCS)
                 .any(|class| !self.requesters.is_empty(self.req_row(node, output, class)));
         if busy {
@@ -967,7 +1003,7 @@ impl<P> Fabric<P> {
                 let idx = node * self.vc_stride + offset;
                 let front = self.in_fifo[idx].front();
                 debug_assert!(
-                    self.in_route[idx].is_none() && front.is_some_and(|f| f.kind.is_head()),
+                    self.in_route[idx] == Route::NONE && front.is_some_and(|f| f.kind.is_head()),
                     "route-ready VC without an unrouted head at its front"
                 );
                 let Some(&front) = front else {
@@ -986,18 +1022,20 @@ impl<P> Fabric<P> {
                         cycle: self.cycle,
                     })?;
                 let (src, dst) = (pending.message.src, pending.message.dst);
-                let step = self.topology.route_hop(src, dst, global);
-                let output = match step {
-                    PortStep::Eject => OutputRef { port: local, vc: 0 },
-                    PortStep::Forward { port, vc } => OutputRef { port, vc },
+                let (port, class) = match self.topology.route_hop(src, dst, global) {
+                    PortStep::Eject => (local, 0),
+                    PortStep::Forward { port, vc } => (port, vc),
                 };
-                self.in_route[idx] = Some(output);
+                self.in_route[idx] = Route {
+                    port: port as u16,
+                    class: class as u16,
+                };
                 self.in_routed_at[idx] = self.cycle;
-                // `output.vc` is the dateline class here, matching the
+                // The dateline class keys the requester row, matching the
                 // removal when this head is forwarded.
-                let row = self.req_row(node, output.port, output.vc);
+                let row = self.req_row(node, port, class);
                 self.requesters.insert(row, offset);
-                self.busy_outputs.insert(node, output.port);
+                self.busy_outputs.insert(node, port);
             }
         }
         Ok(())
@@ -1049,27 +1087,29 @@ impl<P> Fabric<P> {
 
     /// Chooses which input VC (if any) sends on output `output` of router
     /// `node` this cycle, allocating the output VC to a new message when
-    /// unlocked. Returns the chosen input and output VC.
-    fn pick_sender(&mut self, node: usize, output: usize) -> Option<(InputRef, VcIndex)> {
+    /// unlocked. Returns the chosen input VC's offset and the output VC.
+    fn pick_sender(&mut self, node: usize, output: usize) -> Option<(usize, VcIndex)> {
         let vc_count = self.port_vcs(output);
         let rr = node * (self.link_ports + 1) + output;
-        let mut w = self.out_rr_vc[rr];
+        let block = node * self.vc_stride;
+        let mut w = self.out_rr_vc[rr] as usize;
         for _ in 0..vc_count {
-            let ovc = self.vc_idx(node, output, w);
+            let ovc = block + self.vc_offset(output, w);
             let next = if w + 1 == vc_count { 0 } else { w + 1 };
             if self.out_credits[ovc] != 0 {
-                if let Some(input) = self.out_locked[ovc] {
+                let lock = self.out_locked[ovc];
+                if lock != UNLOCKED {
                     // Continue the wormhole if the next flit has arrived.
-                    let buf = self.vc_idx(node, input.port, input.vc);
-                    if !self.in_fifo[buf].is_empty() {
-                        self.out_rr_vc[rr] = next;
+                    let input = lock as usize;
+                    if !self.in_fifo[block + input].is_empty() {
+                        self.out_rr_vc[rr] = next as u32;
                         return Some((input, w));
                     }
                 } else if let Some(input) = self.find_requester(node, output, w) {
                     // Allocate this output VC to a new message and forward
                     // its head immediately.
-                    self.out_locked[ovc] = Some(input);
-                    self.out_rr_vc[rr] = next;
+                    self.out_locked[ovc] = input as u32;
+                    self.out_rr_vc[rr] = next as u32;
                     return Some((input, w));
                 }
             }
@@ -1081,24 +1121,19 @@ impl<P> Fabric<P> {
     /// Round-robin pick among the input VCs whose routed head waits for
     /// output VC `(output, w)`: the first requester at or after the VC's
     /// pointer, else the first one — the winner of a cyclic scan from
-    /// the pointer. `None`, and no state change, when the set is empty.
-    fn find_requester(&mut self, node: usize, output: usize, w: VcIndex) -> Option<InputRef> {
+    /// the pointer. Returns the winner's offset; `None`, and no state
+    /// change, when the set is empty.
+    fn find_requester(&mut self, node: usize, output: usize, w: VcIndex) -> Option<usize> {
         let ovc = self.vc_idx(node, output, w);
         let row = self.req_row(node, output, self.vc_class(w));
         let offset = self
             .requesters
-            .first_from(row, self.out_rr_input[ovc])
+            .first_from(row, self.out_rr_input[ovc] as usize)
             .or_else(|| self.requesters.first_from(row, 0))?;
         // One past the winner; a pointer past the last VC finds nothing
         // at or after it and wraps to the first requester.
-        self.out_rr_input[ovc] = offset + 1;
-        // The injection input's offset, `link_ports * link_vcs`, splits
-        // into `(link_ports, 0)` like any other.
-        let link_vcs = self.config.link_vcs;
-        Some(InputRef {
-            port: offset / link_vcs,
-            vc: offset % link_vcs,
-        })
+        self.out_rr_input[ovc] = offset as u32 + 1;
+        Some(offset)
     }
 
     /// The dateline class output VC `w` serves: the lower half of a
@@ -1108,21 +1143,20 @@ impl<P> Fabric<P> {
         usize::from(w >= self.config.link_vcs / DATELINE_VCS)
     }
 
-    /// Moves one flit from `input` of router `node` out through
-    /// `(output, out_vc)` — onto a link, into the local delivery queue, or
-    /// (for fault-doomed messages) into the void.
+    /// Moves one flit from the input VC at `offset` of router `node` out
+    /// through `(output, out_vc)` — onto a link, into the local delivery
+    /// queue, or (for fault-doomed messages) into the void.
     fn forward_flit(
         &mut self,
         node: usize,
         output: usize,
         out_vc: VcIndex,
-        input: InputRef,
+        offset: usize,
     ) -> Result<(), FabricError> {
         let local = self.link_ports;
         let global = self.base + node;
-        let offset = self.vc_offset(input.port, input.vc);
         let buf = node * self.vc_stride + offset;
-        let route_class = self.in_route[buf].map_or(0, |r| r.vc);
+        let route_class = usize::from(self.in_route[buf].class);
         let routed_at = self.in_routed_at[buf];
         let flit = self.in_fifo[buf]
             .pop_front()
@@ -1131,7 +1165,7 @@ impl<P> Fabric<P> {
                 cycle: self.cycle,
             })?;
         if flit.kind.is_tail() {
-            self.in_route[buf] = None;
+            self.in_route[buf] = Route::NONE;
             // The next message's head, if buffered, is now at the front.
             if self.in_fifo[buf].front().is_some_and(|f| f.kind.is_head()) {
                 self.route_ready.insert(node, offset);
@@ -1161,24 +1195,27 @@ impl<P> Fabric<P> {
                 }
             }
         }
-        // Free the slot upstream.
-        if input.port == local {
-            self.credit_scratch.push(CreditReturn::Injection { node });
+        // Free the slot upstream. The injection input's offset,
+        // `link_ports * link_vcs`, splits into `(link_ports, 0)`.
+        let link_vcs = self.config.link_vcs;
+        let (in_port, in_vc) = (offset / link_vcs, offset % link_vcs);
+        if in_port == local {
+            // Only phase 5 reads injection credits, so crediting the slot
+            // now is what phase 4 would show it.
+            self.inj_credits[node] += 1;
+            debug_assert!(self.inj_credits[node] as usize <= self.config.injection_buffer_capacity);
         } else {
             // The upstream router feeding input port `p`, and the output
             // port this link occupies there, come from the precomputed
             // upstream tables (on a torus: the neighbor behind the
             // opposite-direction port `p ^ 1`, at its own port `p`).
-            let ui = node * self.link_ports + input.port;
+            let ui = node * self.link_ports + in_port;
             let upstream = self.upstream[ui] as usize;
-            let up_port = self.upstream_ports[ui] as usize;
+            let up_port = self.upstream_ports[ui];
             debug_assert_ne!(self.upstream[ui], NO_LINK, "flit arrived on absent link");
             if self.in_shard(upstream) {
-                self.credit_scratch.push(CreditReturn::Link {
-                    node: upstream - self.base,
-                    port: up_port,
-                    vc: input.vc,
-                });
+                let ovc = self.vc_idx(upstream - self.base, usize::from(up_port), in_vc);
+                self.credit_scratch.push(ovc as u32);
             } else {
                 // The freed slot belongs to an output VC in another
                 // shard: hand the credit across the boundary. The
@@ -1188,8 +1225,8 @@ impl<P> Fabric<P> {
                 self.boundary_out
                     .push(BoundaryItem(BoundaryPayload::Credit {
                         node: upstream as u32,
-                        port: up_port as u16,
-                        vc: input.vc as u16,
+                        port: up_port,
+                        vc: in_vc as u16,
                     }));
             }
         }
@@ -1197,7 +1234,7 @@ impl<P> Fabric<P> {
         // its output locked, so only a tail can leave the output idle.
         if flit.kind.is_tail() {
             let ovc = self.vc_idx(node, output, out_vc);
-            self.out_locked[ovc] = None;
+            self.out_locked[ovc] = UNLOCKED;
             self.refresh_busy(node, output);
         }
         // Fault rolls happen once per message per link crossing, on the
@@ -1365,23 +1402,13 @@ impl<P> Fabric<P> {
         Ok(())
     }
 
-    /// Phase 4: freed buffer slots become visible upstream. Drains the
-    /// reusable credit scratch filled during switch traversal.
+    /// Phase 4: freed link buffer slots become visible upstream. Drains
+    /// the reusable credit scratch filled during switch traversal.
     fn apply_credit_returns(&mut self) {
-        let link_ports = self.link_ports;
         for i in 0..self.credit_scratch.len() {
-            match self.credit_scratch[i] {
-                CreditReturn::Injection { node } => {
-                    self.inj_credits[node] += 1;
-                    debug_assert!(self.inj_credits[node] <= self.config.injection_buffer_capacity);
-                }
-                CreditReturn::Link { node, port, vc } => {
-                    debug_assert!(port < link_ports);
-                    let ovc = self.vc_idx(node, port, vc);
-                    self.out_credits[ovc] += 1;
-                    debug_assert!(self.out_credits[ovc] <= self.config.vc_buffer_capacity);
-                }
-            }
+            let ovc = self.credit_scratch[i] as usize;
+            self.out_credits[ovc] += 1;
+            debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
         }
         self.credit_scratch.clear();
     }
@@ -1622,7 +1649,7 @@ impl<P> Fabric<P> {
                 let local = node as usize - self.base;
                 let ovc = self.vc_idx(local, port as usize, vc as usize);
                 self.out_credits[ovc] += 1;
-                debug_assert!(self.out_credits[ovc] <= self.config.vc_buffer_capacity);
+                debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
             }
         }
     }
@@ -1644,17 +1671,18 @@ impl<P> Fabric<P> {
                 if !self.in_fifo[idx].front().is_some_and(|f| f.kind.is_head()) {
                     continue;
                 }
-                match self.in_route[idx] {
-                    None => route_ready.insert(node, offset),
-                    Some(route) => {
-                        requesters.insert(self.req_row(node, route.port, route.vc), offset);
-                        busy_outputs.insert(node, route.port);
-                    }
+                let route = self.in_route[idx];
+                if route == Route::NONE {
+                    route_ready.insert(node, offset);
+                } else {
+                    let port = usize::from(route.port);
+                    requesters.insert(self.req_row(node, port, usize::from(route.class)), offset);
+                    busy_outputs.insert(node, port);
                 }
             }
             for output in 0..=self.link_ports {
                 for w in 0..self.port_vcs(output) {
-                    if self.out_locked[self.vc_idx(node, output, w)].is_some() {
+                    if self.out_locked[self.vc_idx(node, output, w)] != UNLOCKED {
                         busy_outputs.insert(node, output);
                     }
                 }
@@ -1711,19 +1739,28 @@ impl<P> BoundaryItem<P> {
     }
 }
 
-/// A buffer slot freed during switch traversal, to be credited upstream.
-#[derive(Debug, Clone, Copy)]
-enum CreditReturn {
-    /// Slot freed in a router's injection input buffer.
-    Injection { node: usize },
-    /// Slot freed in the input buffer fed by `node`'s output `port`,
-    /// virtual channel `vc`.
-    Link {
-        node: usize,
-        port: usize,
-        vc: VcIndex,
-    },
+/// An input VC's route: the output port its front message leaves
+/// through and the dateline class it requests there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Route {
+    port: u16,
+    class: u16,
 }
+
+impl Route {
+    /// No route assigned. Its class reads 0, as an unrouted VC's did.
+    const NONE: Route = Route {
+        port: NO_LINK_PORT,
+        class: 0,
+    };
+}
+
+/// Credit sentinel for the ejection pseudo-channel, which the node drains
+/// unconditionally.
+const INFINITE_CREDITS: u32 = u32::MAX;
+
+/// Output-lock sentinel: no input VC owns the output VC.
+const UNLOCKED: u32 = u32::MAX;
 
 /// Sentinel in the `neighbors`/`upstream` tables for an absent link.
 const NO_LINK: u32 = u32::MAX;
@@ -2076,14 +2113,14 @@ mod shard_tests {
     /// Runs the same injection schedule through a monolithic fabric and a
     /// `k`-shard lockstep ensemble, then asserts bit-exact equivalence of
     /// merged stats, per-node delivery streams, latency breakdowns,
-    /// merged fault logs, and message conservation.
+    /// merged fault logs, and message conservation. Returns the shards.
     fn compare_sharded(
         torus: Torus,
         config: FabricConfig,
         plan: Option<FaultPlan>,
         k: usize,
         schedule: &[(u64, NodeId, NodeId, u32)],
-    ) {
+    ) -> Vec<Fabric<u32>> {
         let mut mono = match plan.clone() {
             Some(p) => Fabric::with_fault_plan(torus.clone(), config, p),
             None => Fabric::new(torus.clone(), config),
@@ -2165,6 +2202,7 @@ mod shard_tests {
         assert_eq!(total, mono.total_injected());
         let s = mono.stats();
         assert_eq!(s.delivered_messages + s.dropped_messages, total);
+        shards
     }
 
     /// Scattered many-to-many traffic injected in waves, plus a couple of
@@ -2273,6 +2311,37 @@ mod shard_tests {
                 &schedule,
             );
         }
+    }
+
+    #[test]
+    fn idle_shard_ticks_beside_a_busy_one() {
+        // Traffic only among rows 0-3 of an 8x8 torus: every route is at
+        // most three hops in Y, so it never leaves shard 0 (nodes 0-31)
+        // and shard 1 ticks idle throughout, while scheduled stalls fire
+        // in it, one mid-run. Rolled stalls and drops keep shard 0's
+        // plan busy. The pair must match the monolithic fabric.
+        let torus = Torus::new(2, 8);
+        let mut schedule = Vec::new();
+        for round in 0..6u64 {
+            for node in 0..32usize {
+                let dst = (node * 11 + 3 + round as usize) % 32;
+                schedule.push((round * 20, NodeId(node), NodeId(dst), 1 + (node % 6) as u32));
+            }
+        }
+        let plan = FaultPlan::new(13)
+            .with_drop_rate(0.03)
+            .with_stall_rate(0.03, 25)
+            .stall_router_at(40, 45, 90)
+            .stall_link_at(70, 50, 0, crate::Direction::Plus, 30);
+        let shards = compare_sharded(torus, FabricConfig::default(), Some(plan), 2, &schedule);
+        assert_eq!(shards[1].activity(), 0, "shard 1 moved a flit");
+        assert!(shards[0].activity() > 0);
+        assert_eq!(
+            shards[1].fault_log().unwrap().len(),
+            2,
+            "both scheduled stalls fire in the idle shard"
+        );
+        assert!(shards[1].stats().cycles > 100);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl FaultPlanError {
             .iter()
             .map(|&(cycle, _)| cycle)
             .max()
-            .map_or(0, |cycle| cycle + 1)
+            .map_or(0, |cycle| cycle.saturating_add(1))
     }
 }
 
@@ -485,11 +485,11 @@ impl FaultPlan {
         self.link_stalls.values().any(|&until| until > cycle)
             || self.router_stalls.values().any(|&until| until > cycle)
             || self.schedule.iter().any(|&(at, fault)| {
-                at + match fault {
+                at.saturating_add(match fault {
                     ScheduledFault::StallLink { window, .. }
                     | ScheduledFault::StallRouter { window, .. } => window,
                     ScheduledFault::KillLink { .. } => 0,
-                } > cycle
+                }) > cycle
                     && matches!(
                         fault,
                         ScheduledFault::StallLink { .. } | ScheduledFault::StallRouter { .. }
@@ -525,7 +525,15 @@ impl FaultPlan {
     /// order — a canonical order independent of how the schedule was
     /// built or previously filtered, so per-shard plans activate their
     /// subsets in the same relative order the whole plan would.
+    ///
+    /// A plan with nothing scheduled and no stall standing (a plan that
+    /// only drops messages, say) has nothing to do, and returns at once:
+    /// the fabric calls this on every cycle, idle ticks included.
     pub(crate) fn activate(&mut self, cycle: u64) {
+        if self.schedule.is_empty() && self.link_stalls.is_empty() && self.router_stalls.is_empty()
+        {
+            return;
+        }
         let mut due: Vec<ScheduledFault> = Vec::new();
         self.schedule.retain(|&(at, fault)| {
             if at == cycle {
@@ -550,7 +558,7 @@ impl FaultPlan {
                     );
                 }
                 ScheduledFault::StallLink { node, port, window } => {
-                    let until = cycle + window;
+                    let until = cycle.saturating_add(window);
                     self.link_stalls.insert((node, port), until);
                     self.log.push(
                         FaultEvent::LinkStalled {
@@ -563,7 +571,7 @@ impl FaultPlan {
                     );
                 }
                 ScheduledFault::StallRouter { node, window } => {
-                    let until = cycle + window;
+                    let until = cycle.saturating_add(window);
                     self.router_stalls.insert(node, until);
                     self.log.push(
                         FaultEvent::RouterStalled {
@@ -676,7 +684,10 @@ impl FaultPlan {
         {
             return;
         }
-        let until = cycle + 1 + self.config.stall_window;
+        // Saturating: a `u64::MAX` window never expires.
+        let until = cycle
+            .saturating_add(1)
+            .saturating_add(self.config.stall_window);
         self.link_stalls.insert((node, port), until);
         self.log.push(
             FaultEvent::LinkStalled {
@@ -859,6 +870,31 @@ mod tests {
         assert!(
             text.contains("did you mean a horizon of at least 9001?"),
             "{text}"
+        );
+    }
+
+    #[test]
+    fn maximal_windows_saturate_and_never_expire() {
+        let mut plan = FaultPlan::new(1)
+            .with_stall_rate(1.0, u64::MAX)
+            .stall_router_at(10, 2, u64::MAX);
+        let text = format!("{}", plan.validate_horizon(0).unwrap_err());
+        assert!(text.contains("at least 11"), "{text}");
+        plan.roll_stall(5, 0, 1);
+        plan.activate(10);
+        for cycle in [11, 1_000_000, u64::MAX - 1] {
+            plan.activate(cycle);
+            assert!(plan.link_blocked(cycle, 0, 1), "link at {cycle}");
+            assert!(plan.router_stalled(cycle, 2), "router at {cycle}");
+            assert!(plan.transient_stall_active(cycle));
+        }
+        assert_eq!(
+            FaultPlan::new(2)
+                .kill_link_at(u64::MAX, 0, 0, Direction::Plus)
+                .validate_horizon(5)
+                .unwrap_err()
+                .min_horizon(),
+            u64::MAX
         );
     }
 

@@ -50,9 +50,9 @@ pub mod fuzz;
 mod message;
 mod reference;
 mod rng;
-// Only the retained reference engine instantiates whole `Router`s; the
-// optimized fabric keeps router state in struct-of-arrays form and uses
-// just the `InputRef`/`OutputRef`/credit-sentinel vocabulary.
+// Only the retained reference engine uses `Router`s; the optimized
+// fabric keeps router state in struct-of-arrays form with 4-byte per-VC
+// tables.
 mod router;
 // Tests of the torus's e-cube routing and dateline classes; the routing
 // itself is `Topology::route_hop`.

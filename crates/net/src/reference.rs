@@ -867,8 +867,9 @@ mod equivalence_tests {
     #[test]
     fn fast_forward_matches_stepping_through_idle_gaps() {
         // An idle fabric fast-forwarded to a target cycle must land in the
-        // same state as one stepped there, including scheduled faults that
-        // fire mid-gap.
+        // same state as the reference engine stepped there, including
+        // scheduled faults that fire mid-gap. (An idle `Fabric::step` runs
+        // the fast-forward tick itself, so the oracle is the reference.)
         let mk_plan = || {
             FaultPlan::new(9).stall_router_at(500, 3, 100).kill_link_at(
                 1_200,
@@ -880,8 +881,8 @@ mod equivalence_tests {
         let torus = Torus::new(2, 8);
         let mut ff: Fabric<u64> =
             Fabric::with_fault_plan(torus.clone(), FabricConfig::default(), mk_plan());
-        let mut stepped: Fabric<u64> =
-            Fabric::with_fault_plan(torus, FabricConfig::default(), mk_plan());
+        let mut stepped: ReferenceFabric<u64> =
+            ReferenceFabric::with_fault_plan(torus, FabricConfig::default(), mk_plan());
         // Burst, drain, then a long idle gap.
         for node in 0..8 {
             let m = Message::new(NodeId(node), NodeId(63 - node), 8, node as u64);
@@ -911,5 +912,65 @@ mod equivalence_tests {
             ff.poll_delivery(NodeId(5)).unwrap(),
             stepped.poll_delivery(NodeId(5)).unwrap()
         );
+    }
+
+    #[test]
+    fn idle_ticks_match_reference_through_faulted_gaps() {
+        // Bursts of traffic separated by idle gaps. Inside the gaps a
+        // scheduled link stall, router stall and link kill start, and the
+        // link stalls rolled during each burst expire, so the idle tick
+        // activates a plan with work due, and one with nothing due (the
+        // early return) between stalls once the schedule is spent; stats,
+        // fault logs and deliveries must match on every cycle.
+        let plan = FaultPlan::new(17)
+            .with_drop_rate(0.02)
+            .with_stall_rate(0.05, 30)
+            .stall_link_at(450, 14, 1, Direction::Minus, 60)
+            .stall_router_at(1_050, 9, 120)
+            .kill_link_at(1_650, 0, 0, Direction::Plus);
+        let scheduled = [450u64, 1_050, 1_650];
+        let bursts = [0u64..150, 600..750, 1_200..1_350, 1_800..1_900];
+        let torus = Torus::new(2, 8);
+        let nodes = torus.nodes();
+        let mut opt: Fabric<u64> =
+            Fabric::with_fault_plan(torus.clone(), FabricConfig::default(), plan.clone());
+        let mut reference: ReferenceFabric<u64> =
+            ReferenceFabric::with_fault_plan(torus, FabricConfig::default(), plan);
+        let mut load = Workload::new(5, nodes, 0.03, 8);
+        let mut idle_cycles = 0;
+        for cycle in 0..2_100u64 {
+            if bursts.iter().any(|burst| burst.contains(&cycle)) {
+                for m in load.pulse() {
+                    opt.inject(m.clone());
+                    reference.inject(m);
+                }
+            }
+            if scheduled.contains(&(cycle + 1)) {
+                assert!(
+                    opt.is_quiescent(),
+                    "cycle {cycle}: the fault at the next cycle must fire on an idle tick"
+                );
+            }
+            idle_cycles += u64::from(opt.is_quiescent());
+            opt.step().unwrap();
+            reference.step().unwrap();
+            opt.audit_worklists();
+            assert_eq!(opt.stats(), reference.stats(), "stats at cycle {cycle}");
+            assert_eq!(
+                opt.fault_log(),
+                reference.fault_log(),
+                "fault logs at cycle {cycle}"
+            );
+            assert_deliveries_match(&mut opt, &mut reference, nodes);
+        }
+        assert!(idle_cycles > 500, "only {idle_cycles} idle ticks");
+        let log = opt.fault_log().unwrap().events();
+        let rolled_stalls = log
+            .iter()
+            .filter(|e| matches!(e, crate::FaultEvent::LinkStalled { until, .. } if until - e.cycle() == 31))
+            .count();
+        assert!(rolled_stalls > 0, "no link stall was rolled");
+        assert_eq!(opt.activity(), reference.activity());
+        assert_eq!(opt.in_flight(), reference.in_flight());
     }
 }

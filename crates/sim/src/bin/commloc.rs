@@ -25,7 +25,7 @@ use commloc_sim::conformance::figures::{
 };
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
-    default_jobs, model_profile, parallel_map, run_cached_sweep, run_experiment,
+    check_run_cycles, default_jobs, model_profile, parallel_map, run_cached_sweep, run_experiment,
     run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, Measurements,
     ServeOptions, SimConfig, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
 };
@@ -251,6 +251,20 @@ fn get_u64(options: &HashMap<String, String>, key: &str, default: u64) -> Result
     })
 }
 
+/// `--warmup` and `--window` with their defaults, rejecting a zero window
+/// and a run the clock cannot count to the end of
+/// ([`check_run_cycles`]).
+fn get_run_cycles(
+    options: &HashMap<String, String>,
+    warmup: u64,
+    window: u64,
+) -> Result<(u64, u64), String> {
+    let warmup = get_u64(options, "warmup", warmup)?;
+    let window = get_u64(options, "window", window)?;
+    check_run_cycles(warmup, window).map_err(|e| format!("--{e}"))?;
+    Ok((warmup, window))
+}
+
 /// Worker-thread count: `--jobs` if given, else `COMMLOC_JOBS`, else the
 /// machine's available parallelism. `--jobs 0` and non-numeric values
 /// are rejected outright (previously zero was silently clamped to 1).
@@ -458,8 +472,7 @@ fn cmd_sim(options: &HashMap<String, String>) -> Result<(), String> {
     let config = sim_config(options)?;
     let topology = config.resolved_topology();
     let mapping = mapping_from(options, &topology)?;
-    let warmup = get_u64(options, "warmup", 20_000)?;
-    let window = get_u64(options, "window", 60_000)?;
+    let (warmup, window) = get_run_cycles(options, 20_000, 60_000)?;
     let m = run_experiment(&config, &mapping, warmup, window).map_err(|e| e.to_string())?;
     if options.contains_key("csv") {
         println!("{MEASUREMENTS_CSV_HEADER}");
@@ -529,8 +542,7 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     let mapping = mapping_from(options, &topology)?;
-    let warmup = get_u64(options, "warmup", 20_000)?;
-    let window = get_u64(options, "window", 60_000)?;
+    let (warmup, window) = get_run_cycles(options, 20_000, 60_000)?;
     let c = MachineConfig::alewife().critical_path_messages();
     let mut machine = Machine::with_shards(&config, &mapping, shards);
     machine.set_jobs(jobs);
@@ -668,8 +680,7 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
     let config = sim_config(options)?;
     let topology = config.resolved_topology();
     let seed = get_u64(options, "seed", 1992)?;
-    let warmup = get_u64(options, "warmup", 15_000)?;
-    let window = get_u64(options, "window", 45_000)?;
+    let (warmup, window) = get_run_cycles(options, 15_000, 45_000)?;
     let jobs = get_jobs(options)?;
     let shards = get_shards(options, topology.nodes())?;
     let csv = options.contains_key("csv");
@@ -1048,6 +1059,9 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     let mut net_cycles = 0u64;
     let mut stalls = 0u64;
     let mut migrations = 0;
+    // Sharded draws that fast-forwarded: the log shows the sharded jump
+    // and idle-tick paths ran.
+    let mut sharded_jumps = 0u64;
     for (seed, result) in results {
         match result {
             Ok(report) => {
@@ -1055,6 +1069,7 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
                 net_cycles += report.net_cycles;
                 stalls += u64::from(report.stalled);
                 migrations += report.migrations;
+                sharded_jumps += u64::from(report.shards > 1 && report.fast_forwarded > 0);
             }
             Err(divergence) => {
                 eprintln!("seed {seed} diverged: {divergence}");
@@ -1072,14 +1087,15 @@ fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
     }
     println!(
         "fuzz --machine: {} seeds [{start}..{}) lockstep-clean in {:.1}s — {} transactions \
-         completed, {} watchdog stalls and {} migrations matched bit-exactly, {} net cycles per \
-         engine",
+         completed, {} watchdog stalls and {} migrations matched bit-exactly, {} sharded draws \
+         fast-forwarded, {} net cycles per engine",
         seeds,
         start.saturating_add(seeds),
         began.elapsed().as_secs_f64(),
         completions,
         stalls,
         migrations,
+        sharded_jumps,
         net_cycles
     );
     Ok(())
@@ -1321,6 +1337,29 @@ mod tests {
                 assert!(e.starts_with("--contexts:"), "{e}");
             }
         }
+    }
+
+    #[test]
+    fn empty_and_wrapping_windows_are_rejected_before_any_run() {
+        // A zero window once measured intervals of 1.0 over no cycles, and
+        // `warmup + window` past `u64::MAX` wrapped to a run of nothing.
+        for args in [
+            ["--warmup", "10", "--window", "0"],
+            ["--warmup", "1", "--window", "18446744073709551615"],
+        ] {
+            for cmd in [cmd_sim, cmd_report, cmd_suite] {
+                let e = cmd(&opts(&args)).unwrap_err();
+                assert!(e.starts_with("--window:"), "{e}");
+            }
+        }
+        assert_eq!(
+            get_run_cycles(
+                &opts(&["--warmup", "0", "--window", "18446744073709551615"]),
+                1,
+                1
+            ),
+            Ok((0, u64::MAX))
+        );
     }
 
     #[test]

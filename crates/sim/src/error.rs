@@ -141,6 +141,14 @@ pub enum SimError {
     /// would silently never take effect (see
     /// [`FaultPlan::validate_horizon`](commloc_net::FaultPlan::validate_horizon)).
     InvalidFaultPlan(FaultPlanError),
+    /// A run asked for more network cycles than the clock can count:
+    /// `cycle + cycles` passes `u64::MAX`.
+    ClockOverflow {
+        /// The clock when the run was asked for.
+        cycle: u64,
+        /// The network cycles asked for.
+        cycles: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -152,6 +160,12 @@ impl fmt::Display for SimError {
             }
             SimError::Stalled(report) => write!(f, "simulation stalled: {report}"),
             SimError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            SimError::ClockOverflow { cycle, cycles } => write!(
+                f,
+                "running {cycles} network cycles from cycle {cycle} passes the \
+                 largest cycle the clock can count ({})",
+                u64::MAX
+            ),
         }
     }
 }

@@ -380,6 +380,8 @@ pub struct MachineFuzzReport {
     pub fast_forwarded: u64,
     /// Thread migrations every engine performed identically.
     pub migrations: usize,
+    /// The drawn shard count (a sharded machine ran when above 1).
+    pub shards: usize,
 }
 
 macro_rules! check_eq {
@@ -588,6 +590,7 @@ pub fn run_scenario_mutated(
         stalled,
         fast_forwarded: active.fast_forwarded_cycles(),
         migrations: active.migrations().len(),
+        shards: scenario.shards,
     })
 }
 

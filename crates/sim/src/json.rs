@@ -9,8 +9,16 @@
 //! producer in this repo omits unknown/absent fields rather than writing
 //! `null`, and every consumer (the CI output-sanity gates, served-result
 //! clients) is promised that any present field is a real value.
+//!
+//! Objects and arrays nest at most [`MAX_DEPTH`] deep: the parser
+//! recurses once per level, so an unbounded line could overflow the
+//! stack of whichever thread reads it (a serve request arrives on one).
 
 use std::fmt;
+
+/// The deepest nesting of objects and arrays [`Json::parse`] accepts.
+/// Serve requests nest two deep and the golden tables four.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +187,8 @@ pub fn json_string(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -186,6 +196,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -226,8 +237,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Json::String(self.parse_string()?)),
             b't' | b'f' => self.parse_bool(),
             _ => self.parse_number(),
@@ -379,6 +404,26 @@ mod tests {
         assert_eq!(Json::Number(42.0).as_u64(), Ok(42));
         assert!(Json::Number(1.5).as_u64().is_err());
         assert!(Json::Number(-1.0).as_u64().is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok(), "at the limit");
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("deeper than 64 levels"), "{e}");
+        // Objects count alike, and an unclosed flood fails at the limit
+        // instead of recursing through it.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .contains("deeper than 64"));
+        let flood = "[".repeat(100_000);
+        assert!(Json::parse(&flood).unwrap_err().contains("deeper than 64"));
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub use csv::MEASUREMENTS_CSV_HEADER;
 pub use error::{SimError, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
 pub use machine::{
-    run_experiment, run_sharded_experiment, Machine, MachineSnapshot, Measurements, SimConfig,
+    check_run_cycles, run_experiment, run_sharded_experiment, Machine, MachineSnapshot,
+    Measurements, SimConfig,
 };
 pub use mapping::{mapping_suite, suite_names, topology_mapping_suite, Mapping, NamedMapping};
 pub use parallel::{default_jobs, parallel_map, set_job_budget};

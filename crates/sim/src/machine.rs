@@ -326,6 +326,11 @@ struct Shard {
     /// the oldest outstanding transaction — the watchdog reads it in O(1)
     /// amortized instead of scanning the whole map every cycle.
     txn_issue_order: VecDeque<u64>,
+    /// The answer of [`Shard::oldest_outstanding_issue`], or `None` when
+    /// it must be re-derived. Only two events change it: the oldest
+    /// transaction leaves `txn_issue_cycle` ([`Shard::retire_txn`]), or a
+    /// transaction is issued while none is outstanding.
+    oldest_issue: Option<Option<u64>>,
     /// Total transaction completions ever (never reset — watchdog input).
     completed: u64,
     completed_per_node: Vec<u64>,
@@ -419,6 +424,7 @@ impl Shard {
             window: Window::default(),
             txn_issue_cycle: HashMap::new(),
             txn_issue_order: VecDeque::new(),
+            oldest_issue: None,
             completed: 0,
             completed_per_node: vec![0; owned_compute],
             spans: (config.fabric.trace_capacity > 0)
@@ -432,21 +438,61 @@ impl Shard {
         }
     }
 
-    /// Issue cycle of the oldest still-outstanding transaction, dropping
-    /// completed transactions from the front of the issue-order queue
-    /// along the way (issue cycles are monotone, so the first survivor is
-    /// the oldest — O(1) amortized).
+    /// Issue cycle of the oldest still-outstanding transaction. Served
+    /// from the cache; a miss drops completed transactions from the front
+    /// of the issue-order queue (issue cycles are monotone, so the first
+    /// survivor is the oldest — O(1) amortized).
     fn oldest_outstanding_issue(&mut self) -> Option<u64> {
+        if let Some(oldest) = self.oldest_issue {
+            return oldest;
+        }
         while let Some(front) = self.txn_issue_order.front() {
             if self.txn_issue_cycle.contains_key(front) {
                 break;
             }
             self.txn_issue_order.pop_front();
         }
-        self.txn_issue_order
+        let oldest = self
+            .txn_issue_order
             .front()
             .and_then(|txn| self.txn_issue_cycle.get(txn))
-            .copied()
+            .copied();
+        self.oldest_issue = Some(oldest);
+        oldest
+    }
+
+    /// Removes `txn` from the outstanding transactions and returns its
+    /// issue cycle. The cached oldest issue survives unless `txn` was the
+    /// oldest: a valid cache leaves the oldest at the front of the queue.
+    fn retire_txn(&mut self, txn: u64) -> Option<u64> {
+        if self.txn_issue_order.front() == Some(&txn) {
+            self.oldest_issue = None;
+        }
+        self.txn_issue_cycle.remove(&txn)
+    }
+
+    /// Records `txn` as issued at `now`. Issue cycles are monotone, so a
+    /// new transaction is the oldest only when none was outstanding.
+    fn issue_txn(&mut self, txn: u64, now: u64) {
+        if self.txn_issue_cycle.is_empty() {
+            self.oldest_issue = None;
+        }
+        self.txn_issue_cycle.insert(txn, now);
+        self.txn_issue_order.push_back(txn);
+    }
+
+    /// Asserts the cached oldest issue equals the minimum over the
+    /// outstanding transactions, so a missed invalidation fails on the
+    /// cycle it happens.
+    #[cfg(test)]
+    fn audit_oldest_issue(&self, cycle: u64) {
+        if let Some(cached) = self.oldest_issue {
+            assert_eq!(
+                cached,
+                self.txn_issue_cycle.values().copied().min(),
+                "cached oldest issue drifted by cycle {cycle}"
+            );
+        }
     }
 
     /// Nodes with outstanding controller transactions, by global id —
@@ -626,11 +672,11 @@ impl Shard {
             }
             self.nodes[n].ctrl.deliver(delivery.message.payload);
         }
-        let node = &mut self.nodes[n];
         // 2. The controller works.
-        node.ctrl.step();
+        self.nodes[n].ctrl.step();
         // 3. Completions unblock contexts.
-        while let Some(done) = node.ctrl.poll_completion() {
+        while let Some(done) = self.nodes[n].ctrl.poll_completion() {
+            let node = &mut self.nodes[n];
             let Some(ctx) = node.ctx_txn.iter().position(|t| *t == Some(done.txn)) else {
                 // A completion raced a migration: the thread is gone
                 // and the value will be re-fetched from its new node.
@@ -646,7 +692,7 @@ impl Shard {
             node.cpu.complete(ctx, done.value);
             self.completed += 1;
             self.completed_per_node[n] += 1;
-            let issued = self.txn_issue_cycle.remove(&done.txn.0);
+            let issued = self.retire_txn(done.txn.0);
             if done.miss {
                 self.window.misses += 1;
                 if let Some(issued) = issued {
@@ -666,12 +712,12 @@ impl Shard {
             }
         }
         // 4. The processor runs; issues go to the controller.
+        let node = &mut self.nodes[n];
         if let Some(req) = node.cpu.step() {
             let txn = TxnId(((g as u64) << 32) | node.next_txn);
             node.next_txn += 1;
             node.ctx_txn[req.context] = Some(txn);
-            self.txn_issue_cycle.insert(txn.0, now);
-            self.txn_issue_order.push_back(txn.0);
+            self.issue_txn(txn.0, now);
             if let Some(spans) = self.spans.as_mut() {
                 spans.push(SpanEvent::Issue {
                     cycle: now,
@@ -679,11 +725,11 @@ impl Shard {
                     txn: txn.0,
                 });
             }
-            node.ctrl.request(txn, req.op);
+            self.nodes[n].ctrl.request(txn, req.op);
         }
         // 5. Outgoing protocol messages are staged for the driver's
         // id-ordered injection.
-        while let Some((dst, msg)) = node.ctrl.take_outgoing() {
+        while let Some((dst, msg)) = self.nodes[n].ctrl.take_outgoing() {
             let flits = msg.flits(&config.mem);
             if let Some(spans) = self.spans.as_mut() {
                 spans.push(SpanEvent::MsgOut {
@@ -976,9 +1022,16 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`Machine::step`].
+    /// [`SimError::ClockOverflow`] when the clock cannot count to the
+    /// end of the run; otherwise the first error from [`Machine::step`].
     pub fn run_network_cycles(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.net_cycle + cycles;
+        let target = self
+            .net_cycle
+            .checked_add(cycles)
+            .ok_or(SimError::ClockOverflow {
+                cycle: self.net_cycle,
+                cycles,
+            })?;
         // Extra worker threads come out of the process-wide job budget
         // shared with sweep-level `parallel_map`, so a sweep of sharded
         // simulations never oversubscribes the configured job count.
@@ -1011,11 +1064,17 @@ impl Machine {
     /// in any shard (from [`Controller::next_deadline`]), and the
     /// watchdog trip cycle.
     fn try_fast_forward(&mut self, target: u64) {
-        if !self.shards.iter().all(|s| s.fabric.is_quiescent()) {
+        if !self
+            .shards
+            .iter()
+            .all(|s| s.fabric.is_quiescent() && s.active.is_empty())
+        {
             return;
         }
         // Deliveries pushed but not yet polled mean node work at the next
-        // boundary: fold the pending events into the worklists first.
+        // boundary: fold the pending events into the worklists first. A
+        // fold only adds nodes, so a machine with an awake node returned
+        // above without paying for one.
         for shard in &mut self.shards {
             shard.fold_delivery_events();
             if !shard.active.is_empty() {
@@ -1062,6 +1121,14 @@ impl Machine {
         }
         self.net_cycle += jumped;
         self.fast_forwarded += jumped;
+    }
+
+    /// Runs every shard's [`Shard::audit_oldest_issue`].
+    #[cfg(test)]
+    fn audit_oldest_issue(&self) {
+        for shard in &self.shards {
+            shard.audit_oldest_issue(self.net_cycle);
+        }
     }
 
     /// Total network cycles skipped by quiescent fast-forward jumps —
@@ -1264,7 +1331,7 @@ impl Machine {
             };
             let program = shard.nodes[n].cpu.park(ctx);
             shard.nodes[n].ctx_txn[ctx] = None;
-            shard.txn_issue_cycle.remove(&txn.0);
+            shard.retire_txn(txn.0);
             shard.abandoned.insert(txn.0);
             self.migrated_from[victim] = true;
             self.live_threads[victim] -= 1;
@@ -1510,6 +1577,29 @@ impl MachineSnapshot {
     pub fn restore(&self) -> Machine {
         self.machine.clone()
     }
+}
+
+/// Checks the run lengths a front end takes from its user (the CLI and
+/// the serve daemon both call this): a measurement window of at least
+/// one network cycle, and a run whose end, `warmup + window`, the clock
+/// can count. A zero window measured rates over zero cycles, and a
+/// wrapped end ran nothing.
+///
+/// # Errors
+///
+/// A message starting with `window`, the field at fault.
+pub fn check_run_cycles(warmup: u64, window: u64) -> Result<(), String> {
+    if window == 0 {
+        return Err("window: a measurement window needs at least one network cycle".into());
+    }
+    if warmup.checked_add(window).is_none() {
+        return Err(format!(
+            "window: warmup {warmup} plus window {window} passes the largest network \
+             cycle the clock can count ({})",
+            u64::MAX
+        ));
+    }
+    Ok(())
 }
 
 /// Runs a complete experiment: build, warm up, measure.
@@ -2206,6 +2296,51 @@ mod tests {
         assert_eq!(with_null.fault_log(), without.fault_log());
         assert!(with_null.migrations().is_empty());
         assert!(with_null.migrated_from_nodes().is_empty());
+    }
+
+    #[test]
+    fn cached_oldest_issue_tracks_the_outstanding_transactions() {
+        use commloc_net::{FaultConfig, FaultPlan};
+        // Lossy retries strand transactions once their two retries are
+        // spent; the policy migrates the first two, and the next one ages
+        // past the watchdog window. Completions, abandons and issues into
+        // an empty shard all pass through the cached oldest issue, which
+        // must equal the minimum over the outstanding transactions after
+        // every call.
+        let config = SimConfig {
+            mem: MemConfig {
+                timeout_cycles: 400,
+                max_retries: 2,
+                ..MemConfig::default()
+            },
+            watchdog_cycles: 20_000,
+            fault_plan: Some(FaultPlan::new(41).with_config(FaultConfig {
+                drop_rate: 0.05,
+                ..FaultConfig::default()
+            })),
+            ..small_config()
+        };
+        let mapping = Mapping::identity(16);
+        let mut trips = Vec::new();
+        for shards in [1, 3] {
+            let mut machine = Machine::with_shards(&config, &mapping, shards);
+            machine.set_migration(WorkStealingPolicy {
+                max_migrations: 2,
+                ..STEALING
+            });
+            let err = loop {
+                if let Err(err) = machine.run_network_cycles(1) {
+                    break err;
+                }
+                machine.audit_oldest_issue();
+                assert!(machine.net_cycle() < 2_000_000, "no watchdog trip");
+            };
+            machine.audit_oldest_issue();
+            assert!(matches!(err, SimError::Stalled(_)), "{err}");
+            assert_eq!(machine.migrations().len(), 2, "{shards} shards");
+            trips.push((machine.net_cycle(), err));
+        }
+        assert_eq!(trips[0], trips[1], "1 and 3 shards trip alike");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW, SUITE_SEED};
 use crate::error::SimError;
 use crate::json::{json_string, Json};
-use crate::machine::{Machine, MachineSnapshot, Measurements, SimConfig};
+use crate::machine::{check_run_cycles, Machine, MachineSnapshot, Measurements, SimConfig};
 use crate::mapping::{suite_names, topology_mapping_suite, Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
 use crate::workload::{fnv1a, Workload};
@@ -673,13 +673,16 @@ fn parse_request(line: &str) -> Result<Request, String> {
             mappings.push(item.as_string().map_err(|e| format!("mappings: {e}"))?);
         }
     }
+    let warmup = u64_field("warmup", REDUCED_WARMUP)?;
+    let window = u64_field("window", REDUCED_WINDOW)?;
+    check_run_cycles(warmup, window)?;
     Ok(Request {
         op,
         id,
         config,
         seed: u64_field("seed", SUITE_SEED)?,
-        warmup: u64_field("warmup", REDUCED_WARMUP)?,
-        window: u64_field("window", REDUCED_WINDOW)?,
+        warmup,
+        window,
         mappings,
     })
 }
@@ -1222,7 +1225,7 @@ mod tests {
     #[test]
     fn protocol_reports_bad_requests_without_dying() {
         let cache = Mutex::new(ScenarioCache::new(4, 2));
-        let input = concat!(
+        let mut input = String::from(concat!(
             "{\"op\":\"run\",\"mapping\":\"no-such-mapping\",\"warmup\":100,\"window\":100}\n",
             "not json at all\n",
             "{\"op\":\"frobnicate\"}\n",
@@ -1243,15 +1246,27 @@ mod tests {
             "{\"op\":\"run\",\"id\":\"x\",\"mapping\":\"identity\",\"dims\":31,\"radix\":2,\"warmup\":10,\"window\":10}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"topology\":\"dragonfly:2000,2000\"}\n",
             "{\"op\":\"run\",\"mapping\":\"identity\",\"contexts\":4294967295}\n",
-            "{\"op\":\"stats\"}\n",
-        );
+            // Run lengths that measured nothing, or wrapped the clock.
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"window\":0}\n",
+            "{\"op\":\"run\",\"mapping\":\"identity\",\"warmup\":1,\"window\":18446744073709551615}\n",
+        ));
+        // Nesting that once overflowed the daemon's stack: a bare flood
+        // of brackets, and a deep value inside a field.
+        input.push_str(&"[".repeat(100_000));
+        input.push('\n');
+        input.push_str(&format!(
+            "{{\"op\":\"run\",\"mapping\":\"identity\",\"id\":{}{}}}\n",
+            "[".repeat(1_000),
+            "]".repeat(1_000)
+        ));
+        input.push_str("{\"op\":\"stats\"}\n");
         let mut output = Vec::new();
         let eof = handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap();
         assert!(eof, "EOF (not shutdown) ends the stream");
         let text = String::from_utf8(output).unwrap();
         let events: Vec<&str> = text.lines().collect();
-        assert_eq!(events.len(), 18, "one event per request: {text}");
-        for (line, field) in events[..17].iter().zip([
+        assert_eq!(events.len(), 22, "one event per request: {text}");
+        for (line, field) in events[..21].iter().zip([
             "",
             "",
             "",
@@ -1269,14 +1284,47 @@ mod tests {
             "dims",
             "topology",
             "contexts",
+            "window",
+            "window",
+            "64 levels",
+            "64 levels",
         ]) {
             assert!(line.contains("\"event\":\"error\""), "{line}");
             assert!(line.contains(field), "error must name `{field}`: {line}");
         }
         assert!(
-            events[17].contains("\"event\":\"stats\""),
+            events[21].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
+    }
+
+    #[test]
+    fn maximal_stall_window_never_expires_and_never_panics() {
+        // `cycle + 1 + stall_window` once overflowed: a debug build
+        // panicked, and a release build wrapped the window so nothing
+        // stayed stalled. Saturated, every rolled stall lasts forever.
+        let cache = Mutex::new(ScenarioCache::new(4, 2));
+        let run = |stall_window: u64| {
+            let input = format!(
+                "{{\"op\":\"run\",\"mapping\":\"identity\",\"dims\":2,\"radix\":4,\
+                 \"stall_rate\":0.5,\"stall_window\":{stall_window},\"watchdog\":0,\
+                 \"warmup\":200,\"window\":2000}}\n"
+            );
+            let mut output = Vec::new();
+            handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap();
+            let reply = replies(&output).pop().expect("one reply");
+            let done = reply.last().unwrap();
+            assert!(done.contains("\"event\":\"done\""), "{done}");
+            reply
+                .iter()
+                .map(|event| Json::parse(event).unwrap())
+                .find_map(|doc| {
+                    let measured = doc.field("measurements").unwrap()?;
+                    measured.field("message_rate").unwrap()?.as_number().ok()
+                })
+                .expect("a measured row")
+        };
+        assert_eq!(run(u64::MAX), run(1_000_000_000), "both stall for good");
     }
 
     /// Splits a daemon's output into one reply per request line: the
