@@ -52,9 +52,9 @@ fn main() {
     reproduce();
     // Timing target: a short burst of the underlying simulation.
     time_it("fig3/short_sim_window", 10, || {
-        let cfg = commloc_sim::SimConfig::default();
+        let scenario = commloc_sim::Scenario::new(commloc_sim::SimConfig::default(), 500, 1_500);
         let mapping = commloc_sim::Mapping::identity(64);
-        let m = commloc_sim::run_experiment(&cfg, &mapping, 500, 1_500).expect("fault-free run");
+        let m = scenario.run(&mapping).expect("fault-free run").measure();
         black_box(m.message_rate)
     });
 }

@@ -26,7 +26,7 @@
 //! quick smoke run.
 
 use commloc_model::{expected_gain, MachineConfig};
-use commloc_sim::{default_jobs, run_sharded_experiment, Mapping, SimConfig};
+use commloc_sim::{default_jobs, Mapping, Scenario, SimConfig};
 
 const SHARDS: usize = 16;
 
@@ -65,24 +65,19 @@ fn main() {
             radix,
             ..SimConfig::default()
         };
-        let identity = run_sharded_experiment(
-            &config,
-            &Mapping::identity(nodes),
-            SHARDS,
+        let scenario = Scenario {
+            shards: SHARDS,
             jobs,
-            warmup,
-            window,
-        )
-        .expect("identity run must not stall");
-        let random = run_sharded_experiment(
-            &config,
-            &Mapping::random(nodes, 1992),
-            SHARDS,
-            jobs,
-            warmup,
-            window,
-        )
-        .expect("random run must not stall");
+            ..Scenario::new(config, warmup, window)
+        };
+        let identity = scenario
+            .run(&Mapping::identity(nodes))
+            .expect("identity run must not stall")
+            .measure();
+        let random = scenario
+            .run(&Mapping::random(nodes, 1992))
+            .expect("random run must not stall")
+            .measure();
         let gain = identity.transaction_rate / random.transaction_rate;
         let model = expected_gain(&MachineConfig::alewife().with_nodes(nodes as f64))
             .expect("model solvable")

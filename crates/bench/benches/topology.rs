@@ -11,7 +11,7 @@
 use commloc_bench::time_it;
 use commloc_model::{expected_gain, MachineConfig};
 use commloc_net::Topology;
-use commloc_sim::{model_profile, run_experiment, Mapping, SimConfig};
+use commloc_sim::{model_profile, Scenario, SimConfig};
 use std::hint::black_box;
 
 const WARMUP: u64 = 5_000;
@@ -36,10 +36,18 @@ fn reproduce() {
             ..SimConfig::default()
         };
         let compute = topology.compute_nodes();
-        let ident = run_experiment(&config, &Mapping::identity(compute), WARMUP, WINDOW)
-            .expect("identity run");
-        let random = run_experiment(&config, &Mapping::random(compute, SEED), WARMUP, WINDOW)
-            .expect("random run");
+        let scenario = Scenario {
+            seed: SEED,
+            ..Scenario::new(config, WARMUP, WINDOW)
+        };
+        let measure = |name: &str| {
+            let named = scenario.mapping(name).expect("a suite mapping");
+            scenario
+                .run(&named.mapping)
+                .expect("fault-free run")
+                .measure()
+        };
+        let (ident, random) = (measure("identity"), measure("random"));
         let profile = model_profile(topology).expect("profile");
         let predicted = expected_gain(&MachineConfig::alewife().with_topology_profile(profile))
             .expect("solvable");
@@ -61,8 +69,12 @@ fn main() {
         topology: Some(Topology::mesh(8, 8)),
         ..SimConfig::default()
     };
-    let mapping = Mapping::random(64, SEED);
+    let scenario = Scenario {
+        seed: SEED,
+        ..Scenario::new(config, WARMUP, WINDOW)
+    };
+    let mapping = scenario.mapping("random").expect("a suite mapping").mapping;
     time_it("topology/mesh8x8_random_20k_cycles", 3, || {
-        black_box(run_experiment(black_box(&config), &mapping, WARMUP, WINDOW).unwrap())
+        black_box(black_box(&scenario).run(&mapping).unwrap().measure())
     });
 }

@@ -18,16 +18,14 @@ use commloc_model::{
     MachineConfig, MessageComponents,
 };
 use commloc_net::fuzz::{self, FuzzScenario};
-use commloc_net::Topology;
 use commloc_sim::conformance::figures::{
     default_golden_dir, load_golden, resilience_degradation_detail, resilience_wave_detail,
     self_check, store_golden, ConformanceRun, FIGURES,
 };
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
-    check_run_cycles, default_jobs, model_profile, parallel_map, run_cached_sweep, run_experiment,
-    run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, Measurements,
-    ServeOptions, SimConfig, Trace, Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER,
+    model_profile, parallel_map, set_job_budget, Defaults, Field, Scenario, ServeOptions, Trace,
+    Workload, BREAKDOWN_CSV_HEADER, MEASUREMENTS_CSV_HEADER, SCENARIO_KEYS,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -48,33 +46,32 @@ COMMANDS:
             --contexts P --sizes N1,N2,...
     scale   per-hop latency saturation across machine sizes (Fig. 6)
             --contexts P
-    sim     run the cycle-level 64-node simulator with one mapping
-            --mapping identity|random|worst|swaps-K --seed S
-            --contexts P --warmup W --window C [--csv]
-            [--topology T] [--traffic W | --trace-in FILE]
-    report  run one simulation and print the latency-component breakdown
-            (measured vs model, per component); with --topology it also
-            prints the measured-vs-model locality-gain table for that
-            interconnect
-            --mapping M --seed S --contexts P --warmup W --window C
-            [--trace FILE] [--csv] [--shards K --jobs J]
-            [--topology T] [--traffic W | --trace-in FILE]
-            (--shards splits the machine into K shards, bit-exact with
-            one shard; --jobs sets its worker threads and requires
-            --shards; tracing requires one shard)
-    suite   run the full validation mapping suite
-            --contexts P --seed S --jobs J [--shards K] [--csv]
-            [--topology T] [--traffic W | --trace-in FILE]
-            (--jobs defaults to the machine's available parallelism;
-            with --shards every mapping runs on the shard-parallel
-            engine, and sweep workers and shard workers share one job
-            budget so --jobs is never oversubscribed)
+    sim     run the cycle-level simulator on one mapping
+            [scenario keys] [--csv] [--trace-in FILE]
+    report  run one simulation and print the latency-component breakdown,
+            measured vs model; with --topology also the locality-gain
+            table for that interconnect
+            [scenario keys] [--csv] [--trace FILE] [--trace-in FILE]
+    suite   run the mappings --mapping/--mappings name, or the whole suite
+            [scenario keys] [--csv] [--trace-in FILE]
 
-    Topology T is cube | mesh | fattree[:ARITY,LEVELS] |
-    dragonfly[:ROUTERS,GLOBALS]; cube and mesh take their shape from the
-    paper's 2-D radix-8 machine. Traffic W is neighbor | hotspot[:K] |
-    transpose; --trace-in replays a JSON-lines trace (one
-    {\"thread\":T,\"op\":...} per line) instead.
+    Scenario keys (serve requests take the same keys as JSON fields):
+            --topology T --dims N --radix K --contexts P --clock_ratio R
+            --switch_cycles S --work G --watchdog C --traffic W
+            --drop_rate X --corrupt_rate X --stall_rate X --stall_window C
+            --fault_seed S --mapping M --mappings M1,M2 --seed S
+            --warmup W --window C --shards K --jobs J
+    T is cube | mesh (shaped by --dims/--radix; default the paper's 2-D
+    radix-8 cube) | fattree[:ARITY,LEVELS] | dragonfly[:ROUTERS,GLOBALS].
+    W is neighbor | hotspot[:K] | transpose; --trace-in replays a
+    JSON-lines trace instead. M is a name of the topology's mapping
+    suite, random (= random-1) or swaps-K. sim and report run one mapping
+    (identity) over 20000 + 60000 cycles, and their --jobs steps the
+    shards, so it needs --shards and may not pass it; suite runs over
+    15000 + 45000 cycles, and its --jobs (default: the available
+    parallelism) fans the mappings out and steps their shards from one
+    budget. Shards and jobs never change a result; --trace needs one
+    shard.
     conformance
             run the paper-figure conformance gates (Figs. 3-9): reduced
             deterministic scenarios checked against the golden tables in
@@ -96,8 +93,8 @@ COMMANDS:
             scenarios are served bit-identically without re-simulating)
             [--socket PATH | --tcp ADDR] (default: stdin/stdout)
             [--cache-cap N] [--warm-cap N] [--jobs J]
-            (requests select interconnect and traffic per scenario via
-            their `topology` and `traffic` keys, same specs as above)
+            (a `run` request follows sim's shard and job rules, a
+            `sweep` suite's; both draw workers from the daemon's --jobs)
     fuzz    differential-fuzz the optimized Fabric against the retained
             ReferenceFabric over a seed range; on divergence, shrinks to
             a minimal scenario and prints a ready-to-paste repro test
@@ -108,30 +105,26 @@ COMMANDS:
     help    print this message
 ";
 
-/// Option keys each subcommand accepts (used to reject typos).
-fn allowed_keys(command: &str) -> Option<&'static [&'static str]> {
-    match command {
-        "solve" => Some(&["nodes", "contexts", "distance", "grain", "ratio"]),
-        "gain" => Some(&["nodes", "contexts", "sizes", "grain", "ratio"]),
-        "scale" => Some(&["nodes", "contexts", "grain", "ratio"]),
-        "sim" => Some(&[
-            "mapping", "seed", "contexts", "warmup", "window", "csv", "topology", "traffic",
-            "trace-in",
-        ]),
-        "report" => Some(&[
-            "mapping", "seed", "contexts", "warmup", "window", "trace", "csv", "shards", "jobs",
-            "topology", "traffic", "trace-in",
-        ]),
-        "suite" => Some(&[
-            "contexts", "seed", "warmup", "window", "jobs", "shards", "csv", "topology", "traffic",
-            "trace-in",
-        ]),
-        "conformance" => Some(&["figure", "jobs", "csv", "update-golden", "golden-dir"]),
-        "resilience" => Some(&["study", "csv", "update-golden", "golden-dir"]),
-        "serve" => Some(&["socket", "tcp", "cache-cap", "warm-cap", "jobs"]),
-        "fuzz" => Some(&["seeds", "start", "jobs", "machine"]),
-        _ => None,
-    }
+/// Option keys each subcommand accepts (used to reject typos): its own,
+/// plus every scenario key for the simulating subcommands.
+fn allowed_keys(command: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match command {
+        "solve" => &["nodes", "contexts", "distance", "grain", "ratio"],
+        "gain" => &["nodes", "contexts", "sizes", "grain", "ratio"],
+        "scale" => &["nodes", "contexts", "grain", "ratio"],
+        "sim" | "suite" => &["csv", "trace-in"],
+        "report" => &["csv", "trace", "trace-in"],
+        "conformance" => &["figure", "jobs", "csv", "update-golden", "golden-dir"],
+        "resilience" => &["study", "csv", "update-golden", "golden-dir"],
+        "serve" => &["socket", "tcp", "cache-cap", "warm-cap", "jobs"],
+        "fuzz" => &["seeds", "start", "jobs", "machine"],
+        _ => return None,
+    };
+    let scenario: &[&str] = match command {
+        "sim" | "report" | "suite" => &SCENARIO_KEYS,
+        _ => &[],
+    };
+    Some(scenario.iter().chain(own).copied().collect())
 }
 
 fn main() -> ExitCode {
@@ -149,7 +142,7 @@ fn main() -> ExitCode {
         eprintln!("error: unknown command `{command}`; try `commloc help`");
         return ExitCode::FAILURE;
     };
-    let options = match parse_options(&args[1..], command, allowed) {
+    let options = match parse_options(&args[1..], command, &allowed) {
         Ok(options) => options,
         Err(e) => {
             eprintln!("error: {e}");
@@ -251,72 +244,19 @@ fn get_u64(options: &HashMap<String, String>, key: &str, default: u64) -> Result
     })
 }
 
-/// `--warmup` and `--window` with their defaults, rejecting a zero window
-/// and a run the clock cannot count to the end of
-/// ([`check_run_cycles`]).
-fn get_run_cycles(
-    options: &HashMap<String, String>,
-    warmup: u64,
-    window: u64,
-) -> Result<(u64, u64), String> {
-    let warmup = get_u64(options, "warmup", warmup)?;
-    let window = get_u64(options, "window", window)?;
-    check_run_cycles(warmup, window).map_err(|e| format!("--{e}"))?;
-    Ok((warmup, window))
-}
-
 /// Worker-thread count: `--jobs` if given, else `COMMLOC_JOBS`, else the
 /// machine's available parallelism. `--jobs 0` and non-numeric values
 /// are rejected outright (previously zero was silently clamped to 1).
 fn get_jobs(options: &HashMap<String, String>) -> Result<usize, String> {
     let jobs = match options.get("jobs") {
         None => suite_jobs()?,
-        Some(v) => match v.parse::<usize>() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            Ok(_) => {
-                return Err(format!(
-                    "--jobs: must be at least 1 (did you mean `--jobs {}`, the machine's \
-                     available parallelism?)",
-                    default_jobs()
-                ))
-            }
-            Err(_) => {
-                return Err(format!(
-                    "--jobs: `{v}` is not an integer (omit --jobs to use the machine's \
-                     available parallelism)"
-                ))
-            }
-        },
+        Some(v) => Field::Text(v).jobs().map_err(|e| format!("--{e}"))?,
     };
     // An explicit worker request is the process budget: sweep-level
     // fan-out and intra-simulation shard workers share it, so `--jobs N`
     // (or COMMLOC_JOBS=N) caps live worker threads at N combined.
     set_job_budget(jobs);
     Ok(jobs)
-}
-
-/// Shard count for the shard-parallel engine: `--shards` if given, else
-/// 1 (the monolithic engine). Zero, non-numeric, and more-shards-than-
-/// nodes values are rejected outright.
-fn get_shards(options: &HashMap<String, String>, nodes: usize) -> Result<usize, String> {
-    match options.get("shards") {
-        None => Ok(1),
-        Some(v) => match v.parse::<usize>() {
-            Ok(shards) if (1..=nodes).contains(&shards) => Ok(shards),
-            Ok(0) => Err(
-                "--shards: must be at least 1 (did you mean `--shards 1`, the monolithic \
-                 engine?)"
-                    .into(),
-            ),
-            Ok(shards) => Err(format!(
-                "--shards: {shards} exceeds the {nodes}-node fabric (did you mean \
-                 `--shards {nodes}`, one node per shard?)"
-            )),
-            Err(_) => Err(format!(
-                "--shards: `{v}` is not an integer (omit --shards for the monolithic engine)"
-            )),
-        },
-    }
 }
 
 fn machine_from(options: &HashMap<String, String>) -> Result<MachineConfig, String> {
@@ -408,72 +348,62 @@ fn cmd_scale(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn mapping_from(options: &HashMap<String, String>, topology: &Topology) -> Result<Mapping, String> {
-    let seed = get_u64(options, "seed", 1992)?;
-    let n = topology.compute_nodes();
-    let name = options
-        .get("mapping")
-        .map(String::as_str)
-        .unwrap_or("identity");
-    match name {
-        "identity" => Ok(Mapping::identity(n)),
-        "random" => Ok(Mapping::random(n, seed)),
-        "worst" => Ok(Mapping::maximize_app_distance(topology, seed, 4000)),
-        other => {
-            if let Some(k) = other.strip_prefix("swaps-") {
-                let k: usize = k
-                    .parse()
-                    .map_err(|_| format!("--mapping: bad swap count in `{other}`"))?;
-                Ok(Mapping::random_swaps(n, k, seed))
-            } else {
-                Err(format!(
-                    "--mapping: unknown `{other}` (identity|random|worst|swaps-K)"
-                ))
-            }
-        }
+/// `sim` and `report`: one run, of `identity` unless a mapping is named.
+const RUN: Defaults = Defaults {
+    warmup: 20_000,
+    window: 60_000,
+    sweep_jobs: None,
+};
+
+/// The scenario of `sim`, `report` (`defaults` [`RUN`]) or `suite`: its
+/// scenario keys through the one parser, then `--trace-in`. An explicit
+/// `--jobs`, and a sweep's jobs, set the process job budget.
+fn scenario_from(
+    options: &HashMap<String, String>,
+    defaults: Defaults,
+) -> Result<Scenario, String> {
+    let mut fields: Vec<(&str, Field)> = options
+        .iter()
+        .map(|(key, value)| (key.as_str(), Field::Text(value)))
+        .collect();
+    if defaults.sweep_jobs.is_none() && !options.keys().any(|k| k.starts_with("mapping")) {
+        fields.push(("mapping", Field::Text("identity")));
     }
+    let mut scenario = Scenario::parse(&fields, defaults).map_err(|e| format!("--{e}"))?;
+    if let Some(workload) = workload_from(options)? {
+        scenario.config.workload = workload;
+    }
+    if options.contains_key("jobs") || defaults.sweep_jobs.is_some() {
+        set_job_budget(scenario.jobs);
+    }
+    Ok(scenario)
 }
 
-/// Resolves `--traffic` / `--trace-in` into the workload the processors
-/// run. The two are mutually exclusive: a trace *is* the traffic.
-fn workload_from(options: &HashMap<String, String>) -> Result<Workload, String> {
-    match (options.get("traffic"), options.get("trace-in")) {
-        (Some(_), Some(_)) => {
-            Err("--traffic and --trace-in are mutually exclusive (a trace is the traffic)".into())
-        }
-        (Some(spec), None) => Workload::parse(spec).map_err(|e| format!("--traffic: {e}")),
-        (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("--trace-in {path}: {e}"))?;
-            let trace = Trace::parse(&text).map_err(|e| format!("--trace-in {path}: {e}"))?;
-            Ok(Workload::Trace(Arc::new(trace)))
-        }
-        (None, None) => Ok(Workload::Neighbor),
-    }
-}
-
-fn sim_config(options: &HashMap<String, String>) -> Result<SimConfig, String> {
-    let mut config = SimConfig {
-        contexts: get_u64(options, "contexts", 1)? as usize,
-        ..SimConfig::default()
+/// `--trace-in FILE`: the replayed trace, which takes the place of
+/// `--traffic` (a trace *is* the traffic, so the two exclude each other).
+fn workload_from(options: &HashMap<String, String>) -> Result<Option<Workload>, String> {
+    let Some(path) = options.get("trace-in") else {
+        return Ok(None);
     };
-    if let Some(spec) = options.get("topology") {
-        config.topology = Some(
-            Topology::parse(spec, config.dims, config.radix)
-                .map_err(|e| format!("--topology: {e}"))?,
+    if options.contains_key("traffic") {
+        return Err(
+            "--traffic and --trace-in are mutually exclusive (a trace is the traffic)".into(),
         );
     }
-    config.workload = workload_from(options)?;
-    config.check().map_err(|e| format!("--{e}"))?;
-    Ok(config)
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--trace-in {path}: {e}"))?;
+    let trace = Trace::parse(&text).map_err(|e| format!("--trace-in {path}: {e}"))?;
+    Ok(Some(Workload::Trace(Arc::new(trace))))
+}
+
+/// Runs `scenario` on the mapping `name`.
+fn run_named(scenario: &Scenario, name: &str) -> Result<commloc_sim::Machine, String> {
+    let named = scenario.mapping(name).map_err(|e| format!("--{e}"))?;
+    scenario.run(&named.mapping).map_err(|e| e.to_string())
 }
 
 fn cmd_sim(options: &HashMap<String, String>) -> Result<(), String> {
-    let config = sim_config(options)?;
-    let topology = config.resolved_topology();
-    let mapping = mapping_from(options, &topology)?;
-    let (warmup, window) = get_run_cycles(options, 20_000, 60_000)?;
-    let m = run_experiment(&config, &mapping, warmup, window).map_err(|e| e.to_string())?;
+    let scenario = scenario_from(options, RUN)?;
+    let m = run_named(&scenario, &scenario.mappings[0])?.measure();
     if options.contains_key("csv") {
         println!("{MEASUREMENTS_CSV_HEADER}");
         println!("{}", m.to_csv_row());
@@ -508,51 +438,21 @@ fn cmd_sim(options: &HashMap<String, String>) -> Result<(), String> {
 const TRACE_CAPACITY: usize = 65_536;
 
 fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
-    let mut config = sim_config(options)?;
+    let mut scenario = scenario_from(options, RUN)?;
     let trace_path = options.get("trace").cloned();
     if trace_path.is_some() {
-        config.fabric.trace_capacity = TRACE_CAPACITY;
-    }
-    let topology = config.resolved_topology();
-    let shards = get_shards(options, topology.nodes())?;
-    if options.contains_key("jobs") && !options.contains_key("shards") {
-        return Err(
-            "--jobs on `report` sets the shard-parallel engine's worker threads, but no \
-             --shards was given (did you mean to add `--shards N`, or `--jobs` on `suite`?)"
-                .into(),
-        );
-    }
-    let jobs = if options.contains_key("jobs") {
-        let jobs = get_jobs(options)?;
-        if jobs > shards {
-            return Err(format!(
-                "--jobs: {jobs} workers cannot outnumber the {shards} shard(s) (did you \
-                 mean `--jobs {shards}`?)"
-            ));
+        if scenario.shards > 1 {
+            return Err(
+                "--trace requires one shard (did you mean `--shards 1`, or to drop --trace?)"
+                    .into(),
+            );
         }
-        jobs
-    } else {
-        shards
-    };
-    if shards > 1 && trace_path.is_some() {
-        return Err(
-            "--trace requires the monolithic engine (did you mean `--shards 1`, or to drop \
-             --trace?)"
-                .into(),
-        );
+        scenario.config.fabric.trace_capacity = TRACE_CAPACITY;
     }
-    let mapping = mapping_from(options, &topology)?;
-    let (warmup, window) = get_run_cycles(options, 20_000, 60_000)?;
+    let config = &scenario.config;
+    let topology = config.resolved_topology();
     let c = MachineConfig::alewife().critical_path_messages();
-    let mut machine = Machine::with_shards(&config, &mapping, shards);
-    machine.set_jobs(jobs);
-    machine
-        .run_network_cycles(warmup)
-        .map_err(|e| e.to_string())?;
-    machine.reset_measurements();
-    machine
-        .run_network_cycles(window)
-        .map_err(|e| e.to_string())?;
+    let machine = run_named(&scenario, &scenario.mappings[0])?;
     let m = machine.measure();
     let b = machine.breakdown(c);
     let lb = machine.latency_breakdown();
@@ -562,6 +462,9 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     let profile = model_profile(&topology).map_err(err)?;
     let machine_config = MachineConfig::alewife()
         .with_contexts(config.contexts as u32)
+        .with_clock_ratio(f64::from(config.clock_ratio))
+        .with_grain(f64::from(config.work))
+        .with_context_switch(f64::from(config.switch_cycles))
         .with_topology_profile(profile);
     let model = machine_config.to_combined_model().map_err(err)?;
     let op = model.solve(m.distance).map_err(err)?;
@@ -618,12 +521,9 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     // model: identity vs random placement, measured transaction rates
     // against the analytical expected gain on this topology's profile.
     if options.contains_key("topology") && !options.contains_key("csv") {
-        let seed = get_u64(options, "seed", 1992)?;
         let compute = topology.compute_nodes();
-        let ident = run_experiment(&config, &Mapping::identity(compute), warmup, window)
-            .map_err(|e| e.to_string())?;
-        let random = run_experiment(&config, &Mapping::random(compute, seed), warmup, window)
-            .map_err(|e| e.to_string())?;
+        let ident = run_named(&scenario, "identity")?.measure();
+        let random = run_named(&scenario, "random")?.measure();
         let predicted = expected_gain(&machine_config).map_err(err)?;
         println!();
         println!(
@@ -636,14 +536,10 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
             "{:<12} {:>10} {:>12}",
             "placement", "d (hops)", "r_t (1/cyc)"
         );
-        println!(
-            "{:<12} {:>10.2} {:>12.5}",
-            "identity", ident.distance, ident.transaction_rate
-        );
-        println!(
-            "{:<12} {:>10.2} {:>12.5}",
-            "random", random.distance, random.transaction_rate
-        );
+        for (label, m) in [("identity", &ident), ("random", &random)] {
+            let (d, rate) = (m.distance, m.transaction_rate);
+            println!("{label:<12} {d:>10.2} {rate:>12.5}");
+        }
         let measured_gain = ident.transaction_rate / random.transaction_rate;
         println!(
             "measured gain {measured_gain:>6.2}   model gain {:>6.2}   (model d_random {:.2}, \
@@ -657,18 +553,18 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = trace_path {
         let file = std::fs::File::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
+        let flits = machine
+            .trace()
+            .into_iter()
+            .flat_map(|t| t.iter().map(|e| e.to_json()));
+        let spans = machine
+            .spans()
+            .into_iter()
+            .flat_map(|s| s.iter().map(|e| e.to_json()));
         let mut lines = 0u64;
-        if let Some(trace) = machine.trace() {
-            for event in trace.iter() {
-                writeln!(out, "{}", event.to_json()).map_err(|e| e.to_string())?;
-                lines += 1;
-            }
-        }
-        if let Some(spans) = machine.spans() {
-            for event in spans.iter() {
-                writeln!(out, "{}", event.to_json()).map_err(|e| e.to_string())?;
-                lines += 1;
-            }
+        for event in flits.chain(spans) {
+            writeln!(out, "{event}").map_err(|e| e.to_string())?;
+            lines += 1;
         }
         out.flush().map_err(|e| e.to_string())?;
         eprintln!("wrote {lines} trace events to {path}");
@@ -677,12 +573,18 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
-    let config = sim_config(options)?;
-    let topology = config.resolved_topology();
-    let seed = get_u64(options, "seed", 1992)?;
-    let (warmup, window) = get_run_cycles(options, 15_000, 45_000)?;
-    let jobs = get_jobs(options)?;
-    let shards = get_shards(options, topology.nodes())?;
+    // The sweep's default jobs, read only when `--jobs` is absent.
+    let jobs = match options.get("jobs") {
+        Some(_) => 1,
+        None => suite_jobs()?,
+    };
+    let defaults = Defaults {
+        warmup: 15_000,
+        window: 45_000,
+        sweep_jobs: Some(jobs),
+    };
+    let scenario = scenario_from(options, defaults)?;
+    let mappings = scenario.named_mappings().map_err(|e| format!("--{e}"))?;
     let csv = options.contains_key("csv");
     if csv {
         println!("mapping,{MEASUREMENTS_CSV_HEADER}");
@@ -692,29 +594,12 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
             "mapping", "d", "r_t", "T_m", "T_h", "rho"
         );
     }
-    let suite = topology_mapping_suite(&topology, seed);
-    let points: Vec<(String, Measurements)> = if shards > 1 {
-        // Sweep of sharded simulations: the sweep fan-out and each
-        // machine's shard workers draw from the same job budget, so live
-        // threads never exceed `jobs` combined.
-        parallel_map(&suite, jobs, |named| {
-            run_sharded_experiment(&config, &named.mapping, shards, jobs, warmup, window)
-                .map(|measured| (named.name.clone(), measured))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?
-    } else {
-        // Monolithic sweeps route through the process-wide scenario
-        // cache: repeated suite invocations in one process (and the
-        // conformance gates) share results and warm-start snapshots.
-        run_cached_sweep(&config, &suite, warmup, window, jobs)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(|r| (r.name, r.measured))
-            .collect()
-    };
-    for (name, m) in points {
+    // Every sweep routes through the process-wide scenario cache, at any
+    // shard count: repeated suite invocations in one process (and the
+    // conformance gates) share results and warm-start snapshots.
+    let points = scenario.sweep(&mappings).map_err(|e| e.to_string())?;
+    for point in points {
+        let (name, m) = (point.name, point.measured);
         if csv {
             println!("{name},{}", m.to_csv_row());
         } else {
@@ -994,111 +879,104 @@ fn cmd_resilience(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
+    use commloc_sim::fuzz as machine_fuzz;
     let seeds = get_u64(options, "seeds", 100)?;
     if seeds == 0 {
         return Err("--seeds: must be at least 1".into());
     }
     let start = get_u64(options, "start", 0)?;
     let jobs = get_jobs(options)?;
+    let range = format!("{seeds} seeds [{start}..{})", start.saturating_add(seeds));
     if options.contains_key("machine") {
-        return run_machine_fuzz(seeds, start, jobs);
+        // Full-machine lockstep: the active-node engine against
+        // exhaustive reference stepping (and a sharded machine on sharded
+        // draws), bit-exact on completions, measurements, breakdowns,
+        // fault logs, migrations and watchdog trips.
+        let (mut completions, mut cycles, mut stalls, mut migrations, mut jumps) = (0, 0, 0, 0, 0);
+        let shrunk = |seed| {
+            let outcome =
+                machine_fuzz::shrink(&machine_fuzz::MachineScenario::from_seed(seed), None)?;
+            Some((
+                outcome.attempts,
+                outcome.divergence.to_string(),
+                outcome.repro_test(),
+            ))
+        };
+        let secs = fuzz_range(seeds, start, jobs, machine_fuzz::run_seed, shrunk, |r| {
+            completions += r.completions;
+            cycles += r.net_cycles;
+            stalls += u64::from(r.stalled);
+            migrations += r.migrations;
+            // Sharded draws that fast-forwarded: the sharded jump and
+            // idle-tick paths ran.
+            jumps += u64::from(r.shards > 1 && r.fast_forwarded > 0);
+        })
+        .map_err(|seed| format!("machine-lockstep divergence at seed {seed}"))?;
+        println!(
+            "fuzz --machine: {range} lockstep-clean in {secs:.1}s — {completions} transactions \
+             completed, {stalls} watchdog stalls and {migrations} migrations matched \
+             bit-exactly, {jumps} sharded draws fast-forwarded, {cycles} net cycles per engine"
+        );
+        return Ok(());
     }
-    let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
-    let began = std::time::Instant::now();
-    let results = parallel_map(&list, jobs, |&seed| (seed, fuzz::run_seed(seed)));
-    let mut totals = fuzz::FuzzReport::default();
-    for (seed, result) in results {
-        match result {
-            Ok(report) => {
-                totals.injected += report.injected;
-                totals.delivered += report.delivered;
-                totals.dropped += report.dropped;
-                totals.wedged += report.wedged;
-                totals.cycles += report.cycles;
-            }
-            Err(divergence) => {
-                eprintln!("seed {seed} diverged: {divergence}");
-                if let Some(outcome) = fuzz::shrink(&FuzzScenario::from_seed(seed), None) {
-                    eprintln!(
-                        "minimal failing scenario after {} shrink attempts ({}):",
-                        outcome.attempts, outcome.divergence
-                    );
-                    eprintln!("{}", outcome.repro_test());
-                }
-                return Err(format!("differential divergence at seed {seed}"));
-            }
-        }
-    }
+    let mut t = fuzz::FuzzReport::default();
+    let shrunk = |seed| {
+        let outcome = fuzz::shrink(&FuzzScenario::from_seed(seed), None)?;
+        Some((
+            outcome.attempts,
+            outcome.divergence.to_string(),
+            outcome.repro_test(),
+        ))
+    };
+    let secs = fuzz_range(seeds, start, jobs, fuzz::run_seed, shrunk, |r| {
+        t.injected += r.injected;
+        t.delivered += r.delivered;
+        t.dropped += r.dropped;
+        t.wedged += r.wedged;
+        t.cycles += r.cycles;
+    })
+    .map_err(|seed| format!("differential divergence at seed {seed}"))?;
     println!(
-        "fuzz: {} seeds [{start}..{}) clean in {:.1}s — {} messages injected, {} delivered, \
-         {} dropped, {} wedged, {} engine cycles",
-        seeds,
-        start.saturating_add(seeds),
-        began.elapsed().as_secs_f64(),
-        totals.injected,
-        totals.delivered,
-        totals.dropped,
-        totals.wedged,
-        totals.cycles
+        "fuzz: {range} clean in {secs:.1}s — {} messages injected, {} delivered, {} dropped, {} \
+         wedged, {} engine cycles",
+        t.injected, t.delivered, t.dropped, t.wedged, t.cycles
     );
     Ok(())
 }
 
-/// `commloc fuzz --machine`: full-machine lockstep over a seed range —
-/// the active-node engine against exhaustive reference stepping (and a
-/// sharded machine on sharded draws), with bit-exact checks on
-/// completions, measurements, latency breakdowns, fault logs,
-/// migrations, and watchdog trips. Failing seeds shrink to a minimal
-/// scenario and print a ready-to-paste repro test.
-fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
-    use commloc_sim::fuzz as machine_fuzz;
+/// Runs `run` over the seed range on `jobs` workers, folding each report
+/// into `add`, and returns the seconds it took. The first diverging seed
+/// (in seed order) is returned after printing its divergence and its
+/// `shrunk` minimal scenario `(attempts, divergence, repro test)`.
+fn fuzz_range<R: Send, D: std::fmt::Display + Send>(
+    seeds: u64,
+    start: u64,
+    jobs: usize,
+    run: impl Fn(u64) -> Result<R, D> + Sync,
+    shrunk: impl Fn(u64) -> Option<(u32, String, String)>,
+    mut add: impl FnMut(R),
+) -> Result<f64, u64> {
     let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
     let began = std::time::Instant::now();
-    let results = parallel_map(&list, jobs, |&seed| (seed, machine_fuzz::run_seed(seed)));
-    let mut completions = 0u64;
-    let mut net_cycles = 0u64;
-    let mut stalls = 0u64;
-    let mut migrations = 0;
-    // Sharded draws that fast-forwarded: the log shows the sharded jump
-    // and idle-tick paths ran.
-    let mut sharded_jumps = 0u64;
-    for (seed, result) in results {
+    for (&seed, result) in list
+        .iter()
+        .zip(parallel_map(&list, jobs, |&seed| run(seed)))
+    {
         match result {
-            Ok(report) => {
-                completions += report.completions;
-                net_cycles += report.net_cycles;
-                stalls += u64::from(report.stalled);
-                migrations += report.migrations;
-                sharded_jumps += u64::from(report.shards > 1 && report.fast_forwarded > 0);
-            }
+            Ok(report) => add(report),
             Err(divergence) => {
                 eprintln!("seed {seed} diverged: {divergence}");
-                let scenario = machine_fuzz::MachineScenario::from_seed(seed);
-                if let Some(outcome) = machine_fuzz::shrink(&scenario, None) {
+                if let Some((attempts, divergence, repro)) = shrunk(seed) {
                     eprintln!(
-                        "minimal failing scenario after {} shrink attempts ({}):",
-                        outcome.attempts, outcome.divergence
+                        "minimal failing scenario after {attempts} shrink attempts ({divergence}):"
                     );
-                    eprintln!("{}", outcome.repro_test());
+                    eprintln!("{repro}");
                 }
-                return Err(format!("machine-lockstep divergence at seed {seed}"));
+                return Err(seed);
             }
         }
     }
-    println!(
-        "fuzz --machine: {} seeds [{start}..{}) lockstep-clean in {:.1}s — {} transactions \
-         completed, {} watchdog stalls and {} migrations matched bit-exactly, {} sharded draws \
-         fast-forwarded, {} net cycles per engine",
-        seeds,
-        start.saturating_add(seeds),
-        began.elapsed().as_secs_f64(),
-        completions,
-        stalls,
-        migrations,
-        sharded_jumps,
-        net_cycles
-    );
-    Ok(())
+    Ok(began.elapsed().as_secs_f64())
 }
 
 fn err(e: commloc_model::ModelError) -> String {
@@ -1109,12 +987,14 @@ fn err(e: commloc_model::ModelError) -> String {
 mod tests {
     use super::*;
     use commloc_model::TopologyProfile;
+    use commloc_net::Topology;
+    use commloc_sim::{Mapping, NamedMapping};
 
     fn parse(pairs: &[&str], command: &str) -> Result<HashMap<String, String>, String> {
         parse_options(
             &pairs.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
             command,
-            allowed_keys(command).unwrap(),
+            &allowed_keys(command).unwrap(),
         )
     }
 
@@ -1161,8 +1041,8 @@ mod tests {
         assert!(err.contains("--warmpu"), "{err}");
         assert!(err.contains("did you mean `--warmup`"), "{err}");
         // A key valid for another subcommand is still invalid here.
-        let err = parse(&["--jobs", "4"], "sim").unwrap_err();
-        assert!(err.contains("unknown option `--jobs` for `sim`"), "{err}");
+        let err = parse(&["--trace", "out.jsonl"], "sim").unwrap_err();
+        assert!(err.contains("unknown option `--trace` for `sim`"), "{err}");
         assert!(err.contains("valid options:"), "{err}");
         // Far-off garbage gets the option list but no bogus suggestion.
         let err = parse(&["--zzzzzzzzzzz", "1"], "solve").unwrap_err();
@@ -1235,14 +1115,15 @@ mod tests {
 
     #[test]
     fn shards_validation_rejects_zero_overflow_and_words() {
-        let err = get_shards(&opts(&["--shards", "0"]), 64).unwrap_err();
+        let shards = |args: &[&str]| scenario_from(&opts(args), RUN).map(|s| s.shards);
+        let err = shards(&["--shards", "0"]).unwrap_err();
         assert!(err.contains("did you mean `--shards 1`"), "{err}");
-        let err = get_shards(&opts(&["--shards", "100"]), 64).unwrap_err();
+        let err = shards(&["--shards", "100"]).unwrap_err();
         assert!(err.contains("did you mean `--shards 64`"), "{err}");
-        let err = get_shards(&opts(&["--shards", "few"]), 64).unwrap_err();
+        let err = shards(&["--shards", "few"]).unwrap_err();
         assert!(err.contains("not an integer"), "{err}");
-        assert_eq!(get_shards(&opts(&[]), 64).unwrap(), 1);
-        assert_eq!(get_shards(&opts(&["--shards", "8"]), 64).unwrap(), 8);
+        assert_eq!(shards(&[]).unwrap(), 1);
+        assert_eq!(shards(&["--shards", "8"]).unwrap(), 8);
     }
 
     #[test]
@@ -1253,9 +1134,9 @@ mod tests {
         // More workers than shards cannot run.
         let err = cmd_report(&opts(&["--shards", "2", "--jobs", "4"])).unwrap_err();
         assert!(err.contains("did you mean `--jobs 2`"), "{err}");
-        // Flit tracing needs the monolithic engine.
+        // Flit tracing needs one shard.
         let err = cmd_report(&opts(&["--shards", "2", "--trace", "/tmp/t.jsonl"])).unwrap_err();
-        assert!(err.contains("monolithic"), "{err}");
+        assert!(err.contains("one shard"), "{err}");
     }
 
     #[test]
@@ -1292,20 +1173,42 @@ mod tests {
 
     #[test]
     fn mapping_selector_variants() {
-        let topology = Topology::cube(2, 8);
-        let o = opts(&["--mapping", "swaps-12", "--seed", "5"]);
-        let m = mapping_from(&o, &topology).unwrap();
+        let mapping = |args: &[&str]| {
+            let scenario = scenario_from(&opts(args), RUN)?;
+            scenario
+                .mapping(&scenario.mappings[0])
+                .map(|named| named.mapping)
+        };
+        let m = mapping(&["--mapping", "swaps-12", "--seed", "5"]).unwrap();
         assert_eq!(m.threads(), 64);
-        let o = opts(&["--mapping", "nonsense"]);
-        assert!(mapping_from(&o, &topology).is_err());
-        let o = opts(&[]);
-        assert_eq!(mapping_from(&o, &topology).unwrap(), Mapping::identity(64));
+        assert!(mapping(&["--mapping", "nonsense"]).is_err());
+        assert_eq!(mapping(&[]).unwrap(), Mapping::identity(64));
         // `worst` works on every family (app-distance hill climb off the
         // torus), and sizes itself to the compute-node count.
         let fattree = Topology::fat_tree(2, 2);
-        let o = opts(&["--mapping", "worst", "--seed", "7"]);
-        let m = mapping_from(&o, &fattree).unwrap();
-        assert_eq!(m.threads(), fattree.compute_nodes());
+        let m = mapping(&[
+            "--mapping",
+            "worst",
+            "--seed",
+            "7",
+            "--topology",
+            "fattree:2,2",
+        ]);
+        assert_eq!(m.unwrap().threads(), fattree.compute_nodes());
+    }
+
+    #[test]
+    fn suite_definitions_win_where_the_grammars_meet() {
+        // `swaps-8` on a cube is also a `swaps-K` name, and `worst` once
+        // climbed 4,000 swaps on every fabric: both are the suite's now.
+        for (topology, name) in [("cube", "swaps-8"), ("cube", "swaps-48"), ("mesh", "worst")] {
+            let o = opts(&["--mapping", name, "--topology", topology]);
+            let scenario = scenario_from(&o, RUN).unwrap();
+            let resolved = scenario.mapping(name).unwrap();
+            let t = Topology::parse(topology, 2, 8).unwrap();
+            let suite = NamedMapping::by_name(&t, 1992, name).unwrap();
+            assert_eq!(resolved.mapping, suite.mapping, "{topology} {name}");
+        }
     }
 
     #[test]
@@ -1352,34 +1255,33 @@ mod tests {
                 assert!(e.starts_with("--window:"), "{e}");
             }
         }
-        assert_eq!(
-            get_run_cycles(
-                &opts(&["--warmup", "0", "--window", "18446744073709551615"]),
-                1,
-                1
-            ),
-            Ok((0, u64::MAX))
-        );
+        let scenario = scenario_from(
+            &opts(&["--warmup", "0", "--window", "18446744073709551615"]),
+            RUN,
+        )
+        .unwrap();
+        assert_eq!((scenario.warmup, scenario.window), (0, u64::MAX));
     }
 
     #[test]
     fn sim_config_resolves_topology_and_traffic() {
+        let sim_config = |o| scenario_from(&o, RUN).map(|s| s.config);
         // Default: cube from dims/radix, neighbour workload.
-        let config = sim_config(&opts(&[])).unwrap();
+        let config = sim_config(opts(&[])).unwrap();
         assert!(config.topology.is_none());
         assert_eq!(config.workload, Workload::Neighbor);
         // Explicit interconnect and traffic.
-        let config = sim_config(&opts(&["--topology", "mesh", "--traffic", "hotspot:3"])).unwrap();
+        let config = sim_config(opts(&["--topology", "mesh", "--traffic", "hotspot:3"])).unwrap();
         assert_eq!(config.resolved_topology().canonical(), "mesh:8x8");
         assert_eq!(config.workload, Workload::Hotspot { targets: 3 });
-        let config = sim_config(&opts(&["--topology", "fattree:2,2"])).unwrap();
+        let config = sim_config(opts(&["--topology", "fattree:2,2"])).unwrap();
         assert_eq!(config.resolved_topology().family(), "fattree");
         // Bad specs surface the offending flag.
-        let e = sim_config(&opts(&["--topology", "hypercube"])).unwrap_err();
+        let e = sim_config(opts(&["--topology", "hypercube"])).unwrap_err();
         assert!(e.starts_with("--topology:"), "{e}");
-        let e = sim_config(&opts(&["--topology", "dragonfly:2000,2000"])).unwrap_err();
+        let e = sim_config(opts(&["--topology", "dragonfly:2000,2000"])).unwrap_err();
         assert!(e.starts_with("--topology:") && e.contains("cap"), "{e}");
-        let e = sim_config(&opts(&["--traffic", "storm"])).unwrap_err();
+        let e = sim_config(opts(&["--traffic", "storm"])).unwrap_err();
         assert!(e.starts_with("--traffic:"), "{e}");
     }
 
@@ -1398,7 +1300,7 @@ mod tests {
         let path = std::env::temp_dir().join("commloc-cli-trace-test.jsonl");
         std::fs::write(&path, "{\"thread\": 0, \"op\": \"read\", \"peer\": 1}\n").unwrap();
         let w = workload_from(&opts(&["--trace-in", path.to_str().unwrap()])).unwrap();
-        assert!(matches!(w, Workload::Trace(_)));
+        assert!(matches!(w, Some(Workload::Trace(_))));
         std::fs::remove_file(&path).ok();
     }
 

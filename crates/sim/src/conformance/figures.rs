@@ -17,12 +17,13 @@ use super::tolerances::{
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_LATENCY_GAP, MODEL_VS_SIM_RATE, SLOPE_RATIO_P2_OVER_P1,
 };
 use super::{calibrated_model, fit_message_curve, reduced_runs, SUITE_SEED};
-use crate::machine::{run_experiment, SimConfig};
+use crate::machine::SimConfig;
 use crate::mapping::Mapping;
 use crate::resilience::{
     run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, DisturbanceConfig,
     IdleWave, WorkStealingPolicy,
 };
+use crate::scenario::Scenario;
 use crate::serve::ScenarioResult;
 use commloc_model::{
     expected_gain, fig6_rows, fig7_rows, fig8_rows, fig9_rows, log_spaced_sizes,
@@ -277,21 +278,15 @@ fn topology_gain() -> Result<GoldenTable, String> {
             topology: Some(topology.clone()),
             ..SimConfig::default()
         };
-        let compute = topology.compute_nodes();
-        let ident = run_experiment(
-            &config,
-            &Mapping::identity(compute),
-            TOPOLOGY_GAIN_WARMUP,
-            TOPOLOGY_GAIN_WINDOW,
-        )
-        .map_err(|e| format!("topology-gain {label}/identity: {e}"))?;
-        let random = run_experiment(
-            &config,
-            &Mapping::random(compute, SUITE_SEED),
-            TOPOLOGY_GAIN_WARMUP,
-            TOPOLOGY_GAIN_WINDOW,
-        )
-        .map_err(|e| format!("topology-gain {label}/random: {e}"))?;
+        let scenario = Scenario::new(config, TOPOLOGY_GAIN_WARMUP, TOPOLOGY_GAIN_WINDOW);
+        let measure = |name: &str| {
+            let named = scenario.mapping(name)?;
+            let machine = scenario.run(&named.mapping).map_err(|e| e.to_string())?;
+            Ok::<_, String>(machine.measure())
+        };
+        let ident =
+            measure("identity").map_err(|e| format!("topology-gain {label}/identity: {e}"))?;
+        let random = measure("random").map_err(|e| format!("topology-gain {label}/random: {e}"))?;
         let profile =
             crate::model_profile(topology).map_err(|e| format!("topology-gain {label}: {e}"))?;
         let predicted = expected_gain(&MachineConfig::alewife().with_topology_profile(profile))

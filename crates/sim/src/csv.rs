@@ -54,13 +54,18 @@ impl Measurements {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{run_experiment, SimConfig};
+    use crate::machine::SimConfig;
     use crate::mapping::Mapping;
+    use crate::scenario::Scenario;
+
+    fn identity_window() -> Measurements {
+        let scenario = Scenario::new(SimConfig::default(), 2_000, 6_000);
+        scenario.run(&Mapping::identity(64)).unwrap().measure()
+    }
 
     #[test]
     fn header_and_row_have_matching_column_counts() {
-        let m =
-            run_experiment(&SimConfig::default(), &Mapping::identity(64), 2_000, 6_000).unwrap();
+        let m = identity_window();
         let header_cols = MEASUREMENTS_CSV_HEADER.split(',').count();
         let row_cols = m.to_csv_row().split(',').count();
         assert_eq!(header_cols, row_cols);
@@ -69,8 +74,7 @@ mod tests {
 
     #[test]
     fn row_is_parseable_numbers() {
-        let m =
-            run_experiment(&SimConfig::default(), &Mapping::identity(64), 2_000, 6_000).unwrap();
+        let m = identity_window();
         for field in m.to_csv_row().split(',') {
             field.parse::<f64>().expect("numeric field");
         }
@@ -82,8 +86,7 @@ mod tests {
         // window can produce: NaN ratios (0/0), infinities (x/0), and
         // the 0.0 miss-free run-length sentinel. The row must still be
         // 17 finite, parseable numbers.
-        let mut m =
-            run_experiment(&SimConfig::default(), &Mapping::identity(64), 2_000, 6_000).unwrap();
+        let mut m = identity_window();
         m.hit_fraction = f64::NAN;
         m.run_length = f64::INFINITY;
         m.issue_interval = f64::NEG_INFINITY;

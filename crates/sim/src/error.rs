@@ -35,13 +35,33 @@ impl fmt::Display for StallKind {
     }
 }
 
+/// Which of the watchdog's two conditions tripped it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StallCause {
+    /// No flit moved and no transaction retired for the whole window.
+    Global,
+    /// The oldest outstanding transaction was issued a whole window ago,
+    /// while the machine still made progress.
+    AgedTransaction {
+        /// Node that issued the transaction.
+        node: NodeId,
+        /// The transaction's id.
+        txn: u64,
+        /// Network cycle the transaction was issued at.
+        issued: u64,
+    },
+}
+
 /// Diagnostic dump produced when the progress watchdog fires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallReport {
     /// Network cycle at which the watchdog fired.
     pub cycle: u64,
-    /// Network cycles since the last observed progress.
+    /// Network cycles since the last observed progress, or since the aged
+    /// transaction was issued.
     pub stalled_for: u64,
+    /// The condition that tripped.
+    pub cause: StallCause,
     /// Deadlock versus backpressure classification.
     pub kind: StallKind,
     /// Messages still in flight in the fabric.
@@ -66,11 +86,16 @@ pub struct StallReport {
 
 impl fmt::Display for StallReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} at net cycle {}: no progress for {} cycles",
-            self.kind, self.cycle, self.stalled_for
-        )?;
+        write!(f, "{} at net cycle {}: ", self.kind, self.cycle)?;
+        match self.cause {
+            StallCause::Global => writeln!(f, "no progress for {} cycles", self.stalled_for)?,
+            StallCause::AgedTransaction { node, txn, issued } => writeln!(
+                f,
+                "transaction {txn:#x} at {node} outstanding for {} cycles (issued at cycle \
+                 {issued})",
+                self.stalled_for
+            )?,
+        }
         writeln!(
             f,
             "  {} messages in flight, {} flits buffered",
@@ -190,9 +215,10 @@ mod tests {
 
     #[test]
     fn stall_report_display_names_the_hot_spots() {
-        let report = StallReport {
+        let mut report = StallReport {
             cycle: 1234,
             stalled_for: 500,
+            cause: StallCause::Global,
             kind: StallKind::Deadlock,
             in_flight: 2,
             buffered_flits: 7,
@@ -207,6 +233,19 @@ mod tests {
         assert!(text.contains("n1:7"));
         assert!(text.contains("n1:1"));
         assert!(text.contains("threads migrated away from: n4"));
+        report.cause = StallCause::AgedTransaction {
+            node: NodeId(1),
+            txn: (1 << 32) | 7,
+            issued: 734,
+        };
+        let text = format!("{report}");
+        assert!(text.contains("deadlock at net cycle 1234"), "{text}");
+        assert!(
+            text.contains("transaction 0x100000007 at n1 outstanding for 500 cycles"),
+            "{text}"
+        );
+        assert!(text.contains("issued at cycle 734"), "{text}");
+        assert!(!text.contains("no progress"), "{text}");
     }
 
     #[test]

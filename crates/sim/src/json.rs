@@ -5,7 +5,8 @@
 //! instead of each growing its own dialect.
 //!
 //! Supported subset: objects (field order preserved), arrays, strings,
-//! finite numbers, and booleans. `null` is deliberately absent — every
+//! finite numbers (a digit-only literal within `u64` exactly, as
+//! [`Json::Integer`]), and booleans. `null` is deliberately absent — every
 //! producer in this repo omits unknown/absent fields rather than writing
 //! `null`, and every consumer (the CI output-sanity gates, served-result
 //! clients) is promised that any present field is a real value.
@@ -31,6 +32,8 @@ pub enum Json {
     String(String),
     /// A finite numeric value.
     Number(f64),
+    /// A non-negative integer literal, held exactly.
+    Integer(u64),
     /// `true` or `false`.
     Bool(bool),
 }
@@ -65,6 +68,7 @@ impl Json {
     pub fn as_number(&self) -> Result<f64, String> {
         match self {
             Json::Number(n) => Ok(*n),
+            Json::Integer(n) => Ok(*n as f64),
             _ => Err("expected a number".into()),
         }
     }
@@ -76,8 +80,12 @@ impl Json {
     ///
     /// Errors unless the value is a whole number in `u64` range.
     pub fn as_u64(&self) -> Result<u64, String> {
+        if let Json::Integer(n) = self {
+            return Ok(*n);
+        }
+        // `u64::MAX as f64` is 2^64, one past the range.
         let n = self.as_number()?;
-        if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n) {
+        if n.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&n) {
             Ok(n as u64)
         } else {
             Err(format!("expected a non-negative integer, got {n}"))
@@ -160,6 +168,7 @@ impl fmt::Display for Json {
             }
             Json::String(s) => write!(f, "{}", json_string(s)),
             Json::Number(n) => write!(f, "{n:?}"),
+            Json::Integer(n) => write!(f, "{n}"),
             Json::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -319,6 +328,16 @@ impl<'a> Parser<'a> {
                         Some(b'\\') => out.push('\\'),
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
+                        // `\uXXXX`, as [`json_string`] writes control
+                        // characters (no surrogate pairs).
+                        Some(b'u') => {
+                            let hex = self.bytes.get(self.pos + 1..self.pos + 5);
+                            let code = hex
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok());
+                            out.push(code.and_then(char::from_u32).ok_or("bad \\u escape")?);
+                            self.pos += 4;
+                        }
                         other => {
                             return Err(format!("unsupported escape {other:?}"));
                         }
@@ -364,6 +383,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number bytes")?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Integer(n));
+        }
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| format!("`{text}` is not a number (byte {start})"))
@@ -391,6 +413,18 @@ mod tests {
     }
 
     #[test]
+    fn escaped_control_characters_round_trip() {
+        let text = "a\u{1}b\u{1f}\"\\\n\t";
+        let doc = Json::parse(&json_string(text)).unwrap();
+        assert_eq!(doc, Json::String(text.to_owned()));
+        assert!(Json::parse(r#""\u00zz""#).is_err());
+        assert!(
+            Json::parse(r#""\ud800""#).is_err(),
+            "a lone surrogate is no char"
+        );
+    }
+
+    #[test]
     fn bools_parse_and_render() {
         let v = Json::parse("{\"on\": true, \"off\": false}").unwrap();
         assert_eq!(v.field("on").unwrap().unwrap().as_bool(), Ok(true));
@@ -404,6 +438,24 @@ mod tests {
         assert_eq!(Json::Number(42.0).as_u64(), Ok(42));
         assert!(Json::Number(1.5).as_u64().is_err());
         assert!(Json::Number(-1.0).as_u64().is_err());
+    }
+
+    #[test]
+    fn integer_literals_are_exact_over_u64() {
+        for n in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = Json::parse(&n.to_string()).unwrap();
+            assert_eq!(v, Json::Integer(n));
+            assert_eq!(v.as_u64(), Ok(n));
+            assert_eq!(v.to_string(), n.to_string());
+        }
+        // Past `u64`, a digit literal is a float, which no integer field
+        // takes: 2^64 no longer saturates to `u64::MAX`.
+        assert!(Json::parse("18446744073709551616")
+            .unwrap()
+            .as_u64()
+            .is_err());
+        assert_eq!(Json::parse("1e3").unwrap().as_u64(), Ok(1_000));
+        assert_eq!(Json::parse("7").unwrap().as_number(), Ok(7.0));
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! # Quick start
 //!
 //! ```no_run
-//! use commloc_sim::{run_experiment, Mapping, SimConfig};
+//! use commloc_sim::{Mapping, Scenario, SimConfig};
 //!
-//! let mapping = Mapping::random(64, 42);
-//! let m = run_experiment(&SimConfig::default(), &mapping, 20_000, 60_000).unwrap();
+//! let scenario = Scenario::new(SimConfig::default(), 20_000, 60_000);
+//! let m = scenario.run(&Mapping::random(64, 42)).unwrap().measure();
 //! println!("d = {:.2} hops, T_m = {:.1} cycles", m.distance, m.message_latency);
 //! ```
 
@@ -40,20 +40,19 @@ mod machine;
 mod mapping;
 mod parallel;
 mod resilience;
+mod scenario;
 pub mod serve;
 mod shard;
 mod workload;
 
 pub use breakdown::{SpanEvent, SpanLog, TransactionBreakdown, BREAKDOWN_CSV_HEADER};
 pub use csv::MEASUREMENTS_CSV_HEADER;
-pub use error::{SimError, StallKind, StallReport};
+pub use error::{SimError, StallCause, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
-pub use machine::{
-    check_run_cycles, run_experiment, run_sharded_experiment, Machine, MachineSnapshot,
-    Measurements, SimConfig,
-};
+pub use machine::{Machine, MachineSnapshot, Measurements, SimConfig};
 pub use mapping::{mapping_suite, suite_names, topology_mapping_suite, Mapping, NamedMapping};
 pub use parallel::{default_jobs, parallel_map, set_job_budget};
+pub use scenario::{Defaults, Field, Scenario, SCENARIO_KEYS};
 pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, ServeOptions};
 pub use shard::ShardedMachine;
 

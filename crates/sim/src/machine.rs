@@ -48,7 +48,7 @@
 //! scenarios.
 
 use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
-use crate::error::{SimError, StallKind, StallReport};
+use crate::error::{SimError, StallCause, StallKind, StallReport};
 use crate::mapping::Mapping;
 use crate::parallel::{claim_extra_workers, try_for_each_chunk, WorkerClaim};
 use crate::resilience::{MigrationRecord, MigrationView, WorkStealingPolicy};
@@ -57,7 +57,7 @@ use crate::workload::{workload_home_map, Workload};
 use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
     ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
-    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer, MAX_NODES,
+    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::borrow::Cow;
@@ -110,47 +110,6 @@ impl SimConfig {
         self.topology
             .clone()
             .unwrap_or_else(|| Topology::cube(self.dims, self.radix))
-    }
-
-    /// Checks the fields a front end takes from its user (the CLI and the
-    /// serve daemon both call this) and names the first one out of range,
-    /// where building a machine would panic or abort: zero contexts,
-    /// clock ratio or work grain, a `dims`/`radix` torus that
-    /// [`Topology::try_cube`] rejects, an explicit topology over the
-    /// node cap ([`Topology::check_size`]), or more threads (contexts
-    /// times compute nodes) than that cap.
-    ///
-    /// # Errors
-    ///
-    /// A message starting with the offending field's name.
-    pub fn check(&self) -> Result<(), String> {
-        if self.contexts == 0 {
-            return Err("contexts: a processor needs at least one hardware context".into());
-        }
-        if self.clock_ratio == 0 {
-            return Err(
-                "clock_ratio: the network needs at least one cycle per processor cycle".into(),
-            );
-        }
-        if self.work == 0 {
-            return Err("work: the computation grain must be at least one cycle".into());
-        }
-        let compute = match &self.topology {
-            None => Topology::try_cube(self.dims, self.radix)?.compute_nodes(),
-            Some(topology) => {
-                topology
-                    .check_size()
-                    .map_err(|e| format!("topology: {e}"))?;
-                topology.compute_nodes()
-            }
-        };
-        match self.contexts.checked_mul(compute) {
-            Some(threads) if threads <= MAX_NODES => Ok(()),
-            _ => Err(format!(
-                "contexts: {} contexts on {compute} compute nodes is over the {MAX_NODES}-thread cap",
-                self.contexts
-            )),
-        }
     }
 }
 
@@ -479,20 +438,6 @@ impl Shard {
         }
         self.txn_issue_cycle.insert(txn, now);
         self.txn_issue_order.push_back(txn);
-    }
-
-    /// Asserts the cached oldest issue equals the minimum over the
-    /// outstanding transactions, so a missed invalidation fails on the
-    /// cycle it happens.
-    #[cfg(test)]
-    fn audit_oldest_issue(&self, cycle: u64) {
-        if let Some(cached) = self.oldest_issue {
-            assert_eq!(
-                cached,
-                self.txn_issue_cycle.values().copied().min(),
-                "cached oldest issue drifted by cycle {cycle}"
-            );
-        }
     }
 
     /// Nodes with outstanding controller transactions, by global id —
@@ -1123,14 +1068,6 @@ impl Machine {
         self.fast_forwarded += jumped;
     }
 
-    /// Runs every shard's [`Shard::audit_oldest_issue`].
-    #[cfg(test)]
-    fn audit_oldest_issue(&self) {
-        for shard in &self.shards {
-            shard.audit_oldest_issue(self.net_cycle);
-        }
-    }
-
     /// Total network cycles skipped by quiescent fast-forward jumps —
     /// always 0 for the reference engine, and the same at every shard and
     /// worker count. Diagnostic only: the jumps are behaviorally
@@ -1169,9 +1106,30 @@ impl Machine {
     }
 
     /// The watchdog's diagnostic dump at the current cycle, merged across
-    /// shards in shard (= global node) order.
+    /// shards in shard (= global node) order. The cause is a global stall
+    /// when nothing progressed for the whole window, else the oldest
+    /// outstanding transaction, ties going to the lowest transaction id —
+    /// the same at every shard count and on every engine.
     fn stall_report(&self, stalled_for: u64) -> SimError {
         let cycle = self.net_cycle;
+        let oldest = self
+            .shards
+            .iter()
+            .flat_map(|s| &s.txn_issue_cycle)
+            .map(|(&txn, &issued)| (issued, txn))
+            .min();
+        let cause = match oldest {
+            Some((issued, txn))
+                if cycle - self.watchdog.progress_cycle < self.config.watchdog_cycles =>
+            {
+                StallCause::AgedTransaction {
+                    node: NodeId((txn >> 32) as usize),
+                    txn,
+                    issued,
+                }
+            }
+            _ => StallCause::Global,
+        };
         // A transient fault still in force (or scheduled) explains the
         // quiet period as backpressure; without one, this is a deadlock
         // the machine cannot leave by waiting.
@@ -1182,6 +1140,7 @@ impl Machine {
         SimError::Stalled(Box::new(StallReport {
             cycle,
             stalled_for,
+            cause,
             kind: if backpressure {
                 StallKind::Backpressure
             } else {
@@ -1579,77 +1538,36 @@ impl MachineSnapshot {
     }
 }
 
-/// Checks the run lengths a front end takes from its user (the CLI and
-/// the serve daemon both call this): a measurement window of at least
-/// one network cycle, and a run whose end, `warmup + window`, the clock
-/// can count. A zero window measured rates over zero cycles, and a
-/// wrapped end ran nothing.
-///
-/// # Errors
-///
-/// A message starting with `window`, the field at fault.
-pub fn check_run_cycles(warmup: u64, window: u64) -> Result<(), String> {
-    if window == 0 {
-        return Err("window: a measurement window needs at least one network cycle".into());
-    }
-    if warmup.checked_add(window).is_none() {
-        return Err(format!(
-            "window: warmup {warmup} plus window {window} passes the largest network \
-             cycle the clock can count ({})",
-            u64::MAX
-        ));
-    }
-    Ok(())
-}
-
-/// Runs a complete experiment: build, warm up, measure.
-///
-/// `warmup` and `window` are in network cycles.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] from stepping (fabric inconsistency,
-/// unknown completion, or a watchdog-detected stall).
-pub fn run_experiment(
-    config: &SimConfig,
-    mapping: &Mapping,
-    warmup: u64,
-    window: u64,
-) -> Result<Measurements, SimError> {
-    run_sharded_experiment(config, mapping, 1, 1, warmup, window)
-}
-
-/// [`run_experiment`] on a `shards`-way [`Machine::with_shards`] stepped
-/// by up to `jobs` worker threads — bit-exact with it for every shard and
-/// job count.
-///
-/// # Errors
-///
-/// As [`run_experiment`].
-pub fn run_sharded_experiment(
-    config: &SimConfig,
-    mapping: &Mapping,
-    shards: usize,
-    jobs: usize,
-    warmup: u64,
-    window: u64,
-) -> Result<Measurements, SimError> {
-    let mut machine = Machine::with_shards(config, mapping, shards);
-    machine.set_jobs(jobs);
-    machine.run_network_cycles(warmup)?;
-    machine.reset_measurements();
-    machine.run_network_cycles(window)?;
-    Ok(machine.measure())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::Mapping;
+    use crate::scenario::Scenario;
     use commloc_net::Torus;
 
+    fn run(config: &SimConfig, mapping: &Mapping, warmup: u64, window: u64) -> Measurements {
+        let scenario = Scenario::new(config.clone(), warmup, window);
+        scenario.run(mapping).expect("experiment ran").measure()
+    }
+
     fn quick(config: &SimConfig, mapping: &Mapping) -> Measurements {
-        run_experiment(config, mapping, 10_000, 30_000).expect("experiment ran")
+        run(config, mapping, 10_000, 30_000)
+    }
+
+    /// Asserts every shard's cached oldest issue equals the minimum over
+    /// its outstanding transactions, so a missed invalidation fails on
+    /// the cycle it happens.
+    fn audit_oldest_issue(machine: &Machine) {
+        for shard in &machine.shards {
+            if let Some(cached) = shard.oldest_issue {
+                assert_eq!(
+                    cached,
+                    shard.txn_issue_cycle.values().copied().min(),
+                    "cached oldest issue drifted by cycle {}",
+                    machine.net_cycle
+                );
+            }
+        }
     }
 
     #[test]
@@ -1742,12 +1660,12 @@ mod tests {
         // latencies in processor terms and lowers the transaction rate
         // per processor cycle.
         let mapping = Mapping::random(64, 3);
-        let fast = run_experiment(&SimConfig::default(), &mapping, 8_000, 24_000).unwrap();
+        let fast = run(&SimConfig::default(), &mapping, 8_000, 24_000);
         let slow_cfg = SimConfig {
             clock_ratio: 1, // network at processor speed (2x slower than base)
             ..SimConfig::default()
         };
-        let slow = run_experiment(&slow_cfg, &mapping, 8_000, 24_000).unwrap();
+        let slow = run(&slow_cfg, &mapping, 8_000, 24_000);
         // Rates are per network cycle; convert to per processor cycle.
         let fast_per_proc = fast.transaction_rate * 2.0;
         let slow_per_proc = slow.transaction_rate * 1.0;
@@ -1787,6 +1705,12 @@ mod tests {
         assert_eq!(report.kind, StallKind::Deadlock);
         assert!(report.stalled_for >= 3_000);
         assert!(!report.outstanding.is_empty(), "no stuck transactions?");
+        // Other nodes keep completing up to the trip, so what tripped is
+        // a transaction stranded behind the dead link, not a global stall.
+        assert!(
+            matches!(report.cause, StallCause::AgedTransaction { issued, .. } if issued >= 2_000),
+            "{report}"
+        );
         assert!(
             report
                 .fault_log_tail
@@ -2234,6 +2158,90 @@ mod tests {
     }
 
     #[test]
+    fn a_stranded_transaction_trips_as_aged_while_the_machine_completes() {
+        use commloc_net::{FaultConfig, FaultPlan};
+        // Two retries against 5% drops strand a transaction at cycle 1,684
+        // while every other node keeps completing: the trip at 1,684 +
+        // 20,000 names that transaction, not a global stall, and every
+        // engine and shard count names the same one.
+        let config = SimConfig {
+            mem: MemConfig {
+                timeout_cycles: 400,
+                max_retries: 2,
+                ..MemConfig::default()
+            },
+            watchdog_cycles: 20_000,
+            fault_plan: Some(FaultPlan::new(5).with_config(FaultConfig {
+                drop_rate: 0.05,
+                ..FaultConfig::default()
+            })),
+            ..small_config()
+        };
+        let mapping = Mapping::identity(16);
+        let policy = WorkStealingPolicy {
+            max_migrations: 2,
+            ..STEALING
+        };
+        let mut reports = Vec::new();
+        for mut machine in [
+            Machine::new(&config, &mapping),
+            Machine::new_reference(&config, &mapping),
+            Machine::with_shards(&config, &mapping, 4),
+        ] {
+            machine.set_migration(policy);
+            let mut completions = Vec::new();
+            let err = loop {
+                match machine.run_network_cycles(1_000) {
+                    Ok(()) => completions.push(machine.completions()),
+                    Err(err) => break err,
+                }
+            };
+            // Completions rise through every thousand-cycle slice.
+            assert!(
+                completions.windows(2).all(|w| w[0] < w[1]),
+                "{completions:?}"
+            );
+            let SimError::Stalled(report) = err else {
+                panic!("expected a stall, got {err}");
+            };
+            reports.push(report);
+        }
+        let report = &reports[0];
+        assert_eq!(report.cycle, 21_684);
+        let StallCause::AgedTransaction { node, txn, issued } = report.cause else {
+            panic!("expected an aged transaction: {report}");
+        };
+        assert_eq!(issued, 1_684);
+        assert_eq!(node, NodeId((txn >> 32) as usize));
+        assert!(
+            format!("{report}").contains("issued at cycle 1684"),
+            "{report}"
+        );
+        assert!(reports.iter().all(|r| r == report), "{reports:?}");
+    }
+
+    #[test]
+    fn a_quiet_machine_trips_as_a_global_stall() {
+        // A grain longer than the window: no thread reaches its first
+        // access, so nothing is outstanding and nothing moves.
+        let config = SimConfig {
+            work: 5_000,
+            watchdog_cycles: 2_000,
+            ..small_config()
+        };
+        let mut machine = Machine::new(&config, &Mapping::identity(16));
+        let err = machine.run_network_cycles(10_000).unwrap_err();
+        let SimError::Stalled(report) = err else {
+            panic!("expected a stall, got {err}");
+        };
+        assert_eq!(report.cause, StallCause::Global);
+        assert!(
+            format!("{report}").contains("no progress for 2000 cycles"),
+            "{report}"
+        );
+    }
+
+    #[test]
     fn migration_layer_conserves_completions_on_fault_free_runs() {
         // Property: on a fault-free machine the stealing policy's wedge
         // threshold (far above any healthy transaction latency) never
@@ -2332,10 +2340,10 @@ mod tests {
                 if let Err(err) = machine.run_network_cycles(1) {
                     break err;
                 }
-                machine.audit_oldest_issue();
+                audit_oldest_issue(&machine);
                 assert!(machine.net_cycle() < 2_000_000, "no watchdog trip");
             };
-            machine.audit_oldest_issue();
+            audit_oldest_issue(&machine);
             assert!(matches!(err, SimError::Stalled(_)), "{err}");
             assert_eq!(machine.migrations().len(), 2, "{shards} shards");
             trips.push((machine.net_cycle(), err));

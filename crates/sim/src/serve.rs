@@ -27,22 +27,23 @@
 //!   bit-identical to the cold path.
 //! * **A JSON-lines protocol** ([`serve`]): requests in, streamed
 //!   `accepted`/`progress`/`result`/`done` events out, over
-//!   stdin/stdout, a Unix socket, or TCP. Misses are batched through
-//!   [`parallel_map`] under the shared process [`crate::set_job_budget`]
-//!   job budget.
+//!   stdin/stdout, a Unix socket, or TCP. A request's fields are the
+//!   scenario keys ([`Scenario::parse`]) plus `op` and `id`. Misses are
+//!   batched through [`parallel_map`] under the shared process
+//!   [`crate::set_job_budget`] job budget.
 //!
 //! The suite and conformance drivers ([`crate::conformance`], `commloc
-//! suite`) route through [`run_cached_sweep`], so a daemon, a CLI sweep,
+//! suite`) route through [`Scenario::sweep`], so a daemon, a CLI sweep,
 //! and a conformance gate all hit the same cache.
 
-use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW, SUITE_SEED};
+use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW};
 use crate::error::SimError;
 use crate::json::{json_string, Json};
-use crate::machine::{check_run_cycles, Machine, MachineSnapshot, Measurements, SimConfig};
-use crate::mapping::{suite_names, topology_mapping_suite, Mapping, NamedMapping};
+use crate::machine::{MachineSnapshot, Measurements, SimConfig};
+use crate::mapping::{Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
-use crate::workload::{fnv1a, Workload};
-use commloc_net::{FaultPlan, Topology};
+use crate::scenario::{Defaults, Field, Scenario, SCENARIO_KEYS};
+use crate::workload::fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -104,7 +105,7 @@ impl ScenarioKey {
     ///
     /// The topology renders through [`SimConfig::resolved_topology`] (not
     /// the raw `dims`/`radix` fields), so a cube spelled via `dims`/`radix`
-    /// and the same cube spelled via an explicit [`Topology`] alias — and
+    /// and the same cube spelled via an explicit `Topology` alias — and
     /// a mesh request can never be served a cube-cached result. The
     /// workload canonical includes the trace content hash, so two traces
     /// with the same filename but different contents never alias either.
@@ -180,19 +181,6 @@ impl ScenarioKey {
     pub fn warm_canonical(&self) -> &str {
         &self.canonical[..self.warm_len]
     }
-
-    /// Test-only: a key with a forged hash, for exercising the
-    /// collision-verification path (real FNV collisions are impractical
-    /// to construct in a unit test).
-    #[cfg(test)]
-    fn forged(hash: u64, canonical: &str) -> Self {
-        Self {
-            hash,
-            warm_hash: hash,
-            canonical: canonical.to_string(),
-            warm_len: canonical.len(),
-        }
-    }
 }
 
 /// One measured scenario, as returned by [`run_cached_sweep`] and
@@ -228,30 +216,70 @@ pub struct CacheStats {
     pub warm_entries: usize,
 }
 
-/// A stored result.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    canonical: String,
-    measured: Measurements,
-    breakdown_json: String,
+/// A bounded LRU map from a 64-bit hash to a value stored with its full
+/// canonical key, which every lookup compares.
+#[derive(Debug)]
+struct Lru<T> {
+    capacity: usize,
+    entries: HashMap<u64, (String, T)>,
+    recency: VecDeque<u64>,
 }
 
-/// A stored warm-start snapshot.
-#[derive(Debug, Clone)]
-struct WarmEntry {
-    canonical: String,
-    snapshot: MachineSnapshot,
+impl<T: Clone> Lru<T> {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity: capacity.max(1),
+            entries: HashMap::new(),
+            recency: VecDeque::new(),
+        }
+    }
+
+    /// Applies a new bound, evicting least-recently-used entries.
+    fn resize(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+        while self.entries.len() > self.capacity {
+            let Some(old) = self.recency.pop_front() else {
+                break;
+            };
+            self.entries.remove(&old);
+        }
+    }
+
+    fn touch(&mut self, hash: u64) {
+        self.recency.retain(|&h| h != hash);
+        self.recency.push_back(hash);
+    }
+
+    /// The value stored for `canonical`; `Err(())` when its hash holds
+    /// another key (a collision, never served).
+    fn get(&mut self, hash: u64, canonical: &str) -> Result<Option<T>, ()> {
+        let value = match self.entries.get(&hash) {
+            Some((stored, value)) if stored == canonical => value.clone(),
+            Some(_) => return Err(()),
+            None => return Ok(None),
+        };
+        self.touch(hash);
+        Ok(Some(value))
+    }
+
+    fn insert(&mut self, hash: u64, canonical: &str, value: T) {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&hash) {
+            if let Some(old) = self.recency.pop_front() {
+                self.entries.remove(&old);
+            }
+        }
+        self.entries.insert(hash, (canonical.to_owned(), value));
+        self.touch(hash);
+    }
 }
 
-/// The bounded LRU result + warm-start store behind every cached driver.
+/// The bounded LRU result + warm-start store behind every cached driver:
+/// results as `(measurements, breakdown JSON)`, and post-warmup snapshots
+/// keyed by the scenario-minus-window prefix.
 #[derive(Debug)]
 pub(crate) struct ScenarioCache {
-    capacity: usize,
-    warm_capacity: usize,
-    entries: HashMap<u64, CacheEntry>,
-    recency: VecDeque<u64>,
-    warm: HashMap<u64, WarmEntry>,
-    warm_recency: VecDeque<u64>,
+    results: Lru<(Measurements, String)>,
+    warm: Lru<MachineSnapshot>,
     hits: u64,
     misses: u64,
     collisions: u64,
@@ -260,12 +288,8 @@ pub(crate) struct ScenarioCache {
 impl ScenarioCache {
     pub(crate) fn new(capacity: usize, warm_capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
-            warm_capacity: warm_capacity.max(1),
-            entries: HashMap::new(),
-            recency: VecDeque::new(),
-            warm: HashMap::new(),
-            warm_recency: VecDeque::new(),
+            results: Lru::new(capacity),
+            warm: Lru::new(warm_capacity),
             hits: 0,
             misses: 0,
             collisions: 0,
@@ -275,87 +299,38 @@ impl ScenarioCache {
     /// Applies new bounds, evicting least-recently-used entries if the
     /// store is now over-size. Counters are preserved.
     fn configure(&mut self, capacity: usize, warm_capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.warm_capacity = warm_capacity.max(1);
-        while self.entries.len() > self.capacity {
-            if let Some(old) = self.recency.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        while self.warm.len() > self.warm_capacity {
-            if let Some(old) = self.warm_recency.pop_front() {
-                self.warm.remove(&old);
-            }
-        }
+        self.results.resize(capacity);
+        self.warm.resize(warm_capacity);
     }
 
-    fn touch(recency: &mut VecDeque<u64>, hash: u64) {
-        recency.retain(|&h| h != hash);
-        recency.push_back(hash);
-    }
-
-    fn lookup(&mut self, key: &ScenarioKey) -> Option<CacheEntry> {
-        match self.entries.get(&key.hash) {
-            Some(entry) if entry.canonical == key.canonical => {
-                self.hits += 1;
-                Self::touch(&mut self.recency, key.hash);
-                Some(entry.clone())
-            }
-            Some(_) => {
-                // Same 64-bit hash, different scenario: the stored full
-                // key caught it. Never serve the wrong result.
-                self.collisions += 1;
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// The stored result of `key`, counted as a hit or a miss. Same 64-bit
+    /// hash, different scenario is a collision: the stored full key
+    /// caught it, and it counts as a miss, never serving the wrong result.
+    fn lookup(&mut self, key: &ScenarioKey) -> Option<(Measurements, String)> {
+        let found = self.results.get(key.hash, &key.canonical);
+        self.collisions += u64::from(found.is_err());
+        let found = found.unwrap_or(None);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
     }
 
     fn insert(&mut self, key: &ScenarioKey, measured: Measurements, breakdown_json: &str) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key.hash) {
-            if let Some(old) = self.recency.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        self.entries.insert(
-            key.hash,
-            CacheEntry {
-                canonical: key.canonical.clone(),
-                measured,
-                breakdown_json: breakdown_json.to_string(),
-            },
-        );
-        Self::touch(&mut self.recency, key.hash);
+        let value = (measured, breakdown_json.to_owned());
+        self.results.insert(key.hash, &key.canonical, value);
     }
 
     fn warm_lookup(&mut self, key: &ScenarioKey) -> Option<MachineSnapshot> {
-        match self.warm.get(&key.warm_hash) {
-            Some(entry) if entry.canonical == key.warm_canonical() => {
-                Self::touch(&mut self.warm_recency, key.warm_hash);
-                Some(entry.snapshot.clone())
-            }
-            _ => None,
-        }
+        self.warm
+            .get(key.warm_hash, key.warm_canonical())
+            .unwrap_or(None)
     }
 
     fn warm_insert(&mut self, key: &ScenarioKey, snapshot: MachineSnapshot) {
-        if self.warm.len() >= self.warm_capacity && !self.warm.contains_key(&key.warm_hash) {
-            if let Some(old) = self.warm_recency.pop_front() {
-                self.warm.remove(&old);
-            }
-        }
-        self.warm.insert(
-            key.warm_hash,
-            WarmEntry {
-                canonical: key.warm_canonical().to_string(),
-                snapshot,
-            },
-        );
-        Self::touch(&mut self.warm_recency, key.warm_hash);
+        self.warm
+            .insert(key.warm_hash, key.warm_canonical(), snapshot);
     }
 
     fn stats(&self) -> CacheStats {
@@ -363,15 +338,15 @@ impl ScenarioCache {
             hits: self.hits,
             misses: self.misses,
             collisions: self.collisions,
-            entries: self.entries.len(),
-            warm_entries: self.warm.len(),
+            entries: self.results.entries.len(),
+            warm_entries: self.warm.entries.len(),
         }
     }
 }
 
 /// The process-wide cache shared by the daemon, `commloc suite`, and the
 /// conformance drivers.
-fn global_cache() -> &'static Mutex<ScenarioCache> {
+pub(crate) fn global_cache() -> &'static Mutex<ScenarioCache> {
     static CACHE: OnceLock<Mutex<ScenarioCache>> = OnceLock::new();
     CACHE.get_or_init(|| {
         Mutex::new(ScenarioCache::new(
@@ -393,110 +368,66 @@ pub fn cache_stats() -> CacheStats {
     lock(global_cache()).stats()
 }
 
-/// Runs one scenario against `cache`: result-cache check is the caller's
-/// job; this is the miss path (warm-start if a snapshot exists, else cold
-/// warmup + snapshot insert), ending with a result-cache insert.
-fn compute_scenario(
-    config: &SimConfig,
-    mapping: &Mapping,
-    key: &ScenarioKey,
-    warmup: u64,
-    window: u64,
-    cache: &Mutex<ScenarioCache>,
-) -> Result<(Measurements, String), SimError> {
-    let warm = lock(cache).warm_lookup(key);
-    let mut machine = match warm {
-        Some(snapshot) => snapshot.restore(),
-        None => {
-            let mut machine = Machine::new(config, mapping);
-            machine.run_network_cycles(warmup)?;
-            machine.reset_measurements();
-            lock(cache).warm_insert(key, machine.snapshot());
-            machine
-        }
-    };
-    machine.run_network_cycles(window)?;
-    let measured = machine.measure();
-    let breakdown_json = machine.latency_breakdown().to_json();
-    lock(cache).insert(key, measured, &breakdown_json);
-    Ok((measured, breakdown_json))
-}
-
 /// Per-scenario completion callback `(input index, name, was cache hit)`;
 /// sweep workers invoke it concurrently, so it must be `Sync`.
 type ProgressFn<'a> = &'a (dyn Fn(usize, &str, bool) + Sync);
 
-/// [`run_cached_sweep`] against an explicit cache, with an optional
-/// completion callback — the daemon streams progress from it.
-fn run_cached_sweep_with(
-    config: &SimConfig,
+/// [`Scenario::sweep`] against an explicit cache, with an optional
+/// completion callback — the daemon streams progress from it. A miss
+/// restores the warm snapshot of its key's warmed machine if one is
+/// stored, and stores one otherwise.
+pub(crate) fn run_cached_sweep_with(
+    scenario: &Scenario,
     mappings: &[NamedMapping],
-    warmup: u64,
-    window: u64,
-    jobs: usize,
     cache: &Mutex<ScenarioCache>,
     progress: Option<ProgressFn<'_>>,
 ) -> Result<Vec<ScenarioResult>, SimError> {
-    let keys: Vec<ScenarioKey> = mappings
-        .iter()
-        .map(|named| ScenarioKey::new(config, &named.mapping, warmup, window))
-        .collect();
-    let mut results: Vec<Option<ScenarioResult>> = mappings.iter().map(|_| None).collect();
-    let mut miss_indices: Vec<usize> = Vec::new();
-    {
+    let keys: Vec<ScenarioKey> = mappings.iter().map(|m| scenario.key(&m.mapping)).collect();
+    let hits: Vec<Option<(Measurements, String)>> = {
         let mut store = lock(cache);
-        for (i, (named, key)) in mappings.iter().zip(&keys).enumerate() {
-            match store.lookup(key) {
-                Some(entry) => {
-                    results[i] = Some(ScenarioResult {
-                        name: named.name.clone(),
-                        distance: named.distance,
-                        measured: entry.measured,
-                        breakdown_json: entry.breakdown_json,
-                        cached: true,
-                    });
-                }
-                None => miss_indices.push(i),
-            }
-        }
-    }
+        keys.iter().map(|key| store.lookup(key)).collect()
+    };
+    let misses: Vec<usize> = (0..keys.len()).filter(|&i| hits[i].is_none()).collect();
     if let Some(callback) = progress {
-        for (i, slot) in results.iter().enumerate() {
-            if slot.is_some() {
-                callback(i, &mappings[i].name, true);
-            }
+        for i in (0..keys.len()).filter(|&i| hits[i].is_some()) {
+            callback(i, &mappings[i].name, true);
         }
     }
-    let computed = parallel_map(&miss_indices, jobs, |&i| {
-        let named = &mappings[i];
-        let out = compute_scenario(config, &named.mapping, &keys[i], warmup, window, cache);
-        if out.is_ok() {
-            if let Some(callback) = progress {
-                callback(i, &named.name, false);
-            }
+    let computed = parallel_map(&misses, scenario.jobs, |&i| {
+        let key = &keys[i];
+        let warm = lock(cache).warm_lookup(key);
+        let machine = scenario.run_from(&mappings[i].mapping, warm, |machine| {
+            lock(cache).warm_insert(key, machine.snapshot());
+        })?;
+        let (measured, breakdown_json) = (machine.measure(), machine.latency_breakdown().to_json());
+        lock(cache).insert(key, measured, &breakdown_json);
+        if let Some(callback) = progress {
+            callback(i, &mappings[i].name, false);
         }
-        out.map(|(measured, breakdown_json)| ScenarioResult {
-            name: named.name.clone(),
-            distance: named.distance,
+        Ok::<_, SimError>((measured, breakdown_json))
+    });
+    let mut computed = computed.into_iter();
+    let result = |(i, hit): (usize, Option<_>)| {
+        let cached = hit.is_some();
+        let (measured, breakdown_json) = match hit {
+            Some(stored) => stored,
+            None => computed.next().expect("one run per miss")?,
+        };
+        Ok(ScenarioResult {
+            name: mappings[i].name.clone(),
+            distance: mappings[i].distance,
             measured,
             breakdown_json,
-            cached: false,
+            cached,
         })
-    });
-    for (&i, result) in miss_indices.iter().zip(computed) {
-        results[i] = Some(result?);
-    }
-    Ok(results
-        .into_iter()
-        .map(|slot| slot.expect("every sweep slot filled"))
-        .collect())
+    };
+    hits.into_iter().enumerate().map(result).collect()
 }
 
-/// Runs one experiment per mapping through the process-wide result and
-/// warm-start caches, fanning misses across `jobs` threads (under the
-/// shared job budget). Results are in input order and bit-identical to
-/// one [`crate::run_experiment`] per mapping — repeated scenarios are
-/// served from the cache without simulating.
+/// [`Scenario::sweep`] of a one-shard scenario of `config` over `warmup`
+/// then `window` cycles, fanning misses across `jobs` threads (under the
+/// shared job budget) — repeated scenarios are served from the cache
+/// without simulating.
 ///
 /// # Errors
 ///
@@ -508,7 +439,11 @@ pub fn run_cached_sweep(
     window: u64,
     jobs: usize,
 ) -> Result<Vec<ScenarioResult>, SimError> {
-    run_cached_sweep_with(config, mappings, warmup, window, jobs, global_cache(), None)
+    Scenario {
+        jobs,
+        ..Scenario::new(config.clone(), warmup, window)
+    }
+    .sweep(mappings)
 }
 
 /// Serializes `m` as a JSON object. Non-finite ratios map to the same
@@ -546,53 +481,33 @@ fn measurements_json(m: &Measurements) -> String {
     out
 }
 
-/// A parsed daemon request.
+/// A parsed daemon request; `id` is the `"id":...,` segment every event
+/// of the request carries (empty without an `id`).
 #[derive(Debug)]
 struct Request {
     op: String,
-    id: Option<String>,
-    config: SimConfig,
-    seed: u64,
-    warmup: u64,
-    window: u64,
-    /// Mapping suite names (`run`: exactly one; `sweep`: one or more, or
-    /// empty meaning the whole suite).
-    mappings: Vec<String>,
+    id: String,
+    scenario: Scenario,
 }
 
-/// Every key a request may carry (flat object; scenario fields default to
-/// the paper's architecture and the reduced conformance windows).
-const REQUEST_KEYS: &[&str] = &[
-    "op",
-    "id",
-    "mapping",
-    "mappings",
-    "dims",
-    "radix",
-    "topology",
-    "traffic",
-    "contexts",
-    "clock_ratio",
-    "switch_cycles",
-    "work",
-    "watchdog",
-    "seed",
-    "warmup",
-    "window",
-    "fault_seed",
-    "drop_rate",
-    "corrupt_rate",
-    "stall_rate",
-    "stall_window",
-];
+/// The keys a request carries besides the scenario keys.
+const PROTOCOL_KEYS: [&str; 2] = ["op", "id"];
 
-fn parse_request(line: &str) -> Result<Request, String> {
+/// Parses one request line. A `run` follows a single run's shard and job
+/// rules, every other op a sweep's, whose jobs default to the daemon's
+/// `jobs`; scenario fields default to the paper's architecture and the
+/// reduced conformance windows.
+fn parse_request(line: &str, jobs: usize) -> Result<Request, String> {
     let doc = Json::parse(line)?;
-    for (key, _) in doc.as_object()? {
-        if !REQUEST_KEYS.contains(&key.as_str()) {
+    let mut fields = Vec::new();
+    for (key, value) in doc.as_object()? {
+        if SCENARIO_KEYS.contains(&key.as_str()) {
+            fields.push((key.as_str(), Field::Json(value)));
+        } else if !PROTOCOL_KEYS.contains(&key.as_str()) {
             return Err(format!(
-                "unknown key `{key}` (known keys: {})",
-                REQUEST_KEYS.join(", ")
+                "unknown key `{key}` (known keys: {}, {})",
+                PROTOCOL_KEYS.join(", "),
+                SCENARIO_KEYS.join(", ")
             ));
         }
     }
@@ -602,125 +517,14 @@ fn parse_request(line: &str) -> Result<Request, String> {
         None => return Err("missing `op` (run, sweep, stats, shutdown)".into()),
     };
     let id = get("id").map(Json::as_string).transpose()?;
-    let u64_field = |name: &str, default: u64| -> Result<u64, String> {
-        get(name).map_or(Ok(default), |v| {
-            v.as_u64().map_err(|e| format!("{name}: {e}"))
-        })
+    let id = id.map_or(String::new(), |id| format!("\"id\":{},", json_string(&id)));
+    let defaults = Defaults {
+        warmup: REDUCED_WARMUP,
+        window: REDUCED_WINDOW,
+        sweep_jobs: (op != "run").then_some(jobs),
     };
-    let u32_field = |name: &str, default: u32| -> Result<u32, String> {
-        let value = u64_field(name, u64::from(default))?;
-        u32::try_from(value).map_err(|_| format!("{name}: {value} does not fit in 32 bits"))
-    };
-    let rate_field = |name: &str| -> Result<f64, String> {
-        let rate = get(name).map_or(Ok(0.0), |v| {
-            v.as_number().map_err(|e| format!("{name}: {e}"))
-        })?;
-        if (0.0..=1.0).contains(&rate) {
-            Ok(rate)
-        } else {
-            Err(format!("{name}: {rate} is not a probability in [0, 1]"))
-        }
-    };
-    let defaults = SimConfig::default();
-    let mut config = SimConfig {
-        dims: u32_field("dims", defaults.dims)?,
-        radix: u64_field("radix", defaults.radix as u64)? as usize,
-        contexts: u64_field("contexts", defaults.contexts as u64)? as usize,
-        clock_ratio: u32_field("clock_ratio", defaults.clock_ratio)?,
-        switch_cycles: u32_field("switch_cycles", defaults.switch_cycles)?,
-        work: u32_field("work", defaults.work)?,
-        watchdog_cycles: u64_field("watchdog", defaults.watchdog_cycles)?,
-        ..defaults
-    };
-    if let Some(v) = get("topology") {
-        let spec = v.as_string().map_err(|e| format!("topology: {e}"))?;
-        config.topology = Some(
-            Topology::parse(&spec, config.dims, config.radix)
-                .map_err(|e| format!("topology: {e}"))?,
-        );
-    }
-    if let Some(v) = get("traffic") {
-        let spec = v.as_string().map_err(|e| format!("traffic: {e}"))?;
-        config.workload = Workload::parse(&spec).map_err(|e| format!("traffic: {e}"))?;
-    }
-    let drop_rate = rate_field("drop_rate")?;
-    let corrupt_rate = rate_field("corrupt_rate")?;
-    let stall_rate = rate_field("stall_rate")?;
-    let has_fault = [
-        "fault_seed",
-        "drop_rate",
-        "corrupt_rate",
-        "stall_rate",
-        "stall_window",
-    ]
-    .iter()
-    .any(|k| get(k).is_some());
-    if has_fault {
-        let mut plan = FaultPlan::new(u64_field("fault_seed", 0)?)
-            .with_drop_rate(drop_rate)
-            .with_corrupt_rate(corrupt_rate);
-        let stall_window = u64_field("stall_window", 64)?;
-        plan = plan.with_stall_rate(stall_rate, stall_window);
-        config.fault_plan = Some(plan);
-    }
-    config.check()?;
-    let mut mappings = Vec::new();
-    if let Some(v) = get("mapping") {
-        mappings.push(v.as_string().map_err(|e| format!("mapping: {e}"))?);
-    }
-    if let Some(v) = get("mappings") {
-        for item in v.as_array().map_err(|e| format!("mappings: {e}"))? {
-            mappings.push(item.as_string().map_err(|e| format!("mappings: {e}"))?);
-        }
-    }
-    let warmup = u64_field("warmup", REDUCED_WARMUP)?;
-    let window = u64_field("window", REDUCED_WINDOW)?;
-    check_run_cycles(warmup, window)?;
-    Ok(Request {
-        op,
-        id,
-        config,
-        seed: u64_field("seed", SUITE_SEED)?,
-        warmup,
-        window,
-        mappings,
-    })
-}
-
-/// Resolves request mapping names for this config's topology, building
-/// only the mappings named ([`NamedMapping::by_name`]); empty `specs`
-/// means the whole suite ([`topology_mapping_suite`]). Every name is
-/// checked against [`suite_names`] before anything is built, and an
-/// unknown one is reported with the family's names in their fixed order.
-fn resolve_mappings(
-    config: &SimConfig,
-    seed: u64,
-    specs: &[String],
-) -> Result<Vec<NamedMapping>, String> {
-    let topology = config.resolved_topology();
-    if specs.is_empty() {
-        return Ok(topology_mapping_suite(&topology, seed));
-    }
-    let names = suite_names(&topology);
-    if let Some(spec) = specs.iter().find(|spec| !names.contains(&spec.as_str())) {
-        return Err(format!(
-            "unknown mapping `{spec}` on {} (suite: {})",
-            topology.canonical(),
-            names.join(", ")
-        ));
-    }
-    Ok(specs
-        .iter()
-        .filter_map(|spec| NamedMapping::by_name(&topology, seed, spec))
-        .collect())
-}
-
-/// The identity segment shared by every event of one request.
-fn id_prefix(id: &Option<String>) -> String {
-    match id {
-        Some(id) => format!("\"id\":{},", json_string(id)),
-        None => String::new(),
-    }
+    let scenario = Scenario::parse(&fields, defaults)?;
+    Ok(Request { op, id, scenario })
 }
 
 fn stats_json(stats: &CacheStats) -> String {
@@ -739,75 +543,54 @@ fn emit<W: Write>(writer: &Mutex<W>, line: &str) -> Result<(), String> {
         .map_err(|e| format!("write: {e}"))
 }
 
-/// Handles one request line. `Ok(false)` means a clean shutdown request.
+/// Handles one request line. `Ok(false)` means a clean shutdown request;
+/// a bad request is answered with an `error` event.
 fn handle_request<W: Write + Send>(
     line: &str,
     writer: &Mutex<W>,
     jobs: usize,
     cache: &Mutex<ScenarioCache>,
 ) -> Result<bool, String> {
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(message) => {
-            emit(
-                writer,
-                &format!(
-                    "{{\"event\":\"error\",\"message\":{}}}",
-                    json_string(&message)
-                ),
-            )?;
-            return Ok(true);
-        }
-    };
-    let id = id_prefix(&request.id);
-    match request.op.as_str() {
+    let mut id = String::new();
+    respond(line, writer, jobs, cache, &mut id).or_else(|message| {
+        let event = format!(
+            "{{\"event\":\"error\",{id}\"message\":{}}}",
+            json_string(&message)
+        );
+        emit(writer, &event).map(|()| true)
+    })
+}
+
+/// Answers one request, streaming its events and leaving its `id`
+/// segment in `id`; `Err` carries the message of its `error` event.
+fn respond<W: Write + Send>(
+    line: &str,
+    writer: &Mutex<W>,
+    jobs: usize,
+    cache: &Mutex<ScenarioCache>,
+    id: &mut String,
+) -> Result<bool, String> {
+    let request = parse_request(line, jobs)?;
+    *id = request.id;
+    let id = id.as_str();
+    let op = request.op.as_str();
+    match op {
         "stats" => {
-            let stats = lock(cache).stats();
-            emit(
-                writer,
-                &format!("{{\"event\":\"stats\",{id}{}}}", stats_json(&stats)),
-            )?;
-            Ok(true)
+            let stats = stats_json(&lock(cache).stats());
+            emit(writer, &format!("{{\"event\":\"stats\",{id}{stats}}}")).map(|()| true)
         }
-        "shutdown" => {
-            emit(
-                writer,
-                &format!("{{\"event\":\"done\",{id}\"op\":\"shutdown\"}}"),
-            )?;
-            Ok(false)
-        }
-        op @ ("run" | "sweep") => {
-            if op == "run" && request.mappings.len() != 1 {
-                emit(
-                    writer,
-                    &format!(
-                        "{{\"event\":\"error\",{id}\"message\":\"op `run` needs exactly one `mapping`\"}}"
-                    ),
-                )?;
-                return Ok(true);
-            }
-            let mappings = match resolve_mappings(&request.config, request.seed, &request.mappings)
-            {
-                Ok(mappings) => mappings,
-                Err(message) => {
-                    emit(
-                        writer,
-                        &format!(
-                            "{{\"event\":\"error\",{id}\"message\":{}}}",
-                            json_string(&message)
-                        ),
-                    )?;
-                    return Ok(true);
-                }
-            };
-            emit(
-                writer,
-                &format!(
-                    "{{\"event\":\"accepted\",{id}\"op\":\"{op}\",\"scenarios\":{}}}",
-                    mappings.len()
-                ),
-            )?;
+        "shutdown" => emit(
+            writer,
+            &format!("{{\"event\":\"done\",{id}\"op\":\"shutdown\"}}"),
+        )
+        .map(|()| false),
+        "run" | "sweep" => {
+            let mappings = request.scenario.named_mappings()?;
             let total = mappings.len();
+            emit(
+                writer,
+                &format!("{{\"event\":\"accepted\",{id}\"op\":\"{op}\",\"scenarios\":{total}}}"),
+            )?;
             let done = std::sync::atomic::AtomicUsize::new(0);
             let progress = |_: usize, name: &str, cached: bool| {
                 let completed = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -820,63 +603,35 @@ fn handle_request<W: Write + Send>(
                     ),
                 );
             };
-            let outcome = run_cached_sweep_with(
-                &request.config,
-                &mappings,
-                request.warmup,
-                request.window,
-                jobs,
-                cache,
-                Some(&progress),
-            );
-            match outcome {
-                Err(error) => emit(
+            let results =
+                run_cached_sweep_with(&request.scenario, &mappings, cache, Some(&progress))
+                    .map_err(|e| e.to_string())?;
+            for r in &results {
+                emit(
                     writer,
                     &format!(
-                        "{{\"event\":\"error\",{id}\"message\":{}}}",
-                        json_string(&error.to_string())
+                        "{{\"event\":\"result\",{id}\"name\":{},\"distance\":{:?},\
+                         \"cached\":{},\"measurements\":{},\"breakdown\":{}}}",
+                        json_string(&r.name),
+                        r.distance,
+                        r.cached,
+                        measurements_json(&r.measured),
+                        r.breakdown_json,
                     ),
-                )?,
-                Ok(results) => {
-                    for r in &results {
-                        emit(
-                            writer,
-                            &format!(
-                                "{{\"event\":\"result\",{id}\"name\":{},\"distance\":{:?},\
-                                 \"cached\":{},\"measurements\":{},\"breakdown\":{}}}",
-                                json_string(&r.name),
-                                r.distance,
-                                r.cached,
-                                measurements_json(&r.measured),
-                                r.breakdown_json,
-                            ),
-                        )?;
-                    }
-                    let stats = lock(cache).stats();
-                    emit(
-                        writer,
-                        &format!(
-                            "{{\"event\":\"done\",{id}\"op\":\"{op}\",\"scenarios\":{},{}}}",
-                            results.len(),
-                            stats_json(&stats)
-                        ),
-                    )?;
-                }
+                )?;
             }
-            Ok(true)
-        }
-        other => {
+            let stats = stats_json(&lock(cache).stats());
             emit(
                 writer,
                 &format!(
-                    "{{\"event\":\"error\",{id}\"message\":{}}}",
-                    json_string(&format!(
-                        "unknown op `{other}` (run, sweep, stats, shutdown)"
-                    ))
+                    "{{\"event\":\"done\",{id}\"op\":\"{op}\",\"scenarios\":{total},{stats}}}"
                 ),
-            )?;
-            Ok(true)
+            )
+            .map(|()| true)
         }
+        other => Err(format!(
+            "unknown op `{other}` (run, sweep, stats, shutdown)"
+        )),
     }
 }
 
@@ -890,8 +645,11 @@ fn handle_stream<R: BufRead, W: Write + Send>(
     cache: &Mutex<ScenarioCache>,
 ) -> Result<bool, String> {
     let writer = Mutex::new(writer);
-    for line in reader.lines() {
+    // Bytes, not `lines()`: a line that is not UTF-8 gets an `error` event
+    // from the JSON parser instead of ending the connection.
+    for line in reader.split(b'\n') {
         let line = line.map_err(|e| format!("read: {e}"))?;
+        let line = String::from_utf8_lossy(&line);
         if line.trim().is_empty() {
             continue;
         }
@@ -923,27 +681,14 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
         (Some(path), None) => {
             let listener = std::os::unix::net::UnixListener::bind(path)
                 .map_err(|e| format!("bind {path}: {e}"))?;
-            for stream in listener.incoming() {
-                let stream = stream.map_err(|e| format!("accept: {e}"))?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-                if !handle_stream(reader, stream, options.jobs, cache)? {
-                    break;
-                }
-            }
+            let served = serve_connections(listener.incoming(), |s| s.try_clone(), options, cache);
             let _ = std::fs::remove_file(path);
-            Ok(())
+            served
         }
         (None, Some(addr)) => {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            for stream in listener.incoming() {
-                let stream = stream.map_err(|e| format!("accept: {e}"))?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-                if !handle_stream(reader, stream, options.jobs, cache)? {
-                    break;
-                }
-            }
-            Ok(())
+            serve_connections(listener.incoming(), |s| s.try_clone(), options, cache)
         }
         (None, None) => {
             let stdin = std::io::stdin();
@@ -953,12 +698,57 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
     }
 }
 
+/// Serves accepted connections one at a time until one asks to shut down.
+fn serve_connections<S: std::io::Read + Write + Send>(
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    try_clone: impl Fn(&S) -> std::io::Result<S>,
+    options: &ServeOptions,
+    cache: &Mutex<ScenarioCache>,
+) -> Result<(), String> {
+    for stream in incoming {
+        let stream = stream.map_err(|e| format!("accept: {e}"))?;
+        let reader = BufReader::new(try_clone(&stream).map_err(|e| format!("clone: {e}"))?);
+        if !handle_stream(reader, stream, options.jobs, cache)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::run_experiment;
-    use crate::mapping::mapping_suite;
-    use commloc_net::{DetRng, Torus};
+    use crate::conformance::SUITE_SEED;
+    use crate::machine::Machine;
+    use crate::mapping::{mapping_suite, suite_names};
+    use crate::workload::Workload;
+    use commloc_net::{DetRng, FaultPlan, Topology, Torus};
+
+    /// One cold run of `mapping`, outside any cache.
+    fn measure(config: &SimConfig, mapping: &Mapping, warmup: u64, window: u64) -> Measurements {
+        let scenario = Scenario::new(config.clone(), warmup, window);
+        scenario.run(mapping).expect("fault-free run").measure()
+    }
+
+    /// A key with a forged hash, for exercising the collision-verification
+    /// path (real FNV collisions are impractical to construct in a unit
+    /// test).
+    fn forged(hash: u64, canonical: &str) -> ScenarioKey {
+        ScenarioKey {
+            hash,
+            warm_hash: hash,
+            canonical: canonical.to_string(),
+            warm_len: canonical.len(),
+        }
+    }
+
+    /// A sweep scenario of `config` on `jobs` workers.
+    fn sweep(config: &SimConfig, warmup: u64, window: u64, jobs: usize) -> Scenario {
+        Scenario {
+            jobs,
+            ..Scenario::new(config.clone(), warmup, window)
+        }
+    }
 
     fn small_key(window: u64) -> ScenarioKey {
         ScenarioKey::new(&SimConfig::default(), &Mapping::identity(64), 1_000, window)
@@ -968,16 +758,17 @@ mod tests {
     fn key_is_order_insensitive_and_default_invariant() {
         // One request spells nothing out; the other writes every default
         // explicitly, in scrambled key order. Same scenario, same key.
-        let terse = parse_request(r#"{"op":"run","mapping":"identity"}"#).unwrap();
+        let terse = parse_request(r#"{"op":"run","mapping":"identity"}"#, 1).unwrap();
         let explicit = parse_request(
             r#"{"window":18000,"dims":2,"mapping":"identity","radix":8,"op":"run",
                "warmup":6000,"clock_ratio":2,"contexts":1,"switch_cycles":11,
                "work":10,"watchdog":20000,"seed":1992}"#,
+            1,
         )
         .unwrap();
         let mapping = Mapping::identity(64);
-        let a = ScenarioKey::new(&terse.config, &mapping, terse.warmup, terse.window);
-        let b = ScenarioKey::new(&explicit.config, &mapping, explicit.warmup, explicit.window);
+        let a = terse.scenario.key(&mapping);
+        let b = explicit.scenario.key(&mapping);
         assert_eq!(a, b, "reordered/explicit-default requests must alias");
         assert_eq!(a.hash(), b.hash());
     }
@@ -1068,10 +859,10 @@ mod tests {
 
     #[test]
     fn unknown_request_keys_are_rejected() {
-        let err = parse_request(r#"{"op":"run","mapping":"identity","radiks":8}"#).unwrap_err();
+        let err = parse_request(r#"{"op":"run","mapping":"identity","radiks":8}"#, 1).unwrap_err();
         assert!(err.contains("radiks"), "error must name the bad key: {err}");
         assert!(
-            parse_request(r#"{"op":"run","mapping":"identity","drop_rate":1.5}"#).is_err(),
+            parse_request(r#"{"op":"run","mapping":"identity","drop_rate":1.5}"#, 1).is_err(),
             "out-of-range probability must be rejected"
         );
     }
@@ -1080,11 +871,11 @@ mod tests {
     fn hash_collisions_are_verified_not_served() {
         let mut cache = ScenarioCache::new(8, 2);
         let real = small_key(4_000);
-        let m = run_experiment(&SimConfig::default(), &Mapping::identity(64), 500, 1_500).unwrap();
+        let m = measure(&SimConfig::default(), &Mapping::identity(64), 500, 1_500);
         cache.insert(&real, m, "{}");
         // A forged key with the same hash but a different canonical
         // string: the full-key check refuses it.
-        let impostor = ScenarioKey::forged(real.hash(), "something else entirely");
+        let impostor = forged(real.hash(), "something else entirely");
         assert!(cache.lookup(&impostor).is_none());
         let stats = cache.stats();
         assert_eq!(stats.collisions, 1);
@@ -1098,7 +889,7 @@ mod tests {
     #[test]
     fn result_cache_is_a_bounded_lru() {
         let mut cache = ScenarioCache::new(2, 2);
-        let m = run_experiment(&SimConfig::default(), &Mapping::identity(64), 500, 1_500).unwrap();
+        let m = measure(&SimConfig::default(), &Mapping::identity(64), 500, 1_500);
         let keys: Vec<ScenarioKey> = (1..=3).map(|w| small_key(w * 1_000)).collect();
         cache.insert(&keys[0], m, "{}");
         cache.insert(&keys[1], m, "{}");
@@ -1118,7 +909,7 @@ mod tests {
     fn warm_restore_is_bit_identical_to_cold_run() {
         let config = SimConfig::default();
         let mapping = Mapping::identity(64);
-        let cold = run_experiment(&config, &mapping, 1_500, 4_000).unwrap();
+        let cold = measure(&config, &mapping, 1_500, 4_000);
         let mut machine = Machine::new(&config, &mapping);
         machine.run_network_cycles(1_500).unwrap();
         machine.reset_measurements();
@@ -1141,8 +932,8 @@ mod tests {
             .take(2)
             .collect();
 
-        let first =
-            run_cached_sweep_with(&config, &mappings, 1_500, 4_000, 2, &cache, None).unwrap();
+        let scenario = sweep(&config, 1_500, 4_000, 2);
+        let first = run_cached_sweep_with(&scenario, &mappings, &cache, None).unwrap();
         assert!(first.iter().all(|r| !r.cached));
         // Uncached reference, in input order: byte- and bit-level
         // agreement.
@@ -1150,13 +941,12 @@ mod tests {
         for (r, named) in first.iter().zip(&mappings) {
             assert_eq!(r.name, named.name, "results must follow input order");
             assert_eq!(r.distance, named.distance);
-            let reference = run_experiment(&config, &named.mapping, 1_500, 4_000).unwrap();
+            let reference = measure(&config, &named.mapping, 1_500, 4_000);
             assert_eq!(r.measured, reference);
         }
 
         // Exact repeat: served from cache, bit-identical payloads.
-        let second =
-            run_cached_sweep_with(&config, &mappings, 1_500, 4_000, 2, &cache, None).unwrap();
+        let second = run_cached_sweep_with(&scenario, &mappings, &cache, None).unwrap();
         assert!(second.iter().all(|r| r.cached));
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.measured, b.measured);
@@ -1165,13 +955,13 @@ mod tests {
 
         // New window over the same warmup: a warm start (no fresh warmup
         // simulation), still bit-identical to the cold path.
-        let warm =
-            run_cached_sweep_with(&config, &mappings, 1_500, 2_500, 2, &cache, None).unwrap();
+        let shorter = sweep(&config, 1_500, 2_500, 2);
+        let warm = run_cached_sweep_with(&shorter, &mappings, &cache, None).unwrap();
         assert_eq!(warm.len(), mappings.len());
         for (r, named) in warm.iter().zip(&mappings) {
             assert!(!r.cached);
             assert_eq!(r.name, named.name, "results must follow input order");
-            let reference = run_experiment(&config, &named.mapping, 1_500, 2_500).unwrap();
+            let reference = measure(&config, &named.mapping, 1_500, 2_500);
             assert_eq!(r.measured, reference, "warm start must be bit-exact");
         }
         assert_eq!(cache.lock().unwrap().stats().warm_entries, 2);
@@ -1296,6 +1086,69 @@ mod tests {
             events[21].contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
+    }
+
+    #[test]
+    fn seeds_past_two_to_the_53_are_told_apart() {
+        // 2^53 + 1 has no `f64`; read as one, it rounded to 2^53 and the
+        // second request was served the first one's result.
+        let cache = Mutex::new(ScenarioCache::new(8, 4));
+        let line = |seed: u64| {
+            format!(r#"{{"op":"run","mapping":"random-1","seed":{seed},"warmup":10,"window":10}}"#)
+        };
+        let input = format!("{}\n{}\n", line(1 << 53), line((1 << 53) + 1));
+        let mut output = Vec::new();
+        assert!(handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap());
+        for reply in replies(&output) {
+            let result = reply.iter().find(|l| l.contains("\"event\":\"result\""));
+            assert!(
+                result.is_some_and(|l| l.contains("\"cached\":false")),
+                "{reply:?}"
+            );
+        }
+        let stats = lock(&cache).stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+    }
+
+    #[test]
+    fn shards_and_jobs_never_enter_the_key() {
+        // A four-shard run fills the cache; the one-shard repeat is a hit
+        // with the same bytes, and a new window on the four-shard warm
+        // snapshot, run as one shard, equals a cold one-shard run.
+        let cache = Mutex::new(ScenarioCache::new(8, 4));
+        let input = concat!(
+            r#"{"op":"run","mapping":"identity","radix":4,"warmup":1500,"window":3000,"shards":4,"jobs":2}"#,
+            "\n",
+            r#"{"op":"run","mapping":"identity","radix":4,"warmup":1500,"window":3000}"#,
+            "\n",
+            r#"{"op":"sweep","mappings":["identity"],"radix":4,"warmup":1500,"window":2000,"jobs":1}"#,
+            "\n",
+        );
+        let mut output = Vec::new();
+        assert!(handle_stream(input.as_bytes(), &mut output, 2, &cache).unwrap());
+        let results: Vec<String> = replies(&output)
+            .into_iter()
+            .map(|reply| {
+                reply
+                    .into_iter()
+                    .find(|l| l.contains("\"result\""))
+                    .unwrap()
+            })
+            .collect();
+        let payload = |line: &str| line[line.find("\"measurements\"").unwrap()..].to_string();
+        assert!(results[0].contains("\"cached\":false"));
+        assert!(results[1].contains("\"cached\":true"));
+        assert_eq!(payload(&results[0]), payload(&results[1]));
+        let config = SimConfig {
+            radix: 4,
+            ..SimConfig::default()
+        };
+        let cold = measure(&config, &Mapping::identity(16), 1_500, 2_000);
+        assert!(results[2].contains("\"cached\":false"));
+        let measured = format!("\"measurements\":{},", measurements_json(&cold));
+        assert!(results[2].contains(&measured), "{}", results[2]);
+        let stats = lock(&cache).stats();
+        assert_eq!((stats.hits, stats.misses, stats.warm_entries), (1, 2, 1));
     }
 
     #[test]
@@ -1424,12 +1277,170 @@ mod tests {
         assert!(replies[cases.len()][0].contains("\"event\":\"stats\""));
     }
 
+    /// One drawn scenario field: its key and its value, rendered as JSON
+    /// (a string value is quoted there and bare on the command line).
+    type Drawn = (&'static str, String, bool);
+
+    /// A seeded draw over every scenario key: shapes across the four
+    /// families, fault fields, shards and jobs, and seeds, windows and
+    /// other integers across `u64`, out-of-range values included.
+    fn draw_fields(rng: &mut DetRng) -> Vec<Drawn> {
+        const EDGES: [u64; 7] = [
+            0,
+            1,
+            1 << 32,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let int = |rng: &mut DetRng, lo: u64, hi: u64| {
+            if rng.chance(0.03) {
+                EDGES[rng.index(EDGES.len())].to_string()
+            } else {
+                rng.range_u64(lo, hi).to_string()
+            }
+        };
+        let mut fields: Vec<Drawn> = Vec::new();
+        let mut put = |rng: &mut DetRng, key, value: String, string: bool| {
+            if rng.chance(0.6) {
+                fields.push((key, value, string));
+            }
+        };
+        let topology = match rng.index(9) {
+            0 | 1 => "cube".to_string(),
+            2 | 3 => "mesh".to_string(),
+            4 | 5 => format!("fattree:{},{}", 2 + rng.index(3), 1 + rng.index(3)),
+            6 | 7 => format!("dragonfly:{},{}", 2 + rng.index(3), 1 + rng.index(3)),
+            _ => "hypercube".to_string(),
+        };
+        // A mesh is two-dimensional.
+        let dims = if topology == "mesh" { (2, 3) } else { (1, 4) };
+        put(rng, "topology", topology, true);
+        for (key, lo, hi) in [
+            ("dims", dims.0, dims.1),
+            ("radix", 2, 7),
+            ("contexts", 1, 3),
+            ("clock_ratio", 1, 4),
+            ("switch_cycles", 1, 20),
+            ("work", 1, 20),
+            ("watchdog", 0, 50_000),
+            ("fault_seed", 0, 100),
+            ("stall_window", 1, 200),
+            ("warmup", 0, 50_000),
+            ("window", 0, 50_000),
+            ("seed", 0, 5_000),
+            ("shards", 1, 5),
+            ("jobs", 1, 3),
+        ] {
+            let value = int(rng, lo, hi);
+            put(rng, key, value, false);
+        }
+        for key in ["drop_rate", "corrupt_rate", "stall_rate"] {
+            let value = format!("{:?}", rng.range_f64(-0.01, 1.02));
+            put(rng, key, value, false);
+        }
+        let traffic =
+            ["neighbor", "transpose", "hotspot:2", "storm"][rng.index(4).min(rng.index(4))];
+        put(rng, "traffic", traffic.to_string(), true);
+        let names = [
+            "identity", "random", "random-2", "swaps-8", "swaps-17", "worst", "bitrev",
+        ];
+        let name = |rng: &mut DetRng| match rng.index(16) {
+            0 => "no-such".to_string(),
+            i => names[i % names.len()].to_string(),
+        };
+        let mapping = name(rng);
+        put(rng, "mapping", mapping, true);
+        if rng.chance(0.3) {
+            let list: Vec<String> = (0..1 + rng.index(2)).map(|_| name(rng)).collect();
+            fields.push(("mappings", list.join(","), true));
+        }
+        fields
+    }
+
+    #[test]
+    fn both_syntaxes_parse_to_the_same_scenario() {
+        // The CLI's `--key value` pairs and a serve line of the same draw
+        // parse to the same scenario key (and shards, jobs and mapping
+        // list), or both fail naming the same field.
+        const JOBS: usize = 3;
+        let mut rng = DetRng::new(0x5CE7A);
+        let (mut agreed, mut failed) = (0, 0);
+        for _ in 0..600 {
+            let op = if rng.chance(0.5) { "run" } else { "sweep" };
+            let fields = draw_fields(&mut rng);
+            let args: Vec<String> = fields
+                .iter()
+                .flat_map(|(key, value, _)| [format!("--{key}"), value.clone()])
+                .collect();
+            let pairs: Vec<(&str, Field)> = args
+                .chunks(2)
+                .map(|pair| (pair[0].trim_start_matches("--"), Field::Text(&pair[1])))
+                .collect();
+            let json: Vec<String> = fields
+                .iter()
+                .map(|(key, value, string)| match (*key, string) {
+                    ("mappings", _) => {
+                        let items: Vec<String> =
+                            value.split(',').map(|m| format!("{m:?}")).collect();
+                        format!("\"mappings\":[{}]", items.join(","))
+                    }
+                    (_, true) => format!("\"{key}\":{value:?}"),
+                    (_, false) => format!("\"{key}\":{value}"),
+                })
+                .collect();
+            let line = format!("{{\"op\":\"{op}\",{}}}", json.join(","));
+            let defaults = Defaults {
+                warmup: REDUCED_WARMUP,
+                window: REDUCED_WINDOW,
+                sweep_jobs: (op == "sweep").then_some(JOBS),
+            };
+            let field = |e: &str| e.split(':').next().unwrap_or_default().to_string();
+            let cli =
+                Scenario::parse(&pairs, defaults).and_then(|s| s.named_mappings().map(|m| (s, m)));
+            let serve = parse_request(&line, JOBS)
+                .and_then(|r| r.scenario.named_mappings().map(|m| (r.scenario, m)));
+            match (cli, serve) {
+                (Ok((a, ma)), Ok((b, mb))) => {
+                    // Any fault key installs a plan.
+                    let faulty = fields.iter().any(|(k, ..)| {
+                        k.ends_with("_rate") || k.starts_with("fault") || k.starts_with("stall")
+                    });
+                    assert_eq!(a.config.fault_plan.is_some(), faulty, "{line}");
+                    assert_eq!(
+                        (a.shards, a.jobs, a.seed),
+                        (b.shards, b.jobs, b.seed),
+                        "{line}"
+                    );
+                    assert_eq!(a.mappings, b.mappings, "{line}");
+                    assert_eq!(ma.len(), mb.len(), "{line}");
+                    for (x, y) in ma.iter().zip(&mb) {
+                        let (kx, ky) = (a.key(&x.mapping), b.key(&y.mapping));
+                        assert_eq!(kx.canonical(), ky.canonical(), "{line}");
+                    }
+                    agreed += 1;
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(field(&a), field(&b), "{line}: {a} / {b}");
+                    failed += 1;
+                }
+                (a, b) => panic!("{line}: {:?} / {:?}", a.err(), b.err()),
+            }
+        }
+        // The draw reaches both outcomes often.
+        assert!(
+            agreed > 50 && failed > 50,
+            "{agreed} agreed, {failed} failed"
+        );
+    }
+
     #[test]
     fn seeded_request_fuzz_never_kills_the_daemon() {
         // Seeded request lines over every family and small shapes, with
-        // mapping names from the family's list plus a bogus one: each line
-        // must end in exactly one `done` or `error`, and the stream must
-        // still answer `stats` after them.
+        // mapping names from the family's list plus a bogus one, then a
+        // mutant of each: every line must end in exactly one `done` or
+        // `error`, and the stream must still answer `stats` after them.
         let mut rng = DetRng::new(0x5E4E);
         let cube_names = suite_names(&Topology::cube(2, 8));
         let fabric_names = suite_names(&Topology::mesh(4, 4));
@@ -1486,27 +1497,76 @@ mod tests {
                 1 + rng.index(50)
             ));
         }
+        // Then each line mutated once: a flipped bit (possibly leaving
+        // UTF-8), a truncation, or a number swapped for a huge one. A
+        // mutant that still parses is sent only while its machine and run
+        // stay small (the daemon has no memory or cycle budget yet), and
+        // no mutant may gain a line break.
+        let huge = [
+            "18446744073709551615",
+            "9007199254740993",
+            "99999999999999999999999",
+            "1e300",
+            "-1",
+            "4294967296",
+        ];
+        let small = |line: &str| {
+            parse_request(line, 1).map_or(true, |request| {
+                let s = &request.scenario;
+                let nodes = s.config.resolved_topology().nodes();
+                nodes * s.config.contexts <= 1_024 && s.warmup.saturating_add(s.window) <= 1_000
+            })
+        };
+        let mut sent: Vec<Vec<u8>> = lines.iter().map(|line| line.clone().into_bytes()).collect();
+        for line in &lines {
+            let mut bytes = line.clone().into_bytes();
+            match rng.index(3) {
+                0 => bytes[rng.index(line.len())] ^= 1 << rng.index(8),
+                1 => bytes.truncate(1 + rng.index(line.len() - 1)),
+                _ => {
+                    let starts: Vec<usize> = (1..bytes.len())
+                        .filter(|&i| bytes[i].is_ascii_digit() && !bytes[i - 1].is_ascii_digit())
+                        .collect();
+                    let start = starts[rng.index(starts.len())];
+                    let end = (start..bytes.len())
+                        .find(|&i| !bytes[i].is_ascii_digit())
+                        .unwrap_or(bytes.len());
+                    bytes.splice(start..end, huge[rng.index(huge.len())].bytes());
+                }
+            }
+            if !bytes.contains(&b'\n') && small(&String::from_utf8_lossy(&bytes)) {
+                sent.push(bytes);
+            }
+        }
+        assert!(
+            sent.len() > lines.len() + lines.len() / 2,
+            "most mutants are sent"
+        );
         let cache = Mutex::new(ScenarioCache::new(16, 4));
-        let mut input: String = lines.iter().map(|line| format!("{line}\n")).collect();
-        input.push_str("{\"op\":\"stats\"}\n");
+        let mut input: Vec<u8> = sent
+            .iter()
+            .flat_map(|line| [&line[..], b"\n"].concat())
+            .collect();
+        input.extend_from_slice(b"{\"op\":\"stats\"}\n");
         let mut output = Vec::new();
-        assert!(handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap());
+        assert!(handle_stream(&input[..], &mut output, 1, &cache).unwrap());
         let replies = replies(&output);
-        assert_eq!(replies.len(), lines.len() + 1, "one reply per line");
-        for (line, reply) in lines.iter().zip(&replies) {
+        assert_eq!(replies.len(), sent.len() + 1, "one reply per line");
+        for (line, reply) in sent.iter().zip(&replies) {
             let last = reply.last().unwrap();
             assert!(
                 last.contains("\"event\":\"done\"") || last.contains("\"event\":\"error\""),
-                "{line}: {last}"
+                "{}: {last}",
+                String::from_utf8_lossy(line)
             );
         }
-        let answered = replies
+        let answered = replies[..lines.len()]
             .iter()
             .filter(|r| r.last().unwrap().contains("\"event\":\"done\""));
         assert!(
             answered.count() > lines.len() / 2,
             "most lines must run: {replies:?}"
         );
-        assert!(replies[lines.len()][0].contains("\"event\":\"stats\""));
+        assert!(replies[sent.len()][0].contains("\"event\":\"stats\""));
     }
 }

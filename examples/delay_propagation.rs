@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --release --example delay_propagation`
 
-use commloc::sim::{run_experiment, run_idle_wave, DisturbanceConfig, Mapping, SimConfig};
+use commloc::sim::{run_idle_wave, DisturbanceConfig, Mapping, Scenario, SimConfig};
 
 fn main() {
     // `COMMLOC_SMOKE` shrinks the horizon and windows so CI can exercise
@@ -37,8 +37,10 @@ fn main() {
 
     // Fault-free calibration run: the operating point the analytical
     // comparison needs (channel utilization rho).
-    let baseline = run_experiment(&SimConfig::default(), &mapping, warmup, window)
-        .expect("fault-free calibration run");
+    let baseline = Scenario::new(SimConfig::default(), warmup, window)
+        .run(&mapping)
+        .expect("fault-free calibration run")
+        .measure();
     let rho = baseline.channel_utilization;
 
     println!("=== Delay propagation from a single stalled router ===\n");

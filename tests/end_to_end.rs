@@ -13,7 +13,19 @@ use commloc::sim::conformance::tolerances::{
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_GAIN, PROTOCOL_B_ABS, PROTOCOL_G_ABS,
     SLOPE_RATIO_P2_OVER_P1, SLOW_NETWORK_GAIN_RATIO_RANGE,
 };
-use commloc::sim::{fit_line, run_experiment, Mapping, SimConfig};
+use commloc::sim::{fit_line, Mapping, Measurements, Scenario, SimConfig, SimError};
+
+/// Runs `mapping` on `config` through the one run body and measures the
+/// window.
+fn measure(
+    config: &SimConfig,
+    mapping: &Mapping,
+    warmup: u64,
+    window: u64,
+) -> Result<Measurements, SimError> {
+    let scenario = Scenario::new(config.clone(), warmup, window);
+    Ok(scenario.run(mapping)?.measure())
+}
 
 /// Asserts `value` lies in the inclusive `(lo, hi)` tolerance range.
 fn assert_in_range(what: &str, value: f64, (lo, hi): (f64, f64)) {
@@ -60,7 +72,7 @@ fn message_curve_slopes_scale_with_contexts() {
                     contexts,
                     ..SimConfig::default()
                 };
-                let meas = run_experiment(&cfg, m, 10_000, 30_000).expect("fault-free run");
+                let meas = measure(&cfg, m, 10_000, 30_000).expect("fault-free run");
                 (meas.message_interval, meas.message_latency)
             })
             .collect();
@@ -79,10 +91,8 @@ fn message_curve_slopes_scale_with_contexts() {
 #[test]
 fn locality_gain_at_64_nodes_is_modest() {
     let cfg = SimConfig::default();
-    let ideal =
-        run_experiment(&cfg, &Mapping::identity(64), 10_000, 30_000).expect("fault-free run");
-    let random =
-        run_experiment(&cfg, &Mapping::random(64, 17), 10_000, 30_000).expect("fault-free run");
+    let ideal = measure(&cfg, &Mapping::identity(64), 10_000, 30_000).expect("fault-free run");
+    let random = measure(&cfg, &Mapping::random(64, 17), 10_000, 30_000).expect("fault-free run");
     let sim_gain = ideal.transaction_rate / random.transaction_rate;
     // Model prediction for the same machine.
     let machine = MachineConfig::alewife().with_nodes(64.0);
@@ -101,7 +111,7 @@ fn locality_gain_at_64_nodes_is_modest() {
 /// analytical defaults encode.
 #[test]
 fn protocol_statistics_match_calibration() {
-    let m = run_experiment(
+    let m = measure(
         &SimConfig::default(),
         &Mapping::identity(64),
         10_000,
@@ -133,8 +143,7 @@ fn simulated_per_hop_latency_respects_eq16_style_bound() {
             contexts,
             ..SimConfig::default()
         };
-        let m =
-            run_experiment(&cfg, &Mapping::random(64, 23), 10_000, 30_000).expect("fault-free run");
+        let m = measure(&cfg, &Mapping::random(64, 23), 10_000, 30_000).expect("fault-free run");
         // Eq. 16 with the measured effective sensitivity: B*s/(2n), where
         // s is bounded by p*g/c = p*g/2.
         let s = contexts as f64 * m.messages_per_transaction / 2.0;

@@ -10,7 +10,19 @@ use commloc::model::{
     CombinedModel, EndpointContention, MachineConfig, NetworkModel, NodeModel, TorusGeometry,
 };
 use commloc::net::{DetRng, Fabric, FabricConfig, FaultConfig, FaultPlan, Message, NodeId, Torus};
-use commloc::sim::{run_experiment, Mapping, SimConfig, SimError};
+use commloc::sim::{Mapping, Measurements, Scenario, SimConfig, SimError};
+
+/// Runs `mapping` on `config` through the one run body and measures the
+/// window.
+fn measure(
+    config: &SimConfig,
+    mapping: &Mapping,
+    warmup: u64,
+    window: u64,
+) -> Result<Measurements, SimError> {
+    let scenario = Scenario::new(config.clone(), warmup, window);
+    Ok(scenario.run(mapping)?.measure())
+}
 
 fn arbitrary_machine(rng: &mut DetRng) -> MachineConfig {
     let c = rng.range_f64(1.2, 4.0);
@@ -290,7 +302,7 @@ fn any_seeded_fault_plan_completes_or_reports() {
         };
         // Retries make small timeouts survivable; the killed-link cases
         // must instead trip the watchdog with a structured report.
-        match run_experiment(&config, &Mapping::identity(64), 3_000, 9_000) {
+        match measure(&config, &Mapping::identity(64), 3_000, 9_000) {
             Ok(m) => assert!(
                 m.transaction_rate > 0.0,
                 "case {case} (seed {seed:#x}): completed without progress"

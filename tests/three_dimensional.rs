@@ -2,7 +2,19 @@
 //! workload, measurement — on torus shapes other than the paper's 8x8.
 
 use commloc::net::Torus;
-use commloc::sim::{run_experiment, Mapping, SimConfig};
+use commloc::sim::{Mapping, Measurements, Scenario, SimConfig, SimError};
+
+/// Runs `mapping` on `config` through the one run body and measures the
+/// window.
+fn measure(
+    config: &SimConfig,
+    mapping: &Mapping,
+    warmup: u64,
+    window: u64,
+) -> Result<Measurements, SimError> {
+    let scenario = Scenario::new(config.clone(), warmup, window);
+    Ok(scenario.run(mapping)?.measure())
+}
 
 /// A 4x4x4 (64-node, 3D) machine runs the torus-neighbour workload end
 /// to end: six neighbours per thread, e-cube over three dimensions,
@@ -14,7 +26,7 @@ fn three_dimensional_machine_end_to_end() {
         radix: 4,
         ..SimConfig::default()
     };
-    let m = run_experiment(&cfg, &Mapping::identity(64), 8_000, 24_000).expect("runs");
+    let m = measure(&cfg, &Mapping::identity(64), 8_000, 24_000).expect("runs");
     assert!((m.distance - 1.0).abs() < 0.05, "d = {}", m.distance);
     assert!(m.transaction_rate > 0.0);
     // Six neighbours: reads dominate the mix even more than in 2D, so g
@@ -39,13 +51,13 @@ fn three_dimensional_random_mapping() {
         radix: 4,
         ..SimConfig::default()
     };
-    let random = run_experiment(&cfg, &mapping, 8_000, 24_000).expect("runs");
+    let random = measure(&cfg, &mapping, 8_000, 24_000).expect("runs");
     assert!(
         (random.distance - expected).abs() / expected < 0.1,
         "measured {} expected {expected}",
         random.distance
     );
-    let ideal = run_experiment(&cfg, &Mapping::identity(64), 8_000, 24_000).expect("runs");
+    let ideal = measure(&cfg, &Mapping::identity(64), 8_000, 24_000).expect("runs");
     assert!(ideal.transaction_rate > random.transaction_rate);
 }
 
@@ -58,7 +70,7 @@ fn skinny_one_dimensional_machine() {
         radix: 16,
         ..SimConfig::default()
     };
-    let m = run_experiment(&cfg, &Mapping::identity(16), 6_000, 18_000).expect("runs");
+    let m = measure(&cfg, &Mapping::identity(16), 6_000, 18_000).expect("runs");
     // 1D torus neighbours are one hop away under identity.
     assert!((m.distance - 1.0).abs() < 0.05);
     assert!(m.transaction_rate > 0.0);
