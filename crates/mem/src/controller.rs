@@ -609,20 +609,22 @@ impl Controller {
 
     // ---- Home-role helpers -------------------------------------------
 
-    /// Serializes a read/write request for a line homed here.
+    /// Serializes a read/write request for a line homed here. The line's
+    /// state is taken out of its entry and each arm hands back the state
+    /// it decides (an arm that changes nothing, the one it took), so no
+    /// sharer set is cloned per message.
     fn home_request(&mut self, line: LineAddr, requester: NodeId, write: bool) {
         debug_assert_eq!(self.home.home(line), self.node, "request at wrong home");
-        let state = self.directory.entry(line).state.clone();
-        match state {
+        let state = std::mem::replace(&mut self.directory.entry(line).state, DirState::Uncached);
+        let next = match state {
             DirState::Uncached => {
                 let data = self.memory_line(line);
                 if write {
-                    self.directory.entry(line).state = DirState::Exclusive(requester);
                     self.send(requester, ProtocolMsg::WriteReply { line, data });
+                    DirState::Exclusive(requester)
                 } else {
-                    self.directory.entry(line).state =
-                        DirState::Shared([requester].into_iter().collect());
                     self.send(requester, ProtocolMsg::ReadReply { line, data });
+                    DirState::Shared([requester].into_iter().collect())
                 }
             }
             DirState::Shared(mut sharers) => {
@@ -630,23 +632,23 @@ impl Controller {
                     sharers.remove(&requester);
                     if sharers.is_empty() {
                         let data = self.memory_line(line);
-                        self.directory.entry(line).state = DirState::Exclusive(requester);
                         self.send(requester, ProtocolMsg::WriteReply { line, data });
+                        DirState::Exclusive(requester)
                     } else {
                         for &sharer in &sharers {
                             self.stats.invalidations_sent += 1;
                             self.send(sharer, ProtocolMsg::Invalidate { line });
                         }
-                        self.directory.entry(line).state = DirState::PendingAcks {
+                        DirState::PendingAcks {
                             requester,
                             waiting_acks: sharers,
-                        };
+                        }
                     }
                 } else {
                     let data = self.memory_line(line);
                     sharers.insert(requester);
-                    self.directory.entry(line).state = DirState::Shared(sharers);
                     self.send(requester, ProtocolMsg::ReadReply { line, data });
+                    DirState::Shared(sharers)
                 }
             }
             DirState::Exclusive(owner) if owner == requester => {
@@ -668,6 +670,7 @@ impl Controller {
                     // owner's Modified copy outside the directory's view —
                     // ignore the duplicate instead.
                 }
+                DirState::Exclusive(owner)
             }
             DirState::Exclusive(owner) => {
                 let msg = if write {
@@ -676,11 +679,11 @@ impl Controller {
                     ProtocolMsg::Fetch { line }
                 };
                 self.send(owner, msg);
-                self.directory.entry(line).state = DirState::PendingData {
+                DirState::PendingData {
                     requester,
                     for_write: write,
                     owner,
-                };
+                }
             }
             DirState::PendingData {
                 requester: pending_for,
@@ -704,6 +707,11 @@ impl Controller {
                     };
                     self.send(owner, msg);
                 }
+                DirState::PendingData {
+                    requester: pending_for,
+                    for_write,
+                    owner,
+                }
             }
             DirState::PendingAcks {
                 requester: pending_for,
@@ -716,12 +724,17 @@ impl Controller {
                     // the sharers that have not acknowledged yet, in case
                     // an invalidation (or its ack) was lost.
                     self.stats.duplicate_requests += 1;
-                    for sharer in waiting_acks {
+                    for &sharer in &waiting_acks {
                         self.send(sharer, ProtocolMsg::Invalidate { line });
                     }
                 }
+                DirState::PendingAcks {
+                    requester: pending_for,
+                    waiting_acks,
+                }
             }
-        }
+        };
+        self.directory.entry(line).state = next;
     }
 
     /// Defers a request on a transient line. Exact duplicates are dropped
@@ -739,10 +752,10 @@ impl Controller {
     }
 
     fn home_inv_ack(&mut self, line: LineAddr, from: NodeId) {
-        let state = self.directory.entry(line).state.clone();
+        let state = &mut self.directory.entry(line).state;
         let DirState::PendingAcks {
             requester,
-            mut waiting_acks,
+            waiting_acks,
         } = state
         else {
             // A late or duplicate acknowledgement after the grant already
@@ -756,14 +769,11 @@ impl Controller {
             return;
         }
         if !waiting_acks.is_empty() {
-            self.directory.entry(line).state = DirState::PendingAcks {
-                requester,
-                waiting_acks,
-            };
             return;
         }
+        let requester = *requester;
+        *state = DirState::Exclusive(requester);
         let data = self.memory_line(line);
-        self.directory.entry(line).state = DirState::Exclusive(requester);
         self.send(requester, ProtocolMsg::WriteReply { line, data });
         self.drain_waiting(line);
     }
@@ -773,12 +783,11 @@ impl Controller {
     /// `None` means the owner surrendered the line entirely (fetch-
     /// invalidate, or a writeback that crossed the fetch).
     fn home_owner_data(&mut self, line: LineAddr, data: LineData, still_shared: Option<NodeId>) {
-        let state = self.directory.entry(line).state.clone();
         let DirState::PendingData {
             requester,
             for_write,
             owner: _,
-        } = state
+        } = self.directory.entry(line).state
         else {
             // A duplicate data return after the grant already completed
             // (the owner answered both the original fetch and a retried
@@ -803,8 +812,7 @@ impl Controller {
     }
 
     fn home_writeback(&mut self, line: LineAddr, data: LineData, from: NodeId) {
-        let state = self.directory.entry(line).state.clone();
-        match state {
+        match self.directory.entry(line).state {
             DirState::Exclusive(owner) if owner == from => {
                 self.memory.insert(line, data);
                 self.directory.entry(line).state = DirState::Uncached;

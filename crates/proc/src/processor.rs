@@ -175,45 +175,91 @@ impl Processor {
             .all(|c| c.state == ContextState::WaitingMem)
     }
 
-    /// Horizon contract for the machine-level active-node engine: the
-    /// number of cycles until this processor can possibly do observable
-    /// work on its own.
+    /// Horizon contract for the machine-level active-node engine: how
+    /// many upcoming [`Processor::step`] calls are *pure ticks* — steps
+    /// that count one busy, switch or idle cycle and count down the
+    /// current compute run or switch, but fetch nothing from a program,
+    /// issue nothing, and never look at another context.
     ///
-    /// * `None` — every context is blocked on memory; until a completion
-    ///   arrives, each step is exactly `{cycles += 1, idle_cycles += 1,
-    ///   cpu = Idle}` (see [`Processor::advance_idle`]).
-    /// * `Some(r)` with `r > 0` — a context switch is draining for `r`
-    ///   more cycles (those cycles accrue `switch_cycles`, so they must
-    ///   be stepped, not skipped).
-    /// * `Some(0)` — runnable work exists right now.
+    /// * `None` — every context is blocked on memory: each step until a
+    ///   completion arrives is an idle tick.
+    /// * `Some(k)` — the next `k` steps are the rest of a compute run or
+    ///   of a context switch; step `k + 1` may fetch, issue or switch.
+    ///   Completions arriving meanwhile leave `k` as it is. `Some(0)`
+    ///   means runnable work now.
+    ///
+    /// [`Processor::advance`] applies any prefix of the span at once.
     pub fn next_wake(&self) -> Option<u64> {
         if self.is_stalled() {
             return None;
         }
-        match self.cpu {
-            CpuState::Switching { remaining, .. } => Some(u64::from(remaining)),
-            CpuState::Running | CpuState::Idle => Some(0),
-        }
+        Some(match self.cpu {
+            CpuState::Switching { remaining, .. } => u64::from(remaining),
+            CpuState::Running => match self.contexts[self.active].state {
+                ContextState::Running { remaining } => u64::from(remaining),
+                _ => 0,
+            },
+            CpuState::Idle => 0,
+        })
     }
 
-    /// Applies `cycles` fully-blocked steps in O(1). Valid only while
-    /// [`Processor::is_stalled`]: from either blocked CPU state
-    /// (`Running` on a context that just blocked, or `Idle`), one step is
-    /// exactly `{cycles += 1, idle_cycles += 1, cpu = Idle}` and the two
-    /// states behave identically on any later wake-up path, so the bulk
-    /// advance is bit-identical to stepping cycle by cycle.
+    /// Applies `cycles` pure ticks in O(1), bit-identical to `cycles`
+    /// calls to [`Processor::step`]: they land on the idle, switch or
+    /// busy counter, and a switch or compute run that ends exactly at
+    /// the last tick leaves the state that step would. An idle span
+    /// leaves the CPU `Idle`, which every later step treats as it
+    /// treats a context that just blocked.
     ///
     /// # Panics
     ///
-    /// Panics if any context is runnable.
-    pub fn advance_idle(&mut self, cycles: u64) {
+    /// Panics if `cycles` exceeds the span [`Processor::next_wake`]
+    /// reports.
+    pub fn advance(&mut self, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        let span = self.next_wake();
         assert!(
-            self.is_stalled(),
-            "advance_idle on a processor with runnable work"
+            span.is_none_or(|k| cycles <= k),
+            "advance by {cycles} cycles past a pure-tick span of {span:?}"
         );
-        self.cpu = CpuState::Idle;
         self.stats.cycles += cycles;
-        self.stats.idle_cycles += cycles;
+        if span.is_none() {
+            self.cpu = CpuState::Idle;
+            self.stats.idle_cycles += cycles;
+            return;
+        }
+        // Within the span, so the countdown below holds `cycles`.
+        let ticks = cycles as u32;
+        match self.cpu {
+            CpuState::Switching { target, remaining } => {
+                self.stats.switch_cycles += cycles;
+                self.cpu = if ticks == remaining {
+                    self.active = target;
+                    CpuState::Running
+                } else {
+                    CpuState::Switching {
+                        target,
+                        remaining: remaining - ticks,
+                    }
+                };
+            }
+            CpuState::Running => {
+                let ctx = &mut self.contexts[self.active];
+                let ContextState::Running { remaining } = ctx.state else {
+                    unreachable!("a nonzero span runs a compute run");
+                };
+                self.stats.busy_cycles += cycles;
+                ctx.state = if ticks == remaining {
+                    ContextState::Ready
+                } else {
+                    ContextState::Running {
+                        remaining: remaining - ticks,
+                    }
+                };
+            }
+            CpuState::Idle => unreachable!("an idle CPU with runnable work has no span"),
+        }
     }
 
     /// Removes the program of a memory-blocked context so its thread can
@@ -570,7 +616,22 @@ mod tests {
     }
 
     #[test]
-    fn advance_idle_matches_stepping_bit_for_bit() {
+    fn next_wake_counts_the_rest_of_a_compute_run() {
+        // A fetched Compute(5) runs its first cycle at once; four pure
+        // busy ticks remain, then the next fetch issues.
+        let mut p = cpu(5, 1, 0);
+        assert_eq!(p.step(), None);
+        assert_eq!(p.next_wake(), Some(4));
+        p.advance(3);
+        assert_eq!(p.next_wake(), Some(1));
+        p.advance(1);
+        assert_eq!(p.next_wake(), Some(0));
+        assert!(p.step().is_some(), "the run ended: the next step issues");
+        assert_eq!(p.stats().busy_cycles, 5);
+    }
+
+    #[test]
+    fn advance_matches_stepping_bit_for_bit() {
         // Two processors reach the same fully-blocked state; one steps
         // through the idle gap, the other bulk-advances. Stats and all
         // subsequent behavior must match exactly.
@@ -584,7 +645,7 @@ mod tests {
             }
             assert!(p.is_stalled());
             if bulk {
-                p.advance_idle(100);
+                p.advance(100);
             } else {
                 for _ in 0..100 {
                     assert!(p.step().is_none());
@@ -604,10 +665,106 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "runnable work")]
-    fn advance_idle_on_runnable_processor_panics() {
+    #[should_panic(expected = "past a pure-tick span")]
+    fn advance_past_the_span_panics() {
         let mut p = cpu(5, 1, 0);
-        p.advance_idle(10);
+        p.advance(10);
+    }
+
+    /// Latency of an issue in [`advance_through_any_pure_span_matches_stepping`]'s
+    /// forks: fixed by the issue cycle and context, so two forks of one
+    /// processor see the same memory.
+    fn fork_latency(cycle: u64, context: usize) -> u64 {
+        (cycle * 7 + context as u64 * 13) % 29
+    }
+
+    /// Delivers the completions due by `now` (in issue order), then steps.
+    fn tick(p: &mut Processor, due: &mut Vec<(u64, usize)>, now: u64) -> Option<IssueRequest> {
+        due.retain(|&(at, ctx)| {
+            if at <= now {
+                p.complete(ctx, at);
+                false
+            } else {
+                true
+            }
+        });
+        p.step()
+    }
+
+    #[test]
+    fn advance_through_any_pure_span_matches_stepping() {
+        use commloc_net::DetRng;
+        // Drawn programs over 1-4 contexts and switch costs 0-11, driven
+        // against a memory of drawn latencies. At drawn cycles the
+        // processor forks: wherever `next_wake` reports a span of pure
+        // ticks, `advance(j)` for every j in it must leave the state `j`
+        // steps leave, and both forks must then issue the same requests
+        // at the same cycles against the same memory.
+        let mut forks = [0u32; 3];
+        for seed in 0..200u64 {
+            let mut rng = DetRng::new(seed);
+            let contexts = 1 + rng.index(4);
+            let switch = rng.range_u64(0, 12) as u32;
+            let programs: Vec<Box<dyn ThreadProgram>> = (0..contexts)
+                .map(|c| {
+                    let ops = (0..1 + rng.index(4))
+                        .map(|i| match rng.index(3) {
+                            0 => ThreadOp::Compute(rng.range_u64(0, 20) as u32),
+                            1 => ThreadOp::Read(Addr((c * 8 + i) as u64)),
+                            _ => ThreadOp::Write(Addr((c * 8 + i) as u64), i as u64),
+                        })
+                        .chain([ThreadOp::Read(Addr(c as u64))])
+                        .collect();
+                    Box::new(LoopProgram::new(ops)) as Box<dyn ThreadProgram>
+                })
+                .collect();
+            let mut p = Processor::new(programs, switch);
+            let mut due: Vec<(u64, usize)> = Vec::new();
+            for now in 0..600u64 {
+                if rng.chance(0.1) {
+                    let span = p.next_wake();
+                    forks[match span {
+                        None => 0,
+                        Some(0) => 1,
+                        Some(_) => 2,
+                    }] += 1;
+                    // An unbounded (all-blocked) span is cut where the
+                    // test stops looking.
+                    let span = span.unwrap_or(40);
+                    for j in 1..=span {
+                        let (mut bulk, mut stepped) = (p.clone(), p.clone());
+                        bulk.advance(j);
+                        for _ in 0..j {
+                            assert_eq!(stepped.step(), None, "seed {seed}: a pure tick issued");
+                        }
+                        assert_eq!(
+                            format!("{bulk:?}"),
+                            format!("{stepped:?}"),
+                            "seed {seed} cycle {now}: advance({j}) of a {span}-tick span"
+                        );
+                        let (mut due_a, mut due_b) = (due.clone(), due.clone());
+                        for later in now + j..now + j + 60 {
+                            let a = tick(&mut bulk, &mut due_a, later);
+                            let b = tick(&mut stepped, &mut due_b, later);
+                            assert_eq!(a, b, "seed {seed}: forks diverged at cycle {later}");
+                            if let Some(req) = a {
+                                due_a.push((later + fork_latency(later, req.context), req.context));
+                                due_b.push((later + fork_latency(later, req.context), req.context));
+                            }
+                        }
+                        assert_eq!(bulk.stats(), stepped.stats(), "seed {seed}");
+                    }
+                }
+                if let Some(req) = tick(&mut p, &mut due, now) {
+                    due.push((now + rng.range_u64(0, 40), req.context));
+                }
+            }
+        }
+        // Every kind of horizon was drawn and checked.
+        assert!(
+            forks.iter().all(|&n| n > 100),
+            "forks by horizon: {forks:?}"
+        );
     }
 
     #[test]

@@ -57,10 +57,11 @@ COMMANDS:
 
     Scenario keys (serve requests take the same keys as JSON fields):
             --topology T --dims N --radix K --contexts P --clock_ratio R
-            --switch_cycles S --work G --watchdog C --traffic W
-            --drop_rate X --corrupt_rate X --stall_rate X --stall_window C
-            --fault_seed S --mapping M --mappings M1,M2 --seed S
-            --warmup W --window C --shards K --jobs J
+            --switch_cycles S --work G --watchdog C --timeout_cycles T
+            --max_retries R --traffic W --drop_rate X --corrupt_rate X
+            --stall_rate X --stall_window C --fault_seed S --mapping M
+            --mappings M1,M2 --seed S --warmup W --window C --shards K
+            --jobs J
     T is cube | mesh (shaped by --dims/--radix; default the paper's 2-D
     radix-8 cube) | fattree[:ARITY,LEVELS] | dragonfly[:ROUTERS,GLOBALS].
     W is neighbor | hotspot[:K] | transpose; --trace-in replays a
@@ -594,10 +595,9 @@ fn cmd_suite(options: &HashMap<String, String>) -> Result<(), String> {
             "mapping", "d", "r_t", "T_m", "T_h", "rho"
         );
     }
-    // Every sweep routes through the process-wide scenario cache, at any
-    // shard count: repeated suite invocations in one process (and the
-    // conformance gates) share results and warm-start snapshots.
-    let points = scenario.sweep(&mappings).map_err(|e| e.to_string())?;
+    // One sweep per process: nothing would read a cached result or a
+    // warm snapshot again.
+    let points = scenario.sweep_once(&mappings).map_err(|e| e.to_string())?;
     for point in points {
         let (name, m) = (point.name, point.measured);
         if csv {

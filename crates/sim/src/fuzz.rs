@@ -886,10 +886,9 @@ mod tests {
         // several shard counts, a few such seeds must hold the three-way
         // lockstep, and at least one must fast-forward (so the sharded
         // machine's jumps are compared, not just its per-cycle steps).
-        // Fast-forwarding sharded draws are rare — the first is seed 456
-        // — so the scan runs wider than the shape checks need, and past
-        // the first four draws it runs only lossy fault plans: only a
-        // lost message can leave every node idle, which a jump needs.
+        // Nodes sleep through compute runs, so a drained sharded machine
+        // jumps often: the first sharded draw, seed 0, already does, and
+        // the first four draws are the scan.
         let drawn: Vec<MachineScenario> = (0..500u64)
             .map(MachineScenario::from_seed)
             .filter(|s| s.shards > 1)
@@ -899,19 +898,8 @@ mod tests {
             drawn.len() >= 5 && counts.len() >= 2,
             "expected sharded draws over several shard counts in 500 seeds: {counts:?}"
         );
-        let lossy = |s: &MachineScenario| {
-            s.fault
-                .as_ref()
-                .is_some_and(|f| f.drop_rate > 0.0 || f.corrupt_rate > 0.0)
-        };
         let mut fast_forwarded = 0;
-        for (i, s) in drawn.iter().enumerate() {
-            if i >= 4 && fast_forwarded > 0 {
-                break;
-            }
-            if i >= 4 && !lossy(s) {
-                continue;
-            }
+        for s in drawn.iter().take(4) {
             match run_scenario(s) {
                 Ok(report) => fast_forwarded += report.fast_forwarded,
                 Err(d) => panic!("seed {}: {d}", s.seed),

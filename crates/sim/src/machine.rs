@@ -34,12 +34,13 @@
 //!
 //! Stepping is built around an **active-node worklist with cross-layer
 //! next-event horizons** (DESIGN.md §4.9). Each processor boundary visits
-//! only the nodes that can possibly act — a node is enqueued when the
-//! fabric delivers to it, when it has processor or controller work of its
-//! own, or when a retry timer fires — and when every worklist is empty and
+//! only the nodes that can possibly act — a node sleeps through compute
+//! runs, context switches and memory waits, and is enqueued when the
+//! fabric delivers to it or when its timer fires (the end of its pure
+//! ticks, or a retry deadline) — and when every worklist is empty and
 //! every fabric is drained, [`Machine::run_network_cycles`] fast-forwards
 //! the whole machine to the earliest next event (`min` of the run target,
-//! the first retry deadline, and the watchdog trip cycle). Each layer
+//! the first timer wake, and the watchdog trip cycle). Each layer
 //! contributes its horizon: `Processor::next_wake`,
 //! `Controller::next_deadline`, and `Fabric::fast_forward`. The previous
 //! exhaustive every-node-every-cycle loop is retained as a reference
@@ -61,8 +62,13 @@ use commloc_net::{
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+/// A node's armed wake when it has none: it sleeps until a delivery, or
+/// it is awake.
+const NO_WAKE: u64 = u64::MAX;
 
 /// Full-system simulation parameters.
 #[derive(Debug, Clone)]
@@ -300,16 +306,20 @@ struct Shard {
     /// active-node worklist).
     active: ActiveSet,
     /// Processor-boundary index at which each node's processor and
-    /// controller clocks were last advanced. Dormant nodes accrue "idle
-    /// debt" settled lazily on their next visit (or by
-    /// [`Machine::reset_measurements`]), since a dormant boundary is
-    /// exactly `{cpu: cycles+1/idle+1, ctrl: cycle+1}` for both layers.
+    /// controller clocks were last advanced. A sleeping node accrues
+    /// "debt" settled lazily on its next visit (or when a stepping call
+    /// returns), since each boundary it sleeps through is a pure tick of
+    /// both layers: `Processor::advance` and `{cycle+1}`.
     last_stepped: Vec<u64>,
-    /// Dormant nodes keyed by the processor-boundary index of their
-    /// earliest retry/backoff deadline (controller local cycles coincide
-    /// with boundary indices). Stale entries are harmless: a woken node
-    /// visit with no due timer is a no-op identical to a reference step.
-    timer_wakes: BTreeMap<u64, Vec<u32>>,
+    /// The boundary each sleeping node is armed to wake at, or
+    /// [`NO_WAKE`].
+    wake_at: Vec<u64>,
+    /// Min-heap of `(boundary, node)` timer wakes. An entry that no
+    /// longer matches its node's `wake_at` is stale and skipped (a visit
+    /// with nothing due would be a reference step anyway); the heap is
+    /// rebuilt from `wake_at` once it holds twice the node count, so
+    /// stale entries stay bounded.
+    wakes: BinaryHeap<Reverse<(u64, u32)>>,
     /// Scratch: snapshot of the active set being visited.
     node_scratch: Vec<u32>,
     /// Scratch: drained fabric delivery events.
@@ -390,7 +400,8 @@ impl Shard {
                 .then(|| SpanLog::new(config.fabric.trace_capacity)),
             active,
             last_stepped: vec![0; owned_compute],
-            timer_wakes: BTreeMap::new(),
+            wake_at: vec![NO_WAKE; owned_compute],
+            wakes: BinaryHeap::new(),
             node_scratch: Vec::new(),
             event_scratch: Vec::new(),
             abandoned: HashSet::new(),
@@ -471,17 +482,61 @@ impl Shard {
         }
     }
 
-    /// Settles node `n`'s idle debt up to processor boundary `boundary`:
+    /// Settles node `n`'s debt up to processor boundary `boundary`:
     /// advances its processor and controller clocks exactly as the
-    /// skipped boundaries would have (each is a pure `{cycles+1,
-    /// idle+1}` / `{cycle+1}` tick for a dormant node). Active engine
-    /// only — the reference engine never maintains `last_stepped`.
+    /// skipped boundaries would have (each is a pure tick of a sleeping
+    /// node). Active engine only — the reference engine never maintains
+    /// `last_stepped`.
     fn settle_debt(&mut self, n: usize, boundary: u64) {
         let debt = boundary - self.last_stepped[n];
         if debt > 0 {
-            self.nodes[n].cpu.advance_idle(debt);
+            self.nodes[n].cpu.advance(debt);
             self.nodes[n].ctrl.advance_idle(debt);
             self.last_stepped[n] = boundary;
+        }
+    }
+
+    /// Settles every sleeping node up to processor boundary `boundary`,
+    /// the last one stepped. Awake nodes owe nothing after a complete
+    /// step, and one an interrupted step did not reach keeps its debt.
+    fn settle_sleepers(&mut self, boundary: u64) {
+        for n in 0..self.nodes.len() {
+            if self.last_stepped[n] < boundary && !self.active.contains(n) {
+                self.settle_debt(n, boundary);
+            }
+        }
+    }
+
+    /// The earliest armed timer wake, dropping stale entries off the top
+    /// of the heap first.
+    fn next_timer_wake(&mut self) -> Option<u64> {
+        while let Some(&Reverse((wake, n))) = self.wakes.peek() {
+            if self.wake_at[n as usize] == wake {
+                return Some(wake);
+            }
+            self.wakes.pop();
+        }
+        None
+    }
+
+    /// Arms node `n`'s timer wake at `wake` ([`NO_WAKE`] disarms it).
+    /// The entry it replaces turns stale in the heap.
+    fn arm_wake(&mut self, n: usize, wake: u64) {
+        if self.wake_at[n] == wake {
+            return;
+        }
+        self.wake_at[n] = wake;
+        if wake == NO_WAKE {
+            return;
+        }
+        if self.wakes.len() >= 2 * self.nodes.len() {
+            let armed = self.wake_at.iter().enumerate();
+            self.wakes = armed
+                .filter(|&(_, &w)| w != NO_WAKE)
+                .map(|(m, &w)| Reverse((w, m as u32)))
+                .collect();
+        } else {
+            self.wakes.push(Reverse((wake, n as u32)));
         }
     }
 
@@ -508,20 +563,17 @@ impl Shard {
     }
 
     /// The active-node engine's boundary: folds fabric delivery events
-    /// and due retry timers into the worklist, visits only the listed
+    /// and due timer wakes into the worklist, visits only the listed
     /// nodes (ascending, like the exhaustive loop), settles each node's
-    /// lazy idle debt before its real step, and updates residency — a
-    /// node leaves the worklist when its processor is fully blocked and
-    /// its controller dormant, re-entering on a delivery or timer.
+    /// lazy debt before its real step, and updates residency — a node
+    /// sleeps while its processor has only pure ticks ahead and its
+    /// controller is dormant, waking on a delivery or timer.
     fn step_nodes_active(&mut self, config: &SimConfig, now: u64) -> Result<(), SimError> {
         let boundary = now / u64::from(config.clock_ratio);
         self.fold_delivery_events();
-        while let Some((&wake, _)) = self.timer_wakes.first_key_value() {
-            if wake > boundary {
-                break;
-            }
-            let (_, woken) = self.timer_wakes.pop_first().expect("peeked entry");
-            for n in woken {
+        while self.next_timer_wake().is_some_and(|wake| wake <= boundary) {
+            if let Some(Reverse((_, n))) = self.wakes.pop() {
+                self.wake_at[n as usize] = NO_WAKE;
                 self.active.insert(n as usize);
             }
         }
@@ -543,7 +595,7 @@ impl Shard {
                 result = Err(e);
                 break;
             }
-            self.update_residency(n);
+            self.update_residency(n, boundary);
         }
         self.node_scratch = worklist;
         result
@@ -551,10 +603,10 @@ impl Shard {
 
     /// The worklist path's dense-occupancy bypass: every node is visited
     /// in ascending order without collecting the active set first. A
-    /// visit to a dormant node is exactly the idle tick its lazy debt
+    /// visit to a sleeping node is exactly the pure tick its lazy debt
     /// would have applied, so the extra visits are behaviorally
     /// invisible; residency updates are guarded on actual membership so
-    /// dormant non-members don't enqueue duplicate timer wakes.
+    /// a sleeper keeps its armed wake.
     fn step_nodes_dense(
         &mut self,
         config: &SimConfig,
@@ -564,14 +616,14 @@ impl Shard {
         for n in 0..self.nodes.len() {
             self.visit_active_node(config, n, boundary, now)?;
             if self.active.contains(n) {
-                self.update_residency(n);
+                self.update_residency(n, boundary);
             }
         }
         Ok(())
     }
 
     /// Visits node `n` at processor boundary `boundary`, first applying
-    /// in bulk the pure idle ticks of the boundaries it skipped.
+    /// in bulk the pure ticks of the boundaries it skipped.
     fn visit_active_node(
         &mut self,
         config: &SimConfig,
@@ -584,19 +636,25 @@ impl Shard {
         self.visit_node(config, n, now)
     }
 
-    /// Drops a just-visited node from the worklist when its processor is
-    /// fully blocked and its controller dormant, arming a timer wake at
-    /// its next retry deadline.
-    fn update_residency(&mut self, n: usize) {
+    /// Puts a node just visited at `boundary` to sleep when its
+    /// controller is dormant and its processor's next steps are pure
+    /// ticks, armed to wake at the first boundary that may not be one:
+    /// the step after the span, or the controller's next retry deadline
+    /// (controller local cycles coincide with boundary indices).
+    fn update_residency(&mut self, n: usize, boundary: u64) {
         let node = &self.nodes[n];
-        if node.cpu.next_wake().is_none() && !node.ctrl.has_pending_work() {
-            self.active.remove(n);
-            // Controller local cycles coincide with boundary indices,
-            // so a deadline is directly the boundary to wake at.
-            if let Some(deadline) = node.ctrl.next_deadline() {
-                self.timer_wakes.entry(deadline).or_default().push(n as u32);
-            }
+        let span = node.cpu.next_wake();
+        if span == Some(0) || node.ctrl.has_pending_work() {
+            self.arm_wake(n, NO_WAKE);
+            return;
         }
+        let span_end = span.map_or(NO_WAKE, |k| boundary.saturating_add(k + 1));
+        let wake = node
+            .ctrl
+            .next_deadline()
+            .map_or(span_end, |d| d.min(span_end));
+        self.active.remove(n);
+        self.arm_wake(n, wake);
     }
 
     /// One node's processor boundary: the five phases of the stepping
@@ -891,7 +949,9 @@ impl Machine {
     /// transaction no context was waiting on, and [`SimError::Stalled`]
     /// when the progress watchdog fires (see [`SimConfig::watchdog_cycles`]).
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_on(1)
+        let result = self.step_on(1);
+        self.settle();
+        result
     }
 
     /// The one step body. A shard's fabric step and node step touch only
@@ -959,7 +1019,7 @@ impl Machine {
     /// process job budget grants them (bit-identical either way).
     ///
     /// With the active-node engine, fully quiescent stretches — no
-    /// messages in flight, every node dormant, in every shard — are
+    /// messages in flight, every node asleep, in every shard — are
     /// fast-forwarded to the earliest next-event horizon in O(active
     /// components) instead of being stepped cycle by cycle; the
     /// observable behavior (stats, fault log, watchdog trips,
@@ -982,13 +1042,28 @@ impl Machine {
         // simulations never oversubscribes the configured job count.
         let claim = (self.jobs > 1).then(|| claim_extra_workers(self.jobs - 1));
         let workers = 1 + claim.as_ref().map_or(0, WorkerClaim::granted);
-        while self.net_cycle < target {
+        let mut result = Ok(());
+        while self.net_cycle < target && result.is_ok() {
             if !self.reference {
                 self.try_fast_forward(target);
             }
-            self.step_on(workers)?;
+            result = self.step_on(workers);
         }
-        Ok(())
+        self.settle();
+        result
+    }
+
+    /// Settles every sleeping node's clocks to the last processor
+    /// boundary, so every reader between stepping calls — measurements,
+    /// resets, snapshots — sees what exhaustive stepping would hold.
+    fn settle(&mut self) {
+        if self.reference {
+            return;
+        }
+        let boundary = self.net_cycle / u64::from(self.config.clock_ratio);
+        for shard in &mut self.shards {
+            shard.settle_sleepers(boundary);
+        }
     }
 
     /// When the whole machine is quiescent, jumps the clock to one cycle
@@ -999,15 +1074,15 @@ impl Machine {
     /// Quiescence means: every fabric is drained (no queued, streaming,
     /// in-network, or boundary-crossing message — scheduled faults
     /// inside the gap are still fired at their exact cycles by
-    /// [`Fabric::fast_forward`]) and every node is dormant. The skipped
-    /// cycles are provably no-ops: a dormant boundary touches nothing
-    /// observable, and the watchdog's progress marker cannot change while
-    /// nothing moves, so intermediate checks only re-derive
-    /// `stalled_for` values below the trip threshold.
+    /// [`Fabric::fast_forward`]) and every node is asleep. The skipped
+    /// cycles are provably no-ops: a sleeping node's boundary is a pure
+    /// tick its debt settles later, and the watchdog's progress marker
+    /// cannot change while nothing moves, so intermediate checks only
+    /// re-derive `stalled_for` values below the trip threshold.
     ///
-    /// The horizon is `min` of the run target, the first retry-timer wake
-    /// in any shard (from [`Controller::next_deadline`]), and the
-    /// watchdog trip cycle.
+    /// The horizon is `min` of the run target, the first timer wake in
+    /// any shard (the end of a processor's pure ticks, or a
+    /// [`Controller::next_deadline`]), and the watchdog trip cycle.
     fn try_fast_forward(&mut self, target: u64) {
         if !self
             .shards
@@ -1030,8 +1105,8 @@ impl Machine {
         let mut horizon = target;
         if let Some(wake) = self
             .shards
-            .iter()
-            .filter_map(|s| s.timer_wakes.first_key_value().map(|(&wake, _)| wake))
+            .iter_mut()
+            .filter_map(Shard::next_timer_wake)
             .min()
         {
             horizon = horizon.min(wake.saturating_mul(ratio));
@@ -1169,17 +1244,10 @@ impl Machine {
     /// Resets every statistics window (fabric, controllers, processors,
     /// and transaction counters) — call after warmup.
     pub fn reset_measurements(&mut self) {
-        let boundary = self.net_cycle / u64::from(self.config.clock_ratio);
+        // The stepping calls return with every node settled, so the
+        // per-node counters the new window starts from match exhaustive
+        // stepping exactly.
         for shard in &mut self.shards {
-            // Settle dormant nodes' lazy idle debt first, so the per-node
-            // cycle counters the new window starts from match exhaustive
-            // stepping exactly. The reference engine steps every node at
-            // every boundary, so no debt ever accrues there.
-            if !self.reference {
-                for n in 0..shard.nodes.len() {
-                    shard.settle_debt(n, boundary);
-                }
-            }
             shard.reset_stats();
         }
         self.window_start = self.net_cycle;
@@ -1570,6 +1638,29 @@ mod tests {
         }
     }
 
+    /// Asserts that every shard's wake heap holds an entry for each armed
+    /// node and stays within twice the node count: no sleeper's wake is
+    /// lost, and stale entries stay bounded.
+    fn audit_wakes(machine: &Machine) {
+        for shard in &machine.shards {
+            assert!(
+                shard.wakes.len() <= 2 * shard.nodes.len(),
+                "wake heap of {} entries for {} nodes by cycle {}",
+                shard.wakes.len(),
+                shard.nodes.len(),
+                machine.net_cycle
+            );
+            for (n, &wake) in shard.wake_at.iter().enumerate() {
+                let entry = Reverse((wake, n as u32));
+                assert!(
+                    wake == NO_WAKE || shard.wakes.iter().any(|&e| e == entry),
+                    "node {n}'s wake at boundary {wake} is missing from the heap by cycle {}",
+                    machine.net_cycle
+                );
+            }
+        }
+    }
+
     #[test]
     fn identity_mapping_measures_one_hop() {
         let m = quick(&SimConfig::default(), &Mapping::identity(64));
@@ -1935,6 +2026,73 @@ mod tests {
             "no quiescent gap was jumped; the scenario does not exercise fast-forward"
         );
         assert_eq!(reference.fast_forwarded_cycles(), 0);
+    }
+
+    #[test]
+    fn sleeping_nodes_are_invisible_to_every_stepping_call() {
+        use commloc_net::{DetRng, FaultConfig, FaultPlan};
+        // Nodes sleep through compute runs and context switches and
+        // settle lazily. One machine steps through the public `step()`,
+        // another runs drawn chunks through `run_network_cycles`
+        // (fast-forward included); after every chunk both must read what
+        // the reference engine reads: measurements (busy cycles feed the
+        // run length), per-node completions and the breakdown. A reset
+        // midway checks that the window starts from settled counters, and
+        // the wake heap is audited after every chunk.
+        let lossy = SimConfig {
+            mem: MemConfig {
+                timeout_cycles: 400,
+                max_retries: 30,
+                ..MemConfig::default()
+            },
+            fault_plan: Some(FaultPlan::new(5).with_config(FaultConfig {
+                drop_rate: 0.05,
+                ..FaultConfig::default()
+            })),
+            ..small_config()
+        };
+        let mut rng = DetRng::new(22);
+        let mut jumped = 0;
+        for (contexts, base) in [(2, small_config()), (4, small_config()), (2, lossy)] {
+            let config = SimConfig {
+                contexts,
+                switch_cycles: 11,
+                ..base
+            };
+            let mapping = Mapping::random(16, 3);
+            let mut stepped = Machine::new(&config, &mapping);
+            let mut chunked = Machine::new(&config, &mapping);
+            let mut reference = Machine::new_reference(&config, &mapping);
+            let mut reset = false;
+            while reference.net_cycle() < 8_000 {
+                let chunk = rng.range_u64(1, 500);
+                for _ in 0..chunk {
+                    stepped.step().expect("steps");
+                }
+                chunked.run_network_cycles(chunk).expect("runs");
+                reference.run_network_cycles(chunk).expect("runs");
+                if !reset && reference.net_cycle() >= 3_000 {
+                    for m in [&mut stepped, &mut chunked, &mut reference] {
+                        m.reset_measurements();
+                    }
+                    reset = true;
+                }
+                let cycle = reference.net_cycle();
+                for m in [&stepped, &chunked] {
+                    audit_wakes(m);
+                    let what = format!("contexts {contexts}, cycle {cycle}");
+                    assert_eq!(m.measure(), reference.measure(), "{what}");
+                    assert_eq!(
+                        m.completions_per_node(),
+                        reference.completions_per_node(),
+                        "{what}"
+                    );
+                    assert_eq!(m.breakdown(2.0), reference.breakdown(2.0), "{what}");
+                }
+            }
+            jumped += chunked.fast_forwarded_cycles();
+        }
+        assert!(jumped > 0, "no chunked run fast-forwarded");
     }
 
     #[test]

@@ -10,12 +10,14 @@ use crate::json::Json;
 use crate::machine::{Machine, MachineSnapshot, SimConfig};
 use crate::mapping::{suite_names, topology_mapping_suite, Mapping, NamedMapping};
 use crate::parallel::default_jobs;
-use crate::serve::{run_cached_sweep_with, ScenarioKey, ScenarioResult};
+use crate::serve::{run_cached_sweep_with, ScenarioCache, ScenarioKey, ScenarioResult};
 use crate::workload::Workload;
+use commloc_mem::MemConfig;
 use commloc_net::{FaultPlan, Topology, MAX_NODES};
+use std::sync::Mutex;
 
 /// Every scenario key, spelled one way for every front end.
-pub const SCENARIO_KEYS: [&str; 21] = [
+pub const SCENARIO_KEYS: [&str; 23] = [
     "dims",
     "radix",
     "contexts",
@@ -23,6 +25,8 @@ pub const SCENARIO_KEYS: [&str; 21] = [
     "switch_cycles",
     "work",
     "watchdog",
+    "timeout_cycles",
+    "max_retries",
     "topology",
     "traffic",
     "drop_rate",
@@ -191,6 +195,11 @@ impl Scenario {
             switch_cycles: u32_or("switch_cycles", base.switch_cycles)?,
             work: u32_or("work", base.work)?,
             watchdog_cycles: u64_or("watchdog", base.watchdog_cycles)?,
+            mem: MemConfig {
+                timeout_cycles: u32_or("timeout_cycles", base.mem.timeout_cycles)?,
+                max_retries: u32_or("max_retries", base.mem.max_retries)?,
+                ..base.mem
+            },
             ..base
         };
         if let Some(v) = get("topology") {
@@ -206,7 +215,7 @@ impl Scenario {
         let corrupt = rate("corrupt_rate")?;
         let stall = rate("stall_rate")?;
         // Any fault key (`drop_rate` to `stall_window`) installs a plan.
-        if SCENARIO_KEYS[9..14].iter().any(|&k| get(k).is_some()) {
+        if SCENARIO_KEYS[11..16].iter().any(|&k| get(k).is_some()) {
             let plan = FaultPlan::new(u64_or("fault_seed", 0)?)
                 .with_drop_rate(drop)
                 .with_corrupt_rate(corrupt)
@@ -409,5 +418,17 @@ impl Scenario {
     /// The first failing run's error (by input order).
     pub fn sweep(&self, mappings: &[NamedMapping]) -> Result<Vec<ScenarioResult>, SimError> {
         run_cached_sweep_with(self, mappings, crate::serve::global_cache(), None)
+    }
+
+    /// [`Scenario::sweep`] for a process that sweeps once: nothing is
+    /// cached, so no warm snapshot (a whole machine per mapping) outlives
+    /// its run. Results are the same.
+    ///
+    /// # Errors
+    ///
+    /// The first failing run's error (by input order).
+    pub fn sweep_once(&self, mappings: &[NamedMapping]) -> Result<Vec<ScenarioResult>, SimError> {
+        let cache = Mutex::new(ScenarioCache::new(0, 0));
+        run_cached_sweep_with(self, mappings, &cache, None)
     }
 }

@@ -39,7 +39,7 @@
 use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW};
 use crate::error::SimError;
 use crate::json::{json_string, Json};
-use crate::machine::{MachineSnapshot, Measurements, SimConfig};
+use crate::machine::{Machine, MachineSnapshot, Measurements, SimConfig};
 use crate::mapping::{Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
 use crate::scenario::{Defaults, Field, Scenario, SCENARIO_KEYS};
@@ -217,7 +217,8 @@ pub struct CacheStats {
 }
 
 /// A bounded LRU map from a 64-bit hash to a value stored with its full
-/// canonical key, which every lookup compares.
+/// canonical key, which every lookup compares. A bound of 0 stores
+/// nothing.
 #[derive(Debug)]
 struct Lru<T> {
     capacity: usize,
@@ -228,7 +229,7 @@ struct Lru<T> {
 impl<T: Clone> Lru<T> {
     fn new(capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
+            capacity,
             entries: HashMap::new(),
             recency: VecDeque::new(),
         }
@@ -236,7 +237,7 @@ impl<T: Clone> Lru<T> {
 
     /// Applies a new bound, evicting least-recently-used entries.
     fn resize(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
+        self.capacity = capacity;
         while self.entries.len() > self.capacity {
             let Some(old) = self.recency.pop_front() else {
                 break;
@@ -263,6 +264,9 @@ impl<T: Clone> Lru<T> {
     }
 
     fn insert(&mut self, hash: u64, canonical: &str, value: T) {
+        if self.capacity == 0 {
+            return;
+        }
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&hash) {
             if let Some(old) = self.recency.pop_front() {
                 self.entries.remove(&old);
@@ -328,9 +332,13 @@ impl ScenarioCache {
             .unwrap_or(None)
     }
 
-    fn warm_insert(&mut self, key: &ScenarioKey, snapshot: MachineSnapshot) {
-        self.warm
-            .insert(key.warm_hash, key.warm_canonical(), snapshot);
+    /// Stores a snapshot of the freshly warmed `machine` under `key`;
+    /// with a warm bound of 0 not even the snapshot is taken.
+    fn warm_insert(&mut self, key: &ScenarioKey, machine: &Machine) {
+        if self.warm.capacity > 0 {
+            self.warm
+                .insert(key.warm_hash, key.warm_canonical(), machine.snapshot());
+        }
     }
 
     fn stats(&self) -> CacheStats {
@@ -397,7 +405,7 @@ pub(crate) fn run_cached_sweep_with(
         let key = &keys[i];
         let warm = lock(cache).warm_lookup(key);
         let machine = scenario.run_from(&mappings[i].mapping, warm, |machine| {
-            lock(cache).warm_insert(key, machine.snapshot());
+            lock(cache).warm_insert(key, machine);
         })?;
         let (measured, breakdown_json) = (machine.measure(), machine.latency_breakdown().to_json());
         lock(cache).insert(key, measured, &breakdown_json);
@@ -923,6 +931,33 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_once_keeps_nothing_and_measures_the_same() {
+        // `commloc suite` sweeps once per process, through a cache bounded
+        // at 0: no result and no warm snapshot (a whole machine per
+        // mapping) is kept, and every result matches a cached sweep's.
+        let config = SimConfig {
+            radix: 4,
+            ..SimConfig::default()
+        };
+        let mappings: Vec<NamedMapping> = mapping_suite(&Torus::new(2, 4), SUITE_SEED)
+            .into_iter()
+            .take(3)
+            .collect();
+        let scenario = sweep(&config, 500, 500, 2);
+        let empty = Mutex::new(ScenarioCache::new(0, 0));
+        let kept = Mutex::new(ScenarioCache::new(8, 4));
+        let once = run_cached_sweep_with(&scenario, &mappings, &empty, None).unwrap();
+        let cached = run_cached_sweep_with(&scenario, &mappings, &kept, None).unwrap();
+        for (a, b) in once.iter().zip(&cached) {
+            assert_eq!((&a.name, a.measured), (&b.name, b.measured));
+            assert_eq!(a.breakdown_json, b.breakdown_json);
+        }
+        let (empty, kept) = (lock(&empty).stats(), lock(&kept).stats());
+        assert_eq!((empty.entries, empty.warm_entries), (0, 0));
+        assert_eq!((kept.entries, kept.warm_entries), (3, 3));
+    }
+
+    #[test]
     fn cached_sweep_hits_are_bit_identical_and_warm_starts_match() {
         let cache = Mutex::new(ScenarioCache::new(8, 4));
         let config = SimConfig::default();
@@ -1325,6 +1360,8 @@ mod tests {
             ("switch_cycles", 1, 20),
             ("work", 1, 20),
             ("watchdog", 0, 50_000),
+            ("timeout_cycles", 0, 5_000),
+            ("max_retries", 0, 12),
             ("fault_seed", 0, 100),
             ("stall_window", 1, 200),
             ("warmup", 0, 50_000),
@@ -1432,6 +1469,62 @@ mod tests {
         assert!(
             agreed > 50 && failed > 50,
             "{agreed} agreed, {failed} failed"
+        );
+    }
+
+    #[test]
+    fn retry_keys_let_a_lossy_scenario_complete_from_both_front_ends() {
+        // Without a timeout every dropped message strands its transaction
+        // for good; `timeout_cycles` arms the controllers' retries. The
+        // same lossy machine, spelled for either front end, completes
+        // more transactions in the window with it than without.
+        let fields = [
+            ("dims", "3"),
+            ("radix", "4"),
+            ("drop_rate", "0.01"),
+            ("fault_seed", "3"),
+            ("warmup", "2000"),
+            ("window", "6000"),
+        ];
+        let window_completions = |scenario: &Scenario| {
+            let mapping = Mapping::identity(64);
+            let mut warmed = 0;
+            let machine = scenario
+                .run_from(&mapping, None, |m| warmed = m.completions())
+                .expect("the lossy machine runs");
+            machine.completions() - warmed
+        };
+        let mut completions = Vec::new();
+        for retry in [None, Some(("timeout_cycles", "2000"))] {
+            let fields: Vec<(&str, &str)> = fields.iter().copied().chain(retry).collect();
+            let pairs: Vec<(&str, Field)> = fields
+                .iter()
+                .map(|&(key, value)| (key, Field::Text(value)))
+                .chain([("mapping", Field::Text("identity"))])
+                .collect();
+            let defaults = Defaults {
+                warmup: REDUCED_WARMUP,
+                window: REDUCED_WINDOW,
+                sweep_jobs: None,
+            };
+            let cli = Scenario::parse(&pairs, defaults).expect("CLI spelling parses");
+            let json: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            let line = format!(r#"{{"op":"run","mapping":"identity",{}}}"#, json.join(","));
+            let serve = parse_request(&line, 1)
+                .expect("serve spelling parses")
+                .scenario;
+            let timeout = u32::from(retry.is_some()) * 2000;
+            for scenario in [&cli, &serve] {
+                assert_eq!(scenario.config.mem.timeout_cycles, timeout, "{line}");
+                assert_eq!(scenario.config.mem.max_retries, 8, "{line}");
+            }
+            let (a, b) = (window_completions(&cli), window_completions(&serve));
+            assert_eq!(a, b, "both spellings run the same machine: {line}");
+            completions.push(a);
+        }
+        assert!(
+            completions[1] > completions[0],
+            "retries must complete more: {completions:?}"
         );
     }
 
