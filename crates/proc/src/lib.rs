@@ -39,10 +39,8 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod pipelined;
 mod processor;
 mod program;
 
-pub use pipelined::PipelinedProcessor;
 pub use processor::{IssueRequest, ProcStats, Processor};
 pub use program::{LoopProgram, ParkedProgram, ReissueProgram, ThreadOp, ThreadProgram};

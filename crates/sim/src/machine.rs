@@ -47,6 +47,11 @@
 //! stepping mode ([`Machine::new_reference`]) and the differential fuzzer
 //! asserts bit-identical behavior between the two across random
 //! scenarios.
+//!
+//! A context blocks on one transaction at a time, so its slot is the one
+//! record of that transaction and its issue cycle. A per-shard issue
+//! queue, compacted against the slots, gives the watchdog the oldest
+//! outstanding issue in O(1) amortized.
 
 use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
 use crate::error::{SimError, StallCause, StallKind, StallReport};
@@ -63,7 +68,7 @@ use commloc_net::{
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A node's armed wake when it has none: it sleeps until a delivery, or
@@ -149,9 +154,21 @@ impl Default for SimConfig {
 struct NodeSim {
     cpu: Processor,
     ctrl: Controller,
-    /// Outstanding transaction per hardware context.
-    ctx_txn: Vec<Option<TxnId>>,
+    /// The transaction each hardware context waits on and its issue
+    /// cycle: the machine's one record of an outstanding transaction.
+    ctx_txn: Vec<Option<(TxnId, u64)>>,
     next_txn: u64,
+}
+
+/// An issue-queue entry: a transaction, its local node and its context.
+type Issue = (TxnId, u32, u32);
+
+/// The issue cycle of `(txn, n, ctx)` while its context slot holds it.
+fn held_issue(nodes: &[NodeSim], (txn, n, ctx): Issue) -> Option<u64> {
+    match nodes[n as usize].ctx_txn[ctx as usize] {
+        Some((held, issued)) if held == txn => Some(issued),
+        _ => None,
+    }
 }
 
 /// A migrating thread in flight to its destination node.
@@ -285,17 +302,13 @@ struct Shard {
     /// shard count (fault rolls hash over message ids).
     staged: Vec<Message<ProtocolMsg>>,
     window: Window,
-    txn_issue_cycle: HashMap<u64, u64>,
-    /// Outstanding transaction ids in issue order. Issue cycles are
-    /// monotone, so the front entry still present in `txn_issue_cycle` is
-    /// the oldest outstanding transaction — the watchdog reads it in O(1)
-    /// amortized instead of scanning the whole map every cycle.
-    txn_issue_order: VecDeque<u64>,
-    /// The answer of [`Shard::oldest_outstanding_issue`], or `None` when
-    /// it must be re-derived. Only two events change it: the oldest
-    /// transaction leaves `txn_issue_cycle` ([`Shard::retire_txn`]), or a
-    /// transaction is issued while none is outstanding.
-    oldest_issue: Option<Option<u64>>,
+    /// Transactions in issue order. An entry whose slot no longer holds
+    /// it completed or was abandoned; issue cycles are monotone, so the
+    /// first entry still held is the oldest outstanding transaction.
+    issues: VecDeque<Issue>,
+    /// The length at which [`Shard::queue_issue`] compacts: twice the
+    /// shard's contexts, or twice what a compaction kept, if more.
+    issue_bound: usize,
     /// Total transaction completions ever (never reset — watchdog input).
     completed: u64,
     completed_per_node: Vec<u64>,
@@ -391,9 +404,8 @@ impl Shard {
             nodes,
             staged: Vec::new(),
             window: Window::default(),
-            txn_issue_cycle: HashMap::new(),
-            txn_issue_order: VecDeque::new(),
-            oldest_issue: None,
+            issues: VecDeque::new(),
+            issue_bound: 2 * owned_compute * config.contexts,
             completed: 0,
             completed_per_node: vec![0; owned_compute],
             spans: (config.fabric.trace_capacity > 0)
@@ -408,47 +420,28 @@ impl Shard {
         }
     }
 
-    /// Issue cycle of the oldest still-outstanding transaction. Served
-    /// from the cache; a miss drops completed transactions from the front
-    /// of the issue-order queue (issue cycles are monotone, so the first
-    /// survivor is the oldest — O(1) amortized).
+    /// Issue cycle of the oldest outstanding transaction: drops the
+    /// entries no slot holds from the front of the issue queue and reads
+    /// the first survivor's slot (O(1) amortized).
     fn oldest_outstanding_issue(&mut self) -> Option<u64> {
-        if let Some(oldest) = self.oldest_issue {
-            return oldest;
-        }
-        while let Some(front) = self.txn_issue_order.front() {
-            if self.txn_issue_cycle.contains_key(front) {
-                break;
+        while let Some(&front) = self.issues.front() {
+            if let Some(issued) = held_issue(&self.nodes, front) {
+                return Some(issued);
             }
-            self.txn_issue_order.pop_front();
+            self.issues.pop_front();
         }
-        let oldest = self
-            .txn_issue_order
-            .front()
-            .and_then(|txn| self.txn_issue_cycle.get(txn))
-            .copied();
-        self.oldest_issue = Some(oldest);
-        oldest
+        None
     }
 
-    /// Removes `txn` from the outstanding transactions and returns its
-    /// issue cycle. The cached oldest issue survives unless `txn` was the
-    /// oldest: a valid cache leaves the oldest at the front of the queue.
-    fn retire_txn(&mut self, txn: u64) -> Option<u64> {
-        if self.txn_issue_order.front() == Some(&txn) {
-            self.oldest_issue = None;
+    /// Queues a transaction whose slot was just filled, first dropping
+    /// every entry no slot holds once the queue reaches its bound.
+    fn queue_issue(&mut self, issue: Issue) {
+        if self.issues.len() >= self.issue_bound {
+            let nodes = &self.nodes;
+            self.issues.retain(|&e| held_issue(nodes, e).is_some());
+            self.issue_bound = self.issue_bound.max(2 * self.issues.len());
         }
-        self.txn_issue_cycle.remove(&txn)
-    }
-
-    /// Records `txn` as issued at `now`. Issue cycles are monotone, so a
-    /// new transaction is the oldest only when none was outstanding.
-    fn issue_txn(&mut self, txn: u64, now: u64) {
-        if self.txn_issue_cycle.is_empty() {
-            self.oldest_issue = None;
-        }
-        self.txn_issue_cycle.insert(txn, now);
-        self.txn_issue_order.push_back(txn);
+        self.issues.push_back(issue);
     }
 
     /// Nodes with outstanding controller transactions, by global id —
@@ -577,15 +570,6 @@ impl Shard {
                 self.active.insert(n as usize);
             }
         }
-        // Dense boundary: when nearly every node is active (steady-state
-        // dense scenarios like fig3/fig5), materializing the worklist
-        // costs more than it saves. Visit all nodes ascending — the same
-        // interleaving the worklist path and the exhaustive reference
-        // produce — and skip only the snapshot.
-        let count = self.nodes.len();
-        if self.active.len() * 10 >= count * 9 {
-            return self.step_nodes_dense(config, boundary, now);
-        }
         let mut worklist = std::mem::take(&mut self.node_scratch);
         self.active.collect_into(&mut worklist);
         let mut result = Ok(());
@@ -599,27 +583,6 @@ impl Shard {
         }
         self.node_scratch = worklist;
         result
-    }
-
-    /// The worklist path's dense-occupancy bypass: every node is visited
-    /// in ascending order without collecting the active set first. A
-    /// visit to a sleeping node is exactly the pure tick its lazy debt
-    /// would have applied, so the extra visits are behaviorally
-    /// invisible; residency updates are guarded on actual membership so
-    /// a sleeper keeps its armed wake.
-    fn step_nodes_dense(
-        &mut self,
-        config: &SimConfig,
-        boundary: u64,
-        now: u64,
-    ) -> Result<(), SimError> {
-        for n in 0..self.nodes.len() {
-            self.visit_active_node(config, n, boundary, now)?;
-            if self.active.contains(n) {
-                self.update_residency(n, boundary);
-            }
-        }
-        Ok(())
     }
 
     /// Visits node `n` at processor boundary `boundary`, first applying
@@ -680,7 +643,11 @@ impl Shard {
         // 3. Completions unblock contexts.
         while let Some(done) = self.nodes[n].ctrl.poll_completion() {
             let node = &mut self.nodes[n];
-            let Some(ctx) = node.ctx_txn.iter().position(|t| *t == Some(done.txn)) else {
+            let waiting = node.ctx_txn.iter().enumerate().find_map(|(ctx, slot)| {
+                slot.filter(|&(txn, _)| txn == done.txn)
+                    .map(|(_, issued)| (ctx, issued))
+            });
+            let Some((ctx, issued)) = waiting else {
                 // A completion raced a migration: the thread is gone
                 // and the value will be re-fetched from its new node.
                 if self.abandoned.remove(&done.txn.0) {
@@ -695,12 +662,9 @@ impl Shard {
             node.cpu.complete(ctx, done.value);
             self.completed += 1;
             self.completed_per_node[n] += 1;
-            let issued = self.retire_txn(done.txn.0);
             if done.miss {
                 self.window.misses += 1;
-                if let Some(issued) = issued {
-                    self.window.sum_txn_latency += now - issued;
-                }
+                self.window.sum_txn_latency += now - issued;
             } else {
                 self.window.hits += 1;
             }
@@ -710,7 +674,7 @@ impl Shard {
                     node: NodeId(g),
                     txn: done.txn.0,
                     miss: done.miss,
-                    latency: issued.map_or(0, |issued| now - issued),
+                    latency: now - issued,
                 });
             }
         }
@@ -719,8 +683,8 @@ impl Shard {
         if let Some(req) = node.cpu.step() {
             let txn = TxnId(((g as u64) << 32) | node.next_txn);
             node.next_txn += 1;
-            node.ctx_txn[req.context] = Some(txn);
-            self.issue_txn(txn.0, now);
+            node.ctx_txn[req.context] = Some((txn, now));
+            self.queue_issue((txn, n as u32, req.context as u32));
             if let Some(spans) = self.spans.as_mut() {
                 spans.push(SpanEvent::Issue {
                     cycle: now,
@@ -1190,8 +1154,9 @@ impl Machine {
         let oldest = self
             .shards
             .iter()
-            .flat_map(|s| &s.txn_issue_cycle)
-            .map(|(&txn, &issued)| (issued, txn))
+            .flat_map(|s| &s.nodes)
+            .flat_map(|node| node.ctx_txn.iter().flatten())
+            .map(|&(txn, issued)| (issued, txn.0))
             .min();
         let cause = match oldest {
             Some((issued, txn))
@@ -1300,12 +1265,8 @@ impl Machine {
         let mut victims: Vec<(usize, usize, TxnId)> = Vec::new();
         for shard in &self.shards {
             for (n, node) in shard.nodes.iter().enumerate() {
-                for (ctx, slot) in node.ctx_txn.iter().enumerate() {
-                    let Some(txn) = *slot else { continue };
-                    let Some(&issued) = shard.txn_issue_cycle.get(&txn.0) else {
-                        continue;
-                    };
-                    if now - issued >= threshold {
+                for (ctx, &slot) in node.ctx_txn.iter().enumerate() {
+                    if let Some((txn, _)) = slot.filter(|&(_, issued)| now - issued >= threshold) {
                         victims.push((shard.base + n, ctx, txn));
                     }
                 }
@@ -1358,7 +1319,6 @@ impl Machine {
             };
             let program = shard.nodes[n].cpu.park(ctx);
             shard.nodes[n].ctx_txn[ctx] = None;
-            shard.retire_txn(txn.0);
             shard.abandoned.insert(txn.0);
             self.migrated_from[victim] = true;
             self.live_threads[victim] -= 1;
@@ -1622,19 +1582,26 @@ mod tests {
         run(config, mapping, 10_000, 30_000)
     }
 
-    /// Asserts every shard's cached oldest issue equals the minimum over
-    /// its outstanding transactions, so a missed invalidation fails on
-    /// the cycle it happens.
-    fn audit_oldest_issue(machine: &Machine) {
-        for shard in &machine.shards {
-            if let Some(cached) = shard.oldest_issue {
-                assert_eq!(
-                    cached,
-                    shard.txn_issue_cycle.values().copied().min(),
-                    "cached oldest issue drifted by cycle {}",
-                    machine.net_cycle
-                );
-            }
+    /// Asserts every shard's issue queue stays within its bound, and the
+    /// bound within twice the shard's contexts, and that the oldest
+    /// outstanding issue equals the minimum over the context slots, so an
+    /// issue the queue lost or misordered fails on the cycle it happens.
+    fn audit_oldest_issue(machine: &mut Machine) {
+        let cycle = machine.net_cycle;
+        for shard in &mut machine.shards {
+            let slots = shard.nodes.iter().flat_map(|node| node.ctx_txn.iter());
+            let contexts = slots.clone().count();
+            let (len, bound) = (shard.issues.len(), shard.issue_bound);
+            assert!(
+                len <= bound && bound <= 2 * contexts,
+                "{len} queued, bound {bound}, {contexts} contexts by cycle {cycle}"
+            );
+            let oldest = slots.flatten().map(|&(_, issued)| issued).min();
+            assert_eq!(
+                shard.oldest_outstanding_issue(),
+                oldest,
+                "oldest issue drifted by cycle {cycle}"
+            );
         }
     }
 
@@ -2465,14 +2432,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_oldest_issue_tracks_the_outstanding_transactions() {
+    fn oldest_issue_tracks_the_outstanding_transactions() {
         use commloc_net::{FaultConfig, FaultPlan};
         // Lossy retries strand transactions once their two retries are
         // spent; the policy migrates the first two, and the next one ages
         // past the watchdog window. Completions, abandons and issues into
-        // an empty shard all pass through the cached oldest issue, which
-        // must equal the minimum over the outstanding transactions after
-        // every call.
+        // an empty shard all change the context slots, and the oldest
+        // issue the queue reports must equal the minimum over the slots
+        // after every cycle.
         let config = SimConfig {
             mem: MemConfig {
                 timeout_cycles: 400,
@@ -2498,15 +2465,54 @@ mod tests {
                 if let Err(err) = machine.run_network_cycles(1) {
                     break err;
                 }
-                audit_oldest_issue(&machine);
+                audit_oldest_issue(&mut machine);
                 assert!(machine.net_cycle() < 2_000_000, "no watchdog trip");
             };
-            audit_oldest_issue(&machine);
+            audit_oldest_issue(&mut machine);
             assert!(matches!(err, SimError::Stalled(_)), "{err}");
             assert_eq!(machine.migrations().len(), 2, "{shards} shards");
             trips.push((machine.net_cycle(), err));
         }
         assert_eq!(trips[0], trips[1], "1 and 3 shards trip alike");
+    }
+
+    #[test]
+    fn the_issue_queue_stays_bounded_behind_stranded_transactions() {
+        use commloc_net::{FaultConfig, FaultPlan};
+        // Without retries a dropped message strands its transaction for
+        // good, while the node's other context keeps issuing behind it.
+        // Every shard's queue must stay within its bound, where a log
+        // pruned only at its front keeps every issue behind the first
+        // stranded one.
+        let config = SimConfig {
+            contexts: 2,
+            mem: MemConfig {
+                timeout_cycles: 0,
+                ..MemConfig::default()
+            },
+            watchdog_cycles: 0,
+            fault_plan: Some(FaultPlan::new(3).with_config(FaultConfig {
+                drop_rate: 0.01,
+                ..FaultConfig::default()
+            })),
+            ..small_config()
+        };
+        let mapping = Mapping::identity(16);
+        let mut completions = Vec::new();
+        for shards in [1, 3] {
+            let mut machine = Machine::with_shards(&config, &mapping, shards);
+            for _ in 0..100 {
+                machine.run_network_cycles(2_000).expect("runs");
+                audit_oldest_issue(&mut machine);
+            }
+            let oldest = machine.progress().1.expect("a transaction is stranded");
+            assert!(oldest < 100_000, "stranded at cycle {oldest}");
+            completions.push(machine.completions());
+        }
+        assert_eq!(
+            completions[0], completions[1],
+            "1 and 3 shards complete alike"
+        );
     }
 
     #[test]
