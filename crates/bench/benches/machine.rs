@@ -4,8 +4,10 @@
 //! network cycles per wall-clock second** under the active-node engine,
 //! compares it against the retained exhaustive reference stepping mode
 //! (`Machine::new_reference` — the golden model the equivalence tests and
-//! `commloc fuzz --machine` check bit-for-bit), and writes the record to
-//! `BENCH_machine.json` at the repository root.
+//! `commloc fuzz --machine` check bit-for-bit), and writes the measured
+//! record to `target/bench/BENCH_machine.json`. The committed
+//! `BENCH_machine.json` at the repository root is only read; copying the
+//! measured record over it re-blesses the baseline.
 //!
 //! Scenario mix: dense conformance-figure workloads where the active set
 //! stays full (the engine must not regress — every node really is busy
@@ -33,10 +35,10 @@
 //!
 //! Run with: `cargo bench --bench machine`
 
+use commloc_bench::{committed_baseline, write_measured};
 use commloc_mem::MemConfig;
 use commloc_net::{FaultConfig, FaultPlan};
 use commloc_sim::{Machine, Mapping, SimConfig, SimError, WorkStealingPolicy};
-use std::path::PathBuf;
 
 /// The summed wall-clock each engine's repetitions of a scenario must
 /// pass before its throughput is reported.
@@ -265,10 +267,6 @@ fn run_engine(s: &Scenario, reference: bool) -> Run {
     }
 }
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn render_json(outcomes: &[Outcome]) -> String {
     let mut out = String::from(
         "{\n  \"bench\": \"machine\",\n  \"unit\": \"simulated_network_cycles_per_sec\",\n  \"scenarios\": [\n",
@@ -311,9 +309,7 @@ fn baseline_cycles_per_sec(baseline: &str, name: &str) -> Option<f64> {
 }
 
 fn main() {
-    let root = repo_root();
-    let baseline_path = root.join("BENCH_machine.json");
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
+    let baseline = committed_baseline("machine");
 
     let mut outcomes = Vec::new();
     let mut misshapen = Vec::new();
@@ -390,8 +386,8 @@ fn main() {
         }
     }
 
-    std::fs::write(&baseline_path, render_json(&outcomes)).expect("write BENCH_machine.json");
-    println!("\nwrote {}", baseline_path.display());
+    let measured = write_measured("machine", &render_json(&outcomes));
+    println!("\nwrote {}", measured.display());
 
     if !misshapen.is_empty() {
         eprintln!("\nscenario lost the shape it exists to time:");

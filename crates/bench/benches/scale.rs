@@ -3,8 +3,10 @@
 //! Measures the sharded engine's throughput in **simulated network
 //! cycles per wall-clock second** on a large torus (default 256x256 =
 //! 65,536 nodes — three orders of magnitude past the paper's 8x8
-//! machine) as the worker-thread count grows, and writes the scaling
-//! curve to `BENCH_scale.json` at the repository root.
+//! machine) as the worker-thread count grows, and writes the measured
+//! scaling curve to `target/bench/BENCH_scale.json`. The committed
+//! `BENCH_scale.json` at the repository root is only read; copying the
+//! measured record over it re-blesses the baseline.
 //!
 //! Every point runs the identical simulation — the sharded engine is
 //! bit-deterministic for any worker count — so the harness also
@@ -28,12 +30,11 @@
 //!
 //! Run with: `cargo bench --bench scale`. Set `COMMLOC_SCALE_RADIX`
 //! (e.g. 64) for a quick smoke run — smoke runs print the curve but
-//! leave `BENCH_scale.json` untouched, so CI can exercise the harness
-//! without committing a small-torus baseline.
+//! neither compare nor write a record, so CI can exercise the harness
+//! without a small-torus baseline.
 
-use commloc_bench::{render_scale_json, ScalePoint};
+use commloc_bench::{committed_baseline, render_scale_json, write_measured, ScalePoint};
 use commloc_sim::{set_job_budget, Machine, Mapping, SimConfig};
-use std::path::PathBuf;
 
 const DEFAULT_RADIX: usize = 256;
 const DEFAULT_CYCLES: u64 = 400;
@@ -76,10 +77,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Pulls `"cycles_per_sec": <value>` for a worker point out of a
@@ -152,13 +149,11 @@ fn main() {
     }
 
     if smoke {
-        println!("\nsmoke run (radix {radix} != {DEFAULT_RADIX}): BENCH_scale.json left untouched");
+        println!("\nsmoke run (radix {radix} != {DEFAULT_RADIX}): no record written");
         return;
     }
 
-    let root = repo_root();
-    let baseline_path = root.join("BENCH_scale.json");
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
+    let baseline = committed_baseline("scale");
     let mut regressed = Vec::new();
     if let Some(baseline) = &baseline {
         println!();
@@ -183,12 +178,11 @@ fn main() {
         }
     }
 
-    std::fs::write(
-        &baseline_path,
-        render_scale_json(radix, SHARDS, host_cores, rss_per_node, &points),
-    )
-    .expect("write BENCH_scale.json");
-    println!("\nwrote {}", baseline_path.display());
+    let measured = write_measured(
+        "scale",
+        &render_scale_json(radix, SHARDS, host_cores, rss_per_node, &points),
+    );
+    println!("\nwrote {}", measured.display());
 
     if !regressed.is_empty() {
         eprintln!("\nperformance regression (>50% below committed baseline):");

@@ -16,6 +16,37 @@ pub use commloc_sim::conformance::{
     calibrated_model, fit_message_curve, pct_err, suite_jobs as bench_jobs, validation_runs,
     SUITE_SEED, WARMUP, WINDOW,
 };
+use std::path::{Path, PathBuf};
+
+/// The committed `BENCH_<name>.json` baseline at the repository root,
+/// if one exists. The benches only ever read it.
+pub fn committed_baseline(name: &str) -> Option<String> {
+    std::fs::read_to_string(repo_root().join(format!("BENCH_{name}.json"))).ok()
+}
+
+/// Writes a bench's measured record to `target/bench/BENCH_<name>.json`
+/// under the repository root and returns its path. Re-blessing a
+/// baseline is an explicit copy of that file over the committed one.
+///
+/// # Panics
+///
+/// Panics if the directory or the file cannot be written.
+pub fn write_measured(name: &str, json: &str) -> PathBuf {
+    let dir = repo_root().join("target").join("bench");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
+/// The repository root: two levels above this crate's manifest.
+fn repo_root() -> &'static Path {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels down")
+}
 
 /// Times `f` with a warmup pass and a fixed iteration loop, printing a
 /// mean per-iteration figure. The in-tree replacement for an external

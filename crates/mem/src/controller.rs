@@ -325,29 +325,13 @@ impl Controller {
     }
 
     /// The controller's local cycle counter, advanced once per
-    /// [`Controller::step`] and in bulk by [`Controller::advance_idle`].
+    /// [`Controller::step`] and in bulk by [`Controller::advance`].
     pub fn local_cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Whether a step right now could do observable work: occupancy is
-    /// draining, work is queued, or the outgoing/completion queues hold
-    /// items the machine has not drained yet. Outstanding MSHRs alone do
-    /// *not* count — a dormant controller with in-flight transactions
-    /// acts again only on a delivery or when a retry deadline fires (see
-    /// [`Controller::next_deadline`]).
-    pub fn has_pending_work(&self) -> bool {
-        self.busy > 0
-            || !self.work.is_empty()
-            || !self.outbox.is_empty()
-            || !self.completions.is_empty()
-    }
-
-    /// Horizon contract for the machine-level active-node engine: the
-    /// earliest local cycle at which a retry/backoff timer can fire, or
-    /// `None` if no armed deadline exists. While
-    /// [`Controller::has_pending_work`] is false and the local cycle
-    /// stays below this value, every step is exactly `{cycle += 1}`.
+    /// The earliest local cycle at which a retry/backoff timer fires, or
+    /// `None` if no deadline is armed.
     pub fn next_deadline(&self) -> Option<u64> {
         if self.config.timeout_cycles == 0 {
             return None;
@@ -355,26 +339,54 @@ impl Controller {
         self.mshr.values().filter_map(|m| m.deadline).min()
     }
 
-    /// Applies `cycles` dormant steps in O(1). Valid only while the
-    /// controller has no pending work and no retry deadline at or before
-    /// the resulting cycle: each such step is exactly `{cycle += 1}` (the
-    /// timeout scan fires nothing while `now < deadline`), so the bulk
-    /// advance is bit-identical to stepping cycle by cycle.
+    /// Horizon contract for the machine-level active-node engine, the
+    /// one the processor gives too: how many upcoming
+    /// [`Controller::step`] calls are *pure ticks* — steps that advance
+    /// the local clock and count the occupancy down, but pop no work item
+    /// and fire no retry timeout.
+    ///
+    /// * `Some(0)` — the next step pops a work item, or the outgoing or
+    ///   completion queue holds items the caller has not drained.
+    /// * `Some(k)` — work waits behind an occupancy countdown of `k`
+    ///   cycles; step `k + 1` pops it.
+    /// * `None` — nothing is queued: the countdown ends and dormant steps
+    ///   follow until a request or delivery arrives.
+    ///
+    /// An armed retry deadline `d` caps each case at `d - cycle - 1`,
+    /// since the step that reaches `d` fires the timeout.
+    /// [`Controller::advance`] applies any prefix of the span at once.
+    pub fn next_wake(&self) -> Option<u64> {
+        let queued = !self.work.is_empty();
+        if (queued && self.busy == 0) || !self.outbox.is_empty() || !self.completions.is_empty() {
+            return Some(0);
+        }
+        let countdown = queued.then_some(u64::from(self.busy));
+        let Some(deadline) = self.next_deadline() else {
+            return countdown;
+        };
+        let cap = deadline.saturating_sub(self.cycle + 1);
+        Some(countdown.map_or(cap, |k| k.min(cap)))
+    }
+
+    /// Applies `cycles` pure ticks in O(1), bit-identical to `cycles`
+    /// calls to [`Controller::step`]: the local clock moves on and the
+    /// occupancy counts down, stopping at zero when nothing is queued.
     ///
     /// # Panics
     ///
-    /// Panics if pending work exists; debug-asserts that no deadline was
-    /// jumped over.
-    pub fn advance_idle(&mut self, cycles: u64) {
+    /// Panics if `cycles` exceeds the span [`Controller::next_wake`]
+    /// reports.
+    pub fn advance(&mut self, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        let span = self.next_wake();
         assert!(
-            !self.has_pending_work(),
-            "advance_idle on a controller with pending work"
+            span.is_none_or(|k| cycles <= k),
+            "advance by {cycles} cycles past a pure-tick span of {span:?}"
         );
         self.cycle += cycles;
-        debug_assert!(
-            self.next_deadline().is_none_or(|d| d > self.cycle),
-            "advance_idle jumped a retry deadline"
-        );
+        self.busy -= u64::from(self.busy).min(cycles) as u32;
     }
 
     /// Advances the controller by one processor cycle.
@@ -1102,35 +1114,31 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_and_advance_idle_agree_with_stepping() {
+    fn next_wake_and_advance_agree_with_stepping() {
         let config = MemConfig {
             timeout_cycles: 8,
             max_retries: 3,
             ..MemConfig::default()
         };
-        // Remote line that never gets a reply: the controller goes
-        // dormant between retries, with an armed deadline.
+        // Two remote lines that never get a reply: the second request
+        // waits behind the first one's occupancy, then the controller
+        // sleeps between retries with an armed deadline.
         let run = |bulk: bool| {
             let mut ctrl = Controller::new(NodeId(0), HomeMap::interleaved(2), config);
             ctrl.request(TxnId(1), MemOp::Read(LineAddr(1).base()));
+            ctrl.request(TxnId(2), MemOp::Read(LineAddr(3).base()));
             let mut sends = Vec::new();
             let mut now = 0u64;
             while now < 2_000 {
-                if bulk && !ctrl.has_pending_work() {
-                    if let Some(d) = ctrl.next_deadline() {
-                        // Jump to one cycle before the deadline; the next
-                        // real step then fires it exactly on time.
-                        let gap = d.saturating_sub(ctrl.local_cycle() + 1);
-                        let gap = gap.min(2_000 - now);
-                        if gap > 0 {
-                            ctrl.advance_idle(gap);
-                            now += gap;
-                            continue;
-                        }
-                    } else {
-                        // Retry budget exhausted: nothing left to observe.
-                        ctrl.advance_idle(2_000 - now);
-                        now = 2_000;
+                if bulk {
+                    // Jump the pure ticks ahead; the next real step then
+                    // pops the waiting work or fires the deadline on
+                    // time. Once the retry budget is spent the span is
+                    // unbounded: nothing is left to observe.
+                    let span = ctrl.next_wake().unwrap_or(u64::MAX).min(2_000 - now);
+                    if span > 0 {
+                        ctrl.advance(span);
+                        now += span;
                         continue;
                     }
                 }
@@ -1146,32 +1154,182 @@ mod tests {
         let (sends_step, stats_step, cycle_step) = run(false);
         assert_eq!(cycle_bulk, cycle_step);
         assert_eq!(sends_bulk, sends_step, "resends must fire on time");
-        assert_eq!(stats_bulk.retries, config.max_retries as u64);
+        assert_eq!(stats_bulk.retries, 2 * config.max_retries as u64);
         assert_eq!(stats_bulk, stats_step);
     }
 
     #[test]
     fn dormancy_predicates_track_queue_state() {
         let mut ctrl = Controller::new(NodeId(0), HomeMap::interleaved(1), MemConfig::default());
-        assert!(!ctrl.has_pending_work());
+        assert_eq!(ctrl.next_wake(), None, "nothing queued");
         assert_eq!(ctrl.next_deadline(), None, "timeouts disabled by default");
         ctrl.request(TxnId(1), MemOp::Write(LineAddr(0).base(), 7));
-        assert!(ctrl.has_pending_work());
+        assert_eq!(ctrl.next_wake(), Some(0), "the next step pops the request");
+        ctrl.step();
+        // The local miss's request to its own home waits behind the
+        // miss's `processing_cycles` of occupancy.
+        assert_eq!(ctrl.next_wake(), Some(1));
         for _ in 0..100 {
             ctrl.step();
         }
-        // Completion still queued counts as pending work.
-        assert!(ctrl.has_pending_work());
+        // A completion still queued keeps the controller awake.
+        assert_eq!(ctrl.next_wake(), Some(0));
         ctrl.poll_completion().expect("write completed");
-        assert!(!ctrl.has_pending_work());
+        assert_eq!(ctrl.next_wake(), None);
     }
 
     #[test]
-    #[should_panic(expected = "pending work")]
-    fn advance_idle_with_queued_work_panics() {
+    #[should_panic(expected = "past a pure-tick span")]
+    fn advance_with_queued_work_panics() {
         let mut ctrl = Controller::new(NodeId(0), HomeMap::interleaved(1), MemConfig::default());
         ctrl.request(TxnId(1), MemOp::Read(LineAddr(0).base()));
-        ctrl.advance_idle(5);
+        ctrl.advance(5);
+    }
+
+    #[test]
+    fn advance_through_any_pure_span_matches_stepping() {
+        use commloc_net::DetRng;
+        // Drawn occupancy (processing 1-6, memory 0-12 cycles), timeouts
+        // on or off, on a rig of two or three controllers whose transport
+        // has a drawn latency and, with timeouts, drops messages. At
+        // drawn cycles one controller forks: for every j within the span
+        // `next_wake` reports, `advance(j)` must leave the state `j` steps
+        // leave, and both forks, fed the same deliveries and requests,
+        // must then emit the same messages and completions for 50 steps.
+        let mut forks = [0u32; 4];
+        for seed in 0..120u64 {
+            let mut rng = DetRng::new(seed);
+            let timeouts = rng.chance(0.5);
+            let config = MemConfig {
+                processing_cycles: 1 + rng.index(6) as u32,
+                memory_cycles: rng.index(13) as u32,
+                cache_lines: 2 + rng.index(4),
+                timeout_cycles: if timeouts {
+                    5 + rng.index(40) as u32
+                } else {
+                    0
+                },
+                max_retries: rng.index(4) as u32,
+                ..MemConfig::default()
+            };
+            let drop_rate = if timeouts { 0.1 } else { 0.0 };
+            let latency = rng.range_u64(1, 13);
+            let nodes = 2 + rng.index(2);
+            let home = Arc::new(HomeMap::interleaved(nodes));
+            let mut ctrls: Vec<Controller> = (0..nodes)
+                .map(|n| Controller::new(NodeId(n), Arc::clone(&home), config))
+                .collect();
+            let mut in_flight: Vec<(u64, NodeId, ProtocolMsg)> = Vec::new();
+            let mut next_txn = 0u64;
+            for now in 0..300u64 {
+                deliver_due(&mut ctrls, &mut in_flight, now);
+                for (n, ctrl) in ctrls.iter_mut().enumerate() {
+                    if rng.chance(0.08) {
+                        ctrl.request(TxnId(next_txn), drawn_op(&mut rng, n as u64));
+                        next_txn += 1;
+                    }
+                    ctrl.step();
+                    while let Some((dst, msg)) = ctrl.take_outgoing() {
+                        if !rng.chance(drop_rate) {
+                            in_flight.push((now + latency, dst, msg));
+                        }
+                    }
+                    while ctrl.poll_completion().is_some() {}
+                }
+                if !rng.chance(0.1) {
+                    continue;
+                }
+                let n = rng.index(nodes);
+                let ctrl = &ctrls[n];
+                let span = ctrl.next_wake();
+                let capped = ctrl
+                    .next_deadline()
+                    .is_some_and(|d| span == Some(d.saturating_sub(ctrl.cycle + 1)));
+                forks[match span {
+                    None => 0,
+                    Some(0) => 1,
+                    Some(_) if capped => 2,
+                    Some(_) => 3,
+                }] += 1;
+                // Spans are cut where the test stops looking.
+                for j in 1..=span.unwrap_or(u64::MAX).min(24) {
+                    let (mut bulk, mut stepped) = (ctrl.clone(), ctrl.clone());
+                    bulk.advance(j);
+                    for _ in 0..j {
+                        stepped.step();
+                        assert!(
+                            stepped.take_outgoing().is_none() && stepped.completions.is_empty(),
+                            "seed {seed}: a pure tick acted"
+                        );
+                    }
+                    assert_eq!(
+                        format!("{bulk:?}"),
+                        format!("{stepped:?}"),
+                        "seed {seed} cycle {now}: advance({j}) of a {span:?}-tick span"
+                    );
+                    // Later inputs: the messages in flight to this node,
+                    // held back to the end of the span, and fresh requests.
+                    let mut inputs: Vec<(u64, NodeId, ProtocolMsg)> = in_flight
+                        .iter()
+                        .filter(|&&(_, dst, _)| dst.0 == n)
+                        .map(|&(due, dst, msg)| (due.max(now + j + 1), dst, msg))
+                        .collect();
+                    let mut pair = [bulk, stepped];
+                    let mut fresh = DetRng::new(seed ^ now);
+                    for later in now + j + 1..now + j + 51 {
+                        let op = fresh.chance(0.2).then(|| drawn_op(&mut fresh, n as u64));
+                        let emitted = pair.each_mut().map(|fork| {
+                            let mut feed = inputs.clone();
+                            deliver_due(std::slice::from_mut(fork), &mut feed, later);
+                            if let Some(op) = op {
+                                fork.request(TxnId(u64::MAX - later), op);
+                            }
+                            fork.step();
+                            let sent: Vec<_> =
+                                std::iter::from_fn(|| fork.take_outgoing()).collect();
+                            let done: Vec<_> =
+                                std::iter::from_fn(|| fork.poll_completion()).collect();
+                            (sent, done)
+                        });
+                        inputs.retain(|&(due, ..)| due > later);
+                        assert_eq!(
+                            emitted[0], emitted[1],
+                            "seed {seed}: forks diverged at cycle {later}"
+                        );
+                    }
+                }
+            }
+        }
+        // Every kind of span was drawn and checked.
+        assert!(forks.iter().all(|&k| k > 200), "forks by span: {forks:?}");
+    }
+
+    /// A drawn read or write by node `n` on one of six lines (shared
+    /// among the rig's nodes, homed across them).
+    fn drawn_op(rng: &mut commloc_net::DetRng, n: u64) -> MemOp {
+        let addr = LineAddr(rng.range_u64(0, 6)).base();
+        if rng.chance(0.5) {
+            MemOp::Read(addr)
+        } else {
+            MemOp::Write(addr, n)
+        }
+    }
+
+    /// Delivers the messages due by `now` to their controllers (indexed
+    /// from the first controller's node), in the order they were sent.
+    fn deliver_due(
+        ctrls: &mut [Controller],
+        in_flight: &mut Vec<(u64, NodeId, ProtocolMsg)>,
+        now: u64,
+    ) {
+        let base = ctrls[0].node.0;
+        in_flight.retain(|&(due, dst, msg)| {
+            if due > now {
+                return true;
+            }
+            ctrls[dst.0 - base].deliver(msg);
+            false
+        });
     }
 
     #[test]

@@ -190,15 +190,22 @@ impl Torus {
         (node.0 / self.radix.pow(dim)) % self.radix
     }
 
-    /// The neighbor of `node` one hop away in `dim`/`direction`.
+    /// The neighbor of `node` one hop away in `dim`/`direction`: only
+    /// that dimension's coordinate changes, by its stride in the node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `dim` is out of range.
     pub fn neighbor(&self, node: NodeId, dim: u32, direction: Direction) -> NodeId {
-        let mut coords = self.coordinates(node);
-        let c = coords[dim as usize];
-        coords[dim as usize] = match direction {
+        assert!(node.0 < self.nodes(), "node {node} out of range");
+        assert!(dim < self.dims, "dimension {dim} out of range");
+        let stride = self.radix.pow(dim);
+        let c = (node.0 / stride) % self.radix;
+        let next = match direction {
             Direction::Plus => (c + 1) % self.radix,
             Direction::Minus => (c + self.radix - 1) % self.radix,
         };
-        self.node_at(&coords)
+        NodeId(node.0 - c * stride + next * stride)
     }
 
     /// Minimal hop distance between `a` and `b` in a single dimension's
@@ -1086,6 +1093,28 @@ mod tests {
         let corner = t.node_at(&[7, 0]);
         assert_eq!(t.neighbor(corner, 0, Direction::Plus), t.node_at(&[0, 0]));
         assert_eq!(t.neighbor(corner, 1, Direction::Minus), t.node_at(&[7, 7]));
+    }
+
+    #[test]
+    fn neighbor_moves_one_coordinate_around_its_ring() {
+        for (dims, radix) in [(1, 1), (1, 5), (2, 2), (2, 3), (3, 4)] {
+            let t = Torus::new(dims, radix);
+            for id in t.node_ids() {
+                for dim in 0..dims {
+                    for (direction, step) in [(Direction::Plus, 1), (Direction::Minus, radix - 1)] {
+                        let mut coords = t.coordinates(id);
+                        coords[dim as usize] = (coords[dim as usize] + step) % radix;
+                        assert_eq!(t.neighbor(id, dim, direction), t.node_at(&coords));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension 2 out of range")]
+    fn neighbor_past_the_last_dimension_panics() {
+        Torus::new(2, 4).neighbor(NodeId(0), 2, Direction::Plus);
     }
 
     #[test]

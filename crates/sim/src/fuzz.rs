@@ -2,13 +2,13 @@
 //! the retained exhaustive reference stepping mode.
 //!
 //! Each seed draws a random full-machine scenario — torus shape, context
-//! count, clock ratio, mapping, retry/timeout configuration, watchdog
-//! window, an optional fault plan (including one-off exact-cycle delay
-//! events), an optional work-stealing migration policy, and a shard
-//! count — and runs two or three [`Machine`]s over it in lockstep: one
-//! stepped by the active-node engine ([`Machine::new`]), one by the
-//! reference loop ([`Machine::new_reference`]), and on sharded draws a
-//! [`Machine::with_shards`]. The checker requires **bit-identical**
+//! count, clock ratio, mapping, retry/timeout configuration, controller
+//! occupancy, watchdog window, an optional fault plan (including one-off
+//! exact-cycle delay events), an optional work-stealing migration policy,
+//! and a shard count — and runs two or three [`Machine`]s over it in
+//! lockstep: one stepped by the active-node engine ([`Machine::new`]),
+//! one by the reference loop ([`Machine::new_reference`]), and on sharded
+//! draws a [`Machine::with_shards`]. The checker requires **bit-identical**
 //! behavior: completion counts (total and per node), measurements,
 //! latency breakdowns, fault logs, migrations, and — when the scenario
 //! wedges — the watchdog's stall report, down to the trip cycle.
@@ -120,6 +120,10 @@ pub struct MachineScenario {
     pub topology: Option<Topology>,
     /// The traffic-generating workload both engines run.
     pub workload: WorkloadKind,
+    /// Controller occupancy per work item (the default is 2).
+    pub processing_cycles: u32,
+    /// Extra controller occupancy per DRAM touch (the default is 5).
+    pub memory_cycles: u32,
 }
 
 impl MachineScenario {
@@ -277,6 +281,10 @@ impl MachineScenario {
         // not: the scenario then runs a three-way lockstep, active vs
         // reference vs sharded.
         let shards = [1, 1, 1, 2, 3, 4][rng.index(6)].min(routers);
+        // Controller occupancy sets the controllers' pure-tick spans;
+        // drawn last, so each seed keeps every other field.
+        let processing_cycles = 1 + rng.index(6) as u32;
+        let memory_cycles = rng.index(13) as u32;
         Self {
             seed,
             dims,
@@ -297,6 +305,8 @@ impl MachineScenario {
             shards,
             topology,
             workload,
+            processing_cycles,
+            memory_cycles,
         }
     }
 
@@ -339,6 +349,8 @@ impl MachineScenario {
             switch_cycles: self.switch_cycles,
             work: self.work,
             mem: MemConfig {
+                processing_cycles: self.processing_cycles,
+                memory_cycles: self.memory_cycles,
                 timeout_cycles: self.timeout_cycles,
                 max_retries: self.max_retries,
                 ..MemConfig::default()
@@ -652,7 +664,8 @@ impl MachineShrinkOutcome {
              mapping: MappingKind::{mapping:?},\n        trace_capacity: {tcap},\n        \
              warmup: {warmup},\n        window: {window},\n        fault: {fault},\n        \
              migration: {migration},\n        shards: {shards},\n        topology: {topology},\n        \
-             workload: WorkloadKind::{workload:?},\n    }};\n    \
+             workload: WorkloadKind::{workload:?},\n        \
+             processing_cycles: {processing},\n        memory_cycles: {memory},\n    }};\n    \
              run_scenario(&scenario).expect(\"active and reference machines must agree\");\n}}\n",
             seed = s.seed,
             dims = s.dims,
@@ -672,6 +685,8 @@ impl MachineShrinkOutcome {
             shards = s.shards,
             topology = topology,
             workload = s.workload,
+            processing = s.processing_cycles,
+            memory = s.memory_cycles,
         )
     }
 }
@@ -789,6 +804,17 @@ fn reductions(s: &MachineScenario) -> Vec<MachineScenario> {
         c.trace_capacity = 0;
         out.push(c);
     }
+    let defaults = MemConfig::default();
+    if s.processing_cycles != defaults.processing_cycles {
+        let mut c = s.clone();
+        c.processing_cycles = defaults.processing_cycles;
+        out.push(c);
+    }
+    if s.memory_cycles != defaults.memory_cycles {
+        let mut c = s.clone();
+        c.memory_cycles = defaults.memory_cycles;
+        out.push(c);
+    }
     out
 }
 
@@ -807,6 +833,8 @@ mod tests {
             assert!(a.contexts == 1 || a.contexts == 2 || a.contexts == 4);
             assert!(a.clock_ratio == 1 || a.clock_ratio == 2);
             assert!(a.window >= 800);
+            assert!((1..=6).contains(&a.processing_cycles), "seed {seed}");
+            assert!(a.memory_cycles <= 12, "seed {seed}");
             assert!(
                 a.shards >= 1 && a.shards <= a.total_nodes(),
                 "seed {seed}: shards {} out of range",
@@ -982,6 +1010,8 @@ mod tests {
             shards: 3,
             topology: None,
             workload: WorkloadKind::Neighbor,
+            processing_cycles: 2,
+            memory_cycles: 5,
         };
         run_scenario(&scenario).expect("active and sharded machines must agree");
     }
@@ -1021,6 +1051,8 @@ mod tests {
             shards: 2,
             topology: None,
             workload: WorkloadKind::Neighbor,
+            processing_cycles: 2,
+            memory_cycles: 5,
         };
         let report = run_scenario(&scenario).expect("active and sharded machines must agree");
         assert!(report.stalled, "the scenario must end in a watchdog trip");
@@ -1066,6 +1098,8 @@ mod tests {
                     shards: 2,
                     topology: topology.clone(),
                     workload: *workload,
+                    processing_cycles: 2,
+                    memory_cycles: 5,
                 };
                 let label = topology
                     .as_ref()
@@ -1101,6 +1135,7 @@ mod tests {
         let repro = outcome.repro_test();
         assert!(repro.contains("machine_fuzz_repro_seed_1"));
         assert!(repro.contains("MachineScenario {"));
+        assert!(repro.contains("processing_cycles: ") && repro.contains("memory_cycles: "));
     }
 
     #[test]

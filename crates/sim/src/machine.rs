@@ -35,18 +35,18 @@
 //! Stepping is built around an **active-node worklist with cross-layer
 //! next-event horizons** (DESIGN.md §4.9). Each processor boundary visits
 //! only the nodes that can possibly act — a node sleeps through compute
-//! runs, context switches and memory waits, and is enqueued when the
-//! fabric delivers to it or when its timer fires (the end of its pure
-//! ticks, or a retry deadline) — and when every worklist is empty and
-//! every fabric is drained, [`Machine::run_network_cycles`] fast-forwards
-//! the whole machine to the earliest next event (`min` of the run target,
-//! the first timer wake, and the watchdog trip cycle). Each layer
-//! contributes its horizon: `Processor::next_wake`,
-//! `Controller::next_deadline`, and `Fabric::fast_forward`. The previous
-//! exhaustive every-node-every-cycle loop is retained as a reference
-//! stepping mode ([`Machine::new_reference`]) and the differential fuzzer
-//! asserts bit-identical behavior between the two across random
-//! scenarios.
+//! runs, context switches, memory waits and controller occupancy, and is
+//! enqueued when the fabric delivers to it or when its timer fires (the
+//! end of the shorter of its two layers' pure-tick spans, which a retry
+//! deadline caps) — and when every worklist is empty and every fabric is
+//! drained, [`Machine::run_network_cycles`] fast-forwards the whole
+//! machine to the earliest next event (`min` of the run target, the first
+//! timer wake, and the watchdog trip cycle). Each layer contributes its
+//! horizon: `Processor::next_wake`, `Controller::next_wake`, and
+//! `Fabric::fast_forward`. The previous exhaustive every-node-every-cycle
+//! loop is retained as a reference stepping mode
+//! ([`Machine::new_reference`]) and the differential fuzzer asserts
+//! bit-identical behavior between the two across random scenarios.
 //!
 //! A context blocks on one transaction at a time, so its slot is the one
 //! record of that transaction and its issue cycle. A per-shard issue
@@ -322,7 +322,7 @@ struct Shard {
     /// controller clocks were last advanced. A sleeping node accrues
     /// "debt" settled lazily on its next visit (or when a stepping call
     /// returns), since each boundary it sleeps through is a pure tick of
-    /// both layers: `Processor::advance` and `{cycle+1}`.
+    /// both layers: `Processor::advance` and `Controller::advance`.
     last_stepped: Vec<u64>,
     /// The boundary each sleeping node is armed to wake at, or
     /// [`NO_WAKE`].
@@ -484,7 +484,7 @@ impl Shard {
         let debt = boundary - self.last_stepped[n];
         if debt > 0 {
             self.nodes[n].cpu.advance(debt);
-            self.nodes[n].ctrl.advance_idle(debt);
+            self.nodes[n].ctrl.advance(debt);
             self.last_stepped[n] = boundary;
         }
     }
@@ -559,8 +559,8 @@ impl Shard {
     /// and due timer wakes into the worklist, visits only the listed
     /// nodes (ascending, like the exhaustive loop), settles each node's
     /// lazy debt before its real step, and updates residency — a node
-    /// sleeps while its processor has only pure ticks ahead and its
-    /// controller is dormant, waking on a delivery or timer.
+    /// sleeps while its processor and its controller both have only pure
+    /// ticks ahead, waking on a delivery or timer.
     fn step_nodes_active(&mut self, config: &SimConfig, now: u64) -> Result<(), SimError> {
         let boundary = now / u64::from(config.clock_ratio);
         self.fold_delivery_events();
@@ -599,25 +599,24 @@ impl Shard {
         self.visit_node(config, n, now)
     }
 
-    /// Puts a node just visited at `boundary` to sleep when its
-    /// controller is dormant and its processor's next steps are pure
-    /// ticks, armed to wake at the first boundary that may not be one:
-    /// the step after the span, or the controller's next retry deadline
-    /// (controller local cycles coincide with boundary indices).
+    /// Puts node `n`, stepped up to `boundary`, to sleep when the next
+    /// steps of both its layers are pure ticks, armed to wake at the
+    /// first boundary after the shorter span (`None`, unbounded, on
+    /// both: only a delivery wakes it); keeps it awake otherwise.
     fn update_residency(&mut self, n: usize, boundary: u64) {
         let node = &self.nodes[n];
-        let span = node.cpu.next_wake();
-        if span == Some(0) || node.ctrl.has_pending_work() {
+        let span = match node.cpu.next_wake() {
+            Some(0) => Some(0),
+            // `None` is unbounded, so the shorter span is the least bound.
+            cpu => cpu.into_iter().chain(node.ctrl.next_wake()).min(),
+        };
+        if span == Some(0) {
+            self.active.insert(n);
             self.arm_wake(n, NO_WAKE);
             return;
         }
-        let span_end = span.map_or(NO_WAKE, |k| boundary.saturating_add(k + 1));
-        let wake = node
-            .ctrl
-            .next_deadline()
-            .map_or(span_end, |d| d.min(span_end));
         self.active.remove(n);
-        self.arm_wake(n, wake);
+        self.arm_wake(n, span.map_or(NO_WAKE, |k| boundary.saturating_add(k + 1)));
     }
 
     /// One node's processor boundary: the five phases of the stepping
@@ -1045,8 +1044,8 @@ impl Machine {
     /// re-derive `stalled_for` values below the trip threshold.
     ///
     /// The horizon is `min` of the run target, the first timer wake in
-    /// any shard (the end of a processor's pure ticks, or a
-    /// [`Controller::next_deadline`]), and the watchdog trip cycle.
+    /// any shard (the end of a node's pure ticks, [`Processor::next_wake`]
+    /// and [`Controller::next_wake`]), and the watchdog trip cycle.
     fn try_fast_forward(&mut self, target: u64) {
         if !self
             .shards
@@ -1237,7 +1236,8 @@ impl Machine {
         // 1. Adopt threads whose steal latency has elapsed. The migration
         // layer mutates processors and controllers outside the node
         // visits, so each node's clocks first reach the current boundary
-        // exactly as exhaustive stepping would have them.
+        // exactly as exhaustive stepping would have them, and the node
+        // then wakes or sleeps as a visit would leave it.
         while let Some((&due, _)) = self.arrivals.first_key_value() {
             if due > now {
                 break;
@@ -1247,11 +1247,13 @@ impl Machine {
                 let (shard, n) = self.owner_mut(stolen.to);
                 if !reference {
                     shard.settle_debt(n, boundary);
-                    shard.active.insert(n);
                 }
                 let node = &mut shard.nodes[n];
                 node.cpu.adopt(stolen.program);
                 node.ctx_txn.push(None);
+                if !reference {
+                    shard.update_residency(n, boundary);
+                }
             }
         }
         // 2. Wedge scan, gated on a cheap oldest-transaction age check
@@ -1320,6 +1322,9 @@ impl Machine {
             let program = shard.nodes[n].cpu.park(ctx);
             shard.nodes[n].ctx_txn[ctx] = None;
             shard.abandoned.insert(txn.0);
+            if !reference {
+                shard.update_residency(n, boundary);
+            }
             self.migrated_from[victim] = true;
             self.live_threads[victim] -= 1;
             self.live_threads[dst.0] += 1;
@@ -1606,10 +1611,24 @@ mod tests {
     }
 
     /// Asserts that every shard's wake heap holds an entry for each armed
-    /// node and stays within twice the node count: no sleeper's wake is
-    /// lost, and stale entries stay bounded.
+    /// node and stays within twice the node count — no sleeper's wake is
+    /// lost, and stale entries stay bounded — and that no awake node could
+    /// sleep: each node on a worklist has a zero span in one layer, or a
+    /// delivery waiting for it.
     fn audit_wakes(machine: &Machine) {
         for shard in &machine.shards {
+            let mut fabric = shard.fabric.clone();
+            for (n, node) in shard.nodes.iter().enumerate() {
+                let g = shard.base + n;
+                assert!(
+                    !shard.active.contains(n)
+                        || node.cpu.next_wake() == Some(0)
+                        || node.ctrl.next_wake() == Some(0)
+                        || fabric.poll_delivery(NodeId(g)).is_some(),
+                    "node {g} is awake with only pure ticks ahead by cycle {}",
+                    machine.net_cycle
+                );
+            }
             assert!(
                 shard.wakes.len() <= 2 * shard.nodes.len(),
                 "wake heap of {} entries for {} nodes by cycle {}",
@@ -1998,14 +2017,24 @@ mod tests {
     #[test]
     fn sleeping_nodes_are_invisible_to_every_stepping_call() {
         use commloc_net::{DetRng, FaultConfig, FaultPlan};
-        // Nodes sleep through compute runs and context switches and
-        // settle lazily. One machine steps through the public `step()`,
-        // another runs drawn chunks through `run_network_cycles`
-        // (fast-forward included); after every chunk both must read what
-        // the reference engine reads: measurements (busy cycles feed the
-        // run length), per-node completions and the breakdown. A reset
-        // midway checks that the window starts from settled counters, and
-        // the wake heap is audited after every chunk.
+        // Nodes sleep through compute runs, context switches and
+        // controller occupancy, and settle lazily. One machine steps
+        // through the public `step()`, another runs drawn chunks through
+        // `run_network_cycles` (fast-forward included); after every chunk
+        // both must read what the reference engine reads: measurements
+        // (busy cycles feed the run length), per-node completions and the
+        // breakdown. A reset midway checks that the window starts from
+        // settled counters, and the wake heap and the worklist are
+        // audited after every chunk. Long controller occupancy stretches
+        // the controllers' spans.
+        let occupied = SimConfig {
+            mem: MemConfig {
+                processing_cycles: 5,
+                memory_cycles: 11,
+                ..MemConfig::default()
+            },
+            ..small_config()
+        };
         let lossy = SimConfig {
             mem: MemConfig {
                 timeout_cycles: 400,
@@ -2020,7 +2049,12 @@ mod tests {
         };
         let mut rng = DetRng::new(22);
         let mut jumped = 0;
-        for (contexts, base) in [(2, small_config()), (4, small_config()), (2, lossy)] {
+        for (contexts, base) in [
+            (2, small_config()),
+            (4, small_config()),
+            (2, occupied),
+            (2, lossy),
+        ] {
             let config = SimConfig {
                 contexts,
                 switch_cycles: 11,
