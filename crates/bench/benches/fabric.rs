@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo bench --bench fabric`
 
-use commloc_bench::{committed_baseline, write_measured};
+use commloc_bench::{write_measured, RegressionGate};
 use commloc_net::{Fabric, FabricConfig, Message, NodeId, ReferenceFabric, Torus};
 
 /// Deterministic per-cycle injection schedule: `schedule[cycle]` lists
@@ -201,22 +201,7 @@ fn render_json(outcomes: &[Outcome]) -> String {
     out
 }
 
-/// Pulls `"cycles_per_sec": <value>` for `name` out of a committed
-/// baseline without a JSON dependency: scenario objects are one per line
-/// in the format this harness writes.
-fn baseline_cycles_per_sec(baseline: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = baseline.lines().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"cycles_per_sec\": ").nth(1)?;
-    rest.split(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
-}
-
 fn main() {
-    let baseline = committed_baseline("fabric");
-
     let mut outcomes = Vec::new();
     println!("=== Fabric engine throughput (simulated network cycles / second) ===\n");
     for scenario in scenarios() {
@@ -245,41 +230,14 @@ fn main() {
         });
     }
 
-    let mut regressed = Vec::new();
-    if let Some(baseline) = &baseline {
-        println!();
-        for o in &outcomes {
-            let Some(committed) = baseline_cycles_per_sec(baseline, o.name) else {
-                continue;
-            };
-            let ratio = o.cycles_per_sec / committed;
-            println!(
-                "vs committed baseline: {:<18} {:>6.2}x ({:.0} -> {:.0} cyc/s)",
-                o.name, ratio, committed, o.cycles_per_sec
-            );
-            if ratio < 0.8 {
-                regressed.push(format!(
-                    "{}: {:.0} cyc/s is {:.0}% below the committed {:.0} cyc/s",
-                    o.name,
-                    o.cycles_per_sec,
-                    (1.0 - ratio) * 100.0,
-                    committed
-                ));
-            }
-        }
-    }
+    let rates: Vec<(String, f64)> = outcomes
+        .iter()
+        .map(|o| (o.name.to_owned(), o.cycles_per_sec))
+        .collect();
+    let gate = RegressionGate::compare("fabric", "scenarios", "name", &rates, 0.8);
 
     let measured = write_measured("fabric", &render_json(&outcomes));
     println!("\nwrote {}", measured.display());
 
-    if !regressed.is_empty() {
-        eprintln!("\nperformance regression (>20% below committed baseline):");
-        for r in &regressed {
-            eprintln!("  {r}");
-        }
-        if std::env::var("COMMLOC_PERF_ENFORCE").as_deref() == Ok("1") {
-            std::process::exit(1);
-        }
-        eprintln!("  (set COMMLOC_PERF_ENFORCE=1 to fail the run)");
-    }
+    gate.enforce();
 }

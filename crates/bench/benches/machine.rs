@@ -35,7 +35,7 @@
 //!
 //! Run with: `cargo bench --bench machine`
 
-use commloc_bench::{committed_baseline, write_measured};
+use commloc_bench::{write_measured, RegressionGate};
 use commloc_mem::MemConfig;
 use commloc_net::{FaultConfig, FaultPlan};
 use commloc_sim::{Machine, Mapping, SimConfig, SimError, WorkStealingPolicy};
@@ -295,22 +295,7 @@ fn render_json(outcomes: &[Outcome]) -> String {
     out
 }
 
-/// Pulls `"cycles_per_sec": <value>` for `name` out of a committed
-/// baseline without a JSON dependency: scenario objects are one per line
-/// in the format this harness writes.
-fn baseline_cycles_per_sec(baseline: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = baseline.lines().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"cycles_per_sec\": ").nth(1)?;
-    rest.split(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
-}
-
 fn main() {
-    let baseline = committed_baseline("machine");
-
     let mut outcomes = Vec::new();
     let mut misshapen = Vec::new();
     println!("=== Machine engine throughput (simulated network cycles / second) ===\n");
@@ -356,35 +341,17 @@ fn main() {
         });
     }
 
-    let mut regressed = Vec::new();
-    if let Some(baseline) = &baseline {
-        println!();
-        for o in &outcomes {
-            let Some(committed) = baseline_cycles_per_sec(baseline, o.name) else {
-                continue;
-            };
-            let ratio = o.cycles_per_sec / committed;
-            println!(
-                "vs committed baseline: {:<28} {:>6.2}x ({:.0} -> {:.0} cyc/s)",
-                o.name, ratio, committed, o.cycles_per_sec
-            );
-            // Half the committed throughput, not the fabric bench's 20%:
-            // full-machine runs on shared CI hosts vary up to ~45% run to
-            // run (the dense scenarios are memory-system bound), while
-            // every failure mode this gate exists for — fast-forward not
-            // firing, worklist bookkeeping blowing up — costs well over
-            // 2x on at least one scenario.
-            if ratio < 0.5 {
-                regressed.push(format!(
-                    "{}: {:.0} cyc/s is {:.0}% below the committed {:.0} cyc/s",
-                    o.name,
-                    o.cycles_per_sec,
-                    (1.0 - ratio) * 100.0,
-                    committed
-                ));
-            }
-        }
-    }
+    // Half the committed throughput, not the fabric bench's 20%:
+    // full-machine runs on shared CI hosts vary up to ~45% run to run
+    // (the dense scenarios are memory-system bound), while every failure
+    // mode this gate exists for — fast-forward not firing, worklist
+    // bookkeeping blowing up — costs well over 2x on at least one
+    // scenario.
+    let rates: Vec<(String, f64)> = outcomes
+        .iter()
+        .map(|o| (o.name.to_owned(), o.cycles_per_sec))
+        .collect();
+    let gate = RegressionGate::compare("machine", "scenarios", "name", &rates, 0.5);
 
     let measured = write_measured("machine", &render_json(&outcomes));
     println!("\nwrote {}", measured.display());
@@ -397,14 +364,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    if !regressed.is_empty() {
-        eprintln!("\nperformance regression (>50% below committed baseline):");
-        for r in &regressed {
-            eprintln!("  {r}");
-        }
-        if std::env::var("COMMLOC_PERF_ENFORCE").as_deref() == Ok("1") {
-            std::process::exit(1);
-        }
-        eprintln!("  (set COMMLOC_PERF_ENFORCE=1 to fail the run)");
-    }
+    gate.enforce();
 }

@@ -33,7 +33,7 @@
 //! neither compare nor write a record, so CI can exercise the harness
 //! without a small-torus baseline.
 
-use commloc_bench::{committed_baseline, render_scale_json, write_measured, ScalePoint};
+use commloc_bench::{render_scale_json, write_measured, RegressionGate, ScalePoint};
 use commloc_sim::{set_job_budget, Machine, Mapping, SimConfig};
 
 const DEFAULT_RADIX: usize = 256;
@@ -77,19 +77,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Pulls `"cycles_per_sec": <value>` for a worker point out of a
-/// committed baseline without a JSON dependency: point objects are one
-/// per line in the format this harness writes.
-fn baseline_cycles_per_sec(baseline: &str, workers: usize) -> Option<f64> {
-    let needle = format!("\"workers\": {workers},");
-    let line = baseline.lines().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"cycles_per_sec\": ").nth(1)?;
-    rest.split(|c: char| c != '.' && !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
 }
 
 fn main() {
@@ -153,30 +140,11 @@ fn main() {
         return;
     }
 
-    let baseline = committed_baseline("scale");
-    let mut regressed = Vec::new();
-    if let Some(baseline) = &baseline {
-        println!();
-        for p in &points {
-            let Some(committed) = baseline_cycles_per_sec(baseline, p.workers) else {
-                continue;
-            };
-            let ratio = p.cycles_per_sec / committed;
-            println!(
-                "vs committed baseline: {} worker(s) {:>6.2}x ({:.0} -> {:.0} cyc/s)",
-                p.workers, ratio, committed, p.cycles_per_sec
-            );
-            if ratio < 0.5 {
-                regressed.push(format!(
-                    "{} worker(s): {:.0} cyc/s is {:.0}% below the committed {:.0} cyc/s",
-                    p.workers,
-                    p.cycles_per_sec,
-                    (1.0 - ratio) * 100.0,
-                    committed
-                ));
-            }
-        }
-    }
+    let rates: Vec<(String, f64)> = points
+        .iter()
+        .map(|p| (p.workers.to_string(), p.cycles_per_sec))
+        .collect();
+    let gate = RegressionGate::compare("scale", "points", "workers", &rates, 0.5);
 
     let measured = write_measured(
         "scale",
@@ -184,14 +152,5 @@ fn main() {
     );
     println!("\nwrote {}", measured.display());
 
-    if !regressed.is_empty() {
-        eprintln!("\nperformance regression (>50% below committed baseline):");
-        for r in &regressed {
-            eprintln!("  {r}");
-        }
-        if std::env::var("COMMLOC_PERF_ENFORCE").as_deref() == Ok("1") {
-            std::process::exit(1);
-        }
-        eprintln!("  (set COMMLOC_PERF_ENFORCE=1 to fail the run)");
-    }
+    gate.enforce();
 }

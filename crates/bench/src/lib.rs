@@ -16,12 +16,102 @@ pub use commloc_sim::conformance::{
     calibrated_model, fit_message_curve, pct_err, suite_jobs as bench_jobs, validation_runs,
     SUITE_SEED, WARMUP, WINDOW,
 };
+use commloc_sim::json::Json;
 use std::path::{Path, PathBuf};
 
-/// The committed `BENCH_<name>.json` baseline at the repository root,
-/// if one exists. The benches only ever read it.
-pub fn committed_baseline(name: &str) -> Option<String> {
-    std::fs::read_to_string(repo_root().join(format!("BENCH_{name}.json"))).ok()
+/// The committed rates [`RegressionGate::compare`] reads, keyed by each
+/// row's `key` field as text; empty when no record is committed. The
+/// benches only ever read the committed record.
+fn committed_rates(bench: &str, rows: &str, key: &str) -> Vec<(String, f64)> {
+    fn field<'a>(object: &'a Json, name: &str) -> Result<&'a Json, String> {
+        object.field(name)?.ok_or(format!("no `{name}`"))
+    }
+    let path = repo_root().join(format!("BENCH_{bench}.json"));
+    let Ok(text) = std::fs::read_to_string(&path) else {
+        return Vec::new();
+    };
+    let parse = || -> Result<Vec<(String, f64)>, String> {
+        let doc = Json::parse(&text)?;
+        field(&doc, rows)?
+            .as_array()?
+            .iter()
+            .map(|row| {
+                let id = match field(row, key)? {
+                    Json::String(name) => name.clone(),
+                    other => other.to_string(),
+                };
+                Ok((id, field(row, "cycles_per_sec")?.as_number()?))
+            })
+            .collect()
+    };
+    parse().unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The committed-baseline regression gate the engine benches share.
+pub struct RegressionGate {
+    min_ratio: f64,
+    regressed: Vec<String>,
+}
+
+impl RegressionGate {
+    /// Prints each measured `(key, cycles_per_sec)` row's ratio to the
+    /// `cycles_per_sec` of the committed `BENCH_<bench>.json` row — an
+    /// object of its `rows` array — whose `key` field matches, and
+    /// records the rows below `min_ratio` times it. Rows with no
+    /// committed counterpart, and benches with no committed record, pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a committed record does not hold such rows.
+    pub fn compare(
+        bench: &str,
+        rows: &str,
+        key: &str,
+        measured: &[(String, f64)],
+        min_ratio: f64,
+    ) -> Self {
+        let committed = committed_rates(bench, rows, key);
+        if !committed.is_empty() {
+            println!();
+        }
+        let mut regressed = Vec::new();
+        for (id, rate) in measured {
+            let Some(&(_, base)) = committed.iter().find(|(k, _)| k == id) else {
+                continue;
+            };
+            let (label, ratio) = (format!("{key} {id}"), rate / base);
+            println!(
+                "vs committed baseline: {label:<32} {ratio:>6.2}x ({base:.0} -> {rate:.0} cyc/s)"
+            );
+            if ratio < min_ratio {
+                regressed.push(format!(
+                    "{label}: {rate:.0} cyc/s is {:.0}% below the committed {base:.0} cyc/s",
+                    (1.0 - ratio) * 100.0
+                ));
+            }
+        }
+        Self {
+            min_ratio,
+            regressed,
+        }
+    }
+
+    /// Lists the regressions, if any, and exits non-zero when the
+    /// environment sets `COMMLOC_PERF_ENFORCE=1`.
+    pub fn enforce(&self) {
+        if self.regressed.is_empty() {
+            return;
+        }
+        let pct = (1.0 - self.min_ratio) * 100.0;
+        eprintln!("\nperformance regression (>{pct:.0}% below committed baseline):");
+        for r in &self.regressed {
+            eprintln!("  {r}");
+        }
+        if std::env::var("COMMLOC_PERF_ENFORCE").as_deref() == Ok("1") {
+            std::process::exit(1);
+        }
+        eprintln!("  (set COMMLOC_PERF_ENFORCE=1 to fail the run)");
+    }
 }
 
 /// Writes a bench's measured record to `target/bench/BENCH_<name>.json`
@@ -205,6 +295,31 @@ mod tests {
                 .lines()
                 .any(|l| l.contains("\"cycles_per_sec\": 200.0")));
         }
+    }
+
+    #[test]
+    fn each_gate_reads_its_committed_baseline_and_trips_below_the_threshold() {
+        for (bench, rows, key, min_ratio) in [
+            ("fabric", "scenarios", "name", 0.8),
+            ("machine", "scenarios", "name", 0.5),
+            ("scale", "points", "workers", 0.5),
+        ] {
+            let committed = committed_rates(bench, rows, key);
+            assert!(!committed.is_empty(), "{bench}: no committed rows");
+            for (id, base) in &committed {
+                let at = |ratio: f64| {
+                    let measured = [(id.clone(), base * ratio)];
+                    RegressionGate::compare(bench, rows, key, &measured, min_ratio).regressed
+                };
+                assert_eq!(at(min_ratio * 0.99).len(), 1, "{bench} {id}");
+                assert!(at(min_ratio * 1.01).is_empty(), "{bench} {id}");
+            }
+        }
+        let workers: Vec<String> = committed_rates("scale", "points", "workers")
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(workers, ["1", "2", "4", "8"]);
     }
 
     #[test]

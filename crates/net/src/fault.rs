@@ -256,48 +256,24 @@ impl FaultLog {
         self.classes.push(class);
     }
 
-    /// The deterministic global ordering key of event `i`: within a
-    /// cycle, scheduled activations come first, then rolls, both in
-    /// ascending `(node, port, kind)` order — exactly the order a
-    /// single-shard run logs them in.
-    fn sort_key(&self, i: usize) -> (u64, u8, usize, usize, u8) {
-        let (node, port, kind) = event_site(&self.events[i]);
-        (self.events[i].cycle(), self.classes[i], node, port, kind)
-    }
-
-    /// Merges per-shard logs back into the order a single-shard run
-    /// would have produced.
+    /// Merges per-shard logs, given in shard (ascending node-range)
+    /// order, back into the order a single-shard run would have
+    /// produced: a stable sort by `(cycle, class)` (`None` without
+    /// logs).
     ///
-    /// Each shard rolls faults only for links it owns, so any two events
-    /// with the same ordering key come from the same shard and their
-    /// relative order is already correct; a stable k-way merge on the
-    /// key therefore reconstructs the global log exactly (asserted by
-    /// the sharded-equivalence tests).
-    pub fn merge<'a>(logs: impl IntoIterator<Item = &'a FaultLog>) -> FaultLog {
-        let logs: Vec<&FaultLog> = logs.into_iter().collect();
-        let mut order: Vec<(usize, usize)> = Vec::new();
-        for (li, log) in logs.iter().enumerate() {
-            order.extend((0..log.events.len()).map(|i| (li, i)));
-        }
-        order.sort_by_key(|&(li, i)| logs[li].sort_key(i));
-        let mut merged = FaultLog::default();
-        for (li, i) in order {
-            merged.push(logs[li].events[i], logs[li].classes[i]);
-        }
-        merged
-    }
-}
-
-/// The `(node, port, kind-rank)` an event is keyed on for deterministic
-/// ordering. Router-wide events use `usize::MAX` as their port so they
-/// sort after that node's per-link events.
-fn event_site(event: &FaultEvent) -> (usize, usize, u8) {
-    match *event {
-        FaultEvent::PayloadCorrupted { node, port, .. } => (node.0, port, 0),
-        FaultEvent::MessageDropped { node, port, .. } => (node.0, port, 1),
-        FaultEvent::LinkStalled { node, port, .. } => (node.0, port, 2),
-        FaultEvent::LinkKilled { node, port, .. } => (node.0, port, 3),
-        FaultEvent::RouterStalled { node, .. } => (node.0, usize::MAX, 4),
+    /// Within one class of one cycle every fabric logs in ascending
+    /// `(node, port)` order, and each shard logs only for links it owns,
+    /// so shard order breaks the ties exactly (asserted by the
+    /// sharded-equivalence tests).
+    pub fn merge<'a>(logs: impl IntoIterator<Item = &'a FaultLog>) -> Option<FaultLog> {
+        let mut logs = logs.into_iter().peekable();
+        logs.peek()?;
+        let mut tagged: Vec<(FaultEvent, u8)> = logs
+            .flat_map(|log| log.events.iter().copied().zip(log.classes.iter().copied()))
+            .collect();
+        tagged.sort_by_key(|&(event, class)| (event.cycle(), class));
+        let (events, classes) = tagged.into_iter().unzip();
+        Some(FaultLog { events, classes })
     }
 }
 
@@ -748,8 +724,8 @@ impl FaultPlan {
 
 /// The canonical firing order of same-cycle scheduled faults:
 /// ascending `(node, port, kind)`, router-wide events after that node's
-/// per-link events — matching [`event_site`] so merged logs sort
-/// identically.
+/// per-link events — ascending node order at every shard count, which
+/// [`FaultLog::merge`] relies on.
 fn scheduled_key(fault: &ScheduledFault) -> (usize, usize, u8) {
     match *fault {
         ScheduledFault::StallLink { node, port, .. } => (node, port, 2),

@@ -6,6 +6,8 @@
 //! a fixed-capacity ring. The ring never exceeds its bound (oldest events
 //! are evicted first) and is entirely absent when tracing is off, so the
 //! default configuration pays only a dead `Option` check per event site.
+//! A sharded fabric keeps one ring per shard, and [`TraceBuffer::merge`]
+//! rebuilds the one-shard ring from them.
 
 use crate::message::MessageId;
 use crate::topology::NodeId;
@@ -74,6 +76,21 @@ impl TraceEvent {
             | TraceEvent::Deliver { cycle, .. }
             | TraceEvent::Drop { cycle, .. } => cycle,
         }
+    }
+
+    /// The key [`TraceBuffer::merge`] orders per-shard rings by: the
+    /// cycle, then the fabric phase that emitted the event — 0 for
+    /// switch traversal (`HopBlock`, `Drop`, an ejecting `Deliver`), 1 for
+    /// injection (`Inject`, a loopback `Deliver`, whose `hops` is 0).
+    /// Within one phase of one cycle a fabric emits in ascending node
+    /// order, so shard order breaks the ties.
+    pub fn order_key(&self) -> (u64, u8) {
+        let injection = match *self {
+            TraceEvent::Inject { .. } => true,
+            TraceEvent::Deliver { hops, .. } => hops == 0,
+            TraceEvent::HopBlock { .. } | TraceEvent::Drop { .. } => false,
+        };
+        (self.cycle(), u8::from(injection))
     }
 
     /// This event as one line of JSON (dependency-free serialization for
@@ -183,6 +200,42 @@ impl<E> TraceBuffer<E> {
     }
 }
 
+impl<E: Clone> TraceBuffer<E> {
+    /// Merges per-shard rings, given in shard (ascending node-range)
+    /// order, into the ring one shard would hold: the parts concatenated,
+    /// stable-sorted by `key`, the newest `capacity` events kept and
+    /// `recorded` summed (`None` without parts).
+    ///
+    /// Exact when `key` orders the events as a one-shard run pushes
+    /// them, ties going to shard order, and every part has the shared
+    /// capacity: each of the newest `capacity` events overall is then
+    /// among the newest `capacity` of its own shard, which its ring still
+    /// holds.
+    pub fn merge<'a, K: Ord>(
+        parts: impl IntoIterator<Item = &'a Self>,
+        key: impl Fn(&E) -> K,
+    ) -> Option<Self>
+    where
+        E: 'a,
+    {
+        let mut parts = parts.into_iter().peekable();
+        let capacity = parts.peek()?.capacity;
+        let mut recorded = 0;
+        let mut events = Vec::new();
+        for part in parts {
+            recorded += part.recorded;
+            events.extend(part.events.iter().cloned());
+        }
+        events.sort_by_key(&key);
+        let evicted = events.len().saturating_sub(capacity);
+        Some(Self {
+            capacity,
+            events: events.drain(evicted..).collect(),
+            recorded,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +262,56 @@ mod tests {
         // Oldest-first order, newest events retained.
         let cycles: Vec<u64> = t.iter().map(TraceEvent::cycle).collect();
         assert_eq!(cycles, vec![96, 97, 98, 99]);
+    }
+
+    #[test]
+    fn merge_keeps_the_newest_events_in_cycle_phase_then_shard_order() {
+        let inject = |cycle, m| TraceEvent::Inject {
+            cycle,
+            message: MessageId(m),
+            src: NodeId(0),
+            dst: NodeId(1),
+            length: 4,
+        };
+        let block = |cycle, m| TraceEvent::HopBlock {
+            cycle,
+            message: MessageId(m),
+            node: NodeId(5),
+            waited: 1,
+        };
+        let loopback = |cycle, m| TraceEvent::Deliver {
+            cycle,
+            message: MessageId(m),
+            dst: NodeId(1),
+            total_latency: 0,
+            hops: 0,
+        };
+        let ring = |events: &[TraceEvent]| {
+            let mut t = TraceBuffer::new(4);
+            events.iter().for_each(|&e| t.push(e));
+            t
+        };
+        let first = ring(&[inject(2, 10), loopback(7, 11), inject(9, 12)]);
+        let second = ring(&[
+            inject(0, 19),
+            inject(1, 20),
+            inject(3, 21),
+            block(7, 22),
+            inject(9, 23),
+        ]);
+        let merged = TraceBuffer::merge([&first, &second], TraceEvent::order_key).unwrap();
+        // Seven retained events overflow the capacity, so the newest four
+        // stay. At cycle 7 the later part's hop-block (switch traversal)
+        // precedes the earlier part's loopback (injection); the two
+        // cycle-9 injections keep part order.
+        let kept: Vec<TraceEvent> = merged.iter().copied().collect();
+        assert_eq!(
+            kept,
+            [block(7, 22), loopback(7, 11), inject(9, 12), inject(9, 23)]
+        );
+        assert_eq!(merged.capacity(), 4);
+        assert_eq!(merged.recorded(), 8);
+        assert!(TraceBuffer::merge([], TraceEvent::order_key).is_none());
     }
 
     #[test]

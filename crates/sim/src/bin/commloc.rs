@@ -71,8 +71,7 @@ COMMANDS:
     shards, so it needs --shards and may not pass it; suite runs over
     15000 + 45000 cycles, and its --jobs (default: the available
     parallelism) fans the mappings out and steps their shards from one
-    budget. Shards and jobs never change a result; --trace needs one
-    shard.
+    budget. Shards and jobs never change a result.
     conformance
             run the paper-figure conformance gates (Figs. 3-9): reduced
             deterministic scenarios checked against the golden tables in
@@ -442,12 +441,6 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     let mut scenario = scenario_from(options, RUN)?;
     let trace_path = options.get("trace").cloned();
     if trace_path.is_some() {
-        if scenario.shards > 1 {
-            return Err(
-                "--trace requires one shard (did you mean `--shards 1`, or to drop --trace?)"
-                    .into(),
-            );
-        }
         scenario.config.fabric.trace_capacity = TRACE_CAPACITY;
     }
     let config = &scenario.config;
@@ -554,14 +547,9 @@ fn cmd_report(options: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = trace_path {
         let file = std::fs::File::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
-        let flits = machine
-            .trace()
-            .into_iter()
-            .flat_map(|t| t.iter().map(|e| e.to_json()));
-        let spans = machine
-            .spans()
-            .into_iter()
-            .flat_map(|s| s.iter().map(|e| e.to_json()));
+        let (trace, spans) = (machine.trace(), machine.spans());
+        let flits = trace.iter().flat_map(|t| t.iter().map(|e| e.to_json()));
+        let spans = spans.iter().flat_map(|s| s.iter().map(|e| e.to_json()));
         let mut lines = 0u64;
         for event in flits.chain(spans) {
             writeln!(out, "{event}").map_err(|e| e.to_string())?;
@@ -1134,9 +1122,18 @@ mod tests {
         // More workers than shards cannot run.
         let err = cmd_report(&opts(&["--shards", "2", "--jobs", "4"])).unwrap_err();
         assert!(err.contains("did you mean `--jobs 2`"), "{err}");
-        // Flit tracing needs one shard.
-        let err = cmd_report(&opts(&["--shards", "2", "--trace", "/tmp/t.jsonl"])).unwrap_err();
-        assert!(err.contains("one shard"), "{err}");
+        // Tracing runs at every shard count.
+        let name = format!("commloc-cli-sharded-trace-{}.jsonl", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let file = path.to_str().unwrap();
+        let args = [
+            "--shards", "2", "--trace", file, "--warmup", "200", "--window", "600",
+        ];
+        cmd_report(&opts(&args)).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(written.lines().count() > 0);
+        assert!(written.lines().all(|l| l.starts_with("{\"event\":")));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! A fault-injected machine can legitimately fail to make progress (a
 //! killed link wedges wormhole traffic; exhausted retries strand a
-//! transaction). Instead of hanging or panicking, [`Machine::step`]
-//! returns a [`SimError`] whose [`StallReport`] carries enough diagnostic
-//! state — per-router occupancy, outstanding transactions, the fault-log
-//! tail — to tell deadlock from backpressure at a glance.
+//! transaction). Instead of hanging or panicking,
+//! [`Machine::run_network_cycles`] returns a [`SimError`] whose
+//! [`StallReport`] carries enough diagnostic state — per-router
+//! occupancy, outstanding transactions, the fault-log tail — to tell
+//! deadlock from backpressure at a glance.
 //!
-//! [`Machine::step`]: crate::Machine::step
+//! [`Machine::run_network_cycles`]: crate::Machine::run_network_cycles
 
 use commloc_net::{FabricError, FaultEvent, FaultPlanError, NodeId};
 use std::fmt;

@@ -11,7 +11,11 @@
 //! draws a [`Machine::with_shards`]. The checker requires **bit-identical**
 //! behavior: completion counts (total and per node), measurements,
 //! latency breakdowns, fault logs, migrations, and — when the scenario
-//! wedges — the watchdog's stall report, down to the trip cycle.
+//! wedges — the watchdog's stall report, down to the trip cycle. The
+//! sharded machine runs the active engine's traced config and must also
+//! match its fast-forward count and its merged flit trace and span log;
+//! the reference engine runs untraced, so tracing is proven
+//! behavior-neutral.
 //!
 //! Failing seeds shrink through the same greedy fixed-point loop as the
 //! fabric fuzzer ([`commloc_net::fuzz::shrink_with`]) and render a
@@ -25,6 +29,7 @@ use crate::workload::Workload;
 use commloc_mem::MemConfig;
 use commloc_net::fuzz::{shrink_with, topology_expr, Divergence, FaultSpec};
 use commloc_net::{DetRng, Direction, FabricConfig, Topology};
+use std::fmt::Debug;
 
 /// Domain-separation constant so machine-scenario generation never shares
 /// a stream with the fabric fuzzer or the workloads.
@@ -98,8 +103,9 @@ pub struct MachineScenario {
     pub watchdog_cycles: u64,
     /// Thread-to-processor mapping.
     pub mapping: MappingKind,
-    /// Trace ring capacity on the active engine only (`0` = off);
-    /// exercised because tracing must never perturb behavior.
+    /// Trace ring capacity on the active and sharded engines (`0` =
+    /// off); the reference engine runs untraced, because tracing must
+    /// never perturb behavior.
     pub trace_capacity: usize,
     /// Warmup cycles before the measurement reset.
     pub warmup: u64,
@@ -338,8 +344,8 @@ impl MachineScenario {
     }
 
     /// The simulation configuration, with tracing enabled only when
-    /// `traced` (the differential pair runs traced-active against
-    /// untraced-reference to prove tracing is behavior-neutral).
+    /// `traced` (the active and sharded engines run traced against the
+    /// untraced reference, proving tracing behavior-neutral).
     fn sim_config(&self, traced: bool) -> SimConfig {
         SimConfig {
             dims: self.dims,
@@ -396,28 +402,64 @@ pub struct MachineFuzzReport {
     pub shards: usize,
 }
 
-macro_rules! check_eq {
-    ($cycle:expr, $a:expr, $b:expr, $what:expr) => {
-        if $a != $b {
-            return Err(Divergence {
-                cycle: $cycle,
-                what: format!("{}: active {:?} != reference {:?}", $what, $a, $b),
-            });
-        }
-    };
+/// A machine run in lockstep against the active engine.
+struct Participant {
+    /// How a divergence names it.
+    side: &'static str,
+    machine: Machine,
+    /// Whether it also matches the active engine's fast-forward count
+    /// and traces: the sharded side runs the traced config, while the
+    /// reference engine neither fast-forwards nor traces.
+    sharded: bool,
 }
 
-/// Like [`check_eq`] but for the third, shard-parallel engine, compared
-/// against the active one.
-macro_rules! check_shard {
-    ($cycle:expr, $a:expr, $b:expr, $what:expr) => {
-        if $a != $b {
-            return Err(Divergence {
-                cycle: $cycle,
-                what: format!("{}: active {:?} != sharded {:?}", $what, $a, $b),
-            });
+impl Participant {
+    /// `Ok` when the active engine's `a` equals this participant's `b`.
+    fn check<T: PartialEq + Debug>(
+        &self,
+        cycle: Option<u64>,
+        what: &str,
+        a: T,
+        b: T,
+    ) -> Result<(), Divergence> {
+        if a == b {
+            return Ok(());
         }
-    };
+        Err(Divergence {
+            cycle,
+            what: format!("{what}: active {a:?} != {} {b:?}", self.side),
+        })
+    }
+
+    /// Compares this participant's records with the active engine's: the
+    /// clock and running counters after every chunk, and at `end` the
+    /// end-of-run records.
+    fn compare(&self, cycle: Option<u64>, active: &Machine, end: bool) -> Result<(), Divergence> {
+        // One reader, applied to both machines.
+        macro_rules! same {
+            ($what:expr, $reader:ident) => {
+                self.check(cycle, $what, active.$reader(), self.machine.$reader())?
+            };
+        }
+        same!("network clock", net_cycle);
+        if end {
+            same!("latency breakdown", latency_breakdown);
+            same!("fault log", fault_log);
+            same!("workload iterations", total_iterations);
+            same!("migrated-from nodes", migrated_from_nodes);
+        } else {
+            same!("completions", completions);
+            same!("per-node completions", completions_per_node);
+            same!("measurements", measure);
+        }
+        same!("migrations", migrations);
+        if self.sharded {
+            same!("fast-forwarded cycles", fast_forwarded_cycles);
+            same!("flit trace", trace);
+            same!("span log", spans);
+        }
+        Ok(())
+    }
 }
 
 /// Runs one seed's lockstep differential check.
@@ -451,22 +493,30 @@ pub fn run_scenario_mutated(
     mutation: Option<MachineMutation>,
 ) -> Result<MachineFuzzReport, Divergence> {
     let mapping = scenario.build_mapping();
+    let traced = scenario.sim_config(true);
     let mut ref_config = scenario.sim_config(false);
     if mutation == Some(MachineMutation::SkewWork) {
         ref_config.work += 1;
     }
-    let mut active = Machine::new(&scenario.sim_config(true), &mapping);
-    let mut reference = Machine::new_reference(&ref_config, &mapping);
+    let mut active = Machine::new(&traced, &mapping);
+    let mut sides = vec![Participant {
+        side: "reference",
+        machine: Machine::new_reference(&ref_config, &mapping),
+        sharded: false,
+    }];
     // A multi-shard machine joins as a third lockstep participant on
-    // sharded draws (untraced config — sharded machines reject tracing;
-    // one worker — worker counts never change results).
-    let mut sharded = (scenario.shards > 1)
-        .then(|| Machine::with_shards(&scenario.sim_config(false), &mapping, scenario.shards));
+    // sharded draws (one worker — worker counts never change results).
+    if scenario.shards > 1 {
+        sides.push(Participant {
+            side: "sharded",
+            machine: Machine::with_shards(&traced, &mapping, scenario.shards),
+            sharded: true,
+        });
+    }
     if let Some(policy) = scenario.migration {
         active.set_migration(policy);
-        reference.set_migration(policy);
-        if let Some(shard) = sharded.as_mut() {
-            shard.set_migration(policy);
+        for p in &mut sides {
+            p.machine.set_migration(policy);
         }
     }
 
@@ -476,25 +526,10 @@ pub fn run_scenario_mutated(
         while left > 0 {
             let chunk = left.min(CHECK_INTERVAL);
             let ra = active.run_network_cycles(chunk);
-            let rb = reference.run_network_cycles(chunk);
             let now = Some(active.net_cycle());
-            check_eq!(now, ra, rb, format!("{name} step result"));
-            check_eq!(
-                now,
-                active.net_cycle(),
-                reference.net_cycle(),
-                "network clock"
-            );
-            if let Some(shard) = sharded.as_mut() {
-                let rs = shard.run_network_cycles(chunk);
-                check_shard!(now, ra, rs, format!("{name} step result"));
-                check_shard!(now, active.net_cycle(), shard.net_cycle(), "network clock");
-                check_shard!(
-                    now,
-                    active.fast_forwarded_cycles(),
-                    shard.fast_forwarded_cycles(),
-                    "fast-forwarded cycles"
-                );
+            for p in &mut sides {
+                let rb = p.machine.run_network_cycles(chunk);
+                p.check(now, &format!("{name} step result"), &ra, &rb)?;
             }
             if ra.is_err() {
                 // All engines stalled with the identical report: the run
@@ -502,99 +537,22 @@ pub fn run_scenario_mutated(
                 stalled = true;
                 break 'phases;
             }
-            check_eq!(
-                now,
-                active.completions(),
-                reference.completions(),
-                "completions"
-            );
-            check_eq!(
-                now,
-                active.completions_per_node(),
-                reference.completions_per_node(),
-                "per-node completions"
-            );
-            check_eq!(now, active.measure(), reference.measure(), "measurements");
-            check_eq!(
-                now,
-                active.migrations(),
-                reference.migrations(),
-                "migrations"
-            );
-            if let Some(shard) = sharded.as_ref() {
-                check_shard!(
-                    now,
-                    active.completions(),
-                    shard.completions(),
-                    "completions"
-                );
-                check_shard!(
-                    now,
-                    active.completions_per_node(),
-                    shard.completions_per_node(),
-                    "per-node completions"
-                );
-                check_shard!(now, active.measure(), shard.measure(), "measurements");
-                check_shard!(now, active.migrations(), shard.migrations(), "migrations");
+            for p in &sides {
+                p.compare(now, &active, false)?;
             }
             left -= chunk;
         }
         if name == "warmup" {
             active.reset_measurements();
-            reference.reset_measurements();
-            if let Some(shard) = sharded.as_mut() {
-                shard.reset_measurements();
+            for p in &mut sides {
+                p.machine.reset_measurements();
             }
         }
     }
 
     let end = Some(active.net_cycle());
-    check_eq!(
-        end,
-        active.latency_breakdown(),
-        reference.latency_breakdown(),
-        "latency breakdown"
-    );
-    check_eq!(end, active.fault_log(), reference.fault_log(), "fault log");
-    check_eq!(
-        end,
-        active.total_iterations(),
-        reference.total_iterations(),
-        "workload iterations"
-    );
-    check_eq!(
-        end,
-        active.migrations(),
-        reference.migrations(),
-        "migrations"
-    );
-    check_eq!(
-        end,
-        active.migrated_from_nodes(),
-        reference.migrated_from_nodes(),
-        "migrated-from nodes"
-    );
-    if let Some(shard) = sharded.as_ref() {
-        check_shard!(
-            end,
-            active.latency_breakdown(),
-            shard.latency_breakdown(),
-            "latency breakdown"
-        );
-        check_shard!(end, active.fault_log(), shard.fault_log(), "fault log");
-        check_shard!(
-            end,
-            active.total_iterations(),
-            shard.total_iterations(),
-            "workload iterations"
-        );
-        check_shard!(end, active.migrations(), shard.migrations(), "migrations");
-        check_shard!(
-            end,
-            active.migrated_from_nodes(),
-            shard.migrated_from_nodes(),
-            "migrated-from nodes"
-        );
+    for p in &sides {
+        p.compare(end, &active, true)?;
     }
     Ok(MachineFuzzReport {
         completions: active.completions(),

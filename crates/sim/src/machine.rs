@@ -18,17 +18,23 @@
 //! The machine's nodes are partitioned into `K` contiguous shards
 //! (DESIGN.md §4.11); [`Machine::new`] is the one-shard case of
 //! [`Machine::with_shards`]. Each shard owns a fabric slice and the
-//! processors, controllers, worklist, timers, and window counters of its
-//! nodes. The driver owns everything global — the clock, the measurement
-//! window start, the progress watchdog, the protocol-message id counter,
-//! and the worker count. Every network cycle runs one step body: each
-//! shard steps its fabric and, on a processor-clock boundary, its nodes —
-//! inline with one worker, on scoped threads over contiguous shard chunks
-//! with more ([`Machine::set_jobs`]) — and then the calling thread
-//! exchanges boundary traffic, injects staged messages in id order, runs
-//! migrations ([`Machine::set_migration`]) over every shard, and feeds
-//! the watchdog. A sharded run is therefore bit-exact with the one-shard
-//! machine at every worker count, with or without a migration policy.
+//! processors, controllers, worklist, timers, window counters and span
+//! log of its nodes. The driver owns everything global — the clock, the
+//! measurement window start, the progress watchdog, the protocol-message
+//! id counter, and the worker count. Every network cycle runs one step
+//! body: each shard steps its fabric and, on a processor-clock boundary,
+//! its nodes — inline with one worker, on scoped threads over contiguous
+//! shard chunks with more ([`Machine::set_jobs`]) — and then the calling
+//! thread exchanges boundary traffic, injects staged messages in id
+//! order, runs migrations ([`Machine::set_migration`]) over every shard,
+//! and feeds the watchdog. The readers merge the shards' records in shard
+//! (ascending node) order by one rule: counters sum, per-node vectors
+//! concatenate, and the fault log, flit trace and span log are
+//! stable-sorted by cycle (then fault class or fabric phase), so ties
+//! keep shard order. A sharded run is therefore bit-exact with the
+//! one-shard machine at every worker count, traced or not, with or
+//! without a migration policy; only the reference engine
+//! ([`Machine::new_reference`]) stays one-shard.
 //!
 //! # The active-node engine
 //!
@@ -63,10 +69,9 @@ use crate::workload::{workload_home_map, Workload};
 use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
     ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
-    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer,
+    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer, TraceEvent,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -382,14 +387,13 @@ impl Shard {
             })
             .collect();
         let fabric = match fault_plan {
-            Some(plan) => {
-                let plan = if owned == topology.nodes() {
-                    plan.clone()
-                } else {
-                    plan.restrict(base, owned)
-                };
-                Fabric::with_fault_plan_shard(topology.clone(), config.fabric, base, owned, plan)
-            }
+            Some(plan) => Fabric::with_fault_plan_shard(
+                topology.clone(),
+                config.fabric,
+                base,
+                owned,
+                plan.restrict(base, owned),
+            ),
             None => Fabric::new_shard(topology.clone(), config.fabric, base, owned),
         };
         // Every node starts with runnable processor work, so the active
@@ -790,9 +794,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is 0 or exceeds the node count, if tracing is
-    /// enabled (`fabric.trace_capacity > 0`) with more than one shard, or
-    /// if the mapping does not cover the torus.
+    /// Panics if `shards` is 0 or exceeds the node count, or if the
+    /// mapping does not cover the torus.
     pub fn with_shards(config: &SimConfig, mapping: &Mapping, shards: usize) -> Self {
         Self::build(config, mapping, shards, false)
     }
@@ -815,10 +818,6 @@ impl Machine {
         assert!(
             shards >= 1 && shards <= nodes,
             "shard count {shards} not in 1..={nodes}"
-        );
-        assert!(
-            shards == 1 || config.fabric.trace_capacity == 0,
-            "sharded machines do not support flit tracing; run with one shard"
         );
         assert_eq!(
             mapping.threads(),
@@ -902,21 +901,6 @@ impl Machine {
         self.net_cycle
     }
 
-    /// Advances one network cycle (and, on the clock-ratio boundary, one
-    /// processor/controller cycle for every node) on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Fabric`] on a fabric inconsistency,
-    /// [`SimError::UnknownCompletion`] if a controller completes a
-    /// transaction no context was waiting on, and [`SimError::Stalled`]
-    /// when the progress watchdog fires (see [`SimConfig::watchdog_cycles`]).
-    pub fn step(&mut self) -> Result<(), SimError> {
-        let result = self.step_on(1);
-        self.settle();
-        result
-    }
-
     /// The one step body. A shard's fabric step and node step touch only
     /// that shard, so they fan out over `workers` threads with no
     /// synchronization; everything that crosses shards runs afterwards on
@@ -991,7 +975,12 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::ClockOverflow`] when the clock cannot count to the
-    /// end of the run; otherwise the first error from [`Machine::step`].
+    /// end of the run, [`SimError::Fabric`] on a fabric inconsistency,
+    /// [`SimError::UnknownCompletion`] if a controller completes a
+    /// transaction no context was waiting on, and [`SimError::Stalled`]
+    /// when the progress watchdog fires (see
+    /// [`SimConfig::watchdog_cycles`]); the run stops at the cycle of the
+    /// first error.
     pub fn run_network_cycles(&mut self, cycles: u64) -> Result<(), SimError> {
         let target = self
             .net_cycle
@@ -1030,8 +1019,8 @@ impl Machine {
     }
 
     /// When the whole machine is quiescent, jumps the clock to one cycle
-    /// before the earliest next-event horizon; the ordinary [`Machine::step`]
-    /// that follows then lands exactly on the horizon cycle and performs
+    /// before the earliest next-event horizon; the ordinary step that
+    /// follows then lands exactly on the horizon cycle and performs
     /// full boundary and watchdog processing there.
     ///
     /// Quiescence means: every fabric is drained (no queued, streaming,
@@ -1378,10 +1367,7 @@ impl Machine {
                 .sum::<u64>();
             nodes += shard.nodes.len();
         }
-        let fs = match self.shards.as_slice() {
-            [shard] => Cow::Borrowed(shard.fabric.stats()),
-            shards => Cow::Owned(FabricStats::merged(shards.iter().map(|s| s.fabric.stats()))),
-        };
+        let fs = FabricStats::merged(self.shards.iter().map(|s| s.fabric.stats()));
         build_measurements(
             self.net_cycle - self.window_start,
             nodes,
@@ -1432,15 +1418,24 @@ impl Machine {
     }
 
     /// The fabric's flit-level trace ring (`None` when
-    /// [`FabricConfig::trace_capacity`](commloc_net::FabricConfig) is 0,
-    /// which every multi-shard machine has).
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.shards[0].fabric.trace()
+    /// [`FabricConfig::trace_capacity`](commloc_net::FabricConfig) is 0):
+    /// the shards' rings merged by [`TraceBuffer::merge`] on
+    /// [`TraceEvent::order_key`] into the ring one shard would hold.
+    pub fn trace(&self) -> Option<TraceBuffer> {
+        TraceBuffer::merge(
+            self.shards.iter().filter_map(|s| s.fabric.trace()),
+            TraceEvent::order_key,
+        )
     }
 
-    /// The transaction-level span log (`None` when tracing is off).
-    pub fn spans(&self) -> Option<&SpanLog> {
-        self.shards[0].spans.as_ref()
+    /// The transaction-level span log (`None` when tracing is off): the
+    /// shards' logs merged on the cycle alone, since nodes push spans
+    /// only while they step, in ascending node order.
+    pub fn spans(&self) -> Option<SpanLog> {
+        TraceBuffer::merge(
+            self.shards.iter().filter_map(|s| s.spans.as_ref()),
+            SpanEvent::cycle,
+        )
     }
 
     /// Maps the current window's measurements onto the paper's
@@ -1461,14 +1456,7 @@ impl Machine {
     /// The fault log of the installed fault plan, if any, merged across
     /// shards into the one-shard event order.
     pub fn fault_log(&self) -> Option<FaultLog> {
-        match self.shards.as_slice() {
-            [shard] => shard.fabric.fault_log().cloned(),
-            shards => {
-                let logs: Vec<&FaultLog> =
-                    shards.iter().filter_map(|s| s.fabric.fault_log()).collect();
-                (!logs.is_empty()).then(|| FaultLog::merge(logs))
-            }
-        }
+        FaultLog::merge(self.shards.iter().filter_map(|s| s.fabric.fault_log()))
     }
 
     /// Total transaction completions since construction (never reset).
@@ -2018,9 +2006,9 @@ mod tests {
     fn sleeping_nodes_are_invisible_to_every_stepping_call() {
         use commloc_net::{DetRng, FaultConfig, FaultPlan};
         // Nodes sleep through compute runs, context switches and
-        // controller occupancy, and settle lazily. One machine steps
-        // through the public `step()`, another runs drawn chunks through
-        // `run_network_cycles` (fast-forward included); after every chunk
+        // controller occupancy, and settle lazily. One machine steps one
+        // cycle per `run_network_cycles(1)` call, another runs drawn
+        // chunks in one call each (fast-forward included); after every chunk
         // both must read what the reference engine reads: measurements
         // (busy cycles feed the run length), per-node completions and the
         // breakdown. A reset midway checks that the window starts from
@@ -2068,7 +2056,7 @@ mod tests {
             while reference.net_cycle() < 8_000 {
                 let chunk = rng.range_u64(1, 500);
                 for _ in 0..chunk {
-                    stepped.step().expect("steps");
+                    stepped.run_network_cycles(1).expect("steps");
                 }
                 chunked.run_network_cycles(chunk).expect("runs");
                 reference.run_network_cycles(chunk).expect("runs");

@@ -13,8 +13,9 @@
 //! items are ingested in a deterministic order (source shard, then each
 //! fabric's switch-traversal order), so a sharded run is **bit-exact**
 //! with the one-shard [`Machine`] at every worker count: same
-//! statistics, same per-node completions, same fault log, same
-//! fast-forward jumps, same watchdog trip cycle and diagnostics.
+//! statistics, same per-node completions, same fault log, same flit
+//! trace and span log, same fast-forward jumps, same watchdog trip cycle
+//! and diagnostics.
 //!
 //! The step itself is [`Machine`]'s; this module holds the partition and
 //! the [`ShardedMachine`] name the benchmark package uses.
@@ -87,8 +88,9 @@ mod tests {
     /// Runs warmup + measurement window through a one-shard machine and
     /// a `shards`-way machine on `jobs` workers, asserting every
     /// observable is bit-exact: outcomes (including stall reports),
-    /// clocks, measurements, completions, breakdowns, fault logs, and
-    /// fast-forward jumps. Returns the sharded machine.
+    /// clocks, measurements, completions, breakdowns, fault logs,
+    /// fast-forward jumps, and flit and span traces. Returns the sharded
+    /// machine.
     fn compare(
         config: &SimConfig,
         mapping: &Mapping,
@@ -133,7 +135,53 @@ mod tests {
             sharded.fast_forwarded_cycles(),
             "fast-forward jumps diverged"
         );
+        assert_eq!(mono.trace(), sharded.trace(), "flit traces diverged");
+        assert_eq!(mono.spans(), sharded.spans(), "span logs diverged");
         sharded
+    }
+
+    #[test]
+    fn traced_shards_merge_into_the_one_shard_rings() {
+        use commloc_net::{FabricConfig, Topology};
+        // Rings far smaller than a window's events evict all along, so
+        // the merge must keep exactly the newest events across shards.
+        let traced = |config: SimConfig| SimConfig {
+            fabric: FabricConfig {
+                trace_capacity: 64,
+                ..config.fabric
+            },
+            ..config
+        };
+        let lossy_cube = traced(SimConfig {
+            contexts: 2,
+            mem: MemConfig {
+                timeout_cycles: 2_000,
+                ..MemConfig::default()
+            },
+            fault_plan: Some(FaultPlan::new(3).with_config(FaultConfig {
+                drop_rate: 0.01,
+                ..FaultConfig::default()
+            })),
+            ..small(2, 4)
+        });
+        let fat_tree = traced(SimConfig {
+            topology: Some(Topology::fat_tree(2, 4)),
+            ..SimConfig::default()
+        });
+        for (config, mapping) in [
+            (lossy_cube, Mapping::identity(16)),
+            (fat_tree, Mapping::random(16, 4)),
+        ] {
+            for jobs in [1, 2] {
+                let sharded = compare(&config, &mapping, 3, jobs, 3_000, 6_000);
+                let trace = sharded.trace().expect("tracing is on");
+                let spans = sharded.spans().expect("tracing is on");
+                assert!(trace.recorded() > 64 && spans.recorded() > 64);
+                assert_eq!((trace.len(), spans.len()), (64, 64));
+                let dropped = sharded.fault_log().map(|log| log.dropped_messages());
+                assert_eq!(dropped > Some(0), config.fault_plan.is_some());
+            }
+        }
     }
 
     #[test]
