@@ -947,16 +947,7 @@ impl<P> Fabric<P> {
             let node = down - self.base;
             let offset = self.vc_offset(self.link_in_ports[li] as usize, vc);
             self.push_flit(node, offset, flit);
-            // Stamp the head's arrival at its destination router — the
-            // boundary between in-network (hop) time and ejection wait in
-            // the latency breakdown. One slab lookup per head per hop.
-            if flit.kind.is_head() {
-                if let Some(pending) = self.slots[flit.slot as usize].as_mut() {
-                    if pending.id == flit.message.0 && pending.message.dst.0 == down {
-                        pending.dst_arrived_at = self.cycle;
-                    }
-                }
-            }
+            self.stamp_head_arrival(flit, down, self.cycle);
         }
         self.link_scratch.clear();
         mem::swap(&mut self.inj_occupied, &mut self.inj_scratch);
@@ -968,6 +959,22 @@ impl<P> Fabric<P> {
             self.push_flit(node, injection, flit);
         }
         self.inj_scratch.clear();
+    }
+
+    /// Stamps `cycle` as the destination arrival of the message whose
+    /// head `flit` enters global router `down`, if `down` is its
+    /// destination — the boundary between in-network (hop) time and
+    /// ejection wait in the latency breakdown. One slab lookup per head
+    /// per hop; the id check skips a slot the message no longer holds.
+    fn stamp_head_arrival(&mut self, flit: Flit, down: usize, cycle: u64) {
+        if !flit.kind.is_head() {
+            return;
+        }
+        if let Some(pending) = self.slots[flit.slot as usize].as_mut() {
+            if pending.id == flit.message.0 && pending.message.dst.0 == down {
+                pending.dst_arrived_at = cycle;
+            }
+        }
     }
 
     /// Appends `flit` to the input VC at `offset` of router `node`,
@@ -1368,38 +1375,49 @@ impl<P> Fabric<P> {
         }
         if flit.kind.is_tail() {
             let pending = self.slots[slot].take().ok_or(unknown("tail ejection"))?;
-            self.free_slots.push(slot as u32);
-            self.live -= 1;
-            let delivery = Delivery {
-                enqueued_at: pending.enqueued_at,
-                injected_at: pending.injected_at,
-                dst_arrived_at: pending.dst_arrived_at,
-                head_delivered_at: pending.head_delivered_at,
-                delivered_at: self.cycle,
-                hops: pending.hops,
-                message: pending.message,
-            };
-            self.stats.record_delivery(
-                delivery.total_latency(),
-                delivery.head_network_latency(),
-                delivery.hops,
-                delivery.injected_at - delivery.enqueued_at,
-                delivery.message.length,
-            );
-            self.breakdown.record(&delivery.breakdown());
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEvent::Deliver {
-                    cycle: self.cycle,
-                    message: flit.message,
-                    dst: NodeId(self.base + node),
-                    total_latency: delivery.total_latency(),
-                    hops: delivery.hops,
-                });
-            }
-            self.deliveries[node].push_back(delivery);
-            self.delivery_events.insert(node);
+            self.complete_delivery(slot as u32, pending);
         }
         Ok(())
+    }
+
+    /// Completes the message that held slab `slot` at its destination on
+    /// this cycle: frees the slot, records the delivery in the stats, the
+    /// latency breakdown and the trace, queues it at the destination and
+    /// raises that node's delivery event. Tail ejections and loopbacks (a
+    /// zero-hop delivery stamped entirely at its injection cycle) both
+    /// end here.
+    fn complete_delivery(&mut self, slot: u32, pending: Pending<P>) {
+        self.free_slots.push(slot);
+        self.live -= 1;
+        let delivery = Delivery {
+            enqueued_at: pending.enqueued_at,
+            injected_at: pending.injected_at,
+            dst_arrived_at: pending.dst_arrived_at,
+            head_delivered_at: pending.head_delivered_at,
+            delivered_at: self.cycle,
+            hops: pending.hops,
+            message: pending.message,
+        };
+        self.stats.record_delivery(
+            delivery.total_latency(),
+            delivery.head_network_latency(),
+            delivery.hops,
+            delivery.injected_at - delivery.enqueued_at,
+            delivery.message.length,
+        );
+        self.breakdown.record(&delivery.breakdown());
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceEvent::Deliver {
+                cycle: self.cycle,
+                message: MessageId(pending.id),
+                dst: delivery.message.dst,
+                total_latency: delivery.total_latency(),
+                hops: delivery.hops,
+            });
+        }
+        let node = delivery.message.dst.0 - self.base;
+        self.deliveries[node].push_back(delivery);
+        self.delivery_events.insert(node);
     }
 
     /// Phase 4: freed link buffer slots become visible upstream. Drains
@@ -1453,41 +1471,12 @@ impl<P> Fabric<P> {
                 };
                 if pending.message.src == pending.message.dst {
                     pending.injected_at = cycle;
+                    pending.dst_arrived_at = cycle;
+                    pending.head_delivered_at = cycle;
                     let pending = self.slots[slot as usize]
                         .take()
                         .ok_or(unknown("loopback delivery"))?;
-                    self.free_slots.push(slot);
-                    self.live -= 1;
-                    let base = self.base;
-                    let delivery = Delivery {
-                        enqueued_at: pending.enqueued_at,
-                        injected_at: cycle,
-                        dst_arrived_at: cycle,
-                        head_delivered_at: cycle,
-                        delivered_at: cycle,
-                        hops: 0,
-                        message: pending.message,
-                    };
-                    self.stats.record_delivery(
-                        delivery.total_latency(),
-                        0,
-                        0,
-                        delivery.injected_at - delivery.enqueued_at,
-                        delivery.message.length,
-                    );
-                    self.breakdown.record(&delivery.breakdown());
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.push(TraceEvent::Deliver {
-                            cycle,
-                            message: id,
-                            dst: delivery.message.dst,
-                            total_latency: delivery.total_latency(),
-                            hops: 0,
-                        });
-                    }
-                    let dst = delivery.message.dst.0 - base;
-                    self.deliveries[dst].push_back(delivery);
-                    self.delivery_events.insert(dst);
+                    self.complete_delivery(slot, pending);
                     self.activity += 1;
                     // Loopback consumes this cycle's injection slot.
                     break;
@@ -1630,17 +1619,11 @@ impl<P> Fabric<P> {
                 if flit.kind.is_tail() {
                     self.remap.remove(&crossing);
                 }
-                // Stamp the head's destination arrival. The receiver's
-                // clock still reads the cycle that produced the flit; it
-                // enters the input buffer at what is phase 1 of the next
-                // cycle, which is when the monolithic engine stamps it.
-                if flit.kind.is_head() {
-                    if let Some(pending) = self.slots[flit.slot as usize].as_mut() {
-                        if pending.id == flit.message.0 && pending.message.dst.0 == down as usize {
-                            pending.dst_arrived_at = self.cycle + 1;
-                        }
-                    }
-                }
+                // The receiver's clock still reads the cycle that
+                // produced the flit; it enters the input buffer at what is
+                // phase 1 of the next cycle, which is when the monolithic
+                // engine stamps it.
+                self.stamp_head_arrival(flit, down as usize, self.cycle + 1);
                 let offset = self.vc_offset(port as usize, vc as usize);
                 self.push_flit(node, offset, flit);
                 self.inbound.push(node as u32);

@@ -3,13 +3,16 @@
 //!
 //! A [`FuzzScenario`] is drawn deterministically from a single seed (via
 //! the in-tree [`DetRng`] — no external fuzzing framework): a random
-//! torus (1–3 dimensions, skinny rings to small cubes), buffering and
-//! virtual-channel configuration, trace capacity, open-loop traffic
-//! pattern, and an optional fault plan mixing probabilistic drop /
-//! corrupt / stall faults with scheduled link kills and router stalls.
-//! [`run_scenario`] then drives both engines in lockstep under the
-//! identical injection schedule and checks:
+//! topology (a torus of 1–3 dimensions, a mesh, a fat tree or a
+//! dragonfly), buffering and virtual-channel configuration, trace
+//! capacity, open-loop [`TrafficPattern`], and an optional fault plan
+//! mixing probabilistic drop / corrupt / stall faults with scheduled link
+//! kills and router stalls. [`run_scenario`], the crate's one fabric
+//! lockstep checker, then drives both engines under identical
+//! [`BernoulliTraffic`] injection schedules and checks:
 //!
+//! * in test builds, the optimized engine's worklists
+//!   (`Fabric::audit_worklists`) on every cycle,
 //! * bit-identical [`FabricStats`](crate::FabricStats) every 64 cycles
 //!   and after the drain phase,
 //! * identical per-node delivery order and contents,
@@ -35,6 +38,7 @@ use crate::message::Message;
 use crate::reference::ReferenceFabric;
 use crate::rng::DetRng;
 use crate::topology::{Direction, NodeId, Topology};
+use crate::traffic::{BernoulliTraffic, TrafficPattern};
 use crate::{Fabric, FabricConfig};
 use std::fmt;
 
@@ -95,30 +99,6 @@ impl FaultSpec {
     }
 }
 
-/// Destination pattern of the fuzz workload stream, drawn alongside the
-/// topology so lockstep coverage spans the full scenario space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FuzzTraffic {
-    /// Uniformly random destinations (self-sends exercise loopback).
-    Uniform,
-    /// A `fraction` of traffic aims at one compute node.
-    Hotspot {
-        /// The congested compute node.
-        target: usize,
-        /// Fraction of messages aimed at it.
-        fraction: f64,
-    },
-    /// Matrix-transpose permutation (index reversal off square counts).
-    Transpose,
-    /// Two-state MMPP burst gating in front of uniform destinations.
-    Bursty {
-        /// Per-cycle ON -> OFF probability.
-        on_off: f64,
-        /// Per-cycle OFF -> ON probability.
-        off_on: f64,
-    },
-}
-
 /// One randomly drawn differential-test case. All fields are public and
 /// plain data so failing cases can be shrunk and replayed literally.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,7 +108,7 @@ pub struct FuzzScenario {
     /// The interconnect under test (cube, mesh, fat tree, or dragonfly).
     pub topology: Topology,
     /// Destination pattern of the workload stream.
-    pub traffic: FuzzTraffic,
+    pub traffic: TrafficPattern,
     /// Virtual channels per link (even, ≥ 2).
     pub link_vcs: usize,
     /// Flit capacity of each VC buffer.
@@ -176,16 +156,16 @@ impl FuzzScenario {
         };
         let compute = topology.compute_nodes();
         let traffic = match rng.index(4) {
-            0 | 1 => FuzzTraffic::Uniform,
-            2 => FuzzTraffic::Hotspot {
+            0 | 1 => TrafficPattern::Uniform,
+            2 => TrafficPattern::Hotspot {
                 target: rng.index(compute),
                 fraction: rng.range_f64(0.2, 0.9),
             },
             _ => {
                 if rng.chance(0.5) {
-                    FuzzTraffic::Transpose
+                    TrafficPattern::Transpose
                 } else {
-                    FuzzTraffic::Bursty {
+                    TrafficPattern::Bursty {
                         on_off: rng.range_f64(0.01, 0.2),
                         off_on: rng.range_f64(0.01, 0.2),
                     }
@@ -307,6 +287,18 @@ impl FuzzScenario {
     pub fn nodes(&self) -> usize {
         self.topology.compute_nodes()
     }
+
+    /// The scenario's open-loop traffic source; every call starts the
+    /// same injection schedule.
+    fn source(&self) -> BernoulliTraffic {
+        BernoulliTraffic::new(
+            self.nodes(),
+            self.traffic,
+            self.rate,
+            self.min_length..=self.max_length,
+            self.seed,
+        )
+    }
 }
 
 /// An intentional, targeted perturbation of the injection stream seen by
@@ -368,9 +360,8 @@ macro_rules! check_eq {
     };
 }
 
-/// Bound on the post-injection drain phase, matching the in-crate
-/// equivalence tests: wedged traffic (dead links) stays put forever, so
-/// the drain must be bounded.
+/// Bound on the post-injection drain phase: wedged traffic (dead links)
+/// stays put forever, so the drain must be bounded.
 const DRAIN_CYCLES: u64 = 20_000;
 
 /// Runs a scenario's lockstep differential check. See the module docs
@@ -417,8 +408,8 @@ pub fn run_scenario_mutated(
 
     // Two mirrored workload streams (same seed) keep the injection
     // schedules identical without sharing a generator.
-    let mut load = WorkloadStream::new(scenario);
-    let mut mirror = WorkloadStream::new(scenario);
+    let mut load = scenario.source();
+    let mut mirror = scenario.source();
     let mut injected = 0u64;
     for cycle in 0..scenario.cycles {
         for m in load.pulse() {
@@ -562,82 +553,9 @@ fn step_both(
             what: format!("step error: optimized {a:?}, reference {b:?}"),
         });
     }
+    #[cfg(test)]
+    opt.audit_worklists();
     Ok(())
-}
-
-/// The open-loop injection schedule drawn from a scenario's seed. Both
-/// engines consume an identical mirrored stream.
-struct WorkloadStream {
-    rng: DetRng,
-    nodes: usize,
-    rate: f64,
-    min_length: u32,
-    max_length: u32,
-    traffic: FuzzTraffic,
-    burst_on: Vec<bool>,
-}
-
-impl WorkloadStream {
-    fn new(scenario: &FuzzScenario) -> Self {
-        Self {
-            rng: DetRng::new(scenario.seed),
-            nodes: scenario.nodes(),
-            rate: scenario.rate,
-            min_length: scenario.min_length,
-            max_length: scenario.max_length,
-            traffic: scenario.traffic,
-            burst_on: vec![false; scenario.nodes()],
-        }
-    }
-
-    fn pulse(&mut self) -> Vec<Message<u64>> {
-        let mut out = Vec::new();
-        for src in 0..self.nodes {
-            if let FuzzTraffic::Bursty { on_off, off_on } = self.traffic {
-                let on = self.burst_on[src];
-                let next = if on {
-                    !self.rng.chance(on_off)
-                } else {
-                    self.rng.chance(off_on)
-                };
-                self.burst_on[src] = next;
-                if !next {
-                    continue;
-                }
-            }
-            if self.rng.chance(self.rate) {
-                let dst = self.destination(src);
-                let length = self
-                    .rng
-                    .range_u64(u64::from(self.min_length), u64::from(self.max_length) + 1)
-                    as u32;
-                let payload = self.rng.next_u64();
-                out.push(Message::new(NodeId(src), NodeId(dst), length, payload));
-            }
-        }
-        out
-    }
-
-    fn destination(&mut self, src: usize) -> usize {
-        match self.traffic {
-            FuzzTraffic::Uniform | FuzzTraffic::Bursty { .. } => self.rng.index(self.nodes),
-            FuzzTraffic::Hotspot { target, fraction } => {
-                if self.rng.chance(fraction) {
-                    target
-                } else {
-                    self.rng.index(self.nodes)
-                }
-            }
-            FuzzTraffic::Transpose => {
-                let k = (self.nodes as f64).sqrt() as usize;
-                if k * k == self.nodes {
-                    (src % k) * k + src / k
-                } else {
-                    self.nodes - 1 - src
-                }
-            }
-        }
-    }
 }
 
 /// Result of shrinking a failing scenario to a (locally) minimal one.
@@ -673,16 +591,18 @@ impl ShrinkOutcome {
             ),
         };
         format!(
-            "#[test]\nfn fuzz_repro_seed_{seed}() {{\n    use commloc_net::fuzz::{{run_scenario, FaultSpec, FuzzScenario, FuzzTraffic}};\n    \
-             use commloc_net::{{Direction, Topology}};\n    let _ = &Direction::Plus; // used by fault literals\n    \
-             let scenario = FuzzScenario {{\n        seed: {seed},\n        topology: {topo},\n        traffic: {traffic},\n        \
+            "#[test]\nfn fuzz_repro_seed_{seed}() {{\n    use commloc_net::fuzz::{{run_scenario, FaultSpec, FuzzScenario}};\n    \
+             use commloc_net::traffic::TrafficPattern;\n    \
+             use commloc_net::Direction::{{Minus, Plus}};\n    use commloc_net::Topology;\n    \
+             let _ = (Minus, Plus, FaultSpec::is_empty); // used by fault literals\n    \
+             let scenario = FuzzScenario {{\n        seed: {seed},\n        topology: {topo},\n        traffic: TrafficPattern::{traffic:?},\n        \
              link_vcs: {vcs},\n        vc_buffer_capacity: {vcap},\n        injection_buffer_capacity: {icap},\n        \
              trace_capacity: {tcap},\n        rate: {rate:?},\n        min_length: {minl},\n        max_length: {maxl},\n        \
              cycles: {cycles},\n        fault: {fault},\n    }};\n    \
              run_scenario(&scenario).expect(\"Fabric and ReferenceFabric must agree\");\n}}\n",
             seed = s.seed,
             topo = topology_expr(&s.topology),
-            traffic = traffic_expr(&s.traffic),
+            traffic = s.traffic,
             vcs = s.link_vcs,
             vcap = s.vc_buffer_capacity,
             icap = s.injection_buffer_capacity,
@@ -712,20 +632,6 @@ pub fn topology_expr(t: &Topology) -> String {
             d.routers_per_group(),
             d.globals_per_router()
         ),
-    }
-}
-
-/// Renders a traffic pattern as a literal expression.
-fn traffic_expr(t: &FuzzTraffic) -> String {
-    match t {
-        FuzzTraffic::Uniform => "FuzzTraffic::Uniform".to_owned(),
-        FuzzTraffic::Hotspot { target, fraction } => {
-            format!("FuzzTraffic::Hotspot {{ target: {target}, fraction: {fraction:?} }}")
-        }
-        FuzzTraffic::Transpose => "FuzzTraffic::Transpose".to_owned(),
-        FuzzTraffic::Bursty { on_off, off_on } => {
-            format!("FuzzTraffic::Bursty {{ on_off: {on_off:?}, off_on: {off_on:?} }}")
-        }
     }
 }
 
@@ -859,16 +765,16 @@ fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
         c.rate = (s.rate * 0.5).max(0.002);
         out.push(c);
     }
-    if s.traffic != FuzzTraffic::Uniform {
+    if s.traffic != TrafficPattern::Uniform {
         let mut c = s.clone();
-        c.traffic = FuzzTraffic::Uniform;
+        c.traffic = TrafficPattern::Uniform;
         out.push(c);
     }
     for smaller in shrink_topology(&s.topology) {
         let mut c = s.clone();
         // Clamp workload fields that index into the node space.
-        if let FuzzTraffic::Hotspot { target, fraction } = c.traffic {
-            c.traffic = FuzzTraffic::Hotspot {
+        if let TrafficPattern::Hotspot { target, fraction } = c.traffic {
+            c.traffic = TrafficPattern::Hotspot {
                 target: target.min(smaller.compute_nodes() - 1),
                 fraction,
             };
@@ -924,13 +830,13 @@ mod tests {
             assert_eq!(a, b, "seed {seed} not deterministic");
             families.insert(a.topology.family());
             traffics.insert(match a.traffic {
-                FuzzTraffic::Uniform => "uniform",
-                FuzzTraffic::Hotspot { target, .. } => {
+                TrafficPattern::Uniform => "uniform",
+                TrafficPattern::Hotspot { target, .. } => {
                     assert!(target < a.nodes(), "seed {seed}");
                     "hotspot"
                 }
-                FuzzTraffic::Transpose => "transpose",
-                FuzzTraffic::Bursty { .. } => "bursty",
+                TrafficPattern::Transpose => "transpose",
+                TrafficPattern::Bursty { .. } => "bursty",
             });
             assert!(a.nodes() >= 2 && a.nodes() <= 64, "seed {seed}");
             assert!(a.link_vcs == 2 || a.link_vcs == 4);

@@ -19,7 +19,8 @@
 //!   network cycle at a time with [`Fabric::step`].
 //! * [`FabricStats`] — measured `T_m`, `T_h`, `r_m`, and channel
 //!   utilization, matching the quantities of the paper's network model.
-//! * [`traffic`] — open-loop synthetic load for standalone validation.
+//! * [`traffic`] — the one open-loop traffic source, drawn on by the
+//!   differential fuzzer ([`fuzz`]) and standalone validation.
 //! * [`fault`] — deterministic fault injection (drops, corruption,
 //!   stalls, link kills) with a conservation-checkable [`FaultLog`].
 //!

@@ -618,39 +618,48 @@ enum CreditReturn {
 mod equivalence_tests {
     use super::ReferenceFabric;
     use crate::fault::FaultPlan;
-    use crate::rng::DetRng;
-    use crate::{Direction, Fabric, FabricConfig, Message, NodeId, Torus};
+    use crate::fuzz::{run_scenario, FaultSpec, FuzzScenario};
+    use crate::traffic::{BernoulliTraffic, TrafficPattern};
+    use crate::{Direction, Fabric, FabricConfig, Message, NodeId, Topology, Torus};
 
-    /// A deterministic open-loop workload: each cycle, each node may
-    /// enqueue a message to a pseudo-random destination. Returns the
-    /// injections for `cycle` so both engines see the identical schedule.
-    struct Workload {
-        rng: DetRng,
-        nodes: usize,
+    /// An equivalence case for the fuzzer's lockstep checker
+    /// ([`run_scenario`]): uniform traffic of 8-flit messages on
+    /// `topology`, default buffering, tracing off.
+    fn case(
+        topology: Topology,
+        link_vcs: usize,
+        seed: u64,
         rate: f64,
-        length: u32,
+        cycles: u64,
+        fault: Option<FaultSpec>,
+    ) -> FuzzScenario {
+        let config = FabricConfig::default();
+        FuzzScenario {
+            seed,
+            topology,
+            traffic: TrafficPattern::Uniform,
+            link_vcs,
+            vc_buffer_capacity: config.vc_buffer_capacity,
+            injection_buffer_capacity: config.injection_buffer_capacity,
+            trace_capacity: 0,
+            rate,
+            min_length: 8,
+            max_length: 8,
+            cycles,
+            fault,
+        }
     }
 
-    impl Workload {
-        fn new(seed: u64, nodes: usize, rate: f64, length: u32) -> Self {
-            Self {
-                rng: DetRng::new(seed),
-                nodes,
-                rate,
-                length,
-            }
-        }
-
-        fn pulse(&mut self) -> Vec<Message<u64>> {
-            let mut out = Vec::new();
-            for src in 0..self.nodes {
-                if self.rng.chance(self.rate) {
-                    let dst = self.rng.index(self.nodes);
-                    let payload = self.rng.next_u64();
-                    out.push(Message::new(NodeId(src), NodeId(dst), self.length, payload));
-                }
-            }
-            out
+    /// A fault spec with no scheduled events.
+    fn rates(drop_rate: f64, corrupt_rate: f64, stall_rate: f64, stall_window: u64) -> FaultSpec {
+        FaultSpec {
+            drop_rate,
+            corrupt_rate,
+            stall_rate,
+            stall_window,
+            kills: Vec::new(),
+            link_stalls: Vec::new(),
+            router_stalls: Vec::new(),
         }
     }
 
@@ -673,128 +682,36 @@ mod equivalence_tests {
         }
     }
 
-    /// Runs both engines in lockstep under the same workload and fault
-    /// plan, checking stats, deliveries, and fault logs cycle for cycle.
-    fn lockstep(
-        torus: Torus,
-        config: FabricConfig,
-        plan: Option<FaultPlan>,
-        seed: u64,
-        rate: f64,
-        cycles: u64,
-    ) {
-        let nodes = torus.nodes();
-        let mut opt: Fabric<u64> = match plan.clone() {
-            Some(p) => Fabric::with_fault_plan(torus.clone(), config, p),
-            None => Fabric::new(torus.clone(), config),
-        };
-        let mut reference: ReferenceFabric<u64> = match plan {
-            Some(p) => ReferenceFabric::with_fault_plan(torus, config, p),
-            None => ReferenceFabric::new(torus.clone(), config),
-        };
-        let mut load = Workload::new(seed, nodes, rate, 8);
-        let mut mirror = Workload::new(seed, nodes, rate, 8);
-        for cycle in 0..cycles {
-            for m in load.pulse() {
-                opt.inject(m);
-            }
-            for m in mirror.pulse() {
-                reference.inject(m);
-            }
-            opt.step().unwrap();
-            reference.step().unwrap();
-            opt.audit_worklists();
-            if cycle % 64 == 0 {
-                assert_eq!(
-                    opt.stats(),
-                    reference.stats(),
-                    "stats diverged at cycle {cycle}"
-                );
-            }
-        }
-        // Let in-flight traffic drain (bounded; wedged fabrics stay put).
-        for _ in 0..20_000 {
-            if opt.in_flight() == 0 && reference.in_flight() == 0 {
-                break;
-            }
-            opt.step().unwrap();
-            reference.step().unwrap();
-            opt.audit_worklists();
-        }
-        assert_eq!(opt.cycle(), reference.cycle());
-        assert_eq!(opt.stats(), reference.stats(), "final stats diverged");
-        assert_eq!(opt.total_injected(), reference.total_injected());
-        assert_eq!(opt.in_flight(), reference.in_flight());
-        assert_eq!(opt.buffered_flits(), reference.buffered_flits());
-        assert_eq!(opt.activity(), reference.activity());
-        assert_eq!(
-            opt.fault_log(),
-            reference.fault_log(),
-            "fault logs diverged"
-        );
-        assert_deliveries_match(&mut opt, &mut reference, nodes);
-    }
-
     #[test]
     fn matches_reference_across_seeds_2d() {
         for seed in [1u64, 2, 3] {
-            lockstep(
-                Torus::new(2, 8),
-                FabricConfig::default(),
-                None,
-                seed,
-                0.03,
-                2_000,
-            );
+            run_scenario(&case(Topology::cube(2, 8), 2, seed, 0.03, 2_000, None)).unwrap();
         }
     }
 
     #[test]
     fn matches_reference_multi_vc_deep_buffers() {
-        lockstep(
-            Torus::new(2, 8),
-            FabricConfig {
-                link_vcs: 4,
-                vc_buffer_capacity: 16,
-                injection_buffer_capacity: 16,
-                ..FabricConfig::default()
-            },
-            None,
-            7,
-            0.05,
-            2_000,
-        );
+        run_scenario(&FuzzScenario {
+            vc_buffer_capacity: 16,
+            injection_buffer_capacity: 16,
+            ..case(Topology::cube(2, 8), 4, 7, 0.05, 2_000, None)
+        })
+        .unwrap();
     }
 
     #[test]
     fn matches_reference_3d_torus() {
         for seed in [11u64, 12, 13] {
-            lockstep(
-                Torus::new(3, 4),
-                FabricConfig::default(),
-                None,
-                seed,
-                0.02,
-                1_500,
-            );
+            run_scenario(&case(Topology::cube(3, 4), 2, seed, 0.02, 1_500, None)).unwrap();
         }
     }
 
     #[test]
     fn matches_reference_under_probabilistic_faults() {
         for seed in [21u64, 22, 23] {
-            let plan = FaultPlan::new(seed)
-                .with_drop_rate(0.01)
-                .with_corrupt_rate(0.02)
-                .with_stall_rate(0.005, 40);
-            lockstep(
-                Torus::new(2, 8),
-                FabricConfig::default(),
-                Some(plan),
-                seed,
-                0.04,
-                2_500,
-            );
+            let fault = Some(rates(0.01, 0.02, 0.005, 40));
+            let scenario = case(Topology::cube(2, 8), 2, seed, 0.04, 2_500, fault);
+            run_scenario(&scenario).unwrap();
         }
     }
 
@@ -802,38 +719,21 @@ mod equivalence_tests {
     fn matches_reference_with_multi_word_vc_sets() {
         // Twelve VCs a link on a 3-D torus: 73 input VCs a router, so
         // every per-router worklist spans two 64-bit words.
-        let plan = FaultPlan::new(41)
-            .with_drop_rate(0.01)
-            .with_stall_rate(0.005, 40);
-        lockstep(
-            Torus::new(3, 4),
-            FabricConfig {
-                link_vcs: 12,
-                ..FabricConfig::default()
-            },
-            Some(plan),
-            41,
-            0.04,
-            2_000,
-        );
+        let fault = Some(rates(0.01, 0.0, 0.005, 40));
+        run_scenario(&case(Topology::cube(3, 4), 12, 41, 0.04, 2_000, fault)).unwrap();
     }
 
     #[test]
     fn matches_reference_with_scheduled_stalls_and_kills() {
         // Stalls + a permanent kill: traffic through the dead link wedges
         // identically in both engines; everything else keeps moving.
-        let plan = FaultPlan::new(5)
-            .stall_router_at(300, 9, 200)
-            .stall_link_at(700, 14, 1, Direction::Minus, 150)
-            .kill_link_at(1_000, 0, 0, Direction::Plus);
-        lockstep(
-            Torus::new(2, 8),
-            FabricConfig::default(),
-            Some(plan),
-            31,
-            0.02,
-            2_500,
-        );
+        let fault = Some(FaultSpec {
+            kills: vec![(1_000, 0, 0, Direction::Plus)],
+            link_stalls: vec![(700, 14, 1, Direction::Minus, 150)],
+            router_stalls: vec![(300, 9, 200)],
+            ..rates(0.0, 0.0, 0.0, 64)
+        });
+        run_scenario(&case(Topology::cube(2, 8), 2, 31, 0.02, 2_500, fault)).unwrap();
     }
 
     #[test]
@@ -936,7 +836,7 @@ mod equivalence_tests {
             Fabric::with_fault_plan(torus.clone(), FabricConfig::default(), plan.clone());
         let mut reference: ReferenceFabric<u64> =
             ReferenceFabric::with_fault_plan(torus, FabricConfig::default(), plan);
-        let mut load = Workload::new(5, nodes, 0.03, 8);
+        let mut load = BernoulliTraffic::new(nodes, TrafficPattern::Uniform, 0.03, 8..=8, 5);
         let mut idle_cycles = 0;
         for cycle in 0..2_100u64 {
             if bursts.iter().any(|burst| burst.contains(&cycle)) {

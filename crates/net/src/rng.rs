@@ -2,11 +2,11 @@
 //!
 //! The workspace is built to compile with no external dependencies, so
 //! every component that needs reproducible randomness — the fault plan,
-//! the thread-mapping generators, the randomized tests — shares this
-//! SplitMix64 generator. It is *not* cryptographic; it is fast, has a
-//! 64-bit state, passes the statistical bar a simulator needs, and —
-//! crucially — produces identical streams on every platform for a given
-//! seed.
+//! the open-loop traffic source, the thread-mapping generators, the
+//! randomized tests — shares this SplitMix64 generator. It is *not*
+//! cryptographic; it is fast, has a 64-bit state, passes the statistical
+//! bar a simulator needs, and — crucially — produces identical streams
+//! on every platform for a given seed.
 
 /// A seedable SplitMix64 generator.
 ///

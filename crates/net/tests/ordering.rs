@@ -106,31 +106,6 @@ fn no_starvation_under_sustained_cross_traffic() {
 }
 
 #[test]
-fn utilization_matches_eq10_under_uniform_load() {
-    // Eq. 10: rho = r_m * B * k_d / 2. Drive the fabric open-loop with
-    // uniform random traffic at a low rate and compare the measured mean
-    // channel utilization with the analytical value.
-    use commloc_net::traffic::{BernoulliTraffic, TrafficPattern};
-    let mut fabric: Fabric<()> = Fabric::new(Torus::new(2, 8), FabricConfig::default());
-    let rate = 0.008;
-    let b = 12u32;
-    let mut traffic = BernoulliTraffic::new(64, TrafficPattern::UniformRandom, rate, b, 99);
-    for _ in 0..40_000 {
-        traffic.pulse(&mut fabric);
-        fabric.step().unwrap();
-    }
-    let s = fabric.stats();
-    let measured_rate = s.injected_messages as f64 / (s.cycles as f64 * 64.0);
-    let k_d = s.avg_distance() / 2.0;
-    let expected_rho = measured_rate * f64::from(b) * k_d / 2.0;
-    let measured_rho = s.channel_utilization();
-    assert!(
-        (measured_rho - expected_rho).abs() / expected_rho < 0.1,
-        "rho measured {measured_rho} vs Eq. 10 {expected_rho}"
-    );
-}
-
-#[test]
 fn unloaded_per_hop_latency_is_one_cycle() {
     // Single messages at a time: T_h must be exactly the base switch
     // delay of one network cycle at any distance.

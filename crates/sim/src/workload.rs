@@ -57,19 +57,10 @@ pub fn workload_home_map(topology: &Topology, mapping: &Mapping, instances: usiz
     home
 }
 
-/// The transpose peer of `thread` among `threads` threads: the matrix
-/// transpose on a `k x k` arrangement when `threads` is a perfect square,
-/// index reversal (`threads - 1 - thread`) otherwise — the same
-/// convention as the fabric-level transpose traffic pattern.
-pub fn transpose_peer(thread: usize, threads: usize) -> usize {
-    let k = (threads as f64).sqrt() as usize;
-    if k * k == threads {
-        let (r, c) = (thread / k, thread % k);
-        c * k + r
-    } else {
-        threads - 1 - thread
-    }
-}
+/// The transpose peer of a thread among the compute nodes' threads: the
+/// fabric's open-loop transpose rule, so the machine's transpose workload
+/// and the fabric's transpose traffic pair the same nodes.
+pub use commloc_net::traffic::transpose_peer;
 
 /// One thread of the synthetic neighbour application: reads each peer's
 /// state word (interleaved with computation), then writes its own.

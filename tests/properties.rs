@@ -9,6 +9,7 @@
 use commloc::model::{
     CombinedModel, EndpointContention, MachineConfig, NetworkModel, NodeModel, TorusGeometry,
 };
+use commloc::net::traffic::{BernoulliTraffic, TrafficPattern};
 use commloc::net::{DetRng, Fabric, FabricConfig, FaultConfig, FaultPlan, Message, NodeId, Torus};
 use commloc::sim::{Mapping, Measurements, Scenario, SimConfig, SimError};
 
@@ -225,6 +226,36 @@ fn fabric_delivers_everything() {
         }
         assert_eq!(received, sent, "case {case}");
         assert_eq!(fabric.buffered_flits(), 0, "case {case}");
+    }
+}
+
+/// Eq. 10 against the fabric: under the open-loop source's uniform load
+/// at a low rate, the measured mean channel utilization matches the
+/// network model's `rho = r_m * B * k_d / 2` at the measured injection
+/// rate and distance.
+#[test]
+fn utilization_matches_eq10_under_uniform_load() {
+    const B: u32 = 12;
+    for (n, k) in [(2u32, 8usize), (3, 4)] {
+        let torus = Torus::new(n, k);
+        let nodes = torus.nodes();
+        let mut fabric: Fabric<u64> = Fabric::new(torus, FabricConfig::default());
+        let mut traffic = BernoulliTraffic::new(nodes, TrafficPattern::Uniform, 0.008, B..=B, 99);
+        for _ in 0..40_000 {
+            for m in traffic.pulse() {
+                fabric.inject(m);
+            }
+            fabric.step().unwrap();
+        }
+        let s = fabric.stats();
+        let geometry = TorusGeometry::new(n, k as f64).unwrap();
+        let model = NetworkModel::new(geometry, f64::from(B)).unwrap();
+        let expected = model.channel_utilization(s.per_node_injection_rate(), s.avg_distance());
+        let measured = s.channel_utilization();
+        assert!(
+            (measured - expected).abs() / expected < 0.1,
+            "{k}-ary {n}-cube: rho measured {measured} vs Eq. 10 {expected}"
+        );
     }
 }
 
