@@ -17,13 +17,14 @@
 //! Run with: `cargo bench --bench fabric`
 
 use commloc_bench::{write_measured, RegressionGate};
-use commloc_net::{Fabric, FabricConfig, Message, NodeId, ReferenceFabric, Torus};
+use commloc_net::traffic::{BernoulliTraffic, TrafficPattern};
+use commloc_net::{Fabric, FabricConfig, Message, ReferenceFabric, Torus};
 
 /// Deterministic per-cycle injection schedule: `schedule[cycle]` lists
-/// `(src, dst)` pairs of 12-flit messages to inject before that cycle's
-/// step. Both engines replay the identical schedule, so their delivered
-/// counts must agree — the harness asserts it.
-type Schedule = Vec<Vec<(NodeId, NodeId)>>;
+/// the 12-flit messages to inject before that cycle's step. Both engines
+/// replay the identical schedule, so their delivered counts must agree —
+/// the harness asserts it.
+type Schedule = Vec<Vec<Message<u64>>>;
 
 struct Scenario {
     name: &'static str,
@@ -100,46 +101,12 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// xorshift64* — the schedule generator's only randomness source.
-fn next_u64(state: &mut u64) -> u64 {
-    *state ^= *state >> 12;
-    *state ^= *state << 25;
-    *state ^= *state >> 27;
-    state.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-fn build_schedule(s: &Scenario, seed: u64) -> Schedule {
-    let nodes = s.radix.pow(s.dims);
-    let mut state = seed | 1;
-    let threshold = (s.rate * (1u64 << 53) as f64) as u64;
-    (0..s.cycles)
-        .map(|cycle| {
-            if let Some((burst, period)) = s.burst {
-                if cycle % period >= burst {
-                    return Vec::new();
-                }
-            }
-            let mut injections = Vec::new();
-            for src in 0..nodes {
-                if (next_u64(&mut state) >> 11) >= threshold {
-                    continue;
-                }
-                let dst = next_u64(&mut state) as usize % nodes;
-                if dst != src {
-                    injections.push((NodeId(src), NodeId(dst)));
-                }
-            }
-            injections
-        })
-        .collect()
-}
-
 /// Runs the optimized engine over the schedule; returns (wall seconds,
 /// delivered messages). Idle stretches with no scheduled injections are
 /// crossed with `fast_forward`, which the equivalence suite proves is
 /// cycle-exact.
 fn run_optimized(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
-    let mut fabric: Fabric<()> = Fabric::new(Torus::new(s.dims, s.radix), s.config);
+    let mut fabric: Fabric<u64> = Fabric::new(Torus::new(s.dims, s.radix), s.config);
     let start = std::time::Instant::now();
     let mut cycle = 0usize;
     while cycle < schedule.len() {
@@ -151,8 +118,8 @@ fn run_optimized(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
             cycle += fabric.fast_forward(gap as u64) as usize;
             continue;
         }
-        for &(src, dst) in &schedule[cycle] {
-            fabric.inject(Message::new(src, dst, MESSAGE_FLITS, ()));
+        for message in &schedule[cycle] {
+            fabric.inject(message.clone());
         }
         fabric.step().expect("fault-free fabric step");
         cycle += 1;
@@ -164,12 +131,12 @@ fn run_optimized(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
 }
 
 fn run_reference(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
-    let mut fabric: ReferenceFabric<()> =
+    let mut fabric: ReferenceFabric<u64> =
         ReferenceFabric::new(Torus::new(s.dims, s.radix), s.config);
     let start = std::time::Instant::now();
     for injections in schedule {
-        for &(src, dst) in injections {
-            fabric.inject(Message::new(src, dst, MESSAGE_FLITS, ()));
+        for message in injections {
+            fabric.inject(message.clone());
         }
         fabric.step().expect("fault-free fabric step");
     }
@@ -205,7 +172,21 @@ fn main() {
     let mut outcomes = Vec::new();
     println!("=== Fabric engine throughput (simulated network cycles / second) ===\n");
     for scenario in scenarios() {
-        let schedule = build_schedule(&scenario, 0x1992_0615);
+        // The schedule comes from commloc-net's open-loop source (uniform
+        // destinations, self-sends included), drawn only inside bursts.
+        let mut source = BernoulliTraffic::new(
+            scenario.radix.pow(scenario.dims),
+            TrafficPattern::Uniform,
+            scenario.rate,
+            MESSAGE_FLITS..=MESSAGE_FLITS,
+            0x1992_0615,
+        );
+        let schedule: Schedule = (0..scenario.cycles)
+            .map(|cycle| match scenario.burst {
+                Some((burst, period)) if cycle % period >= burst => Vec::new(),
+                _ => source.pulse(),
+            })
+            .collect();
         let (secs, delivered) = run_optimized(&scenario, &schedule);
         let (ref_secs, ref_delivered) = run_reference(&scenario, &schedule);
         assert_eq!(

@@ -371,16 +371,21 @@ impl<P> Fabric<P> {
     pub fn new(topology: impl Into<Topology>, config: FabricConfig) -> Self {
         let topology = topology.into();
         let nodes = topology.nodes();
-        Self::new_shard(topology, config, 0, nodes)
+        Self::new_shard(topology, config, None, (0, nodes))
     }
 
     /// Builds a fabric owning only the contiguous global node range
-    /// `base .. base + owned` of `torus` — one shard of a partitioned
-    /// simulation. Flits and credits crossing the range boundary are
-    /// emitted as [`BoundaryItem`]s ([`Fabric::take_boundary`]) instead
-    /// of traversing local links; the shard driver delivers them into the
-    /// owning shard ([`Fabric::ingest_boundary`]) between cycles, which
-    /// reproduces the one-cycle link latency exactly.
+    /// `base .. base + owned` of `topology` — one shard of a partitioned
+    /// simulation, its range one of [`shard_ranges`]'s. Flits and credits
+    /// crossing the range boundary are emitted as [`BoundaryItem`]s
+    /// ([`Fabric::take_boundary`]) instead of traversing local links; the
+    /// shard driver delivers them into the owning shard
+    /// ([`Fabric::ingest_boundary`]) between cycles, which reproduces the
+    /// one-cycle link latency exactly.
+    ///
+    /// `plan` is the whole fabric's fault plan; the shard keeps the part
+    /// on its nodes, with an empty log ([`FaultLog::merge`] rebuilds the
+    /// one-shard log from the shards').
     ///
     /// # Panics
     ///
@@ -389,8 +394,8 @@ impl<P> Fabric<P> {
     pub fn new_shard(
         topology: impl Into<Topology>,
         config: FabricConfig,
-        base: usize,
-        owned: usize,
+        plan: Option<&FaultPlan>,
+        (base, owned): (usize, usize),
     ) -> Self {
         let topology = topology.into();
         assert!(
@@ -511,7 +516,7 @@ impl<P> Fabric<P> {
             stats,
             breakdown: LatencyBreakdown::default(),
             trace: (config.trace_capacity > 0).then(|| TraceBuffer::new(config.trace_capacity)),
-            fault: None,
+            fault: plan.map(|plan| plan.restrict(base, owned)),
             activity: 0,
             buffered: 0,
             injected_total: 0,
@@ -532,33 +537,6 @@ impl<P> Fabric<P> {
         let mut fabric = Self::new(topology, config);
         fabric.fault = Some(plan);
         fabric
-    }
-
-    /// Shard form of [`Fabric::with_fault_plan`]: the plan should be the
-    /// global plan restricted to this shard's nodes
-    /// ([`FaultPlan::restrict`]); the stateless per-site rolls then
-    /// replay exactly as in the monolithic fabric.
-    pub fn with_fault_plan_shard(
-        topology: impl Into<Topology>,
-        config: FabricConfig,
-        base: usize,
-        owned: usize,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut fabric = Self::new_shard(topology, config, base, owned);
-        fabric.fault = Some(plan);
-        fabric
-    }
-
-    /// Global id of the first node this fabric owns (`0` unless built by
-    /// [`Fabric::new_shard`]).
-    pub fn shard_base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of nodes this fabric owns.
-    pub fn shard_owned(&self) -> usize {
-        self.owned
     }
 
     /// The attached fault plan, if any.
@@ -1561,12 +1539,6 @@ impl<P> Fabric<P> {
         out.append(&mut self.boundary_out);
     }
 
-    /// Whether the last step produced boundary traffic (cheap peek for
-    /// the shard driver).
-    pub fn has_boundary(&self) -> bool {
-        !self.boundary_out.is_empty()
-    }
-
     /// Ingests one boundary item produced by another shard's
     /// [`Fabric::take_boundary`]. Must be called between steps, after
     /// every shard has finished the cycle that produced the item; the
@@ -1685,6 +1657,23 @@ impl<P> Fabric<P> {
             "busy-output sets drifted by cycle {cycle}"
         );
     }
+}
+
+/// Splits `nodes` into `k` contiguous near-equal `(base, owned)` ranges,
+/// in ascending node order: the one partition rule of a sharded fabric
+/// (each range is one [`Fabric::new_shard`]). The first `nodes % k`
+/// ranges own one node more than the rest.
+pub fn shard_ranges(nodes: usize, k: usize) -> Vec<(usize, usize)> {
+    let size = nodes / k;
+    let rem = nodes % k;
+    let mut out = Vec::with_capacity(k);
+    let mut base = 0;
+    for i in 0..k {
+        let owned = size + usize::from(i < rem);
+        out.push((base, owned));
+        base += owned;
+    }
+    out
 }
 
 /// A flit or credit leaving one shard for another, produced by a shard
@@ -2069,189 +2058,58 @@ mod multi_vc_tests {
 
 #[cfg(test)]
 mod shard_tests {
+    //! Sharded fabrics: equivalence cases against the one-shard
+    //! reference through the one lockstep checker
+    //! ([`crate::fuzz::run_scenario`]), an idle shard's tick, and the
+    //! partition rule.
     use super::*;
-    use crate::topology::Torus;
+    use crate::fuzz::{run_scenario, FaultSpec, FuzzScenario};
+    use crate::topology::{Direction, Torus};
 
-    /// Contiguous near-equal split of `nodes` into `k` ranges.
-    fn split(nodes: usize, k: usize) -> Vec<(usize, usize)> {
-        let size = nodes / k;
-        let rem = nodes % k;
-        let mut out = Vec::new();
-        let mut base = 0;
-        for i in 0..k {
-            let owned = size + usize::from(i < rem);
-            out.push((base, owned));
-            base += owned;
+    /// Uniform traffic of 1- to 9-flit messages, so heads, bodies and
+    /// head-tails all cross shard boundaries, on `shards` shards.
+    fn case(topology: Topology, shards: usize) -> FuzzScenario {
+        FuzzScenario {
+            shards,
+            ..FuzzScenario::uniform(topology, 0.04, 1..=9, 600)
         }
-        out
-    }
-
-    fn owner(shards: &[Fabric<u32>], node: usize) -> usize {
-        shards
-            .iter()
-            .position(|f| node >= f.shard_base() && node < f.shard_base() + f.shard_owned())
-            .expect("node not owned by any shard")
-    }
-
-    /// Runs the same injection schedule through a monolithic fabric and a
-    /// `k`-shard lockstep ensemble, then asserts bit-exact equivalence of
-    /// merged stats, per-node delivery streams, latency breakdowns,
-    /// merged fault logs, and message conservation. Returns the shards.
-    fn compare_sharded(
-        torus: Torus,
-        config: FabricConfig,
-        plan: Option<FaultPlan>,
-        k: usize,
-        schedule: &[(u64, NodeId, NodeId, u32)],
-    ) -> Vec<Fabric<u32>> {
-        let mut mono = match plan.clone() {
-            Some(p) => Fabric::with_fault_plan(torus.clone(), config, p),
-            None => Fabric::new(torus.clone(), config),
-        };
-        let mut shards: Vec<Fabric<u32>> = split(torus.nodes(), k)
-            .into_iter()
-            .map(|(base, owned)| match plan.clone() {
-                Some(p) => Fabric::with_fault_plan_shard(
-                    torus.clone(),
-                    config,
-                    base,
-                    owned,
-                    p.restrict(base, owned),
-                ),
-                None => Fabric::new_shard(torus.clone(), config, base, owned),
-            })
-            .collect();
-        let mut next = 0usize;
-        let mut next_id = 0u64;
-        let mut payload = 0u32;
-        let mut items: Vec<BoundaryItem<u32>> = Vec::new();
-        loop {
-            while next < schedule.len() && schedule[next].0 == mono.cycle() {
-                let (_, src, dst, len) = schedule[next];
-                mono.inject(Message::new(src, dst, len, payload));
-                let s = owner(&shards, src.0);
-                shards[s].inject_with_id(MessageId(next_id), Message::new(src, dst, len, payload));
-                next_id += 1;
-                payload += 1;
-                next += 1;
-            }
-            if next >= schedule.len()
-                && mono.in_flight() == 0
-                && shards.iter().all(Fabric::is_quiescent)
-            {
-                break;
-            }
-            mono.step().unwrap();
-            for f in shards.iter_mut() {
-                f.step().unwrap();
-            }
-            for f in shards.iter_mut() {
-                f.take_boundary(&mut items);
-            }
-            for item in items.drain(..) {
-                let s = owner(&shards, item.dst_node());
-                shards[s].ingest_boundary(item);
-            }
-            mono.audit_worklists();
-            for f in &shards {
-                f.audit_worklists();
-            }
-            assert!(mono.cycle() < 500_000, "traffic did not drain");
-        }
-        assert_eq!(mono.cycle(), shards[0].cycle());
-        let merged = FabricStats::merged(shards.iter().map(Fabric::stats));
-        assert_eq!(&merged, mono.stats(), "merged shard stats diverged");
-        let mut breakdown = LatencyBreakdown::default();
-        for f in &shards {
-            breakdown.absorb(f.breakdown());
-        }
-        assert_eq!(&breakdown, mono.breakdown(), "merged breakdown diverged");
-        for node in 0..torus.nodes() {
-            let s = owner(&shards, node);
-            loop {
-                let m = mono.poll_delivery(NodeId(node));
-                let sh = shards[s].poll_delivery(NodeId(node));
-                assert_eq!(m, sh, "delivery stream diverged at node {node}");
-                if m.is_none() {
-                    break;
-                }
-            }
-        }
-        let merged_log = FaultLog::merge(shards.iter().filter_map(Fabric::fault_log));
-        assert_eq!(merged_log.as_ref(), mono.fault_log(), "fault logs diverged");
-        let total: u64 = shards.iter().map(Fabric::total_injected).sum();
-        assert_eq!(total, mono.total_injected());
-        let s = mono.stats();
-        assert_eq!(s.delivered_messages + s.dropped_messages, total);
-        shards
-    }
-
-    /// Scattered many-to-many traffic injected in waves, plus a couple of
-    /// loopbacks; lengths vary so heads, bodies, and head-tails all cross
-    /// shard boundaries at some point.
-    fn scatter_schedule(nodes: usize, rounds: u64) -> Vec<(u64, NodeId, NodeId, u32)> {
-        let mut schedule = Vec::new();
-        for round in 0..rounds {
-            for node in 0..nodes {
-                let dst = (node * 13 + 5 + round as usize) % nodes;
-                let len = 1 + ((node + round as usize) % 9) as u32;
-                schedule.push((round * 7, NodeId(node), NodeId(dst), len));
-            }
-            schedule.push((
-                round * 7,
-                NodeId(round as usize % nodes),
-                NodeId(round as usize % nodes),
-                4,
-            ));
-        }
-        schedule
     }
 
     #[test]
     fn two_shard_lockstep_matches_monolithic() {
-        let torus = Torus::new(2, 8);
-        let schedule = scatter_schedule(torus.nodes(), 6);
-        compare_sharded(torus, FabricConfig::default(), None, 2, &schedule);
+        run_scenario(&case(Topology::cube(2, 8), 2)).unwrap();
     }
 
     #[test]
     fn odd_shard_counts_match_monolithic() {
-        let torus = Torus::new(2, 8);
-        let schedule = scatter_schedule(torus.nodes(), 4);
-        for k in [3, 7] {
-            compare_sharded(torus.clone(), FabricConfig::default(), None, k, &schedule);
+        for shards in [3, 7] {
+            run_scenario(&case(Topology::cube(2, 8), shards)).unwrap();
         }
     }
 
     #[test]
     fn wraparound_ring_two_shards() {
-        // Halfway-around traffic on a 1D ring saturates the wrap links,
-        // so worms cross both shard boundaries in both directions.
-        let torus = Torus::new(1, 8);
-        let mut schedule = Vec::new();
-        for round in 0..10u64 {
-            for node in 0..8usize {
-                schedule.push((round * 3, NodeId(node), NodeId((node + 4) % 8), 12));
-            }
-        }
-        let config = FabricConfig {
+        // 12-flit worms on an 8-node ring with 2-flit buffers load the
+        // wrap links, so worms cross both shard boundaries in both
+        // directions.
+        run_scenario(&FuzzScenario {
             vc_buffer_capacity: 2,
             injection_buffer_capacity: 2,
-            ..FabricConfig::default()
-        };
-        compare_sharded(torus, config, None, 2, &schedule);
+            min_length: 12,
+            max_length: 12,
+            ..case(Topology::cube(1, 8), 2)
+        })
+        .unwrap();
     }
 
     #[test]
     fn four_vc_three_d_torus_four_shards() {
-        let torus = Torus::new(3, 4);
-        let schedule = scatter_schedule(torus.nodes(), 3);
-        let config = FabricConfig {
+        run_scenario(&FuzzScenario {
             link_vcs: 4,
             vc_buffer_capacity: 4,
-            ..FabricConfig::default()
-        };
-        compare_sharded(torus, config, None, 4, &schedule);
+            ..case(Topology::cube(3, 4), 4)
+        })
+        .unwrap();
     }
 
     /// A wrapping e-cube route can leave a shard and re-enter it at a
@@ -2263,34 +2121,26 @@ mod shard_tests {
     /// the machine-level fuzzer; message-id-keyed remap broke here).
     #[test]
     fn worm_reentering_shard_through_second_crossing() {
-        let torus = Torus::new(2, 5);
-        let mut schedule = vec![(0, NodeId(8), NodeId(10), 24)];
-        // Pile on neighbours so freed slab slots get reused, which is
-        // what turns a stale remap into a visible wrong-slot ejection.
-        for n in 0..torus.nodes() {
-            schedule.push((1, NodeId(n), NodeId((n + 7) % torus.nodes()), 16));
-        }
-        for k in [2, 3, 4] {
-            compare_sharded(torus.clone(), FabricConfig::default(), None, k, &schedule);
+        for shards in [2, 3, 4] {
+            run_scenario(&FuzzScenario {
+                rate: 0.02,
+                min_length: 16,
+                max_length: 24,
+                ..case(Topology::cube(2, 5), shards)
+            })
+            .unwrap();
         }
     }
 
     #[test]
     fn sharded_fault_rolls_replay_bit_exact() {
-        let torus = Torus::new(2, 8);
-        let schedule = scatter_schedule(torus.nodes(), 5);
-        let plan = FaultPlan::new(77)
-            .with_drop_rate(0.08)
-            .with_corrupt_rate(0.08)
-            .with_stall_rate(0.02, 40);
-        for k in [2, 3] {
-            compare_sharded(
-                torus.clone(),
-                FabricConfig::default(),
-                Some(plan.clone()),
-                k,
-                &schedule,
-            );
+        for shards in [2, 3] {
+            run_scenario(&FuzzScenario {
+                seed: 77,
+                fault: Some(FaultSpec::rates(0.08, 0.08, 0.02, 40)),
+                ..case(Topology::cube(2, 8), shards)
+            })
+            .unwrap();
         }
     }
 
@@ -2300,21 +2150,39 @@ mod shard_tests {
         // most three hops in Y, so it never leaves shard 0 (nodes 0-31)
         // and shard 1 ticks idle throughout, while scheduled stalls fire
         // in it, one mid-run. Rolled stalls and drops keep shard 0's
-        // plan busy. The pair must match the monolithic fabric.
+        // plan busy.
         let torus = Torus::new(2, 8);
-        let mut schedule = Vec::new();
-        for round in 0..6u64 {
-            for node in 0..32usize {
-                let dst = (node * 11 + 3 + round as usize) % 32;
-                schedule.push((round * 20, NodeId(node), NodeId(dst), 1 + (node % 6) as u32));
-            }
-        }
         let plan = FaultPlan::new(13)
             .with_drop_rate(0.03)
             .with_stall_rate(0.03, 25)
             .stall_router_at(40, 45, 90)
-            .stall_link_at(70, 50, 0, crate::Direction::Plus, 30);
-        let shards = compare_sharded(torus, FabricConfig::default(), Some(plan), 2, &schedule);
+            .stall_link_at(70, 50, 0, Direction::Plus, 30);
+        let mut shards: Vec<Fabric<u32>> = shard_ranges(torus.nodes(), 2)
+            .into_iter()
+            .map(|range| {
+                Fabric::new_shard(torus.clone(), FabricConfig::default(), Some(&plan), range)
+            })
+            .collect();
+        let mut boundary = Vec::new();
+        let mut id = 0;
+        while shards[0].cycle() < 120 || shards[0].in_flight() > 0 {
+            let cycle = shards[0].cycle();
+            if cycle.is_multiple_of(20) && cycle < 120 {
+                for node in 0..32usize {
+                    let dst = (node * 11 + 3 + cycle as usize / 20) % 32;
+                    let m = Message::new(NodeId(node), NodeId(dst), 1 + (node % 6) as u32, 0);
+                    shards[0].inject_with_id(MessageId(id), m);
+                    id += 1;
+                }
+            }
+            for shard in &mut shards {
+                shard.step().unwrap();
+                shard.take_boundary(&mut boundary);
+                shard.audit_worklists();
+            }
+            assert!(boundary.is_empty(), "cycle {cycle}: traffic left shard 0");
+            assert!(cycle < 10_000, "shard 0 did not drain");
+        }
         assert_eq!(shards[1].activity(), 0, "shard 1 moved a flit");
         assert!(shards[0].activity() > 0);
         assert_eq!(
@@ -2327,12 +2195,37 @@ mod shard_tests {
 
     #[test]
     fn sharded_scheduled_stalls_replay_bit_exact() {
-        let torus = Torus::new(2, 8);
-        let schedule = scatter_schedule(torus.nodes(), 4);
-        let plan = FaultPlan::new(9)
-            .stall_router_at(5, 27, 120)
-            .stall_router_at(40, 9, 60);
-        compare_sharded(torus, FabricConfig::default(), Some(plan), 3, &schedule);
+        run_scenario(&FuzzScenario {
+            seed: 9,
+            fault: Some(FaultSpec {
+                router_stalls: vec![(5, 27, 120), (40, 9, 60)],
+                ..FaultSpec::rates(0.0, 0.0, 0.0, 64)
+            }),
+            ..case(Topology::cube(2, 8), 3)
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn shard_ranges_are_contiguous_and_cover() {
+        for (nodes, k) in [(16, 3), (64, 7), (27, 5), (8, 8)] {
+            let ranges = shard_ranges(nodes, k);
+            assert_eq!(ranges.len(), k);
+            let mut next = 0;
+            for &(base, owned) in &ranges {
+                assert_eq!(base, next);
+                assert!(owned > 0);
+                next += owned;
+            }
+            assert_eq!(next, nodes);
+            for node in 0..nodes {
+                // The owner lookup of the machine's exchange and the
+                // fuzzer's checker.
+                let owner = ranges.partition_point(|&(base, _)| base <= node) - 1;
+                let (base, owned) = ranges[owner];
+                assert!(node >= base && node < base + owned);
+            }
+        }
     }
 }
 

@@ -676,13 +676,14 @@ impl FaultPlan {
         );
     }
 
-    /// The sub-plan a shard owning nodes `[base, base + owned)` should
-    /// run with: scheduled faults and standing state restricted to links
-    /// the shard arbitrates. Probabilistic rolls need no restriction —
-    /// they are stateless and each shard only rolls for its own links —
-    /// so the rates carry over unchanged. The log starts empty; merge
-    /// shard logs back with [`FaultLog::merge`].
-    pub fn restrict(&self, base: usize, owned: usize) -> FaultPlan {
+    /// The sub-plan [`Fabric::new_shard`](crate::Fabric::new_shard) runs
+    /// a shard owning nodes `[base, base + owned)` with: scheduled faults
+    /// and standing state restricted to links the shard arbitrates.
+    /// Probabilistic rolls need no restriction — they are stateless and
+    /// each shard only rolls for its own links — so the rates carry over
+    /// unchanged. The log starts empty; merge shard logs back with
+    /// [`FaultLog::merge`].
+    pub(crate) fn restrict(&self, base: usize, owned: usize) -> FaultPlan {
         let mine = |node: usize| node >= base && node < base + owned;
         FaultPlan {
             seed: self.seed,

@@ -5,41 +5,48 @@
 //! the in-tree [`DetRng`] — no external fuzzing framework): a random
 //! topology (a torus of 1–3 dimensions, a mesh, a fat tree or a
 //! dragonfly), buffering and virtual-channel configuration, trace
-//! capacity, open-loop [`TrafficPattern`], and an optional fault plan
-//! mixing probabilistic drop / corrupt / stall faults with scheduled link
-//! kills and router stalls. [`run_scenario`], the crate's one fabric
-//! lockstep checker, then drives both engines under identical
-//! [`BernoulliTraffic`] injection schedules and checks:
+//! capacity, open-loop [`TrafficPattern`], an optional fault plan mixing
+//! probabilistic drop / corrupt / stall faults with scheduled link kills
+//! and router stalls, and a shard count. [`run_scenario`], the crate's
+//! one fabric lockstep checker, then drives both engines under one
+//! [`BernoulliTraffic`] schedule. Its optimized side is the fabric cut
+//! into [`shard_ranges`] (one shard is the plain fabric) that exchange
+//! boundary items every cycle as the machine's shards do, read through
+//! the shard merge rules ([`FabricStats::merged`], [`FaultLog::merge`],
+//! [`TraceBuffer::merge`], summed counters). It checks:
 //!
-//! * in test builds, the optimized engine's worklists
-//!   (`Fabric::audit_worklists`) on every cycle,
-//! * bit-identical [`FabricStats`](crate::FabricStats) every 64 cycles
-//!   and after the drain phase,
+//! * in test builds, every shard's worklists (`Fabric::audit_worklists`)
+//!   on every cycle,
+//! * bit-identical [`FabricStats`] every 64 cycles and after the drain
+//!   phase,
 //! * identical per-node delivery order and contents,
-//! * identical fault logs, in-flight populations, and buffered flits,
+//! * identical fault logs, in-flight populations, buffered flits and
+//!   activity,
 //! * cross-layer invariants on the optimized engine that the reference
 //!   engine cannot express: per-delivery breakdown telescoping
 //!   (`MessageBreakdown::total() == Delivery::total_latency()`), the
-//!   aggregate [`LatencyBreakdown`](crate::LatencyBreakdown) agreeing
-//!   with the stats counters, and message conservation
-//!   (`injected == delivered + dropped + in-flight`).
+//!   aggregate [`LatencyBreakdown`] agreeing with the stats counters,
+//!   message conservation (`injected == delivered + dropped +
+//!   in-flight`), and the trace ring's capacity.
 //!
 //! On a mismatch, [`shrink`] greedily reduces the failing scenario
-//! (fewer cycles, lower rate, no faults, smaller torus, shallower
-//! buffers) while re-checking that it still fails, and
+//! (fewer cycles, lower rate, no faults, fewer shards, smaller torus,
+//! shallower buffers) while re-checking that it still fails, and
 //! [`ShrinkOutcome::repro_test`] prints a ready-to-paste `#[test]`
 //! function that replays the minimal scenario.
 //!
 //! `commloc-sim` drives bounded fuzz campaigns through this module from
 //! the `commloc fuzz` CLI subcommand and CI.
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultLog, FaultPlan};
 use crate::message::Message;
 use crate::reference::ReferenceFabric;
 use crate::rng::DetRng;
+use crate::stats::{FabricStats, LatencyBreakdown};
 use crate::topology::{Direction, NodeId, Topology};
+use crate::trace::{TraceBuffer, TraceEvent};
 use crate::traffic::{BernoulliTraffic, TrafficPattern};
-use crate::{Fabric, FabricConfig};
+use crate::{shard_ranges, Fabric, FabricConfig, FabricError};
 use std::fmt;
 
 /// Domain-separation constant so scenario generation never shares a
@@ -128,6 +135,9 @@ pub struct FuzzScenario {
     pub cycles: u64,
     /// Optional fault plan.
     pub fault: Option<FaultSpec>,
+    /// Shards the optimized engine is cut into ([`shard_ranges`] over
+    /// every node of the topology); `1` is the plain fabric.
+    pub shards: usize,
 }
 
 impl FuzzScenario {
@@ -254,6 +264,8 @@ impl FuzzScenario {
         } else {
             None
         };
+        // Drawn last, so every other field keeps its draw.
+        let shards = [1, 1, 1, 2, 3, 4][rng.index(6)].min(nodes);
         Self {
             seed,
             topology,
@@ -267,6 +279,7 @@ impl FuzzScenario {
             max_length,
             cycles,
             fault,
+            shards,
         }
     }
 
@@ -286,18 +299,6 @@ impl FuzzScenario {
     /// and destinations of the workload stream.
     pub fn nodes(&self) -> usize {
         self.topology.compute_nodes()
-    }
-
-    /// The scenario's open-loop traffic source; every call starts the
-    /// same injection schedule.
-    fn source(&self) -> BernoulliTraffic {
-        BernoulliTraffic::new(
-            self.nodes(),
-            self.traffic,
-            self.rate,
-            self.min_length..=self.max_length,
-            self.seed,
-        )
     }
 }
 
@@ -347,6 +348,8 @@ pub struct FuzzReport {
     pub wedged: u64,
     /// Total cycles stepped (active + drain).
     pub cycles: u64,
+    /// Shards the optimized engine ran on.
+    pub shards: usize,
 }
 
 macro_rules! check_eq {
@@ -387,36 +390,22 @@ pub fn run_scenario_mutated(
     scenario: &FuzzScenario,
     mutation: Option<FuzzMutation>,
 ) -> Result<FuzzReport, Divergence> {
-    let topology = scenario.topology.clone();
-    let nodes = topology.compute_nodes();
-    let mut opt: Fabric<u64> = match &scenario.fault {
-        Some(spec) => Fabric::with_fault_plan(
-            topology.clone(),
-            scenario.config(true),
-            spec.build(scenario.seed),
-        ),
-        None => Fabric::new(topology.clone(), scenario.config(true)),
-    };
-    let mut reference: ReferenceFabric<u64> = match &scenario.fault {
-        Some(spec) => ReferenceFabric::with_fault_plan(
-            topology,
-            scenario.config(false),
-            spec.build(scenario.seed),
-        ),
+    let (nodes, topology) = (scenario.nodes(), scenario.topology.clone());
+    let plan = scenario.fault.as_ref().map(|f| f.build(scenario.seed));
+    let mut opt = Shards::new(scenario, plan.as_ref());
+    let mut reference: ReferenceFabric<u64> = match plan {
+        Some(plan) => ReferenceFabric::with_fault_plan(topology, scenario.config(false), plan),
         None => ReferenceFabric::new(topology, scenario.config(false)),
     };
 
-    // Two mirrored workload streams (same seed) keep the injection
-    // schedules identical without sharing a generator.
-    let mut load = scenario.source();
-    let mut mirror = scenario.source();
+    // One stream feeds both engines; each message enters the shard that
+    // owns its source under the id the reference assigned it.
+    let (rate, lengths) = (scenario.rate, scenario.min_length..=scenario.max_length);
+    let mut load = BernoulliTraffic::new(nodes, scenario.traffic, rate, lengths, scenario.seed);
     let mut injected = 0u64;
     for cycle in 0..scenario.cycles {
         for m in load.pulse() {
-            opt.inject(m);
-        }
-        for m in mirror.pulse() {
-            let m = match mutation {
+            let skewed = match mutation {
                 Some(FuzzMutation::SkewLength(n)) if injected == n => {
                     Message::new(m.src, m.dst, m.length + 1, m.payload)
                 }
@@ -424,47 +413,45 @@ pub fn run_scenario_mutated(
                     let dst = NodeId((m.dst.0 + 1) % nodes);
                     Message::new(m.src, dst, m.length, m.payload)
                 }
-                _ => m,
+                _ => m.clone(),
             };
             injected += 1;
-            reference.inject(m);
+            let id = reference.inject(skewed);
+            opt.owner(m.src.0).inject_with_id(id, m);
         }
         step_both(&mut opt, &mut reference, cycle)?;
         if cycle % 64 == 0 {
-            check_eq!(Some(cycle), opt.stats(), reference.stats(), "stats");
+            check_eq!(Some(cycle), &opt.stats(), reference.stats(), "stats");
         }
     }
     // Drain (bounded: traffic wedged behind killed links never leaves).
     let mut drained = 0u64;
-    while drained < DRAIN_CYCLES && (opt.in_flight() > 0 || reference.in_flight() > 0) {
+    while drained < DRAIN_CYCLES && (opt.sum(Fabric::in_flight) > 0 || reference.in_flight() > 0) {
         step_both(&mut opt, &mut reference, scenario.cycles + drained)?;
         drained += 1;
     }
 
-    check_eq!(None, opt.cycle(), reference.cycle(), "cycle count");
-    check_eq!(None, opt.stats(), reference.stats(), "final stats");
-    check_eq!(
-        None,
-        opt.total_injected(),
-        reference.total_injected(),
-        "total injected"
-    );
-    check_eq!(None, opt.in_flight(), reference.in_flight(), "in-flight");
-    check_eq!(
-        None,
-        opt.buffered_flits(),
-        reference.buffered_flits(),
-        "buffered flits"
-    );
-    check_eq!(None, opt.activity(), reference.activity(), "activity");
-    check_eq!(None, opt.fault_log(), reference.fault_log(), "fault log");
+    let cycles = opt.fabrics[0].cycle();
+    check_eq!(None, cycles, reference.cycle(), "cycle count");
+    let stats = opt.stats();
+    check_eq!(None, &stats, reference.stats(), "final stats");
+    // Counters the shards sum, each against the reference's own.
+    macro_rules! summed {
+        ($($read:ident),*) => {
+            $(check_eq!(None, opt.sum(Fabric::$read), reference.$read(), stringify!($read));)*
+        };
+    }
+    summed!(total_injected, in_flight, buffered_flits, activity);
+    let (total_injected, in_flight) = (opt.sum(Fabric::total_injected), opt.sum(Fabric::in_flight));
+    let log = FaultLog::merge(opt.fabrics.iter().filter_map(Fabric::fault_log));
+    check_eq!(None, log.as_ref(), reference.fault_log(), "fault log");
 
     // Delivery order/content equality, plus the optimized engine's
     // per-delivery breakdown telescoping invariant.
     let mut delivered = 0u64;
     for node in 0..nodes {
         loop {
-            let a = opt.poll_delivery(NodeId(node));
+            let a = opt.owner(node).poll_delivery(NodeId(node));
             let b = reference.poll_delivery(NodeId(node));
             check_eq!(None, &a, &b, format!("delivery at node {node}"));
             let Some(delivery) = a else { break };
@@ -487,9 +474,11 @@ pub fn run_scenario_mutated(
     }
 
     // Cross-layer accounting invariants on the optimized engine.
-    let stats = opt.stats();
     check_eq!(None, delivered, stats.delivered_messages, "delivered count");
-    let breakdown = opt.breakdown();
+    let mut breakdown = LatencyBreakdown::default();
+    for fabric in &opt.fabrics {
+        breakdown.absorb(fabric.breakdown());
+    }
     check_eq!(
         None,
         breakdown.deliveries,
@@ -502,32 +491,32 @@ pub fn run_scenario_mutated(
         stats.sum_total_latency,
         "breakdown aggregate vs stats latency sum"
     );
-    let conserved = delivered + stats.dropped_messages + opt.in_flight() as u64;
+    let conserved = delivered + stats.dropped_messages + in_flight as u64;
     check_eq!(
         None,
-        opt.total_injected(),
+        total_injected,
         conserved,
         "conservation (injected = delivered + dropped + in-flight)"
     );
-    if let Some(trace) = opt.trace() {
-        if trace.iter().count() > scenario.trace_capacity {
-            return Err(Divergence {
-                cycle: None,
-                what: format!(
-                    "trace ring holds {} events, above its capacity {}",
-                    trace.iter().count(),
-                    scenario.trace_capacity
-                ),
-            });
-        }
+    let rings = opt.fabrics.iter().filter_map(Fabric::trace);
+    let traced = TraceBuffer::merge(rings, TraceEvent::order_key).map_or(0, |t| t.len());
+    if traced > scenario.trace_capacity {
+        return Err(Divergence {
+            cycle: None,
+            what: format!(
+                "trace ring holds {traced} events, above its capacity {}",
+                scenario.trace_capacity
+            ),
+        });
     }
 
     Ok(FuzzReport {
-        injected: opt.total_injected(),
+        injected: total_injected,
         delivered,
         dropped: stats.dropped_messages,
-        wedged: opt.in_flight() as u64,
-        cycles: opt.cycle(),
+        wedged: in_flight as u64,
+        cycles,
+        shards: scenario.shards,
     })
 }
 
@@ -540,8 +529,55 @@ pub fn run_seed(seed: u64) -> Result<FuzzReport, Divergence> {
     run_scenario(&FuzzScenario::from_seed(seed))
 }
 
+/// The optimized side of the lockstep: one [`Fabric::new_shard`] per
+/// [`shard_ranges`] range, each given the whole fault plan.
+struct Shards {
+    ranges: Vec<(usize, usize)>,
+    fabrics: Vec<Fabric<u64>>,
+}
+
+impl Shards {
+    fn new(s: &FuzzScenario, plan: Option<&FaultPlan>) -> Self {
+        let ranges = shard_ranges(s.topology.nodes(), s.shards);
+        let shard = |&range| Fabric::new_shard(s.topology.clone(), s.config(true), plan, range);
+        let fabrics = ranges.iter().map(shard).collect();
+        Self { ranges, fabrics }
+    }
+
+    fn owner(&mut self, node: usize) -> &mut Fabric<u64> {
+        let shard = self.ranges.partition_point(|&(base, _)| base <= node) - 1;
+        &mut self.fabrics[shard]
+    }
+
+    /// Steps every shard, then lands the boundary items in shard order as
+    /// the machine's exchange does; in test builds, audits the worklists.
+    fn step(&mut self) -> Result<(), FabricError> {
+        let mut items = Vec::new();
+        for fabric in &mut self.fabrics {
+            fabric.step()?;
+            fabric.take_boundary(&mut items);
+        }
+        for item in items {
+            self.owner(item.dst_node()).ingest_boundary(item);
+        }
+        #[cfg(test)]
+        for fabric in &self.fabrics {
+            fabric.audit_worklists();
+        }
+        Ok(())
+    }
+
+    fn sum<T: std::iter::Sum>(&self, read: impl Fn(&Fabric<u64>) -> T) -> T {
+        self.fabrics.iter().map(read).sum()
+    }
+
+    fn stats(&self) -> FabricStats {
+        FabricStats::merged(self.fabrics.iter().map(Fabric::stats))
+    }
+}
+
 fn step_both(
-    opt: &mut Fabric<u64>,
+    opt: &mut Shards,
     reference: &mut ReferenceFabric<u64>,
     cycle: u64,
 ) -> Result<(), Divergence> {
@@ -553,8 +589,6 @@ fn step_both(
             what: format!("step error: optimized {a:?}, reference {b:?}"),
         });
     }
-    #[cfg(test)]
-    opt.audit_worklists();
     Ok(())
 }
 
@@ -575,21 +609,6 @@ impl ShrinkOutcome {
     /// `commloc-net`).
     pub fn repro_test(&self) -> String {
         let s = &self.scenario;
-        let fault = match &s.fault {
-            None => "None".to_owned(),
-            Some(f) => format!(
-                "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
-                 stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
-                 link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
-                f.drop_rate,
-                f.corrupt_rate,
-                f.stall_rate,
-                f.stall_window,
-                f.kills,
-                f.link_stalls,
-                f.router_stalls
-            ),
-        };
         format!(
             "#[test]\nfn fuzz_repro_seed_{seed}() {{\n    use commloc_net::fuzz::{{run_scenario, FaultSpec, FuzzScenario}};\n    \
              use commloc_net::traffic::TrafficPattern;\n    \
@@ -598,7 +617,7 @@ impl ShrinkOutcome {
              let scenario = FuzzScenario {{\n        seed: {seed},\n        topology: {topo},\n        traffic: TrafficPattern::{traffic:?},\n        \
              link_vcs: {vcs},\n        vc_buffer_capacity: {vcap},\n        injection_buffer_capacity: {icap},\n        \
              trace_capacity: {tcap},\n        rate: {rate:?},\n        min_length: {minl},\n        max_length: {maxl},\n        \
-             cycles: {cycles},\n        fault: {fault},\n    }};\n    \
+             cycles: {cycles},\n        fault: {fault},\n        shards: {shards},\n    }};\n    \
              run_scenario(&scenario).expect(\"Fabric and ReferenceFabric must agree\");\n}}\n",
             seed = s.seed,
             topo = topology_expr(&s.topology),
@@ -611,7 +630,8 @@ impl ShrinkOutcome {
             minl = s.min_length,
             maxl = s.max_length,
             cycles = s.cycles,
-            fault = fault,
+            fault = fault_expr(s.fault.as_ref()),
+            shards = s.shards,
         )
     }
 }
@@ -635,11 +655,32 @@ pub fn topology_expr(t: &Topology) -> String {
     }
 }
 
+/// Renders an optional fault spec as the literal that recreates it, for
+/// both fuzzers' repro tests; directions print bare, so a repro imports
+/// `commloc_net::Direction::{Minus, Plus}`.
+pub fn fault_expr(fault: Option<&FaultSpec>) -> String {
+    match fault {
+        None => "None".to_owned(),
+        Some(f) => format!(
+            "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
+             stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
+             link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
+            f.drop_rate,
+            f.corrupt_rate,
+            f.stall_rate,
+            f.stall_window,
+            f.kills,
+            f.link_stalls,
+            f.router_stalls
+        ),
+    }
+}
+
 /// Greedily shrinks a failing scenario: each pass tries a fixed set of
-/// reductions (halve the cycle budget, halve the injection rate, drop
-/// the fault plan, shorten messages, remove a torus dimension, shrink
-/// the radix, shallow the buffers, disable tracing) and keeps any that
-/// still fail, looping to a fixed point.
+/// reductions (halve the cycle budget, drop the fault plan, fewer
+/// shards, halve the injection rate, shorten messages, remove a torus
+/// dimension, shrink the radix, shallow the buffers, disable tracing)
+/// and keeps any that still fail, looping to a fixed point.
 ///
 /// The `mutation`, if any, is held constant across candidates — it is
 /// part of the failure being reproduced.
@@ -760,6 +801,11 @@ fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
         c.fault = None;
         out.push(c);
     }
+    if s.shards > 1 {
+        let mut c = s.clone();
+        c.shards = s.shards - 1;
+        out.push(c);
+    }
     if s.rate > 0.004 {
         let mut c = s.clone();
         c.rate = (s.rate * 0.5).max(0.002);
@@ -772,12 +818,21 @@ fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
     }
     for smaller in shrink_topology(&s.topology) {
         let mut c = s.clone();
-        // Clamp workload fields that index into the node space.
+        // Clamp the fields that index into the node space. A fault left
+        // on a vanished node would fire in the reference alone, since
+        // each shard keeps only its own nodes' faults.
         if let TrafficPattern::Hotspot { target, fraction } = c.traffic {
             c.traffic = TrafficPattern::Hotspot {
                 target: target.min(smaller.compute_nodes() - 1),
                 fraction,
             };
+        }
+        let nodes = smaller.nodes();
+        c.shards = s.shards.min(nodes);
+        if let Some(f) = &mut c.fault {
+            f.kills.retain(|k| k.1 < nodes);
+            f.link_stalls.retain(|l| l.1 < nodes);
+            f.router_stalls.retain(|r| r.1 < nodes);
         }
         c.topology = smaller;
         out.push(c);
@@ -817,6 +872,58 @@ fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
 }
 
 #[cfg(test)]
+impl FaultSpec {
+    /// Probabilistic faults only, with no scheduled events.
+    pub(crate) fn rates(
+        drop_rate: f64,
+        corrupt_rate: f64,
+        stall_rate: f64,
+        stall_window: u64,
+    ) -> Self {
+        FaultSpec {
+            drop_rate,
+            corrupt_rate,
+            stall_rate,
+            stall_window,
+            kills: Vec::new(),
+            link_stalls: Vec::new(),
+            router_stalls: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl FuzzScenario {
+    /// A hand-written lockstep case: uniform traffic of `lengths`-flit
+    /// messages at `rate` for `cycles` cycles on `topology`, at seed 1,
+    /// with default buffering, untraced, fault-free, on one shard.
+    /// Struct update sets the rest.
+    pub(crate) fn uniform(
+        topology: Topology,
+        rate: f64,
+        lengths: std::ops::RangeInclusive<u32>,
+        cycles: u64,
+    ) -> Self {
+        let config = FabricConfig::default();
+        Self {
+            seed: 1,
+            topology,
+            traffic: TrafficPattern::Uniform,
+            link_vcs: config.link_vcs,
+            vc_buffer_capacity: config.vc_buffer_capacity,
+            injection_buffer_capacity: config.injection_buffer_capacity,
+            trace_capacity: 0,
+            rate,
+            min_length: *lengths.start(),
+            max_length: *lengths.end(),
+            cycles,
+            fault: None,
+            shards: 1,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -844,6 +951,11 @@ mod tests {
             assert!(a.injection_buffer_capacity >= 1);
             assert!(a.min_length >= 1 && a.max_length >= a.min_length);
             assert!(a.cycles >= 200 && a.cycles < 1_200);
+            assert!(
+                a.shards >= 1 && a.shards <= a.topology.nodes(),
+                "seed {seed}: shards {} out of range",
+                a.shards
+            );
             if let Some(f) = &a.fault {
                 assert!(!f.is_empty());
                 if !matches!(a.topology, Topology::Cube(_)) {
@@ -858,6 +970,18 @@ mod tests {
         // 200 seeds must cover the whole topology x traffic grid.
         assert_eq!(families.len(), 4, "families drawn: {families:?}");
         assert_eq!(traffics.len(), 4, "traffics drawn: {traffics:?}");
+    }
+
+    #[test]
+    fn sharded_draws_span_the_scenario_space() {
+        // Every topology family is drawn sharded, with and without a
+        // fault plan, so a sweep checks the boundary exchange on each.
+        let drawn: std::collections::BTreeSet<_> = (0..200u64)
+            .map(FuzzScenario::from_seed)
+            .filter(|s| s.shards > 1)
+            .map(|s| (s.topology.family(), s.fault.is_some()))
+            .collect();
+        assert_eq!(drawn.len(), 8, "sharded draws: {drawn:?}");
     }
 
     #[test]

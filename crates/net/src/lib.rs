@@ -65,7 +65,7 @@ pub mod trace;
 pub mod traffic;
 
 pub use active::ActiveSet;
-pub use fabric::{BoundaryItem, Fabric, FabricConfig, FabricError};
+pub use fabric::{shard_ranges, BoundaryItem, Fabric, FabricConfig, FabricError};
 pub use fault::{FaultConfig, FaultEvent, FaultLog, FaultPlan, FaultPlanError};
 pub use message::{Delivery, Flit, FlitKind, Message, MessageBreakdown, MessageId};
 pub use reference::ReferenceFabric;

@@ -633,33 +633,11 @@ mod equivalence_tests {
         cycles: u64,
         fault: Option<FaultSpec>,
     ) -> FuzzScenario {
-        let config = FabricConfig::default();
         FuzzScenario {
             seed,
-            topology,
-            traffic: TrafficPattern::Uniform,
             link_vcs,
-            vc_buffer_capacity: config.vc_buffer_capacity,
-            injection_buffer_capacity: config.injection_buffer_capacity,
-            trace_capacity: 0,
-            rate,
-            min_length: 8,
-            max_length: 8,
-            cycles,
             fault,
-        }
-    }
-
-    /// A fault spec with no scheduled events.
-    fn rates(drop_rate: f64, corrupt_rate: f64, stall_rate: f64, stall_window: u64) -> FaultSpec {
-        FaultSpec {
-            drop_rate,
-            corrupt_rate,
-            stall_rate,
-            stall_window,
-            kills: Vec::new(),
-            link_stalls: Vec::new(),
-            router_stalls: Vec::new(),
+            ..FuzzScenario::uniform(topology, rate, 8..=8, cycles)
         }
     }
 
@@ -709,7 +687,7 @@ mod equivalence_tests {
     #[test]
     fn matches_reference_under_probabilistic_faults() {
         for seed in [21u64, 22, 23] {
-            let fault = Some(rates(0.01, 0.02, 0.005, 40));
+            let fault = Some(FaultSpec::rates(0.01, 0.02, 0.005, 40));
             let scenario = case(Topology::cube(2, 8), 2, seed, 0.04, 2_500, fault);
             run_scenario(&scenario).unwrap();
         }
@@ -719,7 +697,7 @@ mod equivalence_tests {
     fn matches_reference_with_multi_word_vc_sets() {
         // Twelve VCs a link on a 3-D torus: 73 input VCs a router, so
         // every per-router worklist spans two 64-bit words.
-        let fault = Some(rates(0.01, 0.0, 0.005, 40));
+        let fault = Some(FaultSpec::rates(0.01, 0.0, 0.005, 40));
         run_scenario(&case(Topology::cube(3, 4), 12, 41, 0.04, 2_000, fault)).unwrap();
     }
 
@@ -731,7 +709,7 @@ mod equivalence_tests {
             kills: vec![(1_000, 0, 0, Direction::Plus)],
             link_stalls: vec![(700, 14, 1, Direction::Minus, 150)],
             router_stalls: vec![(300, 9, 200)],
-            ..rates(0.0, 0.0, 0.0, 64)
+            ..FaultSpec::rates(0.0, 0.0, 0.0, 64)
         });
         run_scenario(&case(Topology::cube(2, 8), 2, 31, 0.02, 2_500, fault)).unwrap();
     }

@@ -95,9 +95,10 @@ COMMANDS:
             [--cache-cap N] [--warm-cap N] [--jobs J]
             (a `run` request follows sim's shard and job rules, a
             `sweep` suite's; both draw workers from the daemon's --jobs)
-    fuzz    differential-fuzz the optimized Fabric against the retained
-            ReferenceFabric over a seed range; on divergence, shrinks to
-            a minimal scenario and prints a ready-to-paste repro test
+    fuzz    differential-fuzz the optimized Fabric, at a drawn shard
+            count, against the retained ReferenceFabric over a seed
+            range; on divergence, shrinks to a minimal scenario and
+            prints a ready-to-paste repro test
             --seeds N --start S --jobs J [--machine]
             (--machine runs full-machine lockstep instead: the
             active-node engine vs exhaustive reference stepping, checking
@@ -908,6 +909,7 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
     let mut t = fuzz::FuzzReport::default();
+    let mut sharded = 0;
     let shrunk = |seed| {
         let outcome = fuzz::shrink(&FuzzScenario::from_seed(seed), None)?;
         Some((
@@ -922,11 +924,12 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
         t.dropped += r.dropped;
         t.wedged += r.wedged;
         t.cycles += r.cycles;
+        sharded += u64::from(r.shards > 1);
     })
     .map_err(|seed| format!("differential divergence at seed {seed}"))?;
     println!(
         "fuzz: {range} clean in {secs:.1}s — {} messages injected, {} delivered, {} dropped, {} \
-         wedged, {} engine cycles",
+         wedged, {} engine cycles, {sharded} sharded draws",
         t.injected, t.delivered, t.dropped, t.wedged, t.cycles
     );
     Ok(())

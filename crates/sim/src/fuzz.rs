@@ -27,7 +27,7 @@ use crate::mapping::Mapping;
 use crate::resilience::WorkStealingPolicy;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
-use commloc_net::fuzz::{shrink_with, topology_expr, Divergence, FaultSpec};
+use commloc_net::fuzz::{fault_expr, shrink_with, topology_expr, Divergence, FaultSpec};
 use commloc_net::{DetRng, Direction, FabricConfig, Topology};
 use std::fmt::Debug;
 
@@ -580,21 +580,6 @@ impl MachineShrinkOutcome {
     /// failing scenario (paste into a crate depending on `commloc-sim`).
     pub fn repro_test(&self) -> String {
         let s = &self.scenario;
-        let fault = match &s.fault {
-            None => "None".to_owned(),
-            Some(f) => format!(
-                "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
-                 stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
-                 link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
-                f.drop_rate,
-                f.corrupt_rate,
-                f.stall_rate,
-                f.stall_window,
-                f.kills,
-                f.link_stalls,
-                f.router_stalls
-            ),
-        };
         let migration = match &s.migration {
             None => "None".to_owned(),
             Some(m) => format!(
@@ -611,8 +596,9 @@ impl MachineShrinkOutcome {
             "#[test]\nfn machine_fuzz_repro_seed_{seed}() {{\n    \
              use commloc_sim::fuzz::{{run_scenario, MachineScenario, MappingKind, WorkloadKind}};\n    \
              use commloc_sim::WorkStealingPolicy;\n    \
-             use commloc_net::fuzz::FaultSpec;\n    use commloc_net::{{Direction, Topology}};\n    \
-             let _ = &Direction::Plus; // used by fault literals\n    \
+             use commloc_net::fuzz::FaultSpec;\n    \
+             use commloc_net::Direction::{{Minus, Plus}};\n    use commloc_net::Topology;\n    \
+             let _ = (Minus, Plus, FaultSpec::is_empty); // used by fault literals\n    \
              let _: Option<WorkStealingPolicy> = None; // used by migration literals\n    \
              let _: Option<Topology> = None; // used by topology literals\n    \
              let scenario = MachineScenario {{\n        seed: {seed},\n        dims: {dims},\n        \
@@ -639,7 +625,7 @@ impl MachineShrinkOutcome {
             tcap = s.trace_capacity,
             warmup = s.warmup,
             window = s.window,
-            fault = fault,
+            fault = fault_expr(s.fault.as_ref()),
             shards = s.shards,
             topology = topology,
             workload = s.workload,
@@ -1094,6 +1080,32 @@ mod tests {
         assert!(repro.contains("machine_fuzz_repro_seed_1"));
         assert!(repro.contains("MachineScenario {"));
         assert!(repro.contains("processing_cycles: ") && repro.contains("memory_cycles: "));
+        // Link faults print bare directions, which the repro imports.
+        let faulted = MachineShrinkOutcome {
+            scenario: MachineScenario {
+                fault: Some(FaultSpec {
+                    drop_rate: 0.0,
+                    corrupt_rate: 0.0,
+                    stall_rate: 0.0,
+                    stall_window: 8,
+                    kills: vec![(300, 2, 0, Direction::Plus)],
+                    link_stalls: vec![(500, 4, 1, Direction::Minus, 60)],
+                    router_stalls: Vec::new(),
+                }),
+                ..outcome.scenario
+            },
+            ..outcome
+        };
+        let repro = faulted.repro_test();
+        assert!(
+            repro.contains("use commloc_net::Direction::{Minus, Plus};"),
+            "{repro}"
+        );
+        assert!(repro.contains("kills: vec![(300, 2, 0, Plus)]"), "{repro}");
+        assert!(
+            repro.contains("link_stalls: vec![(500, 4, 1, Minus, 60)]"),
+            "{repro}"
+        );
     }
 
     #[test]

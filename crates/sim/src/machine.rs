@@ -64,12 +64,11 @@ use crate::error::{SimError, StallCause, StallKind, StallReport};
 use crate::mapping::Mapping;
 use crate::parallel::{claim_extra_workers, try_for_each_chunk, WorkerClaim};
 use crate::resilience::{MigrationRecord, MigrationView, WorkStealingPolicy};
-use crate::shard::shard_ranges;
 use crate::workload::{workload_home_map, Workload};
 use commloc_mem::{Controller, HomeMap, MemConfig, MemOp, ProtocolMsg, TxnId};
 use commloc_net::{
-    ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog, FaultPlan,
-    LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer, TraceEvent,
+    shard_ranges, ActiveSet, BoundaryItem, Fabric, FabricConfig, FabricStats, FaultEvent, FaultLog,
+    FaultPlan, LatencyBreakdown, Message, MessageId, NodeId, Topology, TraceBuffer, TraceEvent,
 };
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::cmp::Reverse;
@@ -350,8 +349,8 @@ struct Shard {
 
 impl Shard {
     /// Builds the shard owning global nodes `[base, base + owned)`: a
-    /// fabric slice with the fault plan restricted to those nodes (so
-    /// merged logs reconstruct the one-shard record exactly) and a node
+    /// fabric slice, which restricts the fault plan to those nodes (so
+    /// merged logs reconstruct the one-shard record exactly), and a node
     /// sim per owned compute node.
     fn new(
         config: &SimConfig,
@@ -386,16 +385,7 @@ impl Shard {
                 }
             })
             .collect();
-        let fabric = match fault_plan {
-            Some(plan) => Fabric::with_fault_plan_shard(
-                topology.clone(),
-                config.fabric,
-                base,
-                owned,
-                plan.restrict(base, owned),
-            ),
-            None => Fabric::new_shard(topology.clone(), config.fabric, base, owned),
-        };
+        let fabric = Fabric::new_shard(topology.clone(), config.fabric, fault_plan, (base, owned));
         // Every node starts with runnable processor work, so the active
         // set begins full.
         let mut active = ActiveSet::new(owned_compute);

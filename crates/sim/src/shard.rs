@@ -2,7 +2,8 @@
 //! stepped under a conservative time-window scheme (DESIGN.md §4.11).
 //!
 //! [`Machine::with_shards`] splits the node range `[0, N)` into `k`
-//! contiguous shards, each owning its processors, controllers, and a
+//! contiguous shards ([`commloc_net::shard_ranges`], the one partition
+//! rule), each owning its processors, controllers, and a
 //! [`commloc_net::Fabric`] shard. Because every link in the fabric has a
 //! one-cycle latency, the conservative safe horizon is exactly one
 //! network cycle: all shards step cycle `t` independently — on worker
@@ -17,26 +18,13 @@
 //! trace and span log, same fast-forward jumps, same watchdog trip cycle
 //! and diagnostics.
 //!
-//! The step itself is [`Machine`]'s; this module holds the partition and
-//! the [`ShardedMachine`] name the benchmark package uses.
+//! The step itself is [`Machine`]'s; this module holds the
+//! [`ShardedMachine`] name the benchmark package uses and the sharded
+//! machine's equivalence tests.
 
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
 use std::ops::{Deref, DerefMut};
-
-/// Splits `nodes` into `k` contiguous near-equal `(base, owned)` ranges.
-pub(crate) fn shard_ranges(nodes: usize, k: usize) -> Vec<(usize, usize)> {
-    let size = nodes / k;
-    let rem = nodes % k;
-    let mut out = Vec::with_capacity(k);
-    let mut base = 0;
-    for i in 0..k {
-        let owned = size + usize::from(i < rem);
-        out.push((base, owned));
-        base += owned;
-    }
-    out
-}
 
 /// A [`Machine`] built with [`Machine::with_shards`].
 ///
@@ -315,26 +303,5 @@ mod tests {
             ..small(2, 4)
         };
         compare(&config, &Mapping::identity(16), 4, 2, 200_000, 0);
-    }
-
-    #[test]
-    fn shard_ranges_are_contiguous_and_cover() {
-        for (nodes, k) in [(16, 3), (64, 7), (27, 5), (8, 8)] {
-            let ranges = shard_ranges(nodes, k);
-            assert_eq!(ranges.len(), k);
-            let mut next = 0;
-            for &(base, owned) in &ranges {
-                assert_eq!(base, next);
-                assert!(owned > 0);
-                next += owned;
-            }
-            assert_eq!(next, nodes);
-            for node in 0..nodes {
-                // The owner lookup `Machine::exchange_boundary` uses.
-                let owner = ranges.partition_point(|&(base, _)| base <= node) - 1;
-                let (base, owned) = ranges[owner];
-                assert!(node >= base && node < base + owned);
-            }
-        }
     }
 }
