@@ -101,8 +101,10 @@ COMMANDS:
             prints a ready-to-paste repro test
             --seeds N --start S --jobs J [--machine]
             (--machine runs full-machine lockstep instead: the
-            active-node engine vs exhaustive reference stepping, checking
-            stats, breakdowns, fault logs, and watchdog trips bit-exactly)
+            active-node engine vs exhaustive reference stepping and the
+            sharded machine at a drawn shard and worker count, checking
+            stats, breakdowns, fault logs, and watchdog trips bit-exactly;
+            each draw raises the --jobs budget to its worker count, <= 4)
     help    print this message
 ";
 
@@ -255,7 +257,8 @@ fn get_jobs(options: &HashMap<String, String>) -> Result<usize, String> {
     };
     // An explicit worker request is the process budget: sweep-level
     // fan-out and intra-simulation shard workers share it, so `--jobs N`
-    // (or COMMLOC_JOBS=N) caps live worker threads at N combined.
+    // (or COMMLOC_JOBS=N) caps live worker threads at N combined, except
+    // under `fuzz --machine`, whose draws raise it to their worker count.
     set_job_budget(jobs);
     Ok(jobs)
 }
@@ -874,14 +877,18 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
         return Err("--seeds: must be at least 1".into());
     }
     let start = get_u64(options, "start", 0)?;
+    let last = start
+        .checked_add(seeds - 1)
+        .ok_or_else(|| format!("--start: {seeds} seeds from {start} pass seed {}", u64::MAX))?;
     let jobs = get_jobs(options)?;
-    let range = format!("{seeds} seeds [{start}..{})", start.saturating_add(seeds));
+    let range = format!("{seeds} seeds [{start}..{})", u128::from(last) + 1);
     if options.contains_key("machine") {
         // Full-machine lockstep: the active-node engine against
         // exhaustive reference stepping (and a sharded machine on sharded
         // draws), bit-exact on completions, measurements, breakdowns,
         // fault logs, migrations and watchdog trips.
-        let (mut completions, mut cycles, mut stalls, mut migrations, mut jumps) = (0, 0, 0, 0, 0);
+        let (mut completions, mut cycles, mut stalls, mut migrations) = (0, 0, 0, 0);
+        let (mut jumps, mut workers) = (0, 0);
         let shrunk = |seed| {
             let outcome =
                 machine_fuzz::shrink(&machine_fuzz::MachineScenario::from_seed(seed), None)?;
@@ -891,7 +898,7 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
                 outcome.repro_test(),
             ))
         };
-        let secs = fuzz_range(seeds, start, jobs, machine_fuzz::run_seed, shrunk, |r| {
+        let secs = fuzz_range(start..=last, jobs, machine_fuzz::run_seed, shrunk, |r| {
             completions += r.completions;
             cycles += r.net_cycles;
             stalls += u64::from(r.stalled);
@@ -899,12 +906,14 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
             // Sharded draws that fast-forwarded: the sharded jump and
             // idle-tick paths ran.
             jumps += u64::from(r.shards > 1 && r.fast_forwarded > 0);
+            workers += u64::from(r.jobs > 1);
         })
         .map_err(|seed| format!("machine-lockstep divergence at seed {seed}"))?;
         println!(
             "fuzz --machine: {range} lockstep-clean in {secs:.1}s — {completions} transactions \
              completed, {stalls} watchdog stalls and {migrations} migrations matched \
-             bit-exactly, {jumps} sharded draws fast-forwarded, {cycles} net cycles per engine"
+             bit-exactly, {jumps} sharded draws fast-forwarded, {cycles} net cycles per engine, \
+             {workers} draws asking for more than one worker"
         );
         return Ok(());
     }
@@ -918,7 +927,7 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
             outcome.repro_test(),
         ))
     };
-    let secs = fuzz_range(seeds, start, jobs, fuzz::run_seed, shrunk, |r| {
+    let secs = fuzz_range(start..=last, jobs, fuzz::run_seed, shrunk, |r| {
         t.injected += r.injected;
         t.delivered += r.delivered;
         t.dropped += r.dropped;
@@ -935,24 +944,29 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `run` over the seed range on `jobs` workers, folding each report
-/// into `add`, and returns the seconds it took. The first diverging seed
-/// (in seed order) is returned after printing its divergence and its
-/// `shrunk` minimal scenario `(attempts, divergence, repro test)`.
+/// Seeds a fuzz sweep runs at a time, bounding its memory at any `--seeds`.
+const FUZZ_BATCH: usize = 256;
+
+/// Runs `run` over the seeds in batches on `jobs` workers, folding each
+/// report into `add` in seed order, and returns the seconds it took. The
+/// first diverging seed (in seed order) is returned, before any later
+/// batch runs, after printing its divergence and its `shrunk` minimal
+/// scenario `(attempts, divergence, repro test)`.
 fn fuzz_range<R: Send, D: std::fmt::Display + Send>(
-    seeds: u64,
-    start: u64,
+    mut seeds: std::ops::RangeInclusive<u64>,
     jobs: usize,
     run: impl Fn(u64) -> Result<R, D> + Sync,
     shrunk: impl Fn(u64) -> Option<(u32, String, String)>,
     mut add: impl FnMut(R),
 ) -> Result<f64, u64> {
-    let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
     let began = std::time::Instant::now();
-    for (&seed, result) in list
-        .iter()
-        .zip(parallel_map(&list, jobs, |&seed| run(seed)))
-    {
+    // Lazy: a batch runs only once the fold reaches it.
+    let batches = std::iter::from_fn(|| {
+        let batch: Vec<u64> = seeds.by_ref().take(FUZZ_BATCH).collect();
+        let results = parallel_map(&batch, jobs, |&seed| run(seed));
+        (!batch.is_empty()).then(|| batch.into_iter().zip(results))
+    });
+    for (seed, result) in batches.flatten() {
         match result {
             Ok(report) => add(report),
             Err(divergence) => {
@@ -1261,6 +1275,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!((scenario.warmup, scenario.window), (0, u64::MAX));
+    }
+
+    #[test]
+    fn fuzz_ranges_past_the_last_seed_are_rejected_before_any_run() {
+        // A range past the last seed would run fewer seeds than it
+        // reports clean.
+        for args in [
+            "--seeds 3 --start 18446744073709551614",
+            "--machine --seeds 3 --start 18446744073709551615",
+        ] {
+            let args: Vec<&str> = args.split(' ').collect();
+            let e = cmd_fuzz(&parse(&args, "fuzz").unwrap()).unwrap_err();
+            assert!(e.starts_with("--start:"), "{e}");
+        }
+    }
+
+    #[test]
+    fn fuzz_range_folds_each_seed_once_in_order_until_the_first_divergence() {
+        let batch = FUZZ_BATCH as u64;
+        // Two divergences in the third batch, and a fourth batch after it.
+        let (start, fails) = (5, [5 + 2 * batch + 9, 5 + 2 * batch + 7]);
+        let ran = std::sync::Mutex::new(Vec::new());
+        let run = |seed| {
+            ran.lock().unwrap().push(seed);
+            if fails.contains(&seed) {
+                Err(seed)
+            } else {
+                Ok(seed)
+            }
+        };
+        let (seeds, mut folded) = (start..=start + 4 * batch, Vec::new());
+        let outcome = fuzz_range(seeds, 2, run, |_| None, |s| folded.push(s));
+        assert_eq!(outcome, Err(fails[1]));
+        assert_eq!(folded, (start..fails[1]).collect::<Vec<_>>());
+        // The third batch ran whole, and no later one ran.
+        let last_run = ran.into_inner().unwrap().into_iter().max();
+        assert_eq!(last_run, Some(start + 3 * batch - 1));
+        // The range may end on the last seed.
+        let (seeds, mut folded) = (u64::MAX - 2..=u64::MAX, Vec::new());
+        let outcome = fuzz_range(seeds, 2, Ok::<_, u64>, |_| None, |s| folded.push(s));
+        assert!(outcome.is_ok());
+        assert_eq!(folded, [u64::MAX - 2, u64::MAX - 1, u64::MAX]);
     }
 
     #[test]

@@ -1,27 +1,32 @@
-//! Machine-lockstep differential fuzzing: the active-node engine versus
-//! the retained exhaustive reference stepping mode.
+//! Machine-lockstep differential fuzzing: the one machine checker, at
+//! every shard and worker count.
 //!
 //! Each seed draws a random full-machine scenario — torus shape, context
 //! count, clock ratio, mapping, retry/timeout configuration, controller
 //! occupancy, watchdog window, an optional fault plan (including one-off
 //! exact-cycle delay events), an optional work-stealing migration policy,
-//! and a shard count — and runs two or three [`Machine`]s over it in
-//! lockstep: one stepped by the active-node engine ([`Machine::new`]),
-//! one by the reference loop ([`Machine::new_reference`]), and on sharded
-//! draws a [`Machine::with_shards`]. The checker requires **bit-identical**
-//! behavior: completion counts (total and per node), measurements,
-//! latency breakdowns, fault logs, migrations, and — when the scenario
-//! wedges — the watchdog's stall report, down to the trip cycle. The
-//! sharded machine runs the active engine's traced config and must also
-//! match its fast-forward count and its merged flit trace and span log;
-//! the reference engine runs untraced, so tracing is proven
-//! behavior-neutral.
+//! a shard count and a worker count — and runs two or three [`Machine`]s
+//! over it in lockstep: one stepped by the active-node engine
+//! ([`Machine::new`]), one by the reference loop
+//! ([`Machine::new_reference`]), and on sharded draws a
+//! [`Machine::with_shards`] stepped on the drawn number of workers. The
+//! checker requires **bit-identical** behavior: completion counts (total
+//! and per node), measurements, latency breakdowns, fault logs,
+//! migrations, and — when the scenario wedges — the watchdog's stall
+//! report, down to the trip cycle. The sharded machine runs the active
+//! engine's traced config and must also match its fast-forward count and
+//! its merged flit trace and span log; the reference engine runs
+//! untraced, so tracing is proven behavior-neutral.
 //!
-//! Failing seeds shrink through the same greedy fixed-point loop as the
-//! fabric fuzzer ([`commloc_net::fuzz::shrink_with`]) and render a
-//! ready-to-paste repro test. The `commloc fuzz --machine --seeds N`
-//! subcommand drives sweeps from CI.
+//! [`run_scenario`] is the only place engines, shard counts and worker
+//! counts are compared: the hand-built equivalence cases (watchdog trips,
+//! retry gaps, migration, traced shards) are [`MachineScenario`]s in this
+//! module's tests. Failing seeds shrink through the same greedy
+//! fixed-point loop as the fabric fuzzer ([`commloc_net::fuzz::shrink_with`])
+//! and render a ready-to-paste repro test. The
+//! `commloc fuzz --machine --seeds N` subcommand drives sweeps from CI.
 
+use crate::error::SimError;
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
 use crate::resilience::WorkStealingPolicy;
@@ -120,6 +125,9 @@ pub struct MachineScenario {
     /// Shard count for a third machine ([`Machine::with_shards`])
     /// checked against the active one (`1` = no third machine).
     pub shards: usize,
+    /// Worker threads stepping the sharded machine (`1..=shards`; `1`
+    /// when unsharded).
+    pub jobs: usize,
     /// Explicit non-cube topology (`None` = the cube from `dims`/`radix`).
     /// Scheduled `(dim, direction)`-addressed faults are cube-only and
     /// are never drawn alongside this.
@@ -291,6 +299,8 @@ impl MachineScenario {
         // drawn last, so each seed keeps every other field.
         let processing_cycles = 1 + rng.index(6) as u32;
         let memory_cycles = rng.index(13) as u32;
+        // The sharded machine's workers, drawn after those for that reason.
+        let jobs = 1 + rng.index(shards);
         Self {
             seed,
             dims,
@@ -309,6 +319,7 @@ impl MachineScenario {
             fault,
             migration,
             shards,
+            jobs,
             topology,
             workload,
             processing_cycles,
@@ -400,6 +411,8 @@ pub struct MachineFuzzReport {
     pub migrations: usize,
     /// The drawn shard count (a sharded machine ran when above 1).
     pub shards: usize,
+    /// The drawn worker count the sharded machine stepped on.
+    pub jobs: usize,
 }
 
 /// A machine run in lockstep against the active engine.
@@ -457,6 +470,12 @@ impl Participant {
             same!("fast-forwarded cycles", fast_forwarded_cycles);
             same!("flit trace", trace);
             same!("span log", spans);
+        } else if self.machine.fast_forwarded_cycles() > 0 {
+            // The oracle steps every cycle: it shares no jump it checks.
+            return Err(Divergence {
+                cycle,
+                what: "the reference engine fast-forwarded".into(),
+            });
         }
         Ok(())
     }
@@ -492,6 +511,15 @@ pub fn run_scenario_mutated(
     scenario: &MachineScenario,
     mutation: Option<MachineMutation>,
 ) -> Result<MachineFuzzReport, Divergence> {
+    lockstep(scenario, mutation).map(|(report, ..)| report)
+}
+
+/// [`run_scenario_mutated`], also returning the checked traced machine
+/// (the sharded one if drawn, else the active) and the error the runs stopped on.
+fn lockstep(
+    scenario: &MachineScenario,
+    mutation: Option<MachineMutation>,
+) -> Result<(MachineFuzzReport, Machine, Option<SimError>), Divergence> {
     let mapping = scenario.build_mapping();
     let traced = scenario.sim_config(true);
     let mut ref_config = scenario.sim_config(false);
@@ -505,11 +533,15 @@ pub fn run_scenario_mutated(
         sharded: false,
     }];
     // A multi-shard machine joins as a third lockstep participant on
-    // sharded draws (one worker — worker counts never change results).
+    // sharded draws, stepped on the drawn workers. The process job budget
+    // is raised to them, so they run even on hosts with fewer cores.
     if scenario.shards > 1 {
+        crate::parallel::set_job_budget(scenario.jobs);
+        let mut machine = Machine::with_shards(&traced, &mapping, scenario.shards);
+        machine.set_jobs(scenario.jobs);
         sides.push(Participant {
             side: "sharded",
-            machine: Machine::with_shards(&traced, &mapping, scenario.shards),
+            machine,
             sharded: true,
         });
     }
@@ -520,7 +552,7 @@ pub fn run_scenario_mutated(
         }
     }
 
-    let mut stalled = false;
+    let mut stop = None;
     'phases: for (name, cycles) in [("warmup", scenario.warmup), ("window", scenario.window)] {
         let mut left = cycles;
         while left > 0 {
@@ -530,15 +562,13 @@ pub fn run_scenario_mutated(
             for p in &mut sides {
                 let rb = p.machine.run_network_cycles(chunk);
                 p.check(now, &format!("{name} step result"), &ra, &rb)?;
-            }
-            if ra.is_err() {
-                // All engines stalled with the identical report: the run
-                // ends here on every side, already proven equal.
-                stalled = true;
-                break 'phases;
-            }
-            for p in &sides {
                 p.compare(now, &active, false)?;
+            }
+            if let Err(e) = ra {
+                // All engines stalled with the identical report and
+                // records: the run ends here on every side.
+                stop = Some(e);
+                break 'phases;
             }
             left -= chunk;
         }
@@ -554,14 +584,20 @@ pub fn run_scenario_mutated(
     for p in &sides {
         p.compare(end, &active, true)?;
     }
-    Ok(MachineFuzzReport {
+    let report = MachineFuzzReport {
         completions: active.completions(),
         net_cycles: active.net_cycle(),
-        stalled,
+        stalled: stop.is_some(),
         fast_forwarded: active.fast_forwarded_cycles(),
         migrations: active.migrations().len(),
         shards: scenario.shards,
-    })
+        jobs: scenario.jobs,
+    };
+    let traced = sides
+        .pop()
+        .filter(|p| p.sharded)
+        .map_or(active, |p| p.machine);
+    Ok((report, traced, stop))
 }
 
 /// Result of shrinking a failing machine scenario to a minimal one.
@@ -607,7 +643,8 @@ impl MachineShrinkOutcome {
              max_retries: {retries},\n        watchdog_cycles: {watchdog},\n        \
              mapping: MappingKind::{mapping:?},\n        trace_capacity: {tcap},\n        \
              warmup: {warmup},\n        window: {window},\n        fault: {fault},\n        \
-             migration: {migration},\n        shards: {shards},\n        topology: {topology},\n        \
+             migration: {migration},\n        shards: {shards},\n        jobs: {jobs},\n        \
+             topology: {topology},\n        \
              workload: WorkloadKind::{workload:?},\n        \
              processing_cycles: {processing},\n        memory_cycles: {memory},\n    }};\n    \
              run_scenario(&scenario).expect(\"active and reference machines must agree\");\n}}\n",
@@ -627,6 +664,7 @@ impl MachineShrinkOutcome {
             window = s.window,
             fault = fault_expr(s.fault.as_ref()),
             shards = s.shards,
+            jobs = s.jobs,
             topology = topology,
             workload = s.workload,
             processing = s.processing_cycles,
@@ -684,12 +722,18 @@ fn reductions(s: &MachineScenario) -> Vec<MachineScenario> {
         // boundary-protocol bug often needs only two.
         let mut c = s.clone();
         c.shards = 1;
+        c.jobs = 1;
         out.push(c);
         if s.shards > 2 {
             let mut c = s.clone();
             c.shards = s.shards - 1;
+            c.jobs = s.jobs.min(c.shards);
             out.push(c);
         }
+    }
+    // One worker, then one fewer: a worker-path bug often needs two.
+    for jobs in (1..s.jobs).filter(|&j| j == 1 || j == s.jobs - 1) {
+        out.push(MachineScenario { jobs, ..s.clone() });
     }
     if s.watchdog_cycles > 0 {
         let mut c = s.clone();
@@ -765,6 +809,7 @@ fn reductions(s: &MachineScenario) -> Vec<MachineScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StallKind;
 
     #[test]
     fn scenario_generation_is_deterministic_and_valid() {
@@ -782,6 +827,12 @@ mod tests {
             assert!(
                 a.shards >= 1 && a.shards <= a.total_nodes(),
                 "seed {seed}: shards {} out of range",
+                a.shards
+            );
+            assert!(
+                (1..=a.shards).contains(&a.jobs),
+                "seed {seed}: {} jobs on {} shards",
+                a.jobs,
                 a.shards
             );
             if let Some(m) = a.migration {
@@ -827,6 +878,26 @@ mod tests {
                 .iter()
                 .any(|s| s.topology.is_some() && s.shards > 1),
             "no sharded non-cube draw in 200 seeds"
+        );
+    }
+
+    #[test]
+    fn worker_draws_span_the_scenario_space() {
+        // More than one worker is drawn at every shard count and on a
+        // non-cube fabric, so a sweep steps the worker path on each.
+        let drawn: Vec<MachineScenario> = (0..200u64)
+            .map(MachineScenario::from_seed)
+            .filter(|s| s.jobs > 1)
+            .collect();
+        for shards in 2..=4 {
+            assert!(
+                drawn.iter().any(|s| s.shards == shards),
+                "no draw of {shards} shards on several workers in 200 seeds"
+            );
+        }
+        assert!(
+            drawn.iter().any(|s| s.topology.is_some()),
+            "no non-cube draw on several workers in 200 seeds"
         );
     }
 
@@ -952,6 +1023,7 @@ mod tests {
             fault: None,
             migration: None,
             shards: 3,
+            jobs: 1,
             topology: None,
             workload: WorkloadKind::Neighbor,
             processing_cycles: 2,
@@ -993,6 +1065,7 @@ mod tests {
             }),
             migration: None,
             shards: 2,
+            jobs: 1,
             topology: None,
             workload: WorkloadKind::Neighbor,
             processing_cycles: 2,
@@ -1022,29 +1095,14 @@ mod tests {
         ];
         for (ti, topology) in topologies.iter().enumerate() {
             for (wi, workload) in workloads.iter().enumerate() {
-                let scenario = MachineScenario {
-                    seed: (ti * 16 + wi) as u64,
-                    dims: 2,
-                    radix: 3,
-                    contexts: 2,
-                    clock_ratio: 2,
-                    switch_cycles: 2,
-                    work: 2,
-                    timeout_cycles: 0,
-                    max_retries: 8,
-                    watchdog_cycles: 0,
-                    mapping: MappingKind::Random(0xC0FFEE + (ti * 3 + wi) as u64),
-                    trace_capacity: 32,
-                    warmup: 200,
-                    window: 800,
-                    fault: None,
-                    migration: None,
-                    shards: 2,
-                    topology: topology.clone(),
-                    workload: *workload,
-                    processing_cycles: 2,
-                    memory_cycles: 5,
-                };
+                let mut scenario = small().on(2, 1).cycles(200, 800);
+                scenario.seed = (ti * 16 + wi) as u64;
+                (scenario.radix, scenario.contexts) = (3, 2);
+                (scenario.switch_cycles, scenario.work) = (2, 2);
+                scenario.watchdog_cycles = 0;
+                scenario.trace_capacity = 32;
+                scenario.mapping = MappingKind::Random(0xC0FFEE + (ti * 3 + wi) as u64);
+                (scenario.topology, scenario.workload) = (topology.clone(), *workload);
                 let label = topology
                     .as_ref()
                     .map_or_else(|| "cube:2x3".to_owned(), Topology::canonical);
@@ -1080,22 +1138,13 @@ mod tests {
         assert!(repro.contains("machine_fuzz_repro_seed_1"));
         assert!(repro.contains("MachineScenario {"));
         assert!(repro.contains("processing_cycles: ") && repro.contains("memory_cycles: "));
+        assert!(repro.contains("jobs: "), "{repro}");
         // Link faults print bare directions, which the repro imports.
-        let faulted = MachineShrinkOutcome {
-            scenario: MachineScenario {
-                fault: Some(FaultSpec {
-                    drop_rate: 0.0,
-                    corrupt_rate: 0.0,
-                    stall_rate: 0.0,
-                    stall_window: 8,
-                    kills: vec![(300, 2, 0, Direction::Plus)],
-                    link_stalls: vec![(500, 4, 1, Direction::Minus, 60)],
-                    router_stalls: Vec::new(),
-                }),
-                ..outcome.scenario
-            },
-            ..outcome
-        };
+        let mut fault = lossy(0.0, 0.0);
+        fault.kills.push((300, 2, 0, Direction::Plus));
+        fault.link_stalls.push((500, 4, 1, Direction::Minus, 60));
+        let mut faulted = outcome;
+        faulted.scenario.fault = Some(fault);
         let repro = faulted.repro_test();
         assert!(
             repro.contains("use commloc_net::Direction::{Minus, Plus};"),
@@ -1112,5 +1161,321 @@ mod tests {
     fn shrink_returns_none_for_passing_machine_scenario() {
         let scenario = MachineScenario::from_seed(0);
         assert!(shrink(&scenario, None).is_none());
+    }
+
+    // Hand-built equivalence cases: engines, shard counts and worker
+    // counts compared by the one checker, on scenarios chosen for a
+    // property (a watchdog trip, jumped retry gaps, migration, evicting
+    // trace rings) rather than drawn.
+
+    /// The 4×4 cube with the default workload, memory and processors, on
+    /// one shard and one job. The reference engine is O(nodes) per
+    /// boundary, so 16 nodes keep the lockstep runs fast.
+    fn small() -> MachineScenario {
+        let (sim, mem) = (SimConfig::default(), MemConfig::default());
+        MachineScenario {
+            seed: 0,
+            dims: 2,
+            radix: 4,
+            contexts: sim.contexts,
+            clock_ratio: sim.clock_ratio,
+            switch_cycles: sim.switch_cycles,
+            work: sim.work,
+            timeout_cycles: mem.timeout_cycles,
+            max_retries: mem.max_retries,
+            watchdog_cycles: sim.watchdog_cycles,
+            mapping: MappingKind::Identity,
+            trace_capacity: 0,
+            warmup: 0,
+            window: 0,
+            fault: None,
+            migration: None,
+            shards: 1,
+            jobs: 1,
+            topology: None,
+            workload: WorkloadKind::Neighbor,
+            processing_cycles: mem.processing_cycles,
+            memory_cycles: mem.memory_cycles,
+        }
+    }
+
+    impl MachineScenario {
+        /// On `shards` shards stepped by `jobs` workers.
+        fn on(mut self, shards: usize, jobs: usize) -> Self {
+            (self.shards, self.jobs) = (shards, jobs);
+            self
+        }
+
+        /// `warmup` cycles, a measurement reset, then `window` cycles; one
+        /// `run_network_cycles(n)` is `cycles(n, 0)`.
+        fn cycles(mut self, warmup: u64, window: u64) -> Self {
+            (self.warmup, self.window) = (warmup, window);
+            self
+        }
+
+        /// Under `spec`, built as `FaultPlan::new(seed)`.
+        fn faults(mut self, seed: u64, spec: FaultSpec) -> Self {
+            (self.seed, self.fault) = (seed, Some(spec));
+            self
+        }
+    }
+
+    /// Drops and corruptions at these rates, and no other fault: the
+    /// plan `FaultPlan::with_config` builds from them.
+    fn lossy(drop_rate: f64, corrupt_rate: f64) -> FaultSpec {
+        FaultSpec {
+            drop_rate,
+            corrupt_rate,
+            stall_rate: 0.0,
+            stall_window: 64,
+            kills: Vec::new(),
+            link_stalls: Vec::new(),
+            router_stalls: Vec::new(),
+        }
+    }
+
+    /// Runs the checker, naming the case on a divergence: the report,
+    /// the checked traced machine and the error the run stopped on.
+    fn check(s: &MachineScenario) -> (MachineFuzzReport, Machine, Option<SimError>) {
+        lockstep(s, None).unwrap_or_else(|d| panic!("{s:?}: {d}"))
+    }
+
+    /// A link killed at cycle 1,000 wedges the transactions routed over
+    /// it; the fabric never drains behind it, so the watchdog trip is
+    /// stepped to, not jumped to.
+    fn killed_link() -> MachineScenario {
+        let mut kill = lossy(0.0, 0.0);
+        kill.kills.push((1_000, 0, 0, Direction::Plus));
+        let mut s = small().faults(7, kill).cycles(200_000, 0);
+        s.watchdog_cycles = 3_000;
+        s
+    }
+
+    /// A router stalled far longer than the watchdog window: the
+    /// watchdog fires mid-stall and must blame backpressure.
+    fn stalled_router() -> MachineScenario {
+        let mut stall = lossy(0.0, 0.0);
+        stall.router_stalls.push((1_000, 5, 50_000));
+        let mut s = small().faults(3, stall).cycles(60_000, 0);
+        s.watchdog_cycles = 2_000;
+        s
+    }
+
+    /// Drops against long retry timeouts leave every node blocked on a
+    /// retry deadline with the fabric drained: the gaps fast-forward.
+    fn retry_gaps(drop_rate: f64, timeout_cycles: u32, watchdog_cycles: u64) -> MachineScenario {
+        let mut s = small().faults(23, lossy(drop_rate, 0.0));
+        (s.timeout_cycles, s.max_retries) = (timeout_cycles, 30);
+        s.watchdog_cycles = watchdog_cycles;
+        s
+    }
+
+    /// Unretried drops: every dropped message wedges one thread for
+    /// good, so without migration the watchdog trips.
+    fn wedging(drop_rate: f64) -> MachineScenario {
+        let mut s = small().faults(41, lossy(drop_rate, 0.0));
+        s.watchdog_cycles = 30_000;
+        s
+    }
+
+    /// The wedging scenario under a policy that offers each wedged
+    /// thread at age 2,000, far below the watchdog window.
+    fn stealing(warmup: u64) -> MachineScenario {
+        let mut s = wedging(0.05).cycles(warmup, 0);
+        s.migration = Some(WorkStealingPolicy {
+            steal_latency: 300,
+            wedge_threshold: 2_000,
+            max_migrations: 10_000,
+        });
+        s
+    }
+
+    #[test]
+    fn traced_shards_merge_into_the_one_shard_rings() {
+        // Rings far smaller than a window's events evict all along, so
+        // the merge must keep exactly the newest events across shards.
+        let mut lossy_cube = small().faults(3, lossy(0.01, 0.0));
+        (lossy_cube.contexts, lossy_cube.timeout_cycles) = (2, 2_000);
+        let mut fat_tree = small();
+        fat_tree.topology = Some(Topology::fat_tree(2, 4));
+        fat_tree.mapping = MappingKind::Random(4);
+        for scenario in [lossy_cube, fat_tree] {
+            for jobs in [1, 2] {
+                let mut s = scenario.clone().on(3, jobs).cycles(3_000, 6_000);
+                s.trace_capacity = 64;
+                let (_, machine, _) = check(&s);
+                let trace = machine.trace().expect("tracing is on");
+                let spans = machine.spans().expect("tracing is on");
+                assert!(trace.recorded() > 64 && spans.recorded() > 64);
+                assert_eq!((trace.len(), spans.len()), (64, 64));
+                let dropped = machine.fault_log().map(|log| log.dropped_messages());
+                assert_eq!(dropped > Some(0), s.fault.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_serial_matches_monolithic_across_shard_counts() {
+        for shards in [2, 3, 7] {
+            check(&small().on(shards, 1).cycles(6_000, 14_000));
+        }
+        let mut s = small().on(4, 1).cycles(6_000, 14_000);
+        s.mapping = MappingKind::Random(5);
+        check(&s);
+    }
+
+    #[test]
+    fn sharded_matches_with_multiple_contexts() {
+        let mut s = small().on(3, 1).cycles(5_000, 12_000);
+        (s.contexts, s.mapping) = (2, MappingKind::Random(9));
+        check(&s);
+    }
+
+    #[test]
+    fn sharded_matches_on_three_d_torus() {
+        let mut s = small().on(5, 1).cycles(5_000, 12_000);
+        (s.dims, s.radix) = (3, 3);
+        check(&s);
+    }
+
+    #[test]
+    fn sharded_matches_under_random_faults() {
+        for shards in [2, 4] {
+            let mut s = small().faults(13, lossy(0.002, 0.001)).on(shards, 1);
+            s.timeout_cycles = 2_000;
+            check(&s.cycles(6_000, 14_000));
+        }
+    }
+
+    #[test]
+    fn sharded_fast_forward_through_retry_gaps_matches_one_shard() {
+        // The machine bench's retry-gap scenario: the machine must jump
+        // its gaps at every shard and worker count, bit-exact with one
+        // shard.
+        for (shards, jobs) in [(2, 1), (4, 1), (4, 2), (3, 3)] {
+            let s = retry_gaps(0.05, 8_000, 60_000).on(shards, jobs);
+            let (report, ..) = check(&s.cycles(20_000, 100_000));
+            assert!(report.fast_forwarded > 0, "no gap was jumped: {report:?}");
+        }
+    }
+
+    #[test]
+    fn sharded_watchdog_trips_with_identical_diagnostics() {
+        // The centralized watchdog must reproduce the one-shard trip
+        // cycle and merged report.
+        assert!(check(&killed_link().on(3, 1)).0.stalled);
+    }
+
+    #[test]
+    fn sharded_backpressure_classification_matches() {
+        check(&stalled_router().on(2, 1));
+    }
+
+    #[test]
+    fn parallel_workers_match_serial_and_monolithic() {
+        for jobs in [2, 3] {
+            check(&small().on(4, jobs).cycles(6_000, 14_000));
+        }
+        // Under faults too.
+        let mut s = small().faults(21, lossy(0.002, 0.0)).on(4, 2);
+        (s.timeout_cycles, s.mapping) = (2_000, MappingKind::Random(2));
+        check(&s.cycles(6_000, 14_000));
+    }
+
+    #[test]
+    fn parallel_watchdog_trip_matches_monolithic() {
+        assert!(check(&killed_link().on(4, 2)).0.stalled);
+    }
+
+    #[test]
+    fn watchdog_trips_identically_across_engines_on_killed_link() {
+        // The active engine cannot fast-forward past the wedge, yet must
+        // trip on the cycle, and with the diagnostics, of exhaustive
+        // stepping.
+        let (.., stop) = check(&killed_link());
+        let Some(SimError::Stalled(stall)) = stop else {
+            panic!("expected a stall, got {stop:?}");
+        };
+        assert_eq!(stall.kind, StallKind::Deadlock);
+    }
+
+    #[test]
+    fn watchdog_backpressure_classification_matches_across_engines() {
+        if let (_, _, Some(SimError::Stalled(stall))) = check(&stalled_router()) {
+            assert_eq!(stall.kind, StallKind::Backpressure);
+        }
+    }
+
+    #[test]
+    fn fast_forward_through_retry_gaps_is_invisible_and_does_not_false_trip() {
+        // Heavy drops carve gaps the active engine must jump while the
+        // watchdog, its window larger than any gap, stays quiet (and the
+        // checker holds the reference engine to no jump).
+        let (report, ..) = check(&retry_gaps(0.15, 3_000, 40_000).cycles(60_000, 0));
+        assert!(!report.stalled && report.fast_forwarded > 0, "{report:?}");
+    }
+
+    #[test]
+    fn fast_forward_lands_watchdog_trips_on_the_exact_cycle() {
+        // At 15% drops all 16 single-context nodes wedge long before the
+        // oldest stuck transaction ages past the window, so the trip is
+        // the only future event: the active engine jumps to it and must
+        // trip on the cycle the reference engine steps to.
+        let (report, ..) = check(&wedging(0.15).cycles(400_000, 0));
+        assert!(report.stalled && report.fast_forwarded > 0, "{report:?}");
+    }
+
+    #[test]
+    fn wedged_node_with_migration_does_not_trip_the_watchdog() {
+        // Each wedged thread re-issues its abandoned operation from a new
+        // node, so the machine keeps retiring transactions.
+        let (report, ..) = check(&stealing(60_000));
+        assert!(!report.stalled && report.migrations > 0, "{report:?}");
+    }
+
+    #[test]
+    fn sharded_migration_is_bit_exact_with_one_shard() {
+        // Migrations reach each node through its owning shard after every
+        // shard has stepped, so nothing may differ on 1–4 shards and one
+        // or two workers.
+        for (shards, jobs) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)] {
+            let (report, ..) = check(&stealing(60_000).on(shards, jobs));
+            assert!(!report.stalled && report.migrations > 0, "{report:?}");
+        }
+    }
+
+    #[test]
+    fn migration_on_every_fabric_matches_the_reference_engine() {
+        // The policy reads distances from the topology, so it places
+        // threads on any fabric; each must migrate at least once.
+        for topology in [
+            Topology::mesh(4, 4),
+            Topology::fat_tree(2, 4),
+            Topology::dragonfly(2, 2),
+        ] {
+            let mut s = stealing(40_000);
+            s.topology = Some(topology);
+            assert!(check(&s).0.migrations > 0, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn engines_agree_across_random_fault_plans() {
+        // DetRng-drawn retry settings and fault plans: the always-on
+        // slice of what the sweep draws far wider.
+        for seed in 0..4u64 {
+            let mut rng = DetRng::new(seed ^ 0xD06_F00D);
+            let timeout_cycles = if rng.chance(0.5) {
+                1_000 + rng.range_u64(0, 2_000) as u32
+            } else {
+                0
+            };
+            let max_retries = 1 + rng.range_u64(0, 6) as u32;
+            let faults = lossy(rng.range_f64(0.0, 0.01), rng.range_f64(0.0, 0.005));
+            let mut s = small().faults(seed, faults).cycles(25_000, 0);
+            (s.timeout_cycles, s.max_retries) = (timeout_cycles, max_retries);
+            s.watchdog_cycles = 30_000;
+            check(&s);
+        }
     }
 }

@@ -1898,101 +1898,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_identically_across_engines_on_killed_link() {
-        use commloc_net::{Direction, FaultPlan};
-        // A killed link wedges transactions routed over it; the fabric
-        // never drains, so the active engine cannot fast-forward — the
-        // watchdog must still trip at the exact same cycle with the exact
-        // same diagnostics as exhaustive stepping.
-        let config = SimConfig {
-            watchdog_cycles: 3_000,
-            fault_plan: Some(FaultPlan::new(7).kill_link_at(1_000, 0, 0, Direction::Plus)),
-            ..small_config()
-        };
-        let mapping = Mapping::identity(16);
-        let mut active = Machine::new(&config, &mapping);
-        let mut reference = Machine::new_reference(&config, &mapping);
-        let ea = active
-            .run_network_cycles(200_000)
-            .expect_err("killed link must wedge the workload");
-        let eb = reference
-            .run_network_cycles(200_000)
-            .expect_err("killed link must wedge the workload");
-        assert_eq!(ea, eb, "stall reports must be bit-identical");
-        assert_eq!(active.net_cycle(), reference.net_cycle());
-        let SimError::Stalled(report) = ea else {
-            panic!("expected a stall, got {ea}");
-        };
-        assert_eq!(report.kind, StallKind::Deadlock);
-    }
-
-    #[test]
-    fn watchdog_backpressure_classification_matches_across_engines() {
-        use commloc_net::FaultPlan;
-        let config = SimConfig {
-            watchdog_cycles: 2_000,
-            fault_plan: Some(FaultPlan::new(3).stall_router_at(1_000, 5, 50_000)),
-            ..small_config()
-        };
-        let mapping = Mapping::identity(16);
-        let mut active = Machine::new(&config, &mapping);
-        let mut reference = Machine::new_reference(&config, &mapping);
-        let ra = active.run_network_cycles(60_000);
-        let rb = reference.run_network_cycles(60_000);
-        assert_eq!(ra, rb, "transient-stall outcomes must match");
-        assert_eq!(active.net_cycle(), reference.net_cycle());
-        if let Err(SimError::Stalled(report)) = ra {
-            assert_eq!(report.kind, StallKind::Backpressure);
-        }
-    }
-
-    #[test]
-    fn fast_forward_through_retry_gaps_is_invisible_and_does_not_false_trip() {
-        use commloc_net::{FaultConfig, FaultPlan};
-        // Heavy drops + a long retry timeout carve genuine idle gaps: all
-        // processors blocked, the fabric drained, the next event a retry
-        // deadline. The active engine must jump those gaps (asserted via
-        // the diagnostic counter) while the watchdog — window larger than
-        // any gap — stays quiet, and every observable stays bit-identical
-        // to exhaustive stepping.
-        let config = SimConfig {
-            mem: MemConfig {
-                timeout_cycles: 3_000,
-                max_retries: 30,
-                ..MemConfig::default()
-            },
-            watchdog_cycles: 40_000,
-            fault_plan: Some(FaultPlan::new(23).with_config(FaultConfig {
-                drop_rate: 0.15,
-                ..FaultConfig::default()
-            })),
-            ..small_config()
-        };
-        let mapping = Mapping::identity(16);
-        let mut active = Machine::new(&config, &mapping);
-        let mut reference = Machine::new_reference(&config, &mapping);
-        let ra = active.run_network_cycles(60_000);
-        let rb = reference.run_network_cycles(60_000);
-        assert_eq!(ra, rb, "retry-gap runs must agree");
-        assert!(
-            ra.is_ok(),
-            "watchdog must not trip inside retry gaps: {ra:?}"
-        );
-        assert_eq!(active.net_cycle(), reference.net_cycle());
-        assert_eq!(active.measure(), reference.measure());
-        assert_eq!(active.fault_log(), reference.fault_log());
-        assert_eq!(
-            active.completions_per_node(),
-            reference.completions_per_node()
-        );
-        assert!(
-            active.fast_forwarded_cycles() > 0,
-            "no quiescent gap was jumped; the scenario does not exercise fast-forward"
-        );
-        assert_eq!(reference.fast_forwarded_cycles(), 0);
-    }
-
-    #[test]
     fn sleeping_nodes_are_invisible_to_every_stepping_call() {
         use commloc_net::{DetRng, FaultConfig, FaultPlan};
         // Nodes sleep through compute runs, context switches and
@@ -2074,187 +1979,11 @@ mod tests {
         assert!(jumped > 0, "no chunked run fast-forwarded");
     }
 
-    #[test]
-    fn fast_forward_lands_watchdog_trips_on_the_exact_cycle() {
-        use commloc_net::{FaultConfig, FaultPlan};
-        // With retries disabled, every dropped message permanently wedges
-        // one thread. At a 5% drop rate all 16 single-context nodes wedge
-        // within a few thousand cycles — long before the oldest stuck
-        // transaction ages past the window — leaving the machine fully
-        // quiescent with the watchdog trip as the only future event. The
-        // active engine fast-forwards straight to that horizon — and must
-        // report the identical cycle and diagnostics as the reference
-        // engine grinding through the gap cycle by cycle.
-        let config = SimConfig {
-            mem: MemConfig {
-                timeout_cycles: 0,
-                ..MemConfig::default()
-            },
-            watchdog_cycles: 30_000,
-            fault_plan: Some(FaultPlan::new(41).with_config(FaultConfig {
-                drop_rate: 0.15,
-                ..FaultConfig::default()
-            })),
-            ..small_config()
-        };
-        let mapping = Mapping::identity(16);
-        let mut active = Machine::new(&config, &mapping);
-        let mut reference = Machine::new_reference(&config, &mapping);
-        let ea = active
-            .run_network_cycles(400_000)
-            .expect_err("an unretried drop must wedge the machine");
-        let eb = reference
-            .run_network_cycles(400_000)
-            .expect_err("an unretried drop must wedge the machine");
-        assert_eq!(ea, eb, "trip cycle and diagnostics must be bit-identical");
-        assert_eq!(active.net_cycle(), reference.net_cycle());
-        assert!(
-            active.fast_forwarded_cycles() > 0,
-            "the wedge gap should have been jumped"
-        );
-    }
-
-    /// Unretried drops on the small machine: every dropped message
-    /// permanently wedges one thread, so without migration the watchdog
-    /// trips (see `fast_forward_lands_watchdog_trips_on_the_exact_cycle`).
-    fn wedging_config(topology: Option<Topology>) -> SimConfig {
-        use commloc_net::{FaultConfig, FaultPlan};
-        SimConfig {
-            mem: MemConfig {
-                timeout_cycles: 0,
-                ..MemConfig::default()
-            },
-            watchdog_cycles: 30_000,
-            fault_plan: Some(FaultPlan::new(41).with_config(FaultConfig {
-                drop_rate: 0.05,
-                ..FaultConfig::default()
-            })),
-            topology,
-            ..small_config()
-        }
-    }
-
     const STEALING: WorkStealingPolicy = WorkStealingPolicy {
         steal_latency: 300,
         wedge_threshold: 2_000,
         max_migrations: 10_000,
     };
-
-    #[test]
-    fn wedged_node_with_migration_does_not_trip_the_watchdog() {
-        // With work stealing enabled, each wedged thread is offered to
-        // the policy at age `wedge_threshold` — far below the watchdog
-        // window — and re-issues its abandoned operation from a new
-        // node, so the machine keeps retiring transactions.
-        let config = wedging_config(None);
-        let mapping = Mapping::identity(16);
-        let mut active = Machine::new(&config, &mapping);
-        let mut reference = Machine::new_reference(&config, &mapping);
-        active.set_migration(STEALING);
-        reference.set_migration(STEALING);
-        let ra = active.run_network_cycles(60_000);
-        let rb = reference.run_network_cycles(60_000);
-        assert_eq!(ra, rb, "migration runs must agree across engines");
-        assert!(
-            ra.is_ok(),
-            "migration should keep the wedged machine alive: {ra:?}"
-        );
-        assert!(
-            !active.migrations().is_empty(),
-            "the unretried drops should have forced at least one migration"
-        );
-        assert_eq!(active.migrations(), reference.migrations());
-        assert_eq!(active.net_cycle(), reference.net_cycle());
-        assert_eq!(active.measure(), reference.measure());
-        assert_eq!(
-            active.completions_per_node(),
-            reference.completions_per_node()
-        );
-        assert_eq!(
-            active.migrated_from_nodes(),
-            reference.migrated_from_nodes()
-        );
-    }
-
-    #[test]
-    fn sharded_migration_is_bit_exact_with_one_shard() {
-        // The wedging scenario at 2, 3 and 4 shards, on one and two
-        // workers: migrations reach each node through its owning shard
-        // after every shard has stepped, so nothing may differ.
-        let config = wedging_config(None);
-        let mapping = Mapping::identity(16);
-        let run = |shards: usize, jobs: usize| {
-            let mut machine = Machine::with_shards(&config, &mapping, shards);
-            machine.set_jobs(jobs);
-            machine.set_migration(STEALING);
-            let result = machine.run_network_cycles(60_000);
-            (result, machine)
-        };
-        let (r1, one) = run(1, 1);
-        assert!(r1.is_ok(), "{r1:?}");
-        assert!(!one.migrations().is_empty(), "the scenario must migrate");
-        for shards in 2..=4 {
-            for jobs in 1..=2 {
-                let (r, sharded) = run(shards, jobs);
-                let at = format!("{shards} shards, {jobs} jobs");
-                assert_eq!(r, r1, "{at}");
-                assert_eq!(sharded.net_cycle(), one.net_cycle(), "{at}");
-                assert_eq!(sharded.migrations(), one.migrations(), "{at}");
-                assert_eq!(
-                    sharded.migrated_from_nodes(),
-                    one.migrated_from_nodes(),
-                    "{at}"
-                );
-                assert_eq!(
-                    sharded.completions_per_node(),
-                    one.completions_per_node(),
-                    "{at}"
-                );
-                assert_eq!(sharded.measure(), one.measure(), "{at}");
-                assert_eq!(sharded.fault_log(), one.fault_log(), "{at}");
-                assert_eq!(
-                    sharded.fast_forwarded_cycles(),
-                    one.fast_forwarded_cycles(),
-                    "{at}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn migration_on_every_fabric_matches_the_reference_engine() {
-        // The policy reads distances from the topology, so it places
-        // threads on any fabric; each must migrate at least once and
-        // agree with exhaustive stepping.
-        for topology in [
-            Topology::mesh(4, 4),
-            Topology::fat_tree(2, 4),
-            Topology::dragonfly(2, 2),
-        ] {
-            let config = wedging_config(Some(topology.clone()));
-            let mapping = Mapping::identity(topology.compute_nodes());
-            let mut active = Machine::new(&config, &mapping);
-            let mut reference = Machine::new_reference(&config, &mapping);
-            active.set_migration(STEALING);
-            reference.set_migration(STEALING);
-            let ra = active.run_network_cycles(40_000);
-            let rb = reference.run_network_cycles(40_000);
-            let name = topology.canonical();
-            assert_eq!(ra, rb, "{name}");
-            assert!(
-                !active.migrations().is_empty(),
-                "{name}: the unretried drops should force a migration"
-            );
-            assert_eq!(active.migrations(), reference.migrations(), "{name}");
-            assert_eq!(active.net_cycle(), reference.net_cycle(), "{name}");
-            assert_eq!(active.measure(), reference.measure(), "{name}");
-            assert_eq!(
-                active.completions_per_node(),
-                reference.completions_per_node(),
-                "{name}"
-            );
-        }
-    }
 
     #[test]
     fn exhausted_migration_budget_trips_and_names_the_migrated_nodes() {
@@ -2525,42 +2254,5 @@ mod tests {
             completions[0], completions[1],
             "1 and 3 shards complete alike"
         );
-    }
-
-    #[test]
-    fn engines_agree_across_random_fault_plans() {
-        use commloc_net::{DetRng, FaultConfig, FaultPlan};
-        // Property check over DetRng-drawn fault plans (the machine
-        // fuzzer sweeps far wider ranges; this is the always-on slice).
-        for seed in 0..4u64 {
-            let mut rng = DetRng::new(seed ^ 0xD06_F00D);
-            let config = SimConfig {
-                mem: MemConfig {
-                    timeout_cycles: if rng.chance(0.5) {
-                        1_000 + rng.range_u64(0, 2_000) as u32
-                    } else {
-                        0
-                    },
-                    max_retries: 1 + rng.range_u64(0, 6) as u32,
-                    ..MemConfig::default()
-                },
-                watchdog_cycles: 30_000,
-                fault_plan: Some(FaultPlan::new(seed).with_config(FaultConfig {
-                    drop_rate: rng.range_f64(0.0, 0.01),
-                    corrupt_rate: rng.range_f64(0.0, 0.005),
-                    ..FaultConfig::default()
-                })),
-                ..small_config()
-            };
-            let mapping = Mapping::identity(16);
-            let mut active = Machine::new(&config, &mapping);
-            let mut reference = Machine::new_reference(&config, &mapping);
-            let ra = active.run_network_cycles(25_000);
-            let rb = reference.run_network_cycles(25_000);
-            assert_eq!(ra, rb, "seed {seed}: outcomes diverged");
-            assert_eq!(active.net_cycle(), reference.net_cycle(), "seed {seed}");
-            assert_eq!(active.measure(), reference.measure(), "seed {seed}");
-            assert_eq!(active.fault_log(), reference.fault_log(), "seed {seed}");
-        }
     }
 }
