@@ -8,52 +8,26 @@
 //! all four on/off combinations, plus the network-dimension study of
 //! Section 4.2's closing remark.
 
-use commloc_bench::{fit_message_curve, pct_err, time_it, validation_runs};
-use commloc_model::{
-    dimension_study, ApplicationModel, CombinedModel, EndpointContention, MachineConfig,
-    NetworkModel, NodeModel, TorusGeometry, TransactionModel,
-};
+use commloc_bench::{calibrated_model, pct_err, time_it, validation_runs};
+use commloc_model::{dimension_study, CombinedModel, EndpointContention, MachineConfig};
 use commloc_sim::ScenarioResult;
 use std::hint::black_box;
 
-/// Builds the calibrated model with explicit feature switches.
+/// The calibrated model with its two extensions switched: the endpoint
+/// term, and the residual size (off reads the mean message size, which
+/// is what the network model falls back to without one).
 fn model_variant(
     contexts: usize,
     runs: &[ScenarioResult],
     endpoint: EndpointContention,
     residual_correction: bool,
 ) -> CombinedModel {
-    let fit = fit_message_curve(runs).expect("non-degenerate validation suite");
-    let n = runs.len() as f64;
-    let g: f64 = runs
-        .iter()
-        .map(|r| r.measured.messages_per_transaction)
-        .sum::<f64>()
-        / n;
-    let b: f64 = runs
-        .iter()
-        .map(|r| r.measured.avg_message_size)
-        .sum::<f64>()
-        / n;
-    let b_resid: f64 = runs
-        .iter()
-        .map(|r| r.measured.residual_message_size)
-        .sum::<f64>()
-        / n;
-    let t_r: f64 = runs.iter().map(|r| r.measured.run_length).sum::<f64>() / n;
-    let s = fit.slope.max(0.1);
-    let offset = (-fit.intercept).max(t_r * 0.5);
-    let c_eff = (contexts as f64 * g / s).max(1.0);
-    let t_f = (c_eff * offset - t_r).max(0.0);
-    let app = ApplicationModel::new(t_r, contexts as u32, 22.0).expect("valid");
-    let txn = TransactionModel::new(c_eff, g.max(c_eff), t_f).expect("valid");
-    let mut network = NetworkModel::new(TorusGeometry::new(2, 8.0).expect("valid"), b)
-        .expect("valid")
-        .with_endpoint_contention(endpoint);
-    if residual_correction {
-        network = network.with_contention_size(b_resid);
+    let calibrated = calibrated_model(contexts, runs);
+    let mut network = calibrated.network().with_endpoint_contention(endpoint);
+    if !residual_correction {
+        network = network.with_contention_size(network.message_size());
     }
-    CombinedModel::new(NodeModel::new(app, txn), network)
+    CombinedModel::new(*calibrated.node(), network)
 }
 
 fn mean_abs_rate_error(model: &CombinedModel, runs: &[ScenarioResult]) -> f64 {

@@ -9,13 +9,10 @@
 //!
 //! The scenario definitions (windows, suite seed, calibration) live in
 //! [`commloc_sim::conformance`] so the bench targets and the conformance
-//! gates agree on them by construction; this crate re-exports them under
-//! their historical names.
+//! gates agree on them by construction; this crate re-exports the ones
+//! the benches use.
 
-pub use commloc_sim::conformance::{
-    calibrated_model, fit_message_curve, pct_err, suite_jobs as bench_jobs, validation_runs,
-    SUITE_SEED, WARMUP, WINDOW,
-};
+pub use commloc_sim::conformance::{calibrated_model, fit_message_curve, pct_err, validation_runs};
 use commloc_sim::json::Json;
 use std::path::{Path, PathBuf};
 

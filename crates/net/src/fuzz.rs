@@ -27,7 +27,9 @@
 //!   (`MessageBreakdown::total() == Delivery::total_latency()`), the
 //!   aggregate [`LatencyBreakdown`] agreeing with the stats counters,
 //!   message conservation (`injected == delivered + dropped +
-//!   in-flight`), and the trace ring's capacity.
+//!   in-flight`), and trace accounting (a recorded event for every
+//!   counted injection, delivery and drop; exactly those, besides head
+//!   blocks, in a ring that evicted nothing).
 //!
 //! On a mismatch, [`shrink`] greedily reduces the failing scenario
 //! (fewer cycles, lower rate, no faults, fewer shards, smaller torus,
@@ -320,9 +322,10 @@ pub enum FuzzMutation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Cycle at which the divergence was detected (`None` for post-drain
-    /// checks, which look at final state).
+    /// checks, which look at final state, and for a panic).
     pub cycle: Option<u64>,
-    /// Human-readable description of the first failed check.
+    /// Human-readable description of the first failed check, or
+    /// `panic: ` and the message of a panic inside the run.
     pub what: String,
 }
 
@@ -330,9 +333,31 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.cycle {
             Some(cycle) => write!(f, "divergence at cycle {cycle}: {}", self.what),
-            None => write!(f, "divergence after drain: {}", self.what),
+            None => write!(f, "divergence: {}", self.what),
         }
     }
+}
+
+/// Runs one lockstep `check`, returning a panic inside it (an engine's
+/// internal assertion, say) as a [`Divergence`] with no cycle, so a
+/// sweep names the seed and shrinks it like any other divergence. Both
+/// fuzzers' `run_scenario_mutated` run through it.
+///
+/// # Errors
+///
+/// Returns `check`'s divergence, or the caught panic.
+pub fn catch_panic<R>(check: impl FnOnce() -> Result<R, Divergence>) -> Result<R, Divergence> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-text payload");
+        Err(Divergence {
+            cycle: None,
+            what: format!("panic: {message}"),
+        })
+    })
 }
 
 /// Statistics from one clean lockstep run, so sweeps can report coverage.
@@ -385,8 +410,16 @@ pub fn run_scenario(scenario: &FuzzScenario) -> Result<FuzzReport, Divergence> {
 /// # Errors
 ///
 /// Returns the first [`Divergence`] detected (which, under a mutation,
-/// is the expected outcome).
+/// is the expected outcome), a panic inside the run included.
 pub fn run_scenario_mutated(
+    scenario: &FuzzScenario,
+    mutation: Option<FuzzMutation>,
+) -> Result<FuzzReport, Divergence> {
+    catch_panic(|| lockstep(scenario, mutation))
+}
+
+/// The lockstep run behind [`run_scenario_mutated`].
+fn lockstep(
     scenario: &FuzzScenario,
     mutation: Option<FuzzMutation>,
 ) -> Result<FuzzReport, Divergence> {
@@ -498,16 +531,28 @@ pub fn run_scenario_mutated(
         conserved,
         "conservation (injected = delivered + dropped + in-flight)"
     );
+    // Trace accounting: every injection, delivery and drop the stats
+    // count is one traced event (head blocks add more), and a ring that
+    // evicted nothing holds exactly those.
     let rings = opt.fabrics.iter().filter_map(Fabric::trace);
-    let traced = TraceBuffer::merge(rings, TraceEvent::order_key).map_or(0, |t| t.len());
-    if traced > scenario.trace_capacity {
-        return Err(Divergence {
-            cycle: None,
-            what: format!(
-                "trace ring holds {traced} events, above its capacity {}",
-                scenario.trace_capacity
-            ),
-        });
+    if let Some(ring) = TraceBuffer::merge(rings, TraceEvent::order_key) {
+        let counted = stats.injected_messages + stats.delivered_messages + stats.dropped_messages;
+        let held = ring
+            .iter()
+            .filter(|e| !matches!(e, TraceEvent::HopBlock { .. }))
+            .count() as u64;
+        let whole = ring.len() as u64 == ring.recorded();
+        if ring.recorded() < counted || (whole && held != counted) {
+            return Err(Divergence {
+                cycle: None,
+                what: format!(
+                    "trace ring recorded {} events and holds {} ({held} injections, deliveries \
+                     and drops) for {counted} counted messages",
+                    ring.recorded(),
+                    ring.len()
+                ),
+            });
+        }
     }
 
     Ok(FuzzReport {
@@ -1016,6 +1061,19 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_inside_a_run_is_a_divergence() {
+        // A sweep names the seed and shrinks it rather than aborting.
+        let scenario = FuzzScenario {
+            link_vcs: 1,
+            ..FuzzScenario::from_seed(0)
+        };
+        let d = run_scenario(&scenario).expect_err("a one-VC torus panics");
+        assert_eq!(d.cycle, None);
+        let expected = "panic: tori require at least 2 virtual channels";
+        assert!(d.what.starts_with(expected), "{d}");
+    }
+
+    #[test]
     fn shrinker_minimizes_and_prints_repro() {
         let scenario = FuzzScenario::from_seed(1);
         let mutation = Some(FuzzMutation::SkewLength(0));
@@ -1045,5 +1103,13 @@ mod tests {
             report.delivered + report.dropped + report.wedged
         );
         assert!(report.cycles > 0);
+        // So does a ring that holds its whole run: one traced event per
+        // injection, delivery and drop, on two shards that drop.
+        let whole = FuzzScenario {
+            trace_capacity: 1 << 16,
+            ..FuzzScenario::from_seed(2)
+        };
+        let report = run_scenario(&whole).expect("seed 2 clean");
+        assert!(report.dropped > 0 && report.shards == 2, "{report:?}");
     }
 }

@@ -7,7 +7,12 @@
 //! commloc sim    --mapping random --contexts 2 --warmup 20000 --window 60000
 //! commloc report --mapping random --contexts 2 --trace events.jsonl
 //! commloc suite  --contexts 1 --csv
+//! commloc conformance --figure resilience-wave --csv
 //! ```
+//!
+//! `conformance` is the one golden gate: `--figure NAME` runs one of
+//! fig3–fig9, resilience-wave, resilience-degradation or topology-gain,
+//! and no `--figure` runs them all.
 //!
 //! Argument parsing is deliberately dependency-free: `--key value` pairs
 //! only, validated against each subcommand's option set, with defaults
@@ -19,8 +24,7 @@ use commloc_model::{
 };
 use commloc_net::fuzz::{self, FuzzScenario};
 use commloc_sim::conformance::figures::{
-    default_golden_dir, load_golden, resilience_degradation_detail, resilience_wave_detail,
-    self_check, store_golden, ConformanceRun, FIGURES,
+    default_golden_dir, load_golden, self_check, store_golden, ConformanceRun, FIGURES,
 };
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
@@ -73,20 +77,14 @@ COMMANDS:
     parallelism) fans the mappings out and steps their shards from one
     budget. Shards and jobs never change a result.
     conformance
-            run the paper-figure conformance gates (Figs. 3-9): reduced
-            deterministic scenarios checked against the golden tables in
-            conformance/golden/ plus the paper's own claims
-            --figure figN --jobs J [--csv] [--update-golden]
+            the golden gates: reduced deterministic scenarios checked
+            against conformance/golden/ and the paper's own claims. NAME
+            is fig3 ... fig9, resilience-wave (idle waves; each wave's
+            speed, ring peaks and absorption print after the tables),
+            resilience-degradation (link kills under work stealing) or
+            topology-gain; omit --figure for all of them
+            --figure NAME --jobs J [--csv] [--update-golden]
             [--golden-dir DIR]
-    resilience
-            delay-injection resilience studies: the idle-wave analysis
-            (propagation speed, decay distance, damping, per-component
-            absorption) and the link-kill graceful-degradation sweep
-            under work-stealing thread migration; both are gated
-            against golden rows in conformance/golden/ exactly like the
-            paper figures
-            --study wave|degradation (omit for both) [--csv]
-            [--update-golden] [--golden-dir DIR]
     serve   long-running scenario service: JSON-lines requests in,
             streamed accepted/progress/result/done events out, backed by
             the canonical result cache and warm-start snapshots (repeated
@@ -118,7 +116,6 @@ fn allowed_keys(command: &str) -> Option<Vec<&'static str>> {
         "sim" | "suite" => &["csv", "trace-in"],
         "report" => &["csv", "trace", "trace-in"],
         "conformance" => &["figure", "jobs", "csv", "update-golden", "golden-dir"],
-        "resilience" => &["study", "csv", "update-golden", "golden-dir"],
         "serve" => &["socket", "tcp", "cache-cap", "warm-cap", "jobs"],
         "fuzz" => &["seeds", "start", "jobs", "machine"],
         _ => return None,
@@ -160,7 +157,6 @@ fn main() -> ExitCode {
         "report" => cmd_report(&options),
         "suite" => cmd_suite(&options),
         "conformance" => cmd_conformance(&options),
-        "resilience" => cmd_resilience(&options),
         "serve" => cmd_serve(&options),
         "fuzz" => cmd_fuzz(&options),
         _ => unreachable!("filtered by allowed_keys"),
@@ -640,29 +636,53 @@ fn cmd_conformance(options: &HashMap<String, String>) -> Result<(), String> {
         .get("golden-dir")
         .map(PathBuf::from)
         .unwrap_or_else(default_golden_dir);
-    let figures: Vec<String> = match options.get("figure") {
-        Some(name) => {
-            if !FIGURES.contains(&name.as_str()) {
-                return Err(format!(
-                    "--figure: unknown `{name}` (expected one of {})",
-                    FIGURES.join(", ")
-                ));
-            }
-            vec![name.clone()]
-        }
-        None => FIGURES.iter().map(|s| (*s).to_owned()).collect(),
-    };
-
+    // An unknown name fails in `figure`, before anything runs.
+    let figures = options
+        .get("figure")
+        .map_or(FIGURES.to_vec(), |name| vec![name.as_str()]);
     let mut session = ConformanceRun::new(jobs);
-    let mut tables = Vec::new();
-    for name in &figures {
-        tables.push(session.figure(name)?);
-    }
+    let tables = figures
+        .iter()
+        .map(|name| session.figure(name))
+        .collect::<Result<Vec<_>, _>>()?;
 
     if csv {
         println!("figure,label,metric,value,golden,rel_err");
     }
     let violations = gate_tables(&tables, &dir, update, csv)?;
+    // The idle waves behind the resilience-wave table, reported beside it
+    // and not gated value by value.
+    if !csv && !session.waves().is_empty() {
+        println!("resilience-wave detail: wave-front speed, ring peaks per node, absorption");
+    }
+    for (label, wave) in session.waves() {
+        let (speed, peaks) = (wave.cycles_per_hop(), wave.curve.ring_peaks());
+        if csv {
+            let detail = |metric: &str, value: String| {
+                println!("resilience-wave-detail,{label},{metric},{value},,");
+            };
+            if let Some(speed) = speed {
+                detail("cycles_per_hop", speed.to_string());
+            }
+            for (d, peak) in peaks.iter().enumerate() {
+                detail(&format!("ring{d}_peak"), peak.to_string());
+            }
+            for (component, value) in &wave.absorption {
+                detail(&format!("absorbed_{component}"), value.to_string());
+            }
+        } else {
+            let speed = speed.map_or("n/a".into(), |s| format!("{s:.0} cycles/hop"));
+            let peaks: String = peaks.iter().map(|p| format!(" {p:.2}")).collect();
+            let absorption: String = wave
+                .absorption
+                .iter()
+                .map(|(component, value)| format!(" {component}={value:+}"))
+                .collect();
+            println!("  {label:<12} speed {speed}");
+            println!("    ring peaks/node:{peaks}");
+            println!("    absorption:{absorption}");
+        }
+    }
     // The raw reduced-sweep measurements behind Figures 3-5, in the
     // standard measurements CSV schema.
     if csv {
@@ -674,14 +694,32 @@ fn cmd_conformance(options: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    finish_gate("conformance", &tables, &violations, update, csv, &dir)
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("violation: {violation}");
+        }
+        return Err(format!("{} conformance violation(s)", violations.len()));
+    }
+    if !csv {
+        let verb = if update {
+            "blessed into"
+        } else {
+            "pass against"
+        };
+        println!(
+            "conformance: {} figure(s) {verb} {}",
+            tables.len(),
+            dir.display()
+        );
+    }
+    Ok(())
 }
 
-/// Self-checks, prints, and golden-gates a batch of figure tables:
-/// blesses them into `dir` under `--update-golden`, compares against the
-/// checked-in goldens otherwise. Self-checks run in both modes, so a
-/// broken model cannot be blessed into the goldens. Returns the
-/// accumulated violations (I/O problems are hard errors).
+/// Self-checks, prints, and golden-gates the figure tables: blesses them
+/// into `dir` under `--update-golden`, compares against the checked-in
+/// goldens otherwise. Self-checks run in both modes, so blessing a broken
+/// model still fails. Returns the accumulated violations (I/O problems
+/// are hard errors).
 fn gate_tables(
     tables: &[GoldenTable],
     dir: &Path,
@@ -689,14 +727,10 @@ fn gate_tables(
     csv: bool,
 ) -> Result<Vec<Violation>, String> {
     let mut violations: Vec<Violation> = tables.iter().flat_map(self_check).collect();
-    if update {
-        for table in tables {
-            let path = store_golden(dir, table)?;
-            eprintln!("wrote {}", path.display());
-        }
-    }
     for table in tables {
         let golden = if update {
+            let path = store_golden(dir, table)?;
+            eprintln!("wrote {}", path.display());
             None
         } else {
             let golden = load_golden(dir, &table.figure)?;
@@ -706,24 +740,12 @@ fn gate_tables(
         if csv {
             for row in &table.rows {
                 for (metric, value) in &row.values {
-                    let golden_value = golden.as_ref().and_then(|g| {
-                        g.rows
-                            .iter()
-                            .find(|r| r.label == row.label)
-                            .and_then(|r| r.value(metric))
-                    });
-                    match golden_value {
-                        Some(gv) => println!(
-                            "{},{},{},{},{},{:e}",
-                            table.figure,
-                            row.label,
-                            metric,
-                            value,
-                            gv,
-                            rel_err(*value, gv)
-                        ),
-                        None => println!("{},{},{},{},,", table.figure, row.label, metric, value),
-                    }
+                    let golden = golden.as_ref().and_then(|g| g.value(&row.label, metric));
+                    // The golden value and the relative error, or two
+                    // empty cells where there is no golden value.
+                    let cells =
+                        golden.map_or(",".into(), |g| format!("{g},{:e}", rel_err(*value, g)));
+                    println!("{},{},{metric},{value},{cells}", table.figure, row.label);
                 }
             }
         } else {
@@ -747,127 +769,6 @@ fn gate_tables(
         }
     }
     Ok(violations)
-}
-
-/// Shared pass/fail epilogue of the golden-gated subcommands.
-fn finish_gate(
-    gate: &str,
-    tables: &[GoldenTable],
-    violations: &[Violation],
-    update: bool,
-    csv: bool,
-    dir: &Path,
-) -> Result<(), String> {
-    if violations.is_empty() {
-        if !csv {
-            println!(
-                "{gate}: {} figure(s) {} {}",
-                tables.len(),
-                if update {
-                    "blessed into"
-                } else {
-                    "pass against"
-                },
-                dir.display()
-            );
-        }
-        Ok(())
-    } else {
-        for violation in violations {
-            eprintln!("violation: {violation}");
-        }
-        Err(format!("{} {gate} violation(s)", violations.len()))
-    }
-}
-
-fn cmd_resilience(options: &HashMap<String, String>) -> Result<(), String> {
-    let update = options.contains_key("update-golden");
-    let csv = options.contains_key("csv");
-    let dir = options
-        .get("golden-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(default_golden_dir);
-    let (run_wave, run_degradation) = match options.get("study").map(String::as_str) {
-        None => (true, true),
-        Some("wave") => (true, false),
-        Some("degradation") => (false, true),
-        Some(other) => {
-            return Err(format!(
-                "--study: unknown `{other}` (wave|degradation; omit for both)"
-            ))
-        }
-    };
-
-    if csv {
-        println!("figure,label,metric,value,golden,rel_err");
-    }
-    let mut tables = Vec::new();
-    if run_wave {
-        let (waves, table) = resilience_wave_detail()?;
-        if csv {
-            // Analyzer detail beyond the golden rows: the spatial
-            // profile and the per-component absorption attribution
-            // (no golden columns — these back the table, they are not
-            // gated individually).
-            for (label, wave) in &waves {
-                if let Some(speed) = wave.propagation_speed() {
-                    println!("resilience-wave-detail,{label},cycles_per_hop,{speed},,");
-                }
-                for (d, peak) in wave.curve.ring_peaks().iter().enumerate() {
-                    println!("resilience-wave-detail,{label},ring{d}_peak,{peak},,");
-                }
-                for (component, value) in &wave.absorption {
-                    println!("resilience-wave-detail,{label},absorbed_{component},{value},,");
-                }
-            }
-        } else {
-            println!("idle-wave study: transient router stall, lockstep-differenced");
-            for (label, wave) in &waves {
-                let speed = wave
-                    .propagation_speed()
-                    .map_or("n/a".to_owned(), |s| format!("{s:.0} cycles/hop"));
-                println!(
-                    "  {label:<12} speed {speed}, decay distance {} hops, damping {:.2}, \
-                     deficit {} completions ({} absorbed in the fabric)",
-                    wave.decay_distance(0.5),
-                    wave.damping(),
-                    wave.total_deficit(),
-                    wave.absorbed_total()
-                );
-                let peaks: Vec<String> = wave
-                    .curve
-                    .ring_peaks()
-                    .iter()
-                    .map(|p| format!("{p:.2}"))
-                    .collect();
-                println!("    ring peaks/node: {}", peaks.join(" "));
-                let absorption: Vec<String> = wave
-                    .absorption
-                    .iter()
-                    .map(|(component, value)| format!("{component}={value:+}"))
-                    .collect();
-                println!("    absorption: {}", absorption.join(" "));
-            }
-        }
-        tables.push(table);
-    }
-    if run_degradation {
-        let (points, table) = resilience_degradation_detail()?;
-        if !csv {
-            println!("degradation study: cumulative link kills under work-stealing migration");
-            for p in &points {
-                println!(
-                    "  {} link(s) killed: {} completions, {} migrations, {}/64 nodes \
-                     surviving, {:.1} completions/survivor",
-                    p.killed_links, p.completions, p.migrations, p.survivors, p.per_survivor
-                );
-            }
-        }
-        tables.push(table);
-    }
-
-    let violations = gate_tables(&tables, &dir, update, csv)?;
-    finish_gate("resilience", &tables, &violations, update, csv, &dir)
 }
 
 fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
@@ -1070,15 +971,8 @@ mod tests {
         )
         .is_ok());
         assert!(parse(
-            &[
-                "--study",
-                "wave",
-                "--csv",
-                "--update-golden",
-                "--golden-dir",
-                "/tmp/g"
-            ],
-            "resilience"
+            &["--figure", "resilience-wave", "--csv", "--golden-dir", "g"],
+            "conformance"
         )
         .is_ok());
         assert!(parse(&["--topology", "mesh", "--traffic", "hotspot:2"], "sim").is_ok());
@@ -1095,6 +989,8 @@ mod tests {
         assert!(parse(&["--seeds", "500", "--start", "0", "--jobs", "4"], "fuzz").is_ok());
         assert!(parse(&["--machine", "--seeds", "200"], "fuzz").is_ok());
         assert!(allowed_keys("nonsense").is_none());
+        // The resilience studies are conformance figures, not a command.
+        assert!(allowed_keys("resilience").is_none());
     }
 
     #[test]

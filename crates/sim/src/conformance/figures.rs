@@ -20,8 +20,8 @@ use super::{calibrated_model, fit_message_curve, reduced_runs, SUITE_SEED};
 use crate::machine::SimConfig;
 use crate::mapping::Mapping;
 use crate::resilience::{
-    run_degradation, run_idle_wave, DegradationConfig, DegradationPoint, DisturbanceConfig,
-    IdleWave, WorkStealingPolicy,
+    run_degradation, run_idle_wave, DegradationConfig, DisturbanceConfig, IdleWave,
+    WorkStealingPolicy,
 };
 use crate::scenario::Scenario;
 use crate::serve::ScenarioResult;
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// `resilience-*` entries are not paper figures: they gate the delay
 /// injection / migration subsystem's idle-wave and graceful-degradation
 /// curves the same way (self-check plus golden comparison), so a
-/// behavioral change there fails `commloc conformance` too.
+/// behavioral change there fails `commloc conformance`, their one gate.
 pub const FIGURES: &[&str] = &[
     "fig3",
     "fig4",
@@ -56,11 +56,13 @@ const SIM_CONTEXTS: [usize; 2] = [1, 2];
 
 /// One conformance session: runs figures on demand, computing each
 /// reduced simulator sweep at most once (Figures 3–5 share the
-/// single-context sweep; Figure 3 adds the two-context one).
+/// single-context sweep; Figure 3 adds the two-context one), and keeping
+/// the analyzed idle waves behind the `resilience-wave` table.
 #[derive(Debug)]
 pub struct ConformanceRun {
     jobs: usize,
     sweeps: HashMap<usize, Vec<ScenarioResult>>,
+    waves: Vec<(String, IdleWave)>,
 }
 
 impl ConformanceRun {
@@ -69,6 +71,7 @@ impl ConformanceRun {
         Self {
             jobs: jobs.max(1),
             sweeps: HashMap::new(),
+            waves: Vec::new(),
         }
     }
 
@@ -78,6 +81,13 @@ impl ConformanceRun {
         let mut keys: Vec<_> = self.sweeps.iter().collect();
         keys.sort_by_key(|(contexts, _)| **contexts);
         keys.into_iter().map(|(c, runs)| (*c, runs))
+    }
+
+    /// The labelled idle waves of the `resilience-wave` figure, in row
+    /// order (empty until that figure runs) — exposed so the CLI can
+    /// print each wave's speed, ring peaks and absorption.
+    pub fn waves(&self) -> &[(String, IdleWave)] {
+        &self.waves
     }
 
     fn runs(&mut self, contexts: usize) -> &[ScenarioResult] {
@@ -102,7 +112,11 @@ impl ConformanceRun {
             "fig7" => fig7(),
             "fig8" => fig8(),
             "fig9" => fig9(),
-            "resilience-wave" => resilience_wave(),
+            "resilience-wave" => {
+                let (waves, table) = resilience_wave()?;
+                self.waves = waves;
+                Ok(table)
+            }
             "resilience-degradation" => resilience_degradation(),
             "topology-gain" => topology_gain(),
             other => Err(format!(
@@ -317,20 +331,9 @@ const WAVE_DECAY_THRESHOLD: f64 = 0.5;
 /// how far and how damped the wave travels, how long the global
 /// completion rate needs to recover after the stall clears, and how
 /// much of the deficit the latency breakdown attributes to fabric
-/// components (`absorbed_total`).
-fn resilience_wave() -> Result<GoldenTable, String> {
-    resilience_wave_detail().map(|(_, table)| table)
-}
-
-/// Like the `resilience-wave` figure, but also returns the analyzed
-/// [`IdleWave`] per scenario so the `commloc resilience` subcommand can
-/// print the full ring-by-ring and per-component detail without running
-/// the lockstep simulations twice.
-///
-/// # Errors
-///
-/// Returns a message when any lockstep run fails.
-pub fn resilience_wave_detail() -> Result<(Vec<(String, IdleWave)>, GoldenTable), String> {
+/// components (`absorbed_total`). Also returns the analyzed waves, which
+/// the session keeps ([`ConformanceRun::waves`]).
+fn resilience_wave() -> Result<(Vec<(String, IdleWave)>, GoldenTable), String> {
     let mut waves = Vec::new();
     let mut rows = Vec::new();
     for (map_name, mapping) in [
@@ -407,17 +410,6 @@ pub fn resilience_wave_detail() -> Result<(Vec<(String, IdleWave)>, GoldenTable)
 /// Each row records total completions, migrations fired, surviving
 /// nodes, and completions per survivor — the degradation curve.
 fn resilience_degradation() -> Result<GoldenTable, String> {
-    resilience_degradation_detail().map(|(_, table)| table)
-}
-
-/// Like the `resilience-degradation` figure, but also returns the raw
-/// sweep points for the `commloc resilience` subcommand's detailed
-/// output.
-///
-/// # Errors
-///
-/// Returns a message when the sweep fails.
-pub fn resilience_degradation_detail() -> Result<(Vec<DegradationPoint>, GoldenTable), String> {
     let config = DegradationConfig {
         sim: SimConfig {
             watchdog_cycles: 0,
@@ -447,13 +439,12 @@ pub fn resilience_degradation_detail() -> Result<(Vec<DegradationPoint>, GoldenT
             ],
         })
         .collect();
-    let table = GoldenTable {
+    Ok(GoldenTable {
         figure: "resilience-degradation".to_owned(),
         tolerance_name: "GOLDEN_RESILIENCE_DEG".to_owned(),
         tolerance: tolerances::GOLDEN_RESILIENCE_DEG,
         rows,
-    };
-    Ok((points, table))
+    })
 }
 
 /// Checks a figure's table against the paper's own quantitative claims
@@ -475,13 +466,7 @@ pub fn self_check(table: &GoldenTable) -> Vec<Violation> {
             detail,
         });
     };
-    let value = |label: &str, metric: &str| -> Option<f64> {
-        table
-            .rows
-            .iter()
-            .find(|r| r.label == label)
-            .and_then(|r| r.value(metric))
-    };
+    let value = |label: &str, metric: &str| table.value(label, metric);
     match table.figure.as_str() {
         "fig3" => {
             let (lo, hi) = SLOPE_RATIO_P2_OVER_P1;

@@ -83,6 +83,11 @@ pub fn rel_err(current: f64, golden: f64) -> f64 {
 }
 
 impl GoldenTable {
+    /// Looks up a value by row label and metric name.
+    pub fn value(&self, label: &str, metric: &str) -> Option<f64> {
+        self.rows.iter().find(|r| r.label == label)?.value(metric)
+    }
+
     /// Compares this (current) table against a checked-in `golden` one,
     /// returning every violation: mismatched tolerance citation, rows or
     /// metrics present on one side only, and values whose [`rel_err`]

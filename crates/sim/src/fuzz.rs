@@ -32,7 +32,9 @@ use crate::mapping::Mapping;
 use crate::resilience::WorkStealingPolicy;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
-use commloc_net::fuzz::{fault_expr, shrink_with, topology_expr, Divergence, FaultSpec};
+use commloc_net::fuzz::{
+    catch_panic, fault_expr, shrink_with, topology_expr, Divergence, FaultSpec,
+};
 use commloc_net::{DetRng, Direction, FabricConfig, Topology};
 use std::fmt::Debug;
 
@@ -506,12 +508,12 @@ pub fn run_scenario(scenario: &MachineScenario) -> Result<MachineFuzzReport, Div
 /// # Errors
 ///
 /// Returns the first [`Divergence`] detected (which, under a mutation,
-/// is the expected outcome).
+/// is the expected outcome), a panic inside the run included.
 pub fn run_scenario_mutated(
     scenario: &MachineScenario,
     mutation: Option<MachineMutation>,
 ) -> Result<MachineFuzzReport, Divergence> {
-    lockstep(scenario, mutation).map(|(report, ..)| report)
+    catch_panic(|| lockstep(scenario, mutation).map(|(report, ..)| report))
 }
 
 /// [`run_scenario_mutated`], also returning the checked traced machine
@@ -1126,6 +1128,19 @@ mod tests {
             run_scenario_mutated(&scenario, Some(MachineMutation::SkewWork)).is_err()
         });
         assert!(tripped, "SkewWork never diverged across 4 seeds");
+    }
+
+    #[test]
+    fn a_panic_inside_a_run_is_a_divergence() {
+        // A sweep names the seed and shrinks it rather than aborting.
+        let scenario = MachineScenario {
+            contexts: 0,
+            ..MachineScenario::from_seed(0)
+        };
+        let d = run_scenario(&scenario).expect_err("a processor without contexts panics");
+        assert_eq!(d.cycle, None);
+        let expected = "panic: a processor needs at least one context";
+        assert!(d.what.starts_with(expected), "{d}");
     }
 
     #[test]

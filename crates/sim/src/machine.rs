@@ -981,7 +981,8 @@ impl Machine {
             })?;
         // Extra worker threads come out of the process-wide job budget
         // shared with sweep-level `parallel_map`, so a sweep of sharded
-        // simulations never oversubscribes the configured job count.
+        // simulations stays within the budget (which `fuzz --machine`
+        // raises to each draw's worker count, past the configured jobs).
         let claim = (self.jobs > 1).then(|| claim_extra_workers(self.jobs - 1));
         let workers = 1 + claim.as_ref().map_or(0, WorkerClaim::granted);
         let mut result = Ok(());

@@ -248,6 +248,15 @@ impl IdleWave {
         fit_line(&points).ok().map(|fit| fit.slope)
     }
 
+    /// The wave front's pace in network cycles per hop: the reciprocal of
+    /// [`propagation_speed`](Self::propagation_speed). `None` when that
+    /// speed is absent or not positive (no front travelling outward).
+    pub fn cycles_per_hop(&self) -> Option<f64> {
+        self.propagation_speed()
+            .filter(|&speed| speed > 0.0)
+            .map(|speed| 1.0 / speed)
+    }
+
     /// Farthest ring whose peak per-node deficit reaches `threshold` —
     /// the distance at which the wave has decayed away. `0` when even
     /// the victim's own ring stayed below the threshold.
@@ -660,24 +669,50 @@ mod tests {
         assert!(last.survivors <= 16);
     }
 
-    #[test]
-    fn idle_wave_analyzers_handle_an_empty_wave() {
-        let wave = IdleWave {
+    /// A wave with the given per-ring deficits in 1,000-cycle buckets,
+    /// one node per ring and nothing absorbed.
+    fn synthetic(rings: Vec<Vec<i64>>) -> IdleWave {
+        IdleWave {
             curve: DisturbanceCurve {
                 victim: NodeId(0),
                 inject_cycle: 0,
                 stall_window: 0,
-                bucket: 100,
-                rings: vec![vec![0, 0], vec![0, 0]],
-                ring_sizes: vec![1, 2],
+                bucket: 1_000,
+                ring_sizes: vec![1; rings.len()],
+                rings,
             },
             absorption: ABSORPTION_COMPONENTS.iter().map(|&c| (c, 0)).collect(),
-        };
+        }
+    }
+
+    #[test]
+    fn idle_wave_analyzers_handle_an_empty_wave() {
+        let wave = synthetic(vec![vec![0, 0], vec![0, 0]]);
         assert_eq!(wave.propagation_speed(), None);
+        assert_eq!(wave.cycles_per_hop(), None);
         assert_eq!(wave.decay_distance(0.5), 0);
         assert_eq!(wave.damping(), 0.0);
         assert_eq!(wave.total_deficit(), 0);
         assert_eq!(wave.absorbed_total(), 0);
+    }
+
+    #[test]
+    fn cycles_per_hop_is_the_reciprocal_of_the_fitted_speed() {
+        // Ring d first loses completions in bucket d: one hop per
+        // 1,000-cycle bucket.
+        let mut rings: Vec<Vec<i64>> = (0..4)
+            .map(|d| (0..6).map(|b| i64::from(b >= d)).collect())
+            .collect();
+        let outward = synthetic(rings.clone());
+        let speed = outward.propagation_speed().expect("four rings to fit");
+        assert!((speed - 0.001).abs() < 1e-12, "{speed} hops per cycle");
+        let pace = outward.cycles_per_hop().expect("the front travels outward");
+        assert!((pace - 1_000.0).abs() < 1e-6, "{pace} cycles per hop");
+        // A front reaching the far rings first has no outward pace.
+        rings.reverse();
+        let inward = synthetic(rings);
+        assert!(inward.propagation_speed().is_some_and(|s| s < 0.0));
+        assert_eq!(inward.cycles_per_hop(), None);
     }
 
     fn curve(stall_window: u64) -> DisturbanceCurve {

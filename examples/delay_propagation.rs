@@ -88,9 +88,9 @@ fn main() {
     }
 
     println!("\nwave analyzers:");
-    match wave.propagation_speed() {
-        Some(speed) => println!("  propagation speed: {speed:.0} cycles/hop (bucket-limited)"),
-        None => println!("  propagation speed: not measurable (wave too localized)"),
+    match wave.cycles_per_hop() {
+        Some(pace) => println!("  propagation speed: {pace:.0} cycles/hop (bucket-limited)"),
+        None => println!("  propagation speed: n/a (no outward wave front to fit)"),
     }
     println!(
         "  decay distance: {} hop(s) at the 0.5 completions/node threshold",
