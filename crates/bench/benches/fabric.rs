@@ -14,9 +14,14 @@
 //! figure. Scenario cycle counts are tuned so the whole harness stays in
 //! CI-smoke territory even on a loaded runner.
 //!
+//! Timing: each engine replays a scenario on fresh fabrics until the
+//! summed wall-clock passes [`MIN_TIMED_SECS`] (`reps` and
+//! `reference_reps` in the record), and cycles/sec is the cycles of every
+//! repetition over that sum.
+//!
 //! Run with: `cargo bench --bench fabric`
 
-use commloc_bench::{write_measured, RegressionGate};
+use commloc_bench::{repeat_timed, write_measured, RegressionGate, Repeated};
 use commloc_net::traffic::{BernoulliTraffic, TrafficPattern};
 use commloc_net::{Fabric, FabricConfig, Message, ReferenceFabric, Torus};
 
@@ -43,11 +48,20 @@ struct Scenario {
 struct Outcome {
     name: &'static str,
     cycles: u64,
+    reps: u32,
     cycles_per_sec: f64,
     delivered: u64,
+    reference_reps: u32,
     reference_cycles_per_sec: f64,
     speedup: f64,
 }
+
+/// The summed wall-clock each engine's repetitions of a scenario must
+/// pass before its throughput is reported. One pass of an optimized row
+/// takes a quarter of a second, and three single passes of one binary
+/// read `sim_config_8x8` anywhere from 176 k to 282 k cycles/s; summed
+/// over a few passes, one slow stretch of the host weighs less.
+const MIN_TIMED_SECS: f64 = 1.0;
 
 const MESSAGE_FLITS: u32 = 12;
 
@@ -101,49 +115,46 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// Runs the optimized engine over the schedule; returns (wall seconds,
-/// delivered messages). Idle stretches with no scheduled injections are
+/// Replays the schedule on fresh optimized fabrics until the summed
+/// wall-clock passes [`MIN_TIMED_SECS`]; the output is each run's
+/// delivered messages. Idle stretches with no scheduled injections are
 /// crossed with `fast_forward`, which the equivalence suite proves is
 /// cycle-exact.
-fn run_optimized(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
-    let mut fabric: Fabric<u64> = Fabric::new(Torus::new(s.dims, s.radix), s.config);
-    let start = std::time::Instant::now();
-    let mut cycle = 0usize;
-    while cycle < schedule.len() {
-        if fabric.in_flight() == 0 && schedule[cycle].is_empty() {
-            let gap = schedule[cycle..]
-                .iter()
-                .take_while(|injections| injections.is_empty())
-                .count();
-            cycle += fabric.fast_forward(gap as u64) as usize;
-            continue;
+fn run_optimized(s: &Scenario, schedule: &Schedule) -> Repeated<Fabric<u64>, u64> {
+    let fresh = || Fabric::new(Torus::new(s.dims, s.radix), s.config);
+    repeat_timed(MIN_TIMED_SECS, fresh, |fabric| {
+        let mut cycle = 0usize;
+        while cycle < schedule.len() {
+            if fabric.in_flight() == 0 && schedule[cycle].is_empty() {
+                let gap = schedule[cycle..]
+                    .iter()
+                    .take_while(|injections| injections.is_empty())
+                    .count();
+                cycle += fabric.fast_forward(gap as u64) as usize;
+                continue;
+            }
+            for message in &schedule[cycle] {
+                fabric.inject(message.clone());
+            }
+            fabric.step().expect("fault-free fabric step");
+            cycle += 1;
         }
-        for message in &schedule[cycle] {
-            fabric.inject(message.clone());
-        }
-        fabric.step().expect("fault-free fabric step");
-        cycle += 1;
-    }
-    (
-        start.elapsed().as_secs_f64(),
-        fabric.stats().delivered_messages,
-    )
+        fabric.stats().delivered_messages
+    })
 }
 
-fn run_reference(s: &Scenario, schedule: &Schedule) -> (f64, u64) {
-    let mut fabric: ReferenceFabric<u64> =
-        ReferenceFabric::new(Torus::new(s.dims, s.radix), s.config);
-    let start = std::time::Instant::now();
-    for injections in schedule {
-        for message in injections {
-            fabric.inject(message.clone());
+/// [`run_optimized`] on the reference engine, stepping every cycle.
+fn run_reference(s: &Scenario, schedule: &Schedule) -> Repeated<ReferenceFabric<u64>, u64> {
+    let fresh = || ReferenceFabric::new(Torus::new(s.dims, s.radix), s.config);
+    repeat_timed(MIN_TIMED_SECS, fresh, |fabric| {
+        for injections in schedule {
+            for message in injections {
+                fabric.inject(message.clone());
+            }
+            fabric.step().expect("fault-free fabric step");
         }
-        fabric.step().expect("fault-free fabric step");
-    }
-    (
-        start.elapsed().as_secs_f64(),
-        fabric.stats().delivered_messages,
-    )
+        fabric.stats().delivered_messages
+    })
 }
 
 fn render_json(outcomes: &[Outcome]) -> String {
@@ -152,13 +163,15 @@ fn render_json(outcomes: &[Outcome]) -> String {
     );
     for (i, o) in outcomes.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"cycles_per_sec\": {:.0}, \
-             \"delivered_messages\": {}, \"reference_cycles_per_sec\": {:.0}, \
-             \"speedup_vs_reference\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"cycles\": {}, \"reps\": {}, \"cycles_per_sec\": {:.0}, \
+             \"delivered_messages\": {}, \"reference_reps\": {}, \
+             \"reference_cycles_per_sec\": {:.0}, \"speedup_vs_reference\": {:.2}}}{}\n",
             o.name,
             o.cycles,
+            o.reps,
             o.cycles_per_sec,
             o.delivered,
+            o.reference_reps,
             o.reference_cycles_per_sec,
             o.speedup,
             if i + 1 < outcomes.len() { "," } else { "" },
@@ -187,25 +200,34 @@ fn main() {
                 _ => source.pulse(),
             })
             .collect();
-        let (secs, delivered) = run_optimized(&scenario, &schedule);
-        let (ref_secs, ref_delivered) = run_reference(&scenario, &schedule);
+        let optimized = run_optimized(&scenario, &schedule);
+        let reference = run_reference(&scenario, &schedule);
+        let delivered = optimized.output;
         assert_eq!(
-            delivered, ref_delivered,
+            delivered, reference.output,
             "{}: engines disagree on delivered messages",
             scenario.name
         );
-        let cycles_per_sec = scenario.cycles as f64 / secs;
-        let reference_cycles_per_sec = scenario.cycles as f64 / ref_secs;
+        let cycles_per_sec = optimized.rate(scenario.cycles);
+        let reference_cycles_per_sec = reference.rate(scenario.cycles);
         let speedup = cycles_per_sec / reference_cycles_per_sec;
         println!(
-            "{:<18} {:>12.0} cyc/s  (reference {:>10.0} cyc/s, speedup {:>5.1}x, {} delivered)",
-            scenario.name, cycles_per_sec, reference_cycles_per_sec, speedup, delivered
+            "{:<18} {:>12.0} cyc/s over {:>2} runs  (reference {:>10.0} cyc/s, speedup {:>5.1}x, \
+             {} delivered)",
+            scenario.name,
+            cycles_per_sec,
+            optimized.reps,
+            reference_cycles_per_sec,
+            speedup,
+            delivered
         );
         outcomes.push(Outcome {
             name: scenario.name,
             cycles: scenario.cycles,
+            reps: optimized.reps,
             cycles_per_sec,
             delivered,
+            reference_reps: reference.reps,
             reference_cycles_per_sec,
             speedup,
         });

@@ -35,7 +35,7 @@
 //!
 //! Run with: `cargo bench --bench machine`
 
-use commloc_bench::{write_measured, RegressionGate};
+use commloc_bench::{repeat_timed, write_measured, RegressionGate};
 use commloc_mem::MemConfig;
 use commloc_net::{FaultConfig, FaultPlan};
 use commloc_sim::{Machine, Mapping, SimConfig, SimError, WorkStealingPolicy};
@@ -74,10 +74,12 @@ enum Shape {
 }
 
 /// What one engine's runs showed: the wall-clock summed over `reps`
-/// identical repetitions, and what each repetition did.
+/// identical repetitions, the cycles per second over that sum, and what
+/// each repetition did.
 struct Run {
     wall_secs: f64,
     reps: u32,
+    cycles_per_sec: f64,
     cycles: u64,
     completions: u64,
     fast_forwarded: u64,
@@ -222,21 +224,10 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-impl Run {
-    /// Simulated cycles per wall-clock second over every repetition.
-    fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 * f64::from(self.reps) / self.wall_secs
-    }
-}
-
 /// Runs one engine over the scenario on fresh machines until the summed
-/// wall-clock of the runs (construction excluded) passes
-/// [`MIN_TIMED_SECS`]. The simulator is deterministic, so every
-/// repetition does the same work.
+/// wall-clock of the runs passes [`MIN_TIMED_SECS`].
 fn run_engine(s: &Scenario, reference: bool) -> Run {
-    let mut wall_secs = 0.0;
-    let mut reps = 0;
-    loop {
+    let fresh = || {
         let mut machine = if reference {
             Machine::new_reference(&s.config, &s.mapping)
         } else {
@@ -245,25 +236,24 @@ fn run_engine(s: &Scenario, reference: bool) -> Run {
         if let Some(policy) = s.migration {
             machine.set_migration(policy);
         }
-        let start = std::time::Instant::now();
-        // Watchdog trips are expected in the fault scenarios; the engines
-        // must agree on the outcome either way (asserted by the caller —
-        // the full report equality lives in the equivalence tests and
-        // fuzzer).
-        let result = machine.run_network_cycles(s.cycles);
-        wall_secs += start.elapsed().as_secs_f64();
-        reps += 1;
-        if wall_secs >= MIN_TIMED_SECS {
-            return Run {
-                wall_secs,
-                reps,
-                cycles: machine.net_cycle(),
-                completions: machine.completions(),
-                fast_forwarded: machine.fast_forwarded_cycles(),
-                stalled: matches!(result, Err(SimError::Stalled(_))),
-                migrations: machine.migrations().len(),
-            };
-        }
+        machine
+    };
+    // Watchdog trips are expected in the fault scenarios; the engines
+    // must agree on the outcome either way (asserted by the caller — the
+    // full report equality lives in the equivalence tests and fuzzer).
+    let timed = repeat_timed(MIN_TIMED_SECS, fresh, |machine| {
+        machine.run_network_cycles(s.cycles)
+    });
+    let machine = &timed.state;
+    Run {
+        wall_secs: timed.wall_secs,
+        reps: timed.reps,
+        cycles_per_sec: timed.rate(machine.net_cycle()),
+        cycles: machine.net_cycle(),
+        completions: machine.completions(),
+        fast_forwarded: machine.fast_forwarded_cycles(),
+        stalled: matches!(timed.output, Err(SimError::Stalled(_))),
+        migrations: machine.migrations().len(),
     }
 }
 
@@ -316,8 +306,8 @@ fn main() {
         if let Some(why) = scenario.shape.lost_by(&run) {
             misshapen.push(format!("{}: {why}", scenario.name));
         }
-        let cycles_per_sec = run.cycles_per_sec();
-        let reference_cycles_per_sec = reference.cycles_per_sec();
+        let (cycles_per_sec, reference_cycles_per_sec) =
+            (run.cycles_per_sec, reference.cycles_per_sec);
         let speedup = cycles_per_sec / reference_cycles_per_sec;
         println!(
             "{:<28} {:>12.0} cyc/s over {:>4} runs (reference {:>10.0} cyc/s, speedup {:>6.1}x, \

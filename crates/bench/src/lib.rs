@@ -135,6 +135,52 @@ fn repo_root() -> &'static Path {
         .expect("crates/bench sits two levels down")
 }
 
+/// What [`repeat_timed`] measured: the wall-clock summed over `reps`
+/// identical repetitions, and the last repetition's state and output.
+pub struct Repeated<S, T> {
+    pub wall_secs: f64,
+    pub reps: u32,
+    pub state: S,
+    pub output: T,
+}
+
+impl<S, T> Repeated<S, T> {
+    /// `units` of work per repetition (simulated cycles, say) over the
+    /// summed wall-clock.
+    pub fn rate(&self, units: u64) -> f64 {
+        units as f64 * f64::from(self.reps) / self.wall_secs
+    }
+}
+
+/// Runs `run` on a fresh state from `fresh`, repeating until the summed
+/// wall-clock of the runs (construction excluded) passes `min_secs`. The
+/// engine benches time each scenario this way, so that a scenario that
+/// finishes in microseconds, or one pass that a busy host slows, does not
+/// decide its throughput alone; their simulators are deterministic, so
+/// every repetition does the same work.
+pub fn repeat_timed<S, T>(
+    min_secs: f64,
+    mut fresh: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S) -> T,
+) -> Repeated<S, T> {
+    let (mut wall_secs, mut reps) = (0.0, 0);
+    loop {
+        let mut state = fresh();
+        let start = std::time::Instant::now();
+        let output = run(&mut state);
+        wall_secs += start.elapsed().as_secs_f64();
+        reps += 1;
+        if wall_secs >= min_secs {
+            return Repeated {
+                wall_secs,
+                reps,
+                state,
+                output,
+            };
+        }
+    }
+}
+
 /// Times `f` with a warmup pass and a fixed iteration loop, printing a
 /// mean per-iteration figure. The in-tree replacement for an external
 /// bench harness: the workspace builds without registry access, so the

@@ -28,8 +28,10 @@ pub enum ThreadOp {
 /// consume it; others may ignore it.
 ///
 /// Programs must be `Send` so whole machines (which own them through
-/// their processors) can be stepped by shard worker threads.
-pub trait ThreadProgram: fmt::Debug + Send {
+/// their processors) can be stepped by shard worker threads, and `Sync`
+/// so one warm snapshot of a machine can be shared by the sweep workers
+/// that restore it.
+pub trait ThreadProgram: fmt::Debug + Send + Sync {
     /// Produces the thread's next operation.
     fn next(&mut self, last_read: Option<u64>) -> ThreadOp;
 

@@ -87,10 +87,12 @@ COMMANDS:
             [--golden-dir DIR]
     serve   long-running scenario service: JSON-lines requests in,
             streamed accepted/progress/result/done events out, backed by
-            the canonical result cache and warm-start snapshots (repeated
-            scenarios are served bit-identically without re-simulating)
+            the canonical result cache, warm-start snapshots and the
+            mappings it built (repeated scenarios are served
+            bit-identically without re-simulating)
             [--socket PATH | --tcp ADDR] (default: stdin/stdout)
-            [--cache-cap N] [--warm-cap N] [--jobs J]
+            [--cache-cap N] [--warm-cap N] (snapshots and mappings kept)
+            [--jobs J]
             (a `run` request follows sim's shard and job rules, a
             `sweep` suite's; both draw workers from the daemon's --jobs)
     fuzz    differential-fuzz the optimized Fabric, at a drawn shard
@@ -698,7 +700,15 @@ fn cmd_conformance(options: &HashMap<String, String>) -> Result<(), String> {
         for violation in &violations {
             eprintln!("violation: {violation}");
         }
-        return Err(format!("{} conformance violation(s)", violations.len()));
+        let unblessed = if update {
+            format!("; nothing was blessed into {}", dir.display())
+        } else {
+            String::new()
+        };
+        return Err(format!(
+            "{} conformance violation(s){unblessed}",
+            violations.len()
+        ));
     }
     if !csv {
         let verb = if update {
@@ -717,9 +727,10 @@ fn cmd_conformance(options: &HashMap<String, String>) -> Result<(), String> {
 
 /// Self-checks, prints, and golden-gates the figure tables: blesses them
 /// into `dir` under `--update-golden`, compares against the checked-in
-/// goldens otherwise. Self-checks run in both modes, so blessing a broken
-/// model still fails. Returns the accumulated violations (I/O problems
-/// are hard errors).
+/// goldens otherwise. Self-checks run in both modes, and a blessing with
+/// any self-check violation writes no table, so a broken model's values
+/// never reach the goldens. Returns the accumulated violations (I/O
+/// problems are hard errors).
 fn gate_tables(
     tables: &[GoldenTable],
     dir: &Path,
@@ -727,10 +738,13 @@ fn gate_tables(
     csv: bool,
 ) -> Result<Vec<Violation>, String> {
     let mut violations: Vec<Violation> = tables.iter().flat_map(self_check).collect();
+    let bless = update && violations.is_empty();
     for table in tables {
         let golden = if update {
-            let path = store_golden(dir, table)?;
-            eprintln!("wrote {}", path.display());
+            if bless {
+                let path = store_golden(dir, table)?;
+                eprintln!("wrote {}", path.display());
+            }
             None
         } else {
             let golden = load_golden(dir, &table.figure)?;
@@ -749,7 +763,11 @@ fn gate_tables(
                 }
             }
         } else {
-            let gate = if update { "blessed" } else { "checked" };
+            let gate = match (update, bless) {
+                (false, _) => "checked",
+                (true, true) => "blessed",
+                (true, false) => "not blessed",
+            };
             println!(
                 "{} [{}] — {} rows {gate} at {} = {:e}",
                 table.figure,
@@ -1267,5 +1285,49 @@ mod tests {
         let mesh = model_profile(&Topology::mesh(4, 4)).unwrap();
         assert_eq!(mesh.compute_nodes, 16.0);
         assert!(mesh.channels_per_node < 4.0, "mesh edges lack wraparound");
+    }
+
+    #[test]
+    fn a_blessing_that_fails_a_self_check_writes_nothing() {
+        use commloc_sim::conformance::{tolerances, GoldenRow};
+        // Synthetic degradation tables, built as the self-check's own test
+        // builds them: `kills0` decides whether all three invariants hold.
+        let row = |label: &str, completions: f64, migrations: f64, survivors: f64| GoldenRow {
+            label: label.to_owned(),
+            values: vec![
+                ("completions".into(), completions),
+                ("migrations".into(), migrations),
+                ("survivors".into(), survivors),
+                ("per_survivor".into(), completions / survivors),
+            ],
+        };
+        let table = |kills0: GoldenRow| GoldenTable {
+            figure: "resilience-degradation".to_owned(),
+            tolerance_name: "GOLDEN_RESILIENCE_DEG".to_owned(),
+            tolerance: tolerances::GOLDEN_RESILIENCE_DEG,
+            rows: vec![kills0, row("kills1", 3000.0, 2.0, 62.0)],
+        };
+        let passing = table(row("kills0", 5000.0, 0.0, 64.0));
+        let broken = table(row("kills0", 2000.0, 3.0, 60.0));
+        let fig9 = ConformanceRun::new(1).figure("fig9").unwrap();
+        let dir = std::env::temp_dir().join(format!("commloc-bless-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // Alone or beside a passing table, the broken one blocks every write.
+        for tables in [vec![broken.clone()], vec![fig9, broken]] {
+            let violations = gate_tables(&tables, &dir, true, false).unwrap();
+            assert_eq!(violations.len(), 3, "{violations:?}");
+            let written = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+            assert_eq!(
+                written,
+                0,
+                "a failing blessing wrote into {}",
+                dir.display()
+            );
+        }
+        let violations = gate_tables(std::slice::from_ref(&passing), &dir, true, false).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
+        let stored = load_golden(&dir, "resilience-degradation").unwrap();
+        assert!(passing.compare_against(&stored).is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

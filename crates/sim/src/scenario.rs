@@ -8,7 +8,7 @@ use crate::conformance::SUITE_SEED;
 use crate::error::SimError;
 use crate::json::Json;
 use crate::machine::{Machine, MachineSnapshot, SimConfig};
-use crate::mapping::{suite_names, topology_mapping_suite, Mapping, NamedMapping};
+use crate::mapping::{suite_names, Mapping, NamedMapping};
 use crate::parallel::default_jobs;
 use crate::serve::{run_cached_sweep_with, ScenarioCache, ScenarioKey, ScenarioResult};
 use crate::workload::Workload;
@@ -356,14 +356,29 @@ impl Scenario {
     ///
     /// As [`Scenario::mapping`], for the first unknown name.
     pub fn named_mappings(&self) -> Result<Vec<NamedMapping>, String> {
-        if self.mappings.is_empty() {
-            let topology = self.config.resolved_topology();
-            return Ok(topology_mapping_suite(&topology, self.seed));
+        self.resolve_mappings(|name| self.mapping(name), |named| named.distance)
+    }
+
+    /// Resolves every name the scenario gives through `resolve`, in
+    /// order, or, when it names none, the topology's whole suite sorted
+    /// stably by `distance`, as
+    /// [`topology_mapping_suite`](crate::mapping::topology_mapping_suite)
+    /// orders it.
+    pub(crate) fn resolve_mappings<M>(
+        &self,
+        mut resolve: impl FnMut(&str) -> Result<M, String>,
+        distance: impl Fn(&M) -> f64,
+    ) -> Result<Vec<M>, String> {
+        if !self.mappings.is_empty() {
+            return self.mappings.iter().map(|name| resolve(name)).collect();
         }
-        self.mappings
-            .iter()
-            .map(|name| self.mapping(name))
-            .collect()
+        let names = suite_names(&self.config.resolved_topology());
+        let mut suite = names
+            .into_iter()
+            .map(resolve)
+            .collect::<Result<Vec<M>, String>>()?;
+        suite.sort_by(|a, b| distance(a).total_cmp(&distance(b)));
+        Ok(suite)
     }
 
     /// The cache identity of this scenario run under `mapping`: shards and
@@ -391,13 +406,13 @@ impl Scenario {
     pub(crate) fn run_from(
         &self,
         mapping: &Mapping,
-        warm: Option<MachineSnapshot>,
+        warm: Option<&MachineSnapshot>,
         warmed: impl FnOnce(&Machine),
     ) -> Result<Machine, SimError> {
         let cold = warm.is_none();
         let mut machine = warm.map_or_else(
             || Machine::with_shards(&self.config, mapping, self.shards),
-            |snapshot| snapshot.restore(),
+            MachineSnapshot::restore,
         );
         machine.set_jobs(self.jobs);
         if cold {
@@ -417,7 +432,7 @@ impl Scenario {
     ///
     /// The first failing run's error (by input order).
     pub fn sweep(&self, mappings: &[NamedMapping]) -> Result<Vec<ScenarioResult>, SimError> {
-        run_cached_sweep_with(self, mappings, crate::serve::global_cache(), None)
+        run_cached_sweep_with(self, mappings, crate::serve::global_cache())
     }
 
     /// [`Scenario::sweep`] for a process that sweeps once: nothing is
@@ -429,6 +444,6 @@ impl Scenario {
     /// The first failing run's error (by input order).
     pub fn sweep_once(&self, mappings: &[NamedMapping]) -> Result<Vec<ScenarioResult>, SimError> {
         let cache = Mutex::new(ScenarioCache::new(0, 0));
-        run_cached_sweep_with(self, mappings, &cache, None)
+        run_cached_sweep_with(self, mappings, &cache)
     }
 }

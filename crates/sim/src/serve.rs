@@ -17,20 +17,29 @@
 //!   is stored with each entry and compared on lookup, so even a 64-bit
 //!   hash collision can never serve the wrong result — it is counted and
 //!   treated as a miss.
-//! * **Result cache**: a bounded LRU of measured results. A repeated
-//!   scenario returns the stored [`Measurements`] and latency-breakdown
-//!   JSON bit-identically, without simulating.
+//! * **Result cache**: a bounded LRU of measured results, each stored
+//!   with its `result` event's `"measurements":…,"breakdown":…` JSON,
+//!   rendered once when it was measured. A repeated scenario returns the
+//!   stored [`Measurements`] and latency-breakdown JSON bit-identically,
+//!   without simulating or formatting a number.
 //! * **Warm-start cache**: a bounded LRU of post-warmup
 //!   [`MachineSnapshot`]s keyed by the scenario-minus-window prefix.
 //!   Re-measuring a warmed machine under a new window restores the
 //!   snapshot and runs only the window; determinism makes the result
 //!   bit-identical to the cold path.
+//! * **Mapping cache**: the daemon resolves every mapping name, a
+//!   sweep's whole suite included, through a third LRU keyed by topology,
+//!   seed and name and bounded like the warm store, so each mapping (the
+//!   `worst` hill climb too) is built once per daemon.
 //! * **A JSON-lines protocol** ([`serve`]): requests in, streamed
 //!   `accepted`/`progress`/`result`/`done` events out, over
 //!   stdin/stdout, a Unix socket, or TCP. A request's fields are the
 //!   scenario keys ([`Scenario::parse`]) plus `op` and `id`. Misses are
 //!   batched through [`parallel_map`] under the shared process
-//!   [`crate::set_job_budget`] job budget.
+//!   [`crate::set_job_budget`] job budget. A connection's events are
+//!   buffered and sent when the request ends, before the daemon
+//!   simulates, and after each simulated scenario's progress event: a
+//!   cache hit's whole reply is one write.
 //!
 //! The suite and conformance drivers ([`crate::conformance`], `commloc
 //! suite`) route through [`Scenario::sweep`], so a daemon, a CLI sweep,
@@ -44,14 +53,16 @@ use crate::mapping::{Mapping, NamedMapping};
 use crate::parallel::{default_jobs, parallel_map};
 use crate::scenario::{Defaults, Field, Scenario, SCENARIO_KEYS};
 use crate::workload::fnv1a;
+use commloc_net::Topology;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Default bound on stored results.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// Default bound on stored warm-start snapshots (each holds a whole
-/// machine, so this is kept far smaller than the result bound).
+/// machine, so this is kept far smaller than the result bound), and on
+/// stored mappings.
 const DEFAULT_WARM_CAPACITY: usize = 16;
 
 /// Configuration of a [`serve`] daemon.
@@ -64,7 +75,7 @@ pub struct ServeOptions {
     pub tcp: Option<String>,
     /// Maximum cached results.
     pub cache_capacity: usize,
-    /// Maximum cached warm-start snapshots.
+    /// Maximum cached warm-start snapshots, and resolved mappings.
     pub warm_capacity: usize,
     /// Worker threads for batched cache misses.
     pub jobs: usize,
@@ -214,6 +225,8 @@ pub struct CacheStats {
     pub entries: usize,
     /// Stored warm-start snapshots.
     pub warm_entries: usize,
+    /// Stored resolved mappings.
+    pub mapping_entries: usize,
 }
 
 /// A bounded LRU map from a 64-bit hash to a value stored with its full
@@ -277,13 +290,70 @@ impl<T: Clone> Lru<T> {
     }
 }
 
-/// The bounded LRU result + warm-start store behind every cached driver:
-/// results as `(measurements, breakdown JSON)`, and post-warmup snapshots
-/// keyed by the scenario-minus-window prefix.
+/// A measured result as the cache stores it: the measurements, and the
+/// `"measurements":…,"breakdown":…` tail of its `result` event, rendered
+/// once when the result is made.
+#[derive(Debug)]
+pub(crate) struct StoredResult {
+    measured: Measurements,
+    payload: String,
+    /// Where the breakdown JSON starts in `payload`.
+    breakdown_at: usize,
+}
+
+impl StoredResult {
+    fn new(measured: Measurements, breakdown_json: &str) -> Self {
+        let mut payload = format!(
+            "\"measurements\":{},\"breakdown\":",
+            measurements_json(&measured)
+        );
+        let breakdown_at = payload.len();
+        payload.push_str(breakdown_json);
+        Self {
+            measured,
+            payload,
+            breakdown_at,
+        }
+    }
+
+    fn breakdown_json(&self) -> &str {
+        &self.payload[self.breakdown_at..]
+    }
+}
+
+/// A mapping resolved by name for one topology and seed, with the
+/// `"name":…` and `"distance":…` fields of its events rendered once.
+#[derive(Debug)]
+pub(crate) struct ResolvedMapping {
+    named: NamedMapping,
+    /// `"name":…` as JSON.
+    name_field: String,
+    /// `"name":…,"distance":…` as JSON.
+    fields: String,
+}
+
+impl ResolvedMapping {
+    fn new(named: NamedMapping) -> Self {
+        let name_field = format!("\"name\":{}", json_string(&named.name));
+        let fields = format!("{name_field},\"distance\":{:?}", named.distance);
+        Self {
+            named,
+            name_field,
+            fields,
+        }
+    }
+}
+
+/// The bounded LRU store behind every cached driver: results with their
+/// rendered payloads; post-warmup snapshots keyed by the
+/// scenario-minus-window prefix; and the mappings the daemon resolved by
+/// name, keyed by topology, seed and name and bounded like the snapshots
+/// (a snapshot holds a whole machine, a mapping one word per node).
 #[derive(Debug)]
 pub(crate) struct ScenarioCache {
-    results: Lru<(Measurements, String)>,
-    warm: Lru<MachineSnapshot>,
+    results: Lru<Arc<StoredResult>>,
+    warm: Lru<Arc<MachineSnapshot>>,
+    mappings: Lru<Arc<ResolvedMapping>>,
     hits: u64,
     misses: u64,
     collisions: u64,
@@ -294,6 +364,7 @@ impl ScenarioCache {
         Self {
             results: Lru::new(capacity),
             warm: Lru::new(warm_capacity),
+            mappings: Lru::new(warm_capacity),
             hits: 0,
             misses: 0,
             collisions: 0,
@@ -305,12 +376,13 @@ impl ScenarioCache {
     fn configure(&mut self, capacity: usize, warm_capacity: usize) {
         self.results.resize(capacity);
         self.warm.resize(warm_capacity);
+        self.mappings.resize(warm_capacity);
     }
 
     /// The stored result of `key`, counted as a hit or a miss. Same 64-bit
     /// hash, different scenario is a collision: the stored full key
     /// caught it, and it counts as a miss, never serving the wrong result.
-    fn lookup(&mut self, key: &ScenarioKey) -> Option<(Measurements, String)> {
+    fn lookup(&mut self, key: &ScenarioKey) -> Option<Arc<StoredResult>> {
         let found = self.results.get(key.hash, &key.canonical);
         self.collisions += u64::from(found.is_err());
         let found = found.unwrap_or(None);
@@ -321,12 +393,21 @@ impl ScenarioCache {
         found
     }
 
-    fn insert(&mut self, key: &ScenarioKey, measured: Measurements, breakdown_json: &str) {
-        let value = (measured, breakdown_json.to_owned());
-        self.results.insert(key.hash, &key.canonical, value);
+    /// Stores `measured` under `key` with its rendered payload, which is
+    /// returned whether or not the bound let it be kept.
+    fn insert(
+        &mut self,
+        key: &ScenarioKey,
+        measured: Measurements,
+        breakdown_json: &str,
+    ) -> Arc<StoredResult> {
+        let stored = Arc::new(StoredResult::new(measured, breakdown_json));
+        self.results
+            .insert(key.hash, &key.canonical, Arc::clone(&stored));
+        stored
     }
 
-    fn warm_lookup(&mut self, key: &ScenarioKey) -> Option<MachineSnapshot> {
+    fn warm_lookup(&mut self, key: &ScenarioKey) -> Option<Arc<MachineSnapshot>> {
         self.warm
             .get(key.warm_hash, key.warm_canonical())
             .unwrap_or(None)
@@ -336,9 +417,35 @@ impl ScenarioCache {
     /// with a warm bound of 0 not even the snapshot is taken.
     fn warm_insert(&mut self, key: &ScenarioKey, machine: &Machine) {
         if self.warm.capacity > 0 {
+            let snapshot = Arc::new(machine.snapshot());
             self.warm
-                .insert(key.warm_hash, key.warm_canonical(), machine.snapshot());
+                .insert(key.warm_hash, key.warm_canonical(), snapshot);
         }
+    }
+
+    /// The mapping `name` of `scenario` on `topology` (its resolved
+    /// topology), built through [`Scenario::mapping`] only when no entry
+    /// holds it. A hash collision builds it too, and is not counted: it
+    /// costs a build, never a wrong mapping.
+    fn mapping(
+        &mut self,
+        scenario: &Scenario,
+        topology: &Topology,
+        name: &str,
+    ) -> Result<Arc<ResolvedMapping>, String> {
+        let canonical = format!(
+            "topo={};seed={};mapping={name}",
+            topology.canonical(),
+            scenario.seed
+        );
+        let hash = fnv1a(canonical.as_bytes());
+        if let Ok(Some(resolved)) = self.mappings.get(hash, &canonical) {
+            return Ok(resolved);
+        }
+        let resolved = Arc::new(ResolvedMapping::new(scenario.mapping(name)?));
+        self.mappings
+            .insert(hash, &canonical, Arc::clone(&resolved));
+        Ok(resolved)
     }
 
     fn stats(&self) -> CacheStats {
@@ -348,6 +455,7 @@ impl ScenarioCache {
             collisions: self.collisions,
             entries: self.results.entries.len(),
             warm_entries: self.warm.entries.len(),
+            mapping_entries: self.mappings.entries.len(),
         }
     }
 }
@@ -376,60 +484,96 @@ pub fn cache_stats() -> CacheStats {
     lock(global_cache()).stats()
 }
 
-/// Per-scenario completion callback `(input index, name, was cache hit)`;
-/// sweep workers invoke it concurrently, so it must be `Sync`.
-type ProgressFn<'a> = &'a (dyn Fn(usize, &str, bool) + Sync);
+/// A sweep's progress as it goes: [`Progress::Simulating`] once before
+/// its first miss runs (after every hit's `Done`), and `Done` as each
+/// scenario's result is ready.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Progress {
+    /// The sweep is about to simulate its misses.
+    Simulating,
+    /// Input `index`'s result is ready; `cached` when it was a hit.
+    Done { index: usize, cached: bool },
+}
+
+/// A sweep's progress callback; sweep workers invoke it concurrently, so
+/// it must be `Sync`.
+type ProgressFn<'a> = &'a (dyn Fn(Progress) + Sync);
 
 /// [`Scenario::sweep`] against an explicit cache, with an optional
-/// completion callback — the daemon streams progress from it. A miss
-/// restores the warm snapshot of its key's warmed machine if one is
-/// stored, and stores one otherwise.
-pub(crate) fn run_cached_sweep_with(
+/// progress callback — the daemon streams events from it — returning
+/// each input's stored result and whether it was a hit. A miss restores
+/// the warm snapshot of its key's warmed machine if one is stored, and
+/// stores one otherwise.
+fn sweep_stored(
     scenario: &Scenario,
-    mappings: &[NamedMapping],
+    mappings: &[&NamedMapping],
     cache: &Mutex<ScenarioCache>,
     progress: Option<ProgressFn<'_>>,
-) -> Result<Vec<ScenarioResult>, SimError> {
+) -> Result<Vec<(Arc<StoredResult>, bool)>, SimError> {
     let keys: Vec<ScenarioKey> = mappings.iter().map(|m| scenario.key(&m.mapping)).collect();
-    let hits: Vec<Option<(Measurements, String)>> = {
+    let hits: Vec<Option<Arc<StoredResult>>> = {
         let mut store = lock(cache);
         keys.iter().map(|key| store.lookup(key)).collect()
     };
     let misses: Vec<usize> = (0..keys.len()).filter(|&i| hits[i].is_none()).collect();
     if let Some(callback) = progress {
         for i in (0..keys.len()).filter(|&i| hits[i].is_some()) {
-            callback(i, &mappings[i].name, true);
+            callback(Progress::Done {
+                index: i,
+                cached: true,
+            });
+        }
+        if !misses.is_empty() {
+            callback(Progress::Simulating);
         }
     }
     let computed = parallel_map(&misses, scenario.jobs, |&i| {
         let key = &keys[i];
         let warm = lock(cache).warm_lookup(key);
-        let machine = scenario.run_from(&mappings[i].mapping, warm, |machine| {
+        let machine = scenario.run_from(&mappings[i].mapping, warm.as_deref(), |machine| {
             lock(cache).warm_insert(key, machine);
         })?;
         let (measured, breakdown_json) = (machine.measure(), machine.latency_breakdown().to_json());
-        lock(cache).insert(key, measured, &breakdown_json);
+        // Freed before the payload is rendered, so the allocator sorts the
+        // machine's thousands of freed blocks during this miss rather than
+        // on the next request's first allocations (a hit right after a
+        // warm request took ~150 µs longer in its request parse).
+        drop(machine);
+        let stored = lock(cache).insert(key, measured, &breakdown_json);
         if let Some(callback) = progress {
-            callback(i, &mappings[i].name, false);
+            callback(Progress::Done {
+                index: i,
+                cached: false,
+            });
         }
-        Ok::<_, SimError>((measured, breakdown_json))
+        Ok::<_, SimError>(stored)
     });
     let mut computed = computed.into_iter();
-    let result = |(i, hit): (usize, Option<_>)| {
-        let cached = hit.is_some();
-        let (measured, breakdown_json) = match hit {
-            Some(stored) => stored,
-            None => computed.next().expect("one run per miss")?,
-        };
-        Ok(ScenarioResult {
-            name: mappings[i].name.clone(),
-            distance: mappings[i].distance,
-            measured,
-            breakdown_json,
-            cached,
-        })
+    let result = |hit: Option<Arc<StoredResult>>| match hit {
+        Some(stored) => Ok((stored, true)),
+        None => Ok((computed.next().expect("one run per miss")?, false)),
     };
-    hits.into_iter().enumerate().map(result).collect()
+    hits.into_iter().map(result).collect()
+}
+
+/// [`sweep_stored`] over named mappings, as [`ScenarioResult`]s.
+pub(crate) fn run_cached_sweep_with(
+    scenario: &Scenario,
+    mappings: &[NamedMapping],
+    cache: &Mutex<ScenarioCache>,
+) -> Result<Vec<ScenarioResult>, SimError> {
+    let named: Vec<&NamedMapping> = mappings.iter().collect();
+    let stored = sweep_stored(scenario, &named, cache, None)?;
+    let results = mappings.iter().zip(stored);
+    let result =
+        |(named, (stored, cached)): (&NamedMapping, (Arc<StoredResult>, bool))| ScenarioResult {
+            name: named.name.clone(),
+            distance: named.distance,
+            measured: stored.measured,
+            breakdown_json: stored.breakdown_json().to_owned(),
+            cached,
+        };
+    Ok(results.map(result).collect())
 }
 
 /// [`Scenario::sweep`] of a one-shard scenario of `config` over `warmup`
@@ -535,6 +679,8 @@ fn parse_request(line: &str, jobs: usize) -> Result<Request, String> {
     Ok(Request { op, id, scenario })
 }
 
+/// The result-cache counters a `done` event carries; a `stats` event
+/// adds the mapping entries after them.
 fn stats_json(stats: &CacheStats) -> String {
     format!(
         "\"hits\":{},\"misses\":{},\"collisions\":{},\"entries\":{},\"warm_entries\":{}",
@@ -542,38 +688,66 @@ fn stats_json(stats: &CacheStats) -> String {
     )
 }
 
-/// Writes one event line (locking the shared writer; the daemon streams
+/// Room for a whole-suite sweep's reply, so that even a sweep of hits
+/// leaves in one write.
+const REPLY_BUFFER: usize = 64 * 1024;
+
+/// One connection's event stream. Events are buffered, and leave when
+/// the request ends, before the daemon simulates, and as each simulated
+/// scenario's progress is reported; so a reply served from the cache is
+/// one write.
+type Events<W> = Mutex<BufWriter<W>>;
+
+/// Buffers one event line (locking the shared writer; the daemon streams
 /// from worker threads).
-fn emit<W: Write>(writer: &Mutex<W>, line: &str) -> Result<(), String> {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    writeln!(w, "{line}")
-        .and_then(|()| w.flush())
-        .map_err(|e| format!("write: {e}"))
+fn emit<W: Write>(events: &Events<W>, line: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut w = events.lock().unwrap_or_else(PoisonError::into_inner);
+    writeln!(w, "{line}").map_err(|e| format!("write: {e}"))
+}
+
+/// Sends the buffered events to the client.
+fn flush<W: Write>(events: &Events<W>) -> Result<(), String> {
+    let mut w = events.lock().unwrap_or_else(PoisonError::into_inner);
+    w.flush().map_err(|e| format!("write: {e}"))
 }
 
 /// Handles one request line. `Ok(false)` means a clean shutdown request;
 /// a bad request is answered with an `error` event.
 fn handle_request<W: Write + Send>(
     line: &str,
-    writer: &Mutex<W>,
+    events: &Events<W>,
     jobs: usize,
     cache: &Mutex<ScenarioCache>,
 ) -> Result<bool, String> {
     let mut id = String::new();
-    respond(line, writer, jobs, cache, &mut id).or_else(|message| {
-        let event = format!(
-            "{{\"event\":\"error\",{id}\"message\":{}}}",
-            json_string(&message)
-        );
-        emit(writer, &event).map(|()| true)
+    respond(line, events, jobs, cache, &mut id).or_else(|message| {
+        let message = json_string(&message);
+        emit(
+            events,
+            format_args!("{{\"event\":\"error\",{id}\"message\":{message}}}"),
+        )
+        .map(|()| true)
     })
 }
 
-/// Answers one request, streaming its events and leaving its `id`
+/// Resolves every mapping `scenario` names, in order, or its topology's
+/// whole suite, through the cache's mapping entries.
+fn resolve_mappings(
+    scenario: &Scenario,
+    cache: &Mutex<ScenarioCache>,
+) -> Result<Vec<Arc<ResolvedMapping>>, String> {
+    let topology = scenario.config.resolved_topology();
+    scenario.resolve_mappings(
+        |name| lock(cache).mapping(scenario, &topology, name),
+        |resolved| resolved.named.distance,
+    )
+}
+
+/// Answers one request, buffering its events and leaving its `id`
 /// segment in `id`; `Err` carries the message of its `error` event.
 fn respond<W: Write + Send>(
     line: &str,
-    writer: &Mutex<W>,
+    events: &Events<W>,
     jobs: usize,
     cache: &Mutex<ScenarioCache>,
     id: &mut String,
@@ -584,54 +758,67 @@ fn respond<W: Write + Send>(
     let op = request.op.as_str();
     match op {
         "stats" => {
-            let stats = stats_json(&lock(cache).stats());
-            emit(writer, &format!("{{\"event\":\"stats\",{id}{stats}}}")).map(|()| true)
+            let stats = lock(cache).stats();
+            let (counters, mappings) = (stats_json(&stats), stats.mapping_entries);
+            emit(
+                events,
+                format_args!(
+                    "{{\"event\":\"stats\",{id}{counters},\"mapping_entries\":{mappings}}}"
+                ),
+            )
+            .map(|()| true)
         }
         "shutdown" => emit(
-            writer,
-            &format!("{{\"event\":\"done\",{id}\"op\":\"shutdown\"}}"),
+            events,
+            format_args!("{{\"event\":\"done\",{id}\"op\":\"shutdown\"}}"),
         )
         .map(|()| false),
         "run" | "sweep" => {
-            let mappings = request.scenario.named_mappings()?;
+            let mappings = resolve_mappings(&request.scenario, cache)?;
             let total = mappings.len();
             emit(
-                writer,
-                &format!("{{\"event\":\"accepted\",{id}\"op\":\"{op}\",\"scenarios\":{total}}}"),
+                events,
+                format_args!(
+                    "{{\"event\":\"accepted\",{id}\"op\":\"{op}\",\"scenarios\":{total}}}"
+                ),
             )?;
             let done = std::sync::atomic::AtomicUsize::new(0);
-            let progress = |_: usize, name: &str, cached: bool| {
-                let completed = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let _ = emit(
-                    writer,
-                    &format!(
-                        "{{\"event\":\"progress\",{id}\"completed\":{completed},\"total\":{total},\
-                         \"name\":{},\"cached\":{cached}}}",
-                        json_string(name)
-                    ),
-                );
+            // Send errors here resurface at the request's final flush.
+            let progress = |event: Progress| match event {
+                Progress::Simulating => {
+                    let _ = flush(events);
+                }
+                Progress::Done { index, cached } => {
+                    let completed = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let name = &mappings[index].name_field;
+                    let _ = emit(
+                        events,
+                        format_args!(
+                            "{{\"event\":\"progress\",{id}\"completed\":{completed},\
+                             \"total\":{total},{name},\"cached\":{cached}}}"
+                        ),
+                    );
+                    if !cached {
+                        let _ = flush(events);
+                    }
+                }
             };
-            let results =
-                run_cached_sweep_with(&request.scenario, &mappings, cache, Some(&progress))
-                    .map_err(|e| e.to_string())?;
-            for r in &results {
+            let named: Vec<&NamedMapping> = mappings.iter().map(|m| &m.named).collect();
+            let stored = sweep_stored(&request.scenario, &named, cache, Some(&progress))
+                .map_err(|e| e.to_string())?;
+            for (mapping, (stored, cached)) in mappings.iter().zip(&stored) {
                 emit(
-                    writer,
-                    &format!(
-                        "{{\"event\":\"result\",{id}\"name\":{},\"distance\":{:?},\
-                         \"cached\":{},\"measurements\":{},\"breakdown\":{}}}",
-                        json_string(&r.name),
-                        r.distance,
-                        r.cached,
-                        measurements_json(&r.measured),
-                        r.breakdown_json,
+                    events,
+                    format_args!(
+                        "{{\"event\":\"result\",{id}{},\"cached\":{cached},{}}}",
+                        mapping.fields, stored.payload,
                     ),
                 )?;
             }
             let stats = stats_json(&lock(cache).stats());
             emit(
-                writer,
-                &format!(
+                events,
+                format_args!(
                     "{{\"event\":\"done\",{id}\"op\":\"{op}\",\"scenarios\":{total},{stats}}}"
                 ),
             )
@@ -652,7 +839,7 @@ fn handle_stream<R: BufRead, W: Write + Send>(
     jobs: usize,
     cache: &Mutex<ScenarioCache>,
 ) -> Result<bool, String> {
-    let writer = Mutex::new(writer);
+    let events = Mutex::new(BufWriter::with_capacity(REPLY_BUFFER, writer));
     // Bytes, not `lines()`: a line that is not UTF-8 gets an `error` event
     // from the JSON parser instead of ending the connection.
     for line in reader.split(b'\n') {
@@ -661,7 +848,9 @@ fn handle_stream<R: BufRead, W: Write + Send>(
         if line.trim().is_empty() {
             continue;
         }
-        if !handle_request(line.trim(), &writer, jobs, cache)? {
+        let more = handle_request(line.trim(), &events, jobs, cache)?;
+        flush(&events)?;
+        if !more {
             return Ok(false);
         }
     }
@@ -946,8 +1135,8 @@ mod tests {
         let scenario = sweep(&config, 500, 500, 2);
         let empty = Mutex::new(ScenarioCache::new(0, 0));
         let kept = Mutex::new(ScenarioCache::new(8, 4));
-        let once = run_cached_sweep_with(&scenario, &mappings, &empty, None).unwrap();
-        let cached = run_cached_sweep_with(&scenario, &mappings, &kept, None).unwrap();
+        let once = run_cached_sweep_with(&scenario, &mappings, &empty).unwrap();
+        let cached = run_cached_sweep_with(&scenario, &mappings, &kept).unwrap();
         for (a, b) in once.iter().zip(&cached) {
             assert_eq!((&a.name, a.measured), (&b.name, b.measured));
             assert_eq!(a.breakdown_json, b.breakdown_json);
@@ -968,7 +1157,7 @@ mod tests {
             .collect();
 
         let scenario = sweep(&config, 1_500, 4_000, 2);
-        let first = run_cached_sweep_with(&scenario, &mappings, &cache, None).unwrap();
+        let first = run_cached_sweep_with(&scenario, &mappings, &cache).unwrap();
         assert!(first.iter().all(|r| !r.cached));
         // Uncached reference, in input order: byte- and bit-level
         // agreement.
@@ -981,7 +1170,7 @@ mod tests {
         }
 
         // Exact repeat: served from cache, bit-identical payloads.
-        let second = run_cached_sweep_with(&scenario, &mappings, &cache, None).unwrap();
+        let second = run_cached_sweep_with(&scenario, &mappings, &cache).unwrap();
         assert!(second.iter().all(|r| r.cached));
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.measured, b.measured);
@@ -991,7 +1180,7 @@ mod tests {
         // New window over the same warmup: a warm start (no fresh warmup
         // simulation), still bit-identical to the cold path.
         let shorter = sweep(&config, 1_500, 2_500, 2);
-        let warm = run_cached_sweep_with(&shorter, &mappings, &cache, None).unwrap();
+        let warm = run_cached_sweep_with(&shorter, &mappings, &cache).unwrap();
         assert_eq!(warm.len(), mappings.len());
         for (r, named) in warm.iter().zip(&mappings) {
             assert!(!r.cached);
@@ -1045,6 +1234,185 @@ mod tests {
             .rfind(|l| l.contains("\"event\":\"done\"") && l.contains("\"hits\""))
             .expect("done event with stats");
         assert!(done.contains("\"hits\":1"), "one repeat must hit: {done}");
+    }
+
+    /// A client that records each `write` the daemon makes, with the
+    /// number of warm snapshots the cache held when it came: a snapshot
+    /// is stored as soon as a miss finishes its warmup.
+    struct Recorder<'a> {
+        cache: &'a Mutex<ScenarioCache>,
+        writes: Vec<(String, usize)>,
+    }
+
+    impl<'a> Recorder<'a> {
+        fn new(cache: &'a Mutex<ScenarioCache>) -> Self {
+            Self {
+                cache,
+                writes: Vec::new(),
+            }
+        }
+
+        /// Runs `input` through a connection that writes to this client.
+        fn serve(&mut self, input: &str) {
+            let cache = self.cache;
+            handle_stream(input.as_bytes(), &mut *self, 1, cache).unwrap();
+        }
+
+        /// The events of write `i`, one per line.
+        fn events(&self, i: usize) -> Vec<&str> {
+            let text = &self.writes[i].0;
+            assert!(text.ends_with('\n'), "a write ends on a line: {text:?}");
+            text.lines().collect()
+        }
+    }
+
+    impl Write for Recorder<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let warm = lock(self.cache).stats().warm_entries;
+            self.writes
+                .push((String::from_utf8_lossy(buf).into_owned(), warm));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_hot_request_reaches_the_client_in_one_write() {
+        // Its accepted, progress, result and done events leave together;
+        // sent line by line, with each newline apart, they took eight.
+        let cache = Mutex::new(ScenarioCache::new(8, 4));
+        let line = r#"{"op":"run","mapping":"scale3-x","warmup":200,"window":400}"#;
+        let mut cold = Recorder::new(&cache);
+        cold.serve(&format!("{line}\n"));
+        let mut hot = Recorder::new(&cache);
+        hot.serve(&format!("{line}\n"));
+        assert_eq!(hot.writes.len(), 1, "{:?}", hot.writes);
+        let events = hot.events(0);
+        for (event, kind) in events
+            .iter()
+            .zip(["accepted", "progress", "result", "done"])
+        {
+            assert!(event.contains(&format!("\"event\":\"{kind}\"")), "{event}");
+        }
+        assert_eq!(events.len(), 4);
+        assert!(events[2].contains("\"cached\":true"));
+        // The hit carries the miss's bytes.
+        let cold_text: String = cold.writes.iter().map(|(text, _)| text.as_str()).collect();
+        let cold_result = cold_text
+            .lines()
+            .find(|l| l.contains("\"event\":\"result\""));
+        let tail = |line: &str| line[line.find("\"measurements\"").unwrap()..].to_string();
+        assert_eq!(tail(cold_result.unwrap()), tail(events[2]));
+    }
+
+    #[test]
+    fn a_sweep_streams_its_progress_around_each_simulation() {
+        // A sweep of misses sends `accepted` before it warms its first
+        // machine, and each miss's progress before the next warms; a
+        // sweep that mixes hits and misses sends its hits' progress with
+        // `accepted`. The results and `done` leave together at the end.
+        let cache = Mutex::new(ScenarioCache::new(8, 4));
+        let sweep = |names: &str| {
+            format!(r#"{{"op":"sweep","mappings":[{names}],"radix":4,"warmup":300,"window":300}}"#)
+                + "\n"
+        };
+        let mut misses = Recorder::new(&cache);
+        misses.serve(&sweep(r#""identity","random-1""#));
+        let warm: Vec<usize> = misses.writes.iter().map(|&(_, warm)| warm).collect();
+        assert_eq!(warm, [0, 1, 2, 2], "{:?}", misses.writes);
+        assert!(misses.events(0)[0].contains("\"event\":\"accepted\""));
+        for (i, name) in [(1, "identity"), (2, "random-1")] {
+            let events = misses.events(i);
+            assert_eq!(events.len(), 1);
+            assert!(events[0].contains("\"event\":\"progress\""), "{events:?}");
+            assert!(events[0].contains(&format!("\"name\":\"{name}\",\"cached\":false")));
+        }
+        assert_eq!(misses.events(3).len(), 3, "two results and done");
+
+        let mut mixed = Recorder::new(&cache);
+        mixed.serve(&sweep(r#""identity","swaps-8""#));
+        let warm: Vec<usize> = mixed.writes.iter().map(|&(_, warm)| warm).collect();
+        assert_eq!(warm, [2, 3, 3], "{:?}", mixed.writes);
+        let first = mixed.events(0);
+        assert_eq!(first.len(), 2, "{first:?}");
+        assert!(first[1].contains("\"name\":\"identity\",\"cached\":true"));
+        assert!(mixed.events(1)[0].contains("\"name\":\"swaps-8\",\"cached\":false"));
+    }
+
+    #[test]
+    fn repeated_worst_runs_and_suite_sweeps_build_no_mapping() {
+        let cache = Mutex::new(ScenarioCache::new(64, 16));
+        let scenario = |line: &str| parse_request(line, 1).unwrap().scenario;
+        let worst = scenario(r#"{"op":"run","mapping":"worst"}"#);
+        let suite = scenario(r#"{"op":"sweep"}"#);
+        let first_worst = resolve_mappings(&worst, &cache).unwrap();
+        let first_suite = resolve_mappings(&suite, &cache).unwrap();
+        // The suite's `worst` is the run's, and a repeat returns the very
+        // mappings the first request built.
+        assert!(first_suite.iter().any(|m| Arc::ptr_eq(m, &first_worst[0])));
+        for (request, first) in [(&worst, &first_worst), (&suite, &first_suite)] {
+            let again = resolve_mappings(request, &cache).unwrap();
+            assert_eq!(again.len(), first.len());
+            assert!(again.iter().zip(first).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        // In the uncached resolver's order, with its mappings and distances.
+        let built = suite.named_mappings().unwrap();
+        assert_eq!(built.len(), first_suite.len());
+        for (resolved, named) in first_suite.iter().zip(&built) {
+            assert_eq!(resolved.named.name, named.name);
+            assert_eq!(resolved.named.mapping, named.mapping);
+            assert_eq!(resolved.named.distance.to_bits(), named.distance.to_bits());
+        }
+        assert_eq!(lock(&cache).stats().mapping_entries, 10);
+
+        // Through the daemon: repeats are hits, and `stats` reports the
+        // mapping entries after the counters it always had. `worst` and
+        // the suite's nine others miss once each; the repeated run, the
+        // suite's `worst` and the repeated sweep's ten hit.
+        let daemon = Mutex::new(ScenarioCache::new(64, 16));
+        let run = r#"{"op":"run","mapping":"worst","warmup":10,"window":10}"#;
+        let sweep = r#"{"op":"sweep","warmup":10,"window":10}"#;
+        let input = format!("{run}\n{run}\n{sweep}\n{sweep}\n{{\"op\":\"stats\"}}\n");
+        let mut output = Vec::new();
+        assert!(handle_stream(input.as_bytes(), &mut output, 1, &daemon).unwrap());
+        let replies = replies(&output);
+        let stats = &replies[4][0];
+        assert!(
+            stats.ends_with(
+                "\"hits\":12,\"misses\":10,\"collisions\":0,\"entries\":10,\
+                 \"warm_entries\":10,\"mapping_entries\":10}"
+            ),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn the_mapping_entries_follow_the_warm_bound() {
+        let scenario = |name: &str| {
+            let line = format!(r#"{{"op":"run","mapping":"{name}"}}"#);
+            parse_request(&line, 1).unwrap().scenario
+        };
+        // Bound 0 stores nothing, so every request builds its mapping.
+        let none = Mutex::new(ScenarioCache::new(8, 0));
+        let a = resolve_mappings(&scenario("scale3-x"), &none).unwrap();
+        let b = resolve_mappings(&scenario("scale3-x"), &none).unwrap();
+        assert!(!Arc::ptr_eq(&a[0], &b[0]), "built again");
+        assert_eq!(lock(&none).stats().mapping_entries, 0);
+        // Bound 2 keeps the two most recently used.
+        let two = Mutex::new(ScenarioCache::new(8, 2));
+        for name in ["identity", "bitrev", "random", "bitrev"] {
+            resolve_mappings(&scenario(name), &two).unwrap();
+        }
+        assert_eq!(lock(&two).stats().mapping_entries, 2);
+        let stored = |name: &str| {
+            let again = resolve_mappings(&scenario(name), &two).unwrap();
+            let again_too = resolve_mappings(&scenario(name), &two).unwrap();
+            Arc::ptr_eq(&again[0], &again_too[0])
+        };
+        assert!(stored("bitrev") && stored("random"));
     }
 
     #[test]
